@@ -178,6 +178,12 @@ def _apply_config_file(args) -> None:
             raise BadHyperparameter(
                 f"config key {key!r} does not apply to command {args.command!r}"
             )
+        if key == "smote_enabled" and not isinstance(value, bool):
+            raise BadHyperparameter(
+                f"config key 'smote_enabled' must be true or false, got {value!r}"
+            )
+        if key == "smote_k" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise BadHyperparameter(f"config key 'smote_k' must be an integer, got {value!r}")
         setattr(args, key, value)
 
 

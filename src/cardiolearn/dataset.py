@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import (
+    BadEncoding,
     BadFraction,
     BadHyperparameter,
     DuplicateHeader,
@@ -194,9 +195,13 @@ def _parse_row(row_index, raw_cells, positions):
 
 
 def _read_rows(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    # utf-8-sig drops a leading byte-order mark, so the first header name stays clean
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError as exc:
+        raise BadEncoding(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise EmptyFile(f"{path}: no content")
     return rows

@@ -21,6 +21,10 @@ class EmptyFile(CardioLearnError):
     code = "E_DATA"
 
 
+class BadEncoding(CardioLearnError):
+    code = "E_DATA"
+
+
 class DuplicateHeader(CardioLearnError):
     code = "E_SCHEMA"
 

@@ -38,6 +38,8 @@ from .rng import SplitMix64
 
 _AGE_COLUMN = FEATURE_NAMES.index("Age")
 _SEX_COLUMN = FEATURE_NAMES.index("Sex")
+# rows per distance block in the SMOTE neighbour search
+_NEIGHBOUR_BLOCK = 64
 
 
 class UnseenPolicy(enum.Enum):
@@ -235,13 +237,43 @@ def flag_outliers(m: FeatureMatrix, threshold_z: float = 3.0) -> OutlierReport:
     return OutlierReport(flags=flags, threshold_z=threshold_z)
 
 
+def _nearest_neighbours(points: np.ndarray, k: int) -> np.ndarray:
+    """Row positions of each row's k nearest other rows, shape (m, k).
+
+    Distance is Euclidean over all columns; ties go to the lower row
+    position. Distances are computed _NEIGHBOUR_BLOCK rows at a time, so
+    memory is O(block * m * d) rather than O(m^2 * d).
+    """
+    m = points.shape[0]
+    neighbours = np.empty((m, k), dtype=np.int64)
+    for start in range(0, m, _NEIGHBOUR_BLOCK):
+        block = points[start:start + _NEIGHBOUR_BLOCK]
+        diffs = block[:, None, :] - points[None, :, :]
+        distances = np.sqrt(np.sum(diffs * diffs, axis=2))
+        # self sits at distance 0, so the k nearest others all lie at or
+        # below each row's (k+1)-th smallest distance
+        cutoff = np.partition(distances, k, axis=1)[:, k]
+        rows, cols = np.nonzero(distances <= cutoff[:, None])
+        others = cols != rows + start
+        rows, cols = rows[others], cols[others]
+        order = np.lexsort((cols, distances[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        # every row keeps at least k candidates; take the first k of each
+        first = np.searchsorted(rows, np.arange(len(block)))
+        neighbours[start:start + len(block)] = cols[first[:, None] + np.arange(k)]
+    return neighbours
+
+
 def smote(m: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:
     """Balance classes by interpolated synthetic minority rows.
 
     Each synthetic row is x + u * (nn - x) with x a minority row (cycled in
-    row order), nn one of its k nearest minority neighbours under Euclidean
-    distance over all columns, and u uniform in [0, 1). Original rows are
-    preserved unchanged, in order, ahead of the synthetic block.
+    row order), nn one of its k nearest minority neighbours, and u uniform
+    in [0, 1). Neighbours are ranked by Euclidean distance over all
+    columns, ties broken by row position; the search holds
+    O(block * m * d) memory for m minority rows of d columns, not
+    O(m^2 * d). Original rows are preserved unchanged, in order, ahead of
+    the synthetic block.
     """
     labels = m.labels
     counts = {0: int(np.sum(labels == 0)), 1: int(np.sum(labels == 1))}
@@ -261,17 +293,7 @@ def smote(m: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:
 
     minority_rows = np.flatnonzero(labels == minority)
     points = m.values[minority_rows]
-    # k nearest minority neighbours per minority row, self excluded,
-    # distance ties broken by row position for determinism
-    diffs = points[:, None, :] - points[None, :, :]
-    distances = np.sqrt(np.sum(diffs * diffs, axis=2))
-    neighbour_ids = []
-    for i in range(minority_count):
-        order = sorted(
-            (j for j in range(minority_count) if j != i),
-            key=lambda j: (distances[i, j], j),
-        )
-        neighbour_ids.append(order[:k])
+    neighbour_ids = _nearest_neighbours(points, k)
 
     gen = SplitMix64(seed)
     synthetic = np.empty((needed, m.values.shape[1]))

@@ -1,8 +1,13 @@
 """Command-line interface: flows, file outputs, config files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import cardiolearn
 
 from conftest import make_dataset
 from cardiolearn.cli import main
@@ -111,6 +116,16 @@ class TestErrorCodes:
         code = main(["evaluate", "--bundle", str(garbled), "--data", data_csv])
         assert code == 6
         assert capsys.readouterr().err.startswith("E_DATA CorruptBundle:")
+
+    def test_non_utf8_csv_is_data_error(self, tmp_path, data_csv, capsys):
+        text = open(data_csv, encoding="utf-8").read()
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(text.replace("ASY", "ASÝ", 1).encode("latin-1"))
+        code = main(["summarize", "--data", str(latin1)])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.startswith("E_DATA BadEncoding:")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestSummarize:
@@ -314,6 +329,54 @@ class TestConfigFile:
         code = main(["train", "--data", data_csv, "--algo", "nb",
                      "--config", str(config_path)])
         assert code == 4
+
+    def _preprocess_with_config(self, tmp_path, data_csv, doc):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        return main(["preprocess", "--data", data_csv, "--config", str(config_path)])
+
+    def test_smote_enabled_string_rejected(self, tmp_path, data_csv, capsys):
+        assert self._preprocess_with_config(tmp_path, data_csv, {"smote_enabled": "false"}) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert "smote_enabled" in err and len(err.strip().splitlines()) == 1
+
+    def test_smote_k_string_rejected(self, tmp_path, data_csv, capsys):
+        assert self._preprocess_with_config(tmp_path, data_csv, {"smote_k": "abc"}) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert "smote_k" in err and len(err.strip().splitlines()) == 1
+
+    def test_smote_k_float_rejected(self, tmp_path, data_csv, capsys):
+        assert self._preprocess_with_config(tmp_path, data_csv, {"smote_k": 2.7}) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert "2.7" in err and len(err.strip().splitlines()) == 1
+
+    def test_smote_k_bool_rejected(self, tmp_path, data_csv, capsys):
+        assert self._preprocess_with_config(tmp_path, data_csv, {"smote_k": True}) == 4
+        assert capsys.readouterr().err.startswith("E_CONFIG BadHyperparameter:")
+
+    def test_typed_smote_config_applied(self, tmp_path, data_csv, capsys):
+        doc = {"smote_enabled": False, "smote_k": 3}
+        assert self._preprocess_with_config(tmp_path, data_csv, doc) == 0
+        out = capsys.readouterr().out
+        before = [line for line in out.splitlines() if "before oversampling" in line][0]
+        after = [line for line in out.splitlines() if "after  oversampling" in line][0]
+        assert before.split(":")[1] == after.split(":")[1]
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_cli(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cardiolearn.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "cardiolearn", "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: cardiolearn")
 
 
 class TestGridsearch:

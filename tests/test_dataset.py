@@ -23,6 +23,7 @@ from cardiolearn.dataset import (
     write_csv,
 )
 from cardiolearn.errors import (
+    BadEncoding,
     BadFraction,
     BadHyperparameter,
     DuplicateHeader,
@@ -156,6 +157,21 @@ class TestLoadCsv:
     def test_crlf_accepted(self, tmp_path):
         path = write_text(tmp_path / "d.csv", f"{HEADER}\r\n{ROW_A}\r\n")
         assert len(load_csv(path)) == 1
+
+    def test_utf8_byte_order_mark_ignored(self, tmp_path):
+        plain = load_csv(write_text(tmp_path / "plain.csv", f"{HEADER}\n{ROW_A}\n"))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{HEADER}\n{ROW_A}\n".encode("utf-8"))
+        assert load_csv(str(path)).records == plain.records
+        unlabeled = tmp_path / "bom_unlabeled.csv"
+        unlabeled.write_bytes(b"\xef\xbb\xbf" + ",".join(FEATURE_NAMES).encode("utf-8") + b"\n")
+        assert len(load_unlabeled_csv(str(unlabeled))) == 0
+
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(f"{HEADER}\n{ROW_A}\n".replace("ASY", "ASÝ").encode("latin-1"))
+        with pytest.raises(BadEncoding, match="not UTF-8"):
+            load_csv(str(path))
 
     def test_whitespace_stripped(self, tmp_path):
         row = ROW_A.replace("M", " M ").replace("54", " 54")

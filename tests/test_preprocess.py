@@ -1,6 +1,8 @@
 """Encoding, imputation, scaling, outlier flagging, and oversampling."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from cardiolearn.errors import (
 from cardiolearn.preprocess import (
     FeatureMatrix,
     UnseenPolicy,
+    _nearest_neighbours,
     fit,
     flag_outliers,
     smote,
@@ -337,6 +340,85 @@ class TestSmote:
             smote(m, k=2, seed=0)  # minority_count-1 == 1
         with pytest.raises(KTooLarge):
             smote(m, k=0, seed=0)
+
+
+def _sha256(array, dtype) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
+
+
+def _brute_force_neighbours(points, k):
+    ids = []
+    for i, x in enumerate(points):
+        ranked = sorted(
+            (math.sqrt(float(np.sum((x - y) * (x - y)))), j)
+            for j, y in enumerate(points) if j != i
+        )
+        ids.append([j for _, j in ranked[:k]])
+    return np.array(ids, dtype=np.int64)
+
+
+def _integer_grid(seed, m, d, levels=3):
+    return np.random.default_rng(seed).integers(0, levels, (m, d)).astype(np.float64)
+
+
+def _duplicates_below(k, m=100, row=90):
+    # k + 2 identical rows at positions 0..k+1, and row `row` identical to them
+    points = _integer_grid(5, m, 3, levels=6) + 10.0
+    points[: k + 2] = 0.0
+    points[row] = 0.0
+    return points
+
+
+class TestNearestNeighbours:
+    # little-endian bytes as produced by a full m x m x d distance search
+    # ranked with a per-row sorted((distance, j)); the blocked search must
+    # reproduce them exactly
+    GOLDEN_NEIGHBOURS_SHA256 = "243cf63ff3afc5d16976262b170d5883c5c25558b7f57b22b11effc9d84bfa65"
+    GOLDEN_SYNTHETIC_SHA256 = "5e45161415a28adf8e20708f14dba678a9e03c906d9332fe9ef973022685d813"
+
+    def test_golden_neighbours_and_synthetic_rows(self):
+        data = synth_generate(400, 0.3, seed=7)
+        m = transform(fit(data), data)
+        points = m.values[m.labels == 1]
+        assert points.shape == (120, 11)
+        neighbours = _nearest_neighbours(points, 5)
+        assert neighbours[:3].tolist() == [
+            [34, 18, 89, 35, 16], [28, 57, 68, 56, 64], [19, 115, 94, 49, 42],
+        ]
+        assert _sha256(neighbours, "<i8") == self.GOLDEN_NEIGHBOURS_SHA256
+        out = smote(m, k=5, seed=3)
+        assert out.n_rows == 560
+        assert _sha256(out.values[m.n_rows:], "<f8") == self.GOLDEN_SYNTHETIC_SHA256
+
+    @pytest.mark.parametrize("points, k", [
+        (_integer_grid(1, 150, 3), 4),
+        (_integer_grid(2, 200, 11, levels=2), 12),
+        (_integer_grid(3, 70, 1), 5),
+        (_integer_grid(4, 130, 1, levels=4), 1),
+        (_integer_grid(6, 20, 2), 19),
+        (_integer_grid(7, 66, 1, levels=2), 65),
+        (np.random.default_rng(8).normal(0.0, 1.0, (140, 7)), 6),
+        (_duplicates_below(4), 4),
+        (_duplicates_below(12, m=130, row=129), 12),
+    ], ids=[
+        "grid-3d", "grid-11d-k12", "d1", "d1-k1", "k-m-minus-1", "d1-k-m-minus-1",
+        "gaussian", "duplicates-below", "duplicates-below-last-row",
+    ])
+    def test_matches_brute_force_on_ties(self, points, k):
+        assert np.array_equal(_nearest_neighbours(points, k), _brute_force_neighbours(points, k))
+
+    def test_smote_memory_bounded(self):
+        gen = np.random.default_rng(9)
+        values = gen.normal(0.0, 1.0, (4100, 11))
+        m = matrix(values, [0] * 2100 + [1] * 2000)
+        tracemalloc.start()
+        try:
+            out = smote(m, k=5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.n_rows == 4200
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestEndToEnd:
