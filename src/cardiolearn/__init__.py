@@ -21,7 +21,6 @@ from .boosting import (
     fit_boosted,
     fit_tree,
     log_loss,
-    training_log_loss,
 )
 from .dataset import (
     CATEGORICAL_FEATURES,

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingleClassDataset
-from .preprocess import FeatureMatrix
-
-_LOG_TIE_EPS = 1e-15
+from .errors import SingleClassDataset
+from .preprocess import FeatureMatrix, feature_batch
 
 
 @dataclass(frozen=True)
@@ -29,40 +27,26 @@ class GaussianNBModel:
     def n_features(self) -> int:
         return self.means.shape[1]
 
-    def log_joint(self, x: np.ndarray) -> np.ndarray:
-        """Unnormalized per-class log posterior: log prior + sum of log pdfs."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_features,):
-            raise DimensionMismatch(
-                f"expected feature vector of length {self.n_features}, got {x.shape}"
-            )
-        out = np.empty(2)
+    def posterior(self, X: np.ndarray) -> np.ndarray:
+        """(n, 2) class posteriors; log pdfs are summed along the contiguous
+        feature axis, so each row matches scoring it alone bit for bit."""
+        X = feature_batch(X, self.n_features)
+        log_joint = np.empty((X.shape[0], 2))
         for c in (0, 1):
             var = self.variances[c]
-            log_pdf = -0.5 * (np.log(2.0 * math.pi * var) + (x - self.means[c]) ** 2 / var)
-            out[c] = math.log(self.priors[c]) + float(np.sum(log_pdf))
-        return out
+            log_pdf = -0.5 * (np.log(2.0 * math.pi * var) + (X - self.means[c]) ** 2 / var)
+            log_joint[:, c] = math.log(self.priors[c]) + np.sum(log_pdf, axis=1)
+        return posterior_from_log_joint(log_joint)
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return posterior_from_log_joint(self.log_joint(x))
-
-    def predict(self, x: np.ndarray) -> int:
-        """Class with the larger log joint; near-exact ties go to class 1."""
-        lj = self.log_joint(x)
-        if abs(lj[1] - lj[0]) < _LOG_TIE_EPS:
-            return 1
-        return int(lj[1] > lj[0])
-
-    def predict_probability(self, x: np.ndarray) -> float:
-        """Positive-class posterior (the common model interface)."""
-        return float(self.predict_proba(x)[1])
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Positive-class posterior per row of an (n, d) batch."""
+        return self.posterior(X)[:, 1]
 
 
 def posterior_from_log_joint(log_joint: np.ndarray) -> np.ndarray:
-    """Normalize log joints into probabilities via log-sum-exp."""
-    shifted = log_joint - np.max(log_joint)
-    weights = np.exp(shifted)
-    return weights / np.sum(weights)
+    """Normalize two-class log joints (last axis) via log-sum-exp."""
+    weights = np.exp(log_joint - np.max(log_joint, axis=-1, keepdims=True))
+    return weights / (weights[..., :1] + weights[..., 1:])
 
 
 def fit_gaussian_nb(m: FeatureMatrix) -> GaussianNBModel:

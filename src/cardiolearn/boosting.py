@@ -24,13 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BadHyperparameter,
-    DimensionMismatch,
-    EmptyNode,
-    SingleClassDataset,
-)
-from .preprocess import FeatureMatrix
+from .errors import BadHyperparameter, EmptyNode, SingleClassDataset
+from .preprocess import FeatureMatrix, feature_batch
 
 PROB_CLAMP = 1e-12
 _STALL_EPS = 1e-12
@@ -58,11 +53,20 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def route(self, x: np.ndarray) -> float:
-        node = self
-        while not node.is_leaf:
-            node = node.left if x[node.feature] < node.threshold else node.right
-        return node.weight
+    def leaf_weights(self, X: np.ndarray) -> np.ndarray:
+        """Weight of the leaf each row of X lands in; row-index sets walk down
+        the tree together, split by one mask per internal node."""
+        out = np.empty(X.shape[0])
+        pending = [(self, np.arange(X.shape[0]))]
+        while pending:
+            node, rows = pending.pop()
+            if node.is_leaf:
+                out[rows] = node.weight
+                continue
+            goes_left = X[rows, node.feature] < node.threshold
+            pending.append((node.left, rows[goes_left]))
+            pending.append((node.right, rows[~goes_left]))
+        return out
 
     def scale_weights(self, factor: float) -> None:
         if self.is_leaf:
@@ -124,17 +128,20 @@ class BoostedEnsemble:
     min_child_weight: float = 1.0
     n_features: int = 0
 
-    def predict_margin(self, x: np.ndarray) -> float:
-        """Log-odds score; stored leaves already carry the learning rate."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_features,):
-            raise DimensionMismatch(
-                f"expected feature vector of length {self.n_features}, got {x.shape}"
-            )
-        return self.base_score + sum(tree.route(x) for tree in self.trees)
+    def predict_margin(self, X: np.ndarray) -> np.ndarray:
+        """Log-odds per row; leaves already carry the learning rate. Trees are
+        summed in order from zero, then base_score is added."""
+        X = feature_batch(X, self.n_features)
+        acc = np.zeros(X.shape[0])
+        for tree in self.trees:
+            acc += tree.leaf_weights(X)
+        return self.base_score + acc
 
-    def predict_probability(self, x: np.ndarray) -> float:
-        return clamp_probability(sigmoid(self.predict_margin(x)))
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Clamped sigmoid of each margin, through the scalar `sigmoid`: np.exp
+        differs from math.exp in the last bit on some inputs."""
+        margins = self.predict_margin(X).tolist()
+        return np.array([clamp_probability(sigmoid(z)) for z in margins], dtype=float)
 
 
 def sigmoid(z: float) -> float:
@@ -276,11 +283,6 @@ def fit_boosted(m: FeatureMatrix, config: BoostConfig) -> BoostedEnsemble:
         if tree.is_leaf and abs(tree.weight) < _STALL_EPS:
             break
         tree.scale_weights(config.learning_rate)
-        margins += np.array([tree.route(row) for row in m.values])
+        margins += tree.leaf_weights(m.values)
         ensemble.trees.append(tree)
     return ensemble
-
-
-def training_log_loss(ensemble: BoostedEnsemble, m: FeatureMatrix) -> float:
-    probs = np.array([ensemble.predict_probability(row) for row in m.values])
-    return log_loss(probs, m.labels)

@@ -27,6 +27,7 @@ from .evaluation import (
     EvalReport,
     GridSpec,
     SelectionMetric,
+    csv_value,
     evaluate_model,
     format_params,
     grid_search,
@@ -51,6 +52,16 @@ _CONFIG_KEYS = {
     "k", "metric", "grid", "bundle",
 }
 
+# JSON type (and wording) of typed config / grid-file scalars; bools are not numbers
+_SCALAR_TYPES = {
+    "seed": (int, "an integer"),
+    "k": (int, "an integer"),
+    "smote_k": (int, "an integer"),
+    "test_fraction": ((int, float), "a number"),
+    "threshold": ((int, float), "a number"),
+    "smote_enabled": (bool, "true or false"),
+}
+
 
 # --- formatting helpers -------------------------------------------------------
 
@@ -68,10 +79,6 @@ def format_table(headers, rows) -> str:
 
 def _fmt_metric(value) -> str:
     return "NA" if value is None else f"{value:.4f}"
-
-
-def _csv_metric(value) -> str:
-    return "NA" if value is None else repr(value)
 
 
 def _report_row(report: EvalReport):
@@ -98,7 +105,7 @@ def report_table(report: EvalReport) -> str:
 def report_csv(report: EvalReport) -> str:
     cm = report.matrix
     cells = [report.model_id, repr(report.threshold)]
-    cells.extend(_csv_metric(report.metric(name)) for name in METRIC_NAMES)
+    cells.extend(csv_value(report.metric(name)) for name in METRIC_NAMES)
     cells.extend(str(v) for v in (cm.tp, cm.fp, cm.fn, cm.tn))
     return ",".join(_REPORT_HEADERS) + "\n" + ",".join(cells) + "\n"
 
@@ -115,7 +122,7 @@ def compare_table(rows) -> str:
 def compare_csv(rows) -> str:
     lines = ["algorithm,accuracy,precision,recall,f1"]
     for label, report in rows:
-        cells = [label] + [_csv_metric(report.metric(name)) for name in METRIC_NAMES]
+        cells = [label] + [csv_value(report.metric(name)) for name in METRIC_NAMES]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -153,6 +160,14 @@ def _load_json(path, what):
         raise BadHyperparameter(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
+def _check_scalar(where: str, key: str, value) -> None:
+    if key not in _SCALAR_TYPES:
+        return
+    expected, wording = _SCALAR_TYPES[key]
+    if not isinstance(value, expected) or isinstance(value, bool) != (expected is bool):
+        raise BadHyperparameter(f"{where} key {key!r} must be {wording}, got {value!r}")
+
+
 def _apply_config_file(args) -> None:
     if not getattr(args, "config", None):
         return
@@ -178,19 +193,13 @@ def _apply_config_file(args) -> None:
             raise BadHyperparameter(
                 f"config key {key!r} does not apply to command {args.command!r}"
             )
-        if key == "smote_enabled" and not isinstance(value, bool):
-            raise BadHyperparameter(
-                f"config key 'smote_enabled' must be true or false, got {value!r}"
-            )
-        if key == "smote_k" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise BadHyperparameter(f"config key 'smote_k' must be an integer, got {value!r}")
+        _check_scalar("config", key, value)
         setattr(args, key, value)
 
 
 def _run_config(args, algorithm: Algorithm, params=None) -> RunConfig:
     return RunConfig(
         algorithm=algorithm,
-        data_path=args.data,
         test_fraction=float(args.test_fraction),
         seed=int(args.seed),
         threshold=float(args.threshold),
@@ -296,10 +305,7 @@ def cmd_summarize(args) -> int:
         ])
         csv_lines.append(",".join([
             name, str(stats.count), str(stats.missing),
-            "NA" if stats.minimum is None else repr(stats.minimum),
-            "NA" if stats.maximum is None else repr(stats.maximum),
-            "NA" if stats.mean is None else repr(stats.mean),
-            "NA" if stats.std is None else repr(stats.std),
+            *(csv_value(v) for v in (stats.minimum, stats.maximum, stats.mean, stats.std)),
         ]))
     print(f"records: {report.n_records}  positive: {report.positives}  "
           f"negative: {report.negatives}  positive fraction: {report.positive_fraction:.4f}")
@@ -319,7 +325,6 @@ def cmd_preprocess(args) -> int:
     data = ds.load_csv(args.data)
     config = RunConfig(
         algorithm=Algorithm.NB,  # placeholder; no model is fitted here
-        data_path=args.data,
         test_fraction=float(args.test_fraction),
         seed=int(args.seed),
         smote_enabled=bool(args.smote_enabled),
@@ -425,6 +430,7 @@ def cmd_gridsearch(args) -> int:
     for key in doc:
         if key not in {"grid", "selection_metric", "k", "seed"}:
             raise BadHyperparameter(f"unknown grid-file key {key!r}")
+        _check_scalar("grid-file", key, doc[key])
     for name, candidates in doc["grid"].items():
         if not isinstance(candidates, list):
             raise BadHyperparameter(f"grid entry {name!r} must be a list of candidates")
@@ -436,8 +442,8 @@ def cmd_gridsearch(args) -> int:
     spec = GridSpec(
         grid=doc["grid"],
         selection_metric=metric,
-        k=int(doc.get("k", args.k)),
-        seed=int(doc.get("seed", args.seed)),
+        k=doc.get("k", args.k),
+        seed=doc.get("seed", args.seed),
     )
     result = grid_search(
         spec, algorithm, data,

@@ -9,7 +9,7 @@ a 0/1 indicator, so 0 is a legitimate value there.
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import (
@@ -89,7 +89,6 @@ class RawRecord:
 class Dataset:
     records: tuple
     source: str = "memory"
-    schema: tuple = field(default=SCHEMA, repr=False)
 
     def __len__(self):
         return len(self.records)

@@ -66,24 +66,17 @@ class EvalReport:
 
 
 def confusion(predicted: Sequence[int], actual: Sequence[int]) -> ConfusionMatrix:
-    """Count the 2x2 contingency table; positive class is 1."""
+    """Count the 2x2 contingency table; positive class is 1, any other value negative."""
     if len(predicted) != len(actual):
         raise LengthMismatch(
             f"predicted has {len(predicted)} entries, actual has {len(actual)}"
         )
     if len(predicted) == 0:
         raise EmptyPredictions("cannot build a confusion matrix from zero samples")
-    tp = fp = fn = tn = 0
-    for p, a in zip(predicted, actual):
-        if p == 1 and a == 1:
-            tp += 1
-        elif p == 1 and a == 0:
-            fp += 1
-        elif p == 0 and a == 1:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    p = np.asarray(predicted) == 1
+    a = np.asarray(actual) == 1
+    return ConfusionMatrix(tp=int(np.sum(p & a)), fp=int(np.sum(p & ~a)),
+                           fn=int(np.sum(~p & a)), tn=int(np.sum(~p & ~a)))
 
 
 def _ratio(numerator: int, denominator: int) -> Optional[float]:
@@ -118,11 +111,8 @@ def evaluate_model(model, m: FeatureMatrix, threshold: float = 0.5,
         raise BadHyperparameter(f"threshold must be in (0, 1), got {threshold}")
     if not model_id:
         model_id = type(model).__name__
-    predicted = [
-        1 if model.predict_probability(row) >= threshold else 0 for row in m.values
-    ]
-    actual = [int(v) for v in m.labels]
-    return metrics(confusion(predicted, actual), threshold, model_id)
+    predicted = (model.predict_proba(m.values) >= threshold).astype(int)
+    return metrics(confusion(predicted, m.labels), threshold, model_id)
 
 
 @dataclass(frozen=True)
@@ -264,7 +254,8 @@ def grid_search(spec: GridSpec, algorithm, data: Dataset,
     )
 
 
-def _format_metric_cell(value: Optional[float]) -> str:
+def csv_value(value: Optional[float]) -> str:
+    """CSV cell: full-precision repr, or NA when the value is undefined."""
     return "NA" if value is None else repr(value)
 
 
@@ -279,6 +270,6 @@ def results_csv(result: GridSearchResult) -> str:
         params = format_params(candidate.params)
         for fold, report in enumerate(candidate.cv.fold_reports):
             cells = [report.model_id, params, str(fold)]
-            cells.extend(_format_metric_cell(report.metric(n)) for n in METRIC_NAMES)
+            cells.extend(csv_value(report.metric(n)) for n in METRIC_NAMES)
             lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

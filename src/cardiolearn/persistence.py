@@ -99,14 +99,17 @@ def _serialize_tree(node: TreeNode) -> dict:
     }
 
 
-def _deserialize_tree(doc: dict) -> TreeNode:
+def _deserialize_tree(doc: dict, n_features: int) -> TreeNode:
     if "weight" in doc:
         return TreeNode(weight=doc["weight"])
+    feature = doc["feature"]
+    if isinstance(feature, bool) or not isinstance(feature, int) or not 0 <= feature < n_features:
+        raise CorruptBundle(f"tree split feature {feature!r} is not a column below {n_features!r}")
     return TreeNode(
-        feature=doc["feature"],
+        feature=feature,
         threshold=doc["threshold"],
-        left=_deserialize_tree(doc["left"]),
-        right=_deserialize_tree(doc["right"]),
+        left=_deserialize_tree(doc["left"], n_features),
+        right=_deserialize_tree(doc["right"], n_features),
     )
 
 
@@ -166,7 +169,7 @@ def deserialize_model(algorithm: Algorithm, doc: dict):
         return BoostedEnsemble(
             mode=BoostMode(doc["mode"]),
             base_score=doc["base_score"],
-            trees=[_deserialize_tree(t) for t in doc["trees"]],
+            trees=[_deserialize_tree(t, doc["n_features"]) for t in doc["trees"]],
             learning_rate=doc["learning_rate"],
             reg_lambda=doc["reg_lambda"],
             gamma=doc["gamma"],
@@ -257,19 +260,15 @@ def save_bundle(bundle: dict, path: str) -> None:
     atomic_write_text(path, bundle_text(bundle))
 
 
-def _model_width(algorithm: Algorithm, model) -> Optional[int]:
-    if algorithm is Algorithm.NB:
-        return model.n_features
-    if algorithm in (Algorithm.GB, Algorithm.XGB):
-        return model.n_features
-    return None  # sequence encoding consumes one scalar per timestep
+def _reject_constant(name: str):
+    raise CorruptBundle(f"bundle holds the non-finite number {name}")
 
 
 def load_bundle(path: str) -> LoadedBundle:
     with open(path, "r", encoding="utf-8") as handle:
         raw = handle.read()
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise CorruptBundle(f"bundle is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -289,11 +288,11 @@ def load_bundle(path: str) -> LoadedBundle:
         created_at = doc.get("created_at", "")
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptBundle(f"bundle is missing or mangles a field: {exc}") from exc
-    width = _model_width(algorithm, model)
+    # the RNN has no fixed width: its sequence encoding takes one scalar per timestep
     expected = len(preprocessor.scale_stats) + len(preprocessor.vocab)
-    if width is not None and width != expected:
+    if algorithm is not Algorithm.RNN and model.n_features != expected:
         raise SchemaMismatch(
-            f"model expects {width} features but preprocessor produces {expected}"
+            f"model expects {model.n_features} features but preprocessor produces {expected}"
         )
     return LoadedBundle(
         format_version=version,

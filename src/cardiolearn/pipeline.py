@@ -33,7 +33,6 @@ COMPARE_ORDER = (Algorithm.RNN, Algorithm.NB, Algorithm.GB, Algorithm.XGB)
 @dataclass(frozen=True)
 class RunConfig:
     algorithm: Algorithm
-    data_path: Optional[str] = None
     test_fraction: float = 0.2
     seed: int = 42
     threshold: float = 0.5
@@ -160,6 +159,6 @@ def run_compare(data: Dataset, config: RunConfig) -> CompareOutcome:
 
 def predict_probabilities(preprocessor: FittedPreprocessor, model,
                           data: Dataset) -> list:
-    """Per-row positive-class probabilities for already-loaded records."""
+    """Per-row positive-class probabilities (Python floats) for loaded records."""
     matrix = preprocess.transform(preprocessor, data)
-    return [float(model.predict_probability(row)) for row in matrix.values]
+    return model.predict_proba(matrix.values).tolist()

@@ -29,6 +29,7 @@ from .dataset import (
     SCHEMA,
 )
 from .errors import (
+    DimensionMismatch,
     EmptyDataset,
     KTooLarge,
     MinorityTooSmall,
@@ -45,6 +46,16 @@ _NEIGHBOUR_BLOCK = 64
 class UnseenPolicy(enum.Enum):
     ERROR = "error"
     MAP_TO_MODE = "map_to_mode"
+
+
+def feature_batch(X, n_features=None) -> np.ndarray:
+    """X as the (n, d) float matrix every `predict_proba` takes; d must equal
+    n_features when the model has a fixed width."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or (n_features is not None and X.shape[1] != n_features):
+        width = "d" if n_features is None else n_features
+        raise DimensionMismatch(f"expected an (n, {width}) feature matrix, got shape {X.shape}")
+    return X
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .errors import (
     EmptyPartition,
     EmptySequence,
 )
-from .preprocess import FeatureMatrix
+from .preprocess import FeatureMatrix, feature_batch
 from .rng import SplitMix64
 
 IMPROVEMENT_EPS = 1e-6
@@ -256,11 +256,8 @@ def rmsprop_step(params: RNNParams, caches: RNNParams, grads: RNNParams,
 
 
 def _mean_loss(params: RNNParams, m: FeatureMatrix) -> float:
-    total = 0.0
-    for row, label in zip(m.values, m.labels):
-        _, prob = forward(params, as_sequence(row))
-        total += bce(prob, float(label))
-    return total / m.n_rows
+    probs = RNNModel(params=params, history=TrainHistory()).predict_proba(m.values)
+    return sum(bce(p, float(y)) for p, y in zip(probs.tolist(), m.labels)) / m.n_rows
 
 
 def _batch_grads(params: RNNParams, m: FeatureMatrix, rows) -> RNNParams:
@@ -372,6 +369,7 @@ class RNNModel:
     params: RNNParams
     history: TrainHistory
 
-    def predict_probability(self, x: np.ndarray) -> float:
-        _, prob = forward(self.params, as_sequence(x))
-        return prob
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Positive-class probability per row; each row runs as its own sequence."""
+        X = feature_batch(X)
+        return np.array([forward(self.params, as_sequence(row))[1] for row in X], dtype=float)

@@ -1,9 +1,12 @@
 """Uniform fitting front-end for the four model families.
 
-Every fitted model exposes `predict_probability(x) -> float` for a single
-encoded feature row, so evaluation, persistence, and the CLI never branch
-on the family. Hyperparameters arrive as a plain name/value mapping that is
-validated against the family's known names before any work starts.
+Every fitted model exposes one batch method, `predict_proba(X)`: given an
+(n, d) matrix of encoded feature rows it returns an (n,) float64 array of
+positive-class probabilities, bit-equal to scoring each row alone; any
+other shape raises DimensionMismatch. Evaluation, persistence, and the CLI
+never branch on the family. Hyperparameters arrive as a plain name/value
+mapping that is validated against the family's known names (and as finite
+numbers) before any work starts.
 
 The recurrent network needs a validation partition for early stopping; it
 is carved out of the supplied training matrix (stratified, one fifth) so
@@ -13,6 +16,8 @@ fixed, documented streams.
 """
 
 import enum
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Tuple
 
@@ -82,13 +87,19 @@ class ModelSpec:
 
 
 def resolve_params(algorithm: Algorithm, overrides: Mapping) -> dict:
-    """Defaults overlaid with overrides; unknown names are rejected."""
+    """Defaults overlaid with overrides; unknown names, non-numbers, bools
+    and non-finite values are rejected."""
     defaults = PARAM_DEFAULTS[algorithm]
     resolved = dict(defaults)
     for name, value in overrides.items():
         if name not in defaults:
             raise BadHyperparameter(
                 f"unknown hyperparameter {name!r} for algorithm {algorithm.value!r}"
+            )
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not abs(value) <= sys.float_info.max):
+            raise BadHyperparameter(
+                f"hyperparameter {name!r} must be a finite number, got {value!r}"
             )
         if name in _INT_PARAMS:
             if float(value) != int(value):

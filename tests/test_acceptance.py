@@ -179,11 +179,11 @@ def test_criterion_4_separable_descent(capsys):
         margins = np.full(m.n_rows, ens.base_score)
         losses = [log_loss(1.0 / (1.0 + np.exp(-margins)), m.labels)]
         for r, tree in enumerate(ens.trees, start=1):
-            margins = margins + np.array([tree.route(row) for row in m.values])
+            margins = margins + tree.leaf_weights(m.values)
             losses.append(log_loss(1.0 / (1.0 + np.exp(-margins)), m.labels))
             if not losses[-1] < losses[-2] + 1e-9:
                 problems.append(f"{mode.value}: loss did not fall at round {r}")
-        predicted = [1 if ens.predict_probability(row) >= 0.5 else 0 for row in m.values]
+        predicted = (ens.predict_proba(m.values) >= 0.5).astype(int).tolist()
         if predicted != m.labels.tolist():
             problems.append(f"{mode.value}: training accuracy below 1.0")
     detail = (
@@ -207,7 +207,7 @@ def test_criterion_5_bayes_density_oracle(capsys):
         for _ in range(5):
             x = gen.normal(0, 1.5, d)
             expected = linear_space_posteriors(model, x)
-            got = model.predict_proba(x)
+            got = model.posterior(x[None])[0]
             worst_posterior = max(
                 worst_posterior,
                 abs(float(got[0]) - expected[0]),
@@ -226,7 +226,7 @@ def test_criterion_5_bayes_density_oracle(capsys):
             var_floor=1e-9,
         )
         x = np.array([8.0 * stream.uniform() - 4.0])
-        worst_sum = max(worst_sum, abs(float(model.predict_proba(x).sum()) - 1.0))
+        worst_sum = max(worst_sum, abs(float(model.posterior(x[None])[0].sum()) - 1.0))
     ok = worst_posterior < 1e-9 and worst_sum < 1e-9
     verdict(
         capsys, 5, ok,

@@ -31,6 +31,11 @@ def linear_space_posteriors(model: GaussianNBModel, x) -> list:
     return [d / total for d in densities]
 
 
+def posterior_of(model: GaussianNBModel, x) -> np.ndarray:
+    """Two-class posterior of one feature row, through the batch method."""
+    return model.posterior(np.asarray(x, dtype=float)[None])[0]
+
+
 def two_gaussian_model(mean0=0.0, mean1=2.0, var=1.0, prior1=0.5) -> GaussianNBModel:
     return GaussianNBModel(
         priors=np.array([1.0 - prior1, prior1]),
@@ -81,7 +86,7 @@ class TestFit:
         values = np.zeros((4, 2))
         model = fit_gaussian_nb(matrix(values, [0, 0, 1, 1]))
         assert model.var_floor == pytest.approx(1e-9)
-        probs = model.predict_proba(np.zeros(2))
+        probs = posterior_of(model, np.zeros(2))
         assert np.all(np.isfinite(probs))
 
     def test_single_class_rejected(self):
@@ -93,13 +98,13 @@ class TestFit:
 class TestPosteriors:
     def test_midpoint_is_even_odds(self):
         model = two_gaussian_model()
-        probs = model.predict_proba(np.array([1.0]))
+        probs = posterior_of(model, np.array([1.0]))
         assert probs[0] == pytest.approx(0.5, abs=1e-12)
         assert probs[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_class_zero_center(self):
         model = two_gaussian_model()
-        probs = model.predict_proba(np.array([0.0]))
+        probs = posterior_of(model, np.array([0.0]))
         expected = math.exp(2.0) / (1.0 + math.exp(2.0))
         assert probs[0] == pytest.approx(expected, abs=1e-9)
         assert probs[0] == pytest.approx(0.88080, abs=1e-5)
@@ -119,7 +124,7 @@ class TestPosteriors:
                 var_floor=1e-9,
             )
             x = np.array([8.0 * gen.uniform() - 4.0])
-            assert abs(float(model.predict_proba(x).sum()) - 1.0) < 1e-9
+            assert abs(float(posterior_of(model, x).sum()) - 1.0) < 1e-9
 
     def test_matches_density_product_oracle(self):
         gen = np.random.default_rng(7)
@@ -132,14 +137,14 @@ class TestPosteriors:
             for _ in range(5):
                 x = gen.normal(0, 1.5, d)
                 expected = linear_space_posteriors(model, x)
-                got = model.predict_proba(x)
+                got = posterior_of(model, x)
                 assert abs(got[0] - expected[0]) < 1e-9
                 assert abs(got[1] - expected[1]) < 1e-9
 
     def test_extreme_inputs_stay_finite(self):
         model = two_gaussian_model()
         for x in (-1e6, 1e6):
-            probs = model.predict_proba(np.array([x]))
+            probs = posterior_of(model, np.array([x]))
             assert np.all(np.isfinite(probs))
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -151,8 +156,8 @@ class TestPosteriors:
         shifted = fit_gaussian_nb(matrix(values + 10.0, labels))
         for _ in range(20):
             x = gen.normal(0, 1, 3)
-            a = model.predict_proba(x)
-            b = shifted.predict_proba(x + 10.0)
+            a = posterior_of(model, x)
+            b = posterior_of(shifted, x + 10.0)
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_training_row_permutation_leaves_posteriors_unchanged(self):
@@ -164,7 +169,7 @@ class TestPosteriors:
         permuted = fit_gaussian_nb(matrix(values[perm], labels[perm]))
         for _ in range(20):
             x = gen.normal(0, 1, 2)
-            assert np.max(np.abs(model.predict_proba(x) - permuted.predict_proba(x))) < 1e-12
+            assert np.max(np.abs(posterior_of(model, x) - posterior_of(permuted, x))) < 1e-12
 
     def test_posterior_from_log_joint_normalizes(self):
         probs = posterior_from_log_joint(np.array([-1000.0, -1001.0]))
@@ -175,25 +180,21 @@ class TestPosteriors:
 class TestPredict:
     def test_argmax(self):
         model = two_gaussian_model()
-        assert model.predict(np.array([-1.0])) == 0
-        assert model.predict(np.array([3.0])) == 1
+        probs = model.predict_proba(np.array([[-1.0], [3.0]]))
+        assert probs[0] < 0.5 < probs[1]
 
-    def test_exact_tie_goes_to_class_one(self):
+    def test_predict_proba_is_positive_class_posterior(self):
         model = two_gaussian_model()
-        assert model.predict(np.array([1.0])) == 1
-
-    def test_predict_probability_is_positive_class(self):
-        model = two_gaussian_model()
-        probs = model.predict_proba(np.array([0.4]))
-        assert model.predict_probability(np.array([0.4])) == pytest.approx(probs[1])
+        rows = np.array([[0.4], [1.7]])
+        assert model.predict_proba(rows).tolist() == model.posterior(rows)[:, 1].tolist()
 
     def test_dimension_mismatch(self):
         model = two_gaussian_model()
         with pytest.raises(DimensionMismatch):
-            model.predict_proba(np.array([1.0, 2.0]))
+            model.predict_proba(np.array([[1.0, 2.0]]))
 
     def test_priors_shift_decision_boundary(self):
         skewed = two_gaussian_model(prior1=0.9)
-        assert skewed.predict(np.array([0.9])) == 1
-        probs = skewed.predict_proba(np.array([1.0]))
+        assert skewed.predict_proba(np.array([[0.9]]))[0] > 0.5
+        probs = posterior_of(skewed, np.array([1.0]))
         assert probs[1] > 0.5

@@ -18,7 +18,6 @@ from cardiolearn.boosting import (
     grad_hess,
     log_loss,
     sigmoid,
-    training_log_loss,
 )
 from cardiolearn.errors import (
     BadHyperparameter,
@@ -253,15 +252,13 @@ class TestRouting:
             left=TreeNode(weight=-1.0),
             right=TreeNode(weight=2.0),
         )
-        assert node.route(np.array([1.4])) == -1.0
-        assert node.route(np.array([1.5])) == 2.0
-        assert node.route(np.array([1.6])) == 2.0
+        assert node.leaf_weights(np.array([[1.4], [1.5], [1.6]])).tolist() == [-1.0, 2.0, 2.0]
 
 
 class TestEnsemblePrediction:
     def test_empty_ensemble_returns_base(self):
         ens = BoostedEnsemble(mode=BoostMode.SECOND_ORDER, base_score=0.3, n_features=2)
-        assert ens.predict_margin(np.array([5.0, -5.0])) == 0.3
+        assert ens.predict_margin(np.array([[5.0, -5.0]])).tolist() == [0.3]
 
     def test_single_leaf_tree_adds_weight(self):
         ens = BoostedEnsemble(
@@ -270,26 +267,26 @@ class TestEnsemblePrediction:
             trees=[TreeNode(weight=-0.4)],
             n_features=1,
         )
-        assert ens.predict_margin(np.array([0.0])) == pytest.approx(-0.4)
+        assert ens.predict_margin(np.array([[0.0]]))[0] == pytest.approx(-0.4)
 
     def test_margin_to_probability(self):
         ens = BoostedEnsemble(mode=BoostMode.SECOND_ORDER, base_score=0.0, n_features=1)
-        assert ens.predict_probability(np.array([0.0])) == pytest.approx(0.5)
+        assert ens.predict_proba(np.array([[0.0]]))[0] == pytest.approx(0.5)
         ens_pos = BoostedEnsemble(
             mode=BoostMode.SECOND_ORDER, base_score=math.log(3.0), n_features=1
         )
-        assert ens_pos.predict_probability(np.array([0.0])) == pytest.approx(0.75, abs=1e-12)
+        assert ens_pos.predict_proba(np.array([[0.0]]))[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_very_negative_margin_clamped_above_zero(self):
         ens = BoostedEnsemble(mode=BoostMode.SECOND_ORDER, base_score=-50.0, n_features=1)
-        p = ens.predict_probability(np.array([0.0]))
+        p = ens.predict_proba(np.array([[0.0]]))[0]
         assert p > 0.0
         assert p >= 1e-12
 
     def test_dimension_mismatch(self):
         ens = BoostedEnsemble(mode=BoostMode.SECOND_ORDER, base_score=0.0, n_features=3)
         with pytest.raises(DimensionMismatch):
-            ens.predict_margin(np.array([1.0]))
+            ens.predict_margin(np.array([[1.0]]))
 
 
 class TestFitBoosted:
@@ -329,13 +326,13 @@ class TestFitBoosted:
         margins = np.full(m.n_rows, ens.base_score)
         losses = [log_loss(1.0 / (1.0 + np.exp(-margins)), m.labels)]
         for tree in ens.trees:
-            margins = margins + np.array([tree.route(row) for row in m.values])
+            margins = margins + tree.leaf_weights(m.values)
             losses.append(log_loss(1.0 / (1.0 + np.exp(-margins)), m.labels))
         for before, after in zip(losses, losses[1:]):
             assert after < before + 1e-9
         assert losses[-1] < losses[0]
-        predictions = [1 if ens.predict_probability(row) >= 0.5 else 0 for row in m.values]
-        assert predictions == m.labels.tolist()
+        predictions = (ens.predict_proba(m.values) >= 0.5).astype(int)
+        assert predictions.tolist() == m.labels.tolist()
 
     def test_learning_rate_scales_first_tree_leaves(self):
         m = separable_toy()
@@ -373,7 +370,7 @@ class TestFitBoosted:
         m = matrix([[1.0], [1.0], [1.0], [1.0]], [1, 1, 1, 0])
         ens = fit_boosted(m, BoostConfig(mode=BoostMode.SECOND_ORDER, n_rounds=50))
         assert ens.trees == []
-        p = ens.predict_probability(np.array([1.0]))
+        p = ens.predict_proba(np.array([[1.0]]))[0]
         assert p == pytest.approx(0.75, abs=1e-12)
 
     def test_deterministic_refit(self):
@@ -403,10 +400,3 @@ class TestLogLoss:
         assert 0.0 <= exact < 1e-11
         wrong = log_loss(np.array([0.0]), np.array([1]))
         assert wrong == pytest.approx(-math.log(1e-12), rel=1e-9)
-
-    def test_training_log_loss_matches_manual(self):
-        m = separable_toy()
-        ens = fit_boosted(m, BoostConfig(mode=BoostMode.SECOND_ORDER, n_rounds=3,
-                                         min_child_weight=0.0))
-        probs = np.array([ens.predict_probability(row) for row in m.values])
-        assert training_log_loss(ens, m) == pytest.approx(log_loss(probs, m.labels), abs=1e-15)

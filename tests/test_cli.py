@@ -117,6 +117,50 @@ class TestErrorCodes:
         assert code == 6
         assert capsys.readouterr().err.startswith("E_DATA CorruptBundle:")
 
+    def _predict_with_edited_bundle(self, tmp_path, data_csv, edit):
+        bundle_path = train_bundle(tmp_path, data_csv, "gb", extra=("--param", "n_rounds=5"))
+        doc = json.load(open(bundle_path, encoding="utf-8"))
+        edit(doc["model"])
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc), encoding="utf-8")
+        unlabeled = unlabeled_from(data_csv, tmp_path / "unlabeled.csv", n_rows=5)
+        out_path = tmp_path / "preds.csv"
+        code = main(["predict", "--bundle", str(edited), "--data", unlabeled,
+                     "--out", str(out_path)])
+        return code, out_path
+
+    @staticmethod
+    def _set_first_split_feature(model, feature):
+        tree = next(t for t in model["trees"] if "feature" in t)
+        tree["feature"] = feature
+
+    def test_nan_base_score_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        def edit(model):
+            model["base_score"] = float("nan")
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit)
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.startswith("E_DATA CorruptBundle:")
+        assert "NaN" in err and len(err.strip().splitlines()) == 1
+        assert not out_path.exists()
+
+    def test_out_of_range_split_feature_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        code, _ = self._predict_with_edited_bundle(
+            tmp_path, data_csv, lambda model: self._set_first_split_feature(model, 99)
+        )
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.startswith("E_DATA CorruptBundle:")
+        assert "99" in err and len(err.strip().splitlines()) == 1
+
+    def test_negative_split_feature_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        code, out_path = self._predict_with_edited_bundle(
+            tmp_path, data_csv, lambda model: self._set_first_split_feature(model, -1)
+        )
+        assert code == 6
+        assert capsys.readouterr().err.startswith("E_DATA CorruptBundle:")
+        assert not out_path.exists()
+
     def test_non_utf8_csv_is_data_error(self, tmp_path, data_csv, capsys):
         text = open(data_csv, encoding="utf-8").read()
         latin1 = tmp_path / "latin1.csv"
@@ -215,6 +259,15 @@ class TestTrain:
         code = main(["train", "--data", data_csv, "--algo", "gb",
                      "--param", "n_rounds=2.5"])
         assert code == 4
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_param_rejected(self, data_csv, capsys, value):
+        code = main(["train", "--data", data_csv, "--algo", "gb",
+                     "--param", f"n_rounds={value}"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert "n_rounds" in err and len(err.strip().splitlines()) == 1
 
 
 class TestEvaluateAndPredict:
@@ -357,6 +410,18 @@ class TestConfigFile:
         assert self._preprocess_with_config(tmp_path, data_csv, {"smote_k": True}) == 4
         assert capsys.readouterr().err.startswith("E_CONFIG BadHyperparameter:")
 
+    def test_seed_string_rejected(self, tmp_path, data_csv, capsys):
+        assert self._preprocess_with_config(tmp_path, data_csv, {"seed": "abc"}) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert "seed" in err and len(err.strip().splitlines()) == 1
+
+    def test_test_fraction_string_rejected(self, tmp_path, data_csv, capsys):
+        assert self._preprocess_with_config(tmp_path, data_csv, {"test_fraction": "0.3"}) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert "test_fraction" in err and len(err.strip().splitlines()) == 1
+
     def test_typed_smote_config_applied(self, tmp_path, data_csv, capsys):
         doc = {"smote_enabled": False, "smote_k": 3}
         assert self._preprocess_with_config(tmp_path, data_csv, doc) == 0
@@ -405,6 +470,32 @@ class TestGridsearch:
                      "--grid", str(grid_path)])
         assert code == 4
         assert "folds" in capsys.readouterr().err
+
+    def _gridsearch_with(self, tmp_path, data_csv, doc):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(doc), encoding="utf-8")
+        return main(["gridsearch", "--data", data_csv, "--algo", "gb",
+                     "--grid", str(grid_path), "--out", str(tmp_path / "r.csv")])
+
+    def test_non_numeric_grid_candidate_rejected(self, tmp_path, data_csv, capsys):
+        assert self._gridsearch_with(tmp_path, data_csv, {"grid": {"n_rounds": ["x"]}}) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert "n_rounds" in err and len(err.strip().splitlines()) == 1
+
+    def test_fractional_grid_k_rejected(self, tmp_path, data_csv, capsys):
+        doc = {"grid": {"n_rounds": [2]}, "k": 2.5}
+        assert self._gridsearch_with(tmp_path, data_csv, doc) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert "2.5" in err and len(err.strip().splitlines()) == 1
+
+    def test_string_grid_k_rejected(self, tmp_path, data_csv, capsys):
+        doc = {"grid": {"n_rounds": [2]}, "k": "3"}
+        assert self._gridsearch_with(tmp_path, data_csv, doc) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert "'k'" in err and len(err.strip().splitlines()) == 1
 
     def test_grid_entry_must_be_list(self, tmp_path, data_csv, capsys):
         grid_path = tmp_path / "grid.json"

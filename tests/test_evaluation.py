@@ -37,8 +37,8 @@ from cardiolearn.training import Algorithm, ModelSpec, fit_algorithm, resolve_pa
 class FixedProbabilityModel:
     """Predicts its first feature value as the probability."""
 
-    def predict_probability(self, x) -> float:
-        return float(x[0])
+    def predict_proba(self, X) -> np.ndarray:
+        return np.asarray(X, dtype=float)[:, 0]
 
 
 def report_with(accuracy, precision=0.5, recall=0.5, f1=0.5) -> EvalReport:

@@ -1,0 +1,88 @@
+"""Golden digests of the CLI artifacts for every model family.
+
+Each family is trained through `main` on a fixed synthetic dataset, then
+scored with `evaluate` (report CSV) and `predict` (predictions CSV) on a
+second, held-out synthetic dataset. The SHA-256 of each artifact must match
+the digest recorded below; the bundle is hashed with its created_at line
+removed. Any change to a probability, a report cell or a bundle byte shows
+up here.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from cardiolearn.cli import main
+from cardiolearn.dataset import synth_generate, write_csv
+
+FAMILY_ARGS = {
+    "nb": (),
+    "gb": ("--param", "n_rounds=30"),
+    "xgb": ("--param", "n_rounds=30", "--param", "max_depth=4"),
+    "rnn": ("--param", "max_epochs=3", "--param", "hidden_size=6"),
+}
+
+# Recorded from the per-row prediction code before the batch contract.
+DIGESTS = {
+    "gb": {
+        "bundle": "d6db490428ff1abee24807ef078cf565ac7c6c08a1be8bd50d399f74a55cd404",
+        "report": "95e7ef11117303b4b04fef5d0e4bd791a5ac0fe364530b91f3b13deac0e45972",
+        "predictions": "e28dcb6ec22eb6a31becbda1516669ed9f275939c849b0e7b4d9691dabd1c4c2",
+    },
+    "nb": {
+        "bundle": "4c2404c5008c06c904daf1edf01cc83244d84cde6daac866d93eb1b005a7065d",
+        "report": "401f50934826be5753c9fe79d9237c855aae1fe9a05e4c2d23283abf042a993b",
+        "predictions": "ea494760dac1fbf73a3672c167d674c3459cc9ce6afaa536176274c8b92a2949",
+    },
+    "rnn": {
+        "bundle": "96916ce4a42cdf4ea771968954c201e215d0e0c352680b9a7a50b089280740b5",
+        "report": "fbd62a5620df9d062e26a9693e93a4f80a83ec85538ed2ed123d297b0cb14f1b",
+        "predictions": "48b122a4b5136e235c049c3c74518b7a7e3b1eb31d0f073724084cc21db64c71",
+    },
+    "xgb": {
+        "bundle": "78b84c0965ed223cb25c575435c5648fa48f66a1e5986394794a33eb335922ed",
+        "report": "0ec533d74ec8cafa8e7ea9b6ccf2c287b17da5d11b2b8c35200f0f7327eb126d",
+        "predictions": "79f563d816d736c3964b65cbe03d42ca8d966ce8d6df7747e295a6fcb0f4bbdc",
+    },
+}
+
+_CREATED_AT = re.compile(rb'\n  "created_at": "[^"]*",')
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def family_digests(tmp_path, algo: str) -> dict:
+    """Train, evaluate and predict for one family; SHA-256 of each artifact."""
+    train_csv = tmp_path / "train.csv"
+    scored_csv = tmp_path / "scored.csv"
+    unlabeled_csv = tmp_path / "unlabeled.csv"
+    write_csv(synth_generate(160, 0.55, seed=21), train_csv)
+    write_csv(synth_generate(90, 0.45, seed=22), scored_csv)
+    lines = scored_csv.read_text(encoding="utf-8").splitlines()
+    unlabeled_csv.write_text(
+        "\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n", encoding="utf-8"
+    )
+    bundle = tmp_path / "model.json"
+    report = tmp_path / "report.csv"
+    predictions = tmp_path / "predictions.csv"
+    assert main(["train", "--data", str(train_csv), "--algo", algo, "--seed", "13",
+                 "--out", str(bundle), *FAMILY_ARGS[algo]]) == 0
+    assert main(["evaluate", "--bundle", str(bundle), "--data", str(scored_csv),
+                 "--out", str(report)]) == 0
+    assert main(["predict", "--bundle", str(bundle), "--data", str(unlabeled_csv),
+                 "--out", str(predictions)]) == 0
+    bundle_bytes, stamps = _CREATED_AT.subn(b"", bundle.read_bytes())
+    assert stamps == 1
+    return {
+        "bundle": _sha256(bundle_bytes),
+        "report": _sha256(report.read_bytes()),
+        "predictions": _sha256(predictions.read_bytes()),
+    }
+
+
+@pytest.mark.parametrize("algo", sorted(FAMILY_ARGS))
+def test_artifacts_match_recorded_digests(tmp_path, algo):
+    assert family_digests(tmp_path, algo) == DIGESTS[algo]

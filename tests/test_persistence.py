@@ -80,8 +80,8 @@ class TestModelRoundTrips:
         doc = serialize_model(algorithm, outcome.model)
         restored = deserialize_model(algorithm, json.loads(json.dumps(doc)))
         assert serialize_model(algorithm, restored) == doc
-        for row in outcome.test_matrix.values:
-            assert restored.predict_probability(row) == outcome.model.predict_probability(row)
+        rows = outcome.test_matrix.values
+        assert restored.predict_proba(rows).tolist() == outcome.model.predict_proba(rows).tolist()
 
 
 class TestReportRoundTrip:
@@ -124,10 +124,10 @@ class TestBundles:
         path = tmp_path / "model.json"
         save_bundle(outcome.bundle, str(path))
         loaded = load_bundle(str(path))
-        for row in outcome.test_matrix.values:
-            assert loaded.model.predict_probability(row) == pytest.approx(
-                outcome.model.predict_probability(row), abs=0
-            )
+        rows = outcome.test_matrix.values
+        assert loaded.model.predict_proba(rows).tolist() == pytest.approx(
+            outcome.model.predict_proba(rows).tolist(), abs=0
+        )
 
     def test_bundle_text_deterministic_given_timestamp(self):
         _, outcome = trained_outcome(Algorithm.GB)

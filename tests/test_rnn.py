@@ -464,4 +464,4 @@ class TestRNNModel:
         model = RNNModel(params=params, history=TrainHistory())
         row = np.array([0.3, -1.2, 2.0])
         _, expected = forward(params, as_sequence(row))
-        assert model.predict_probability(row) == expected
+        assert model.predict_proba(row[None]).tolist() == [expected]
