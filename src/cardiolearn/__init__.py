@@ -64,7 +64,6 @@ from .persistence import (
 )
 from .pipeline import (
     COMPARE_ORDER,
-    CompareOutcome,
     RunConfig,
     TrainOutcome,
     run_compare,

@@ -117,15 +117,10 @@ class BoostConfig:
 
 @dataclass
 class BoostedEnsemble:
-    mode: BoostMode
+    """Fitted trees plus the configuration they were fitted with."""
+    config: BoostConfig
     base_score: float
     trees: list = field(default_factory=list)
-    learning_rate: float = 0.1
-    reg_lambda: float = 0.0
-    gamma: float = 0.0
-    max_depth: int = 3
-    n_rounds: int = 0
-    min_child_weight: float = 1.0
     n_features: int = 0
 
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
@@ -264,18 +259,7 @@ def fit_boosted(m: FeatureMatrix, config: BoostConfig) -> BoostedEnsemble:
         raise SingleClassDataset("boosting needs samples from both classes")
     base_score = math.log(positive_rate / (1.0 - positive_rate))
     params = config.tree_params()
-    ensemble = BoostedEnsemble(
-        mode=config.mode,
-        base_score=base_score,
-        trees=[],
-        learning_rate=config.learning_rate,
-        reg_lambda=params.reg_lambda,
-        gamma=params.gamma,
-        max_depth=config.max_depth,
-        n_rounds=config.n_rounds,
-        min_child_weight=config.min_child_weight,
-        n_features=m.n_cols,
-    )
+    ensemble = BoostedEnsemble(config=config, base_score=base_score, n_features=m.n_cols)
     margins = np.full(m.n_rows, base_score)
     for _ in range(config.n_rounds):
         gh = grad_hess(margins, labels)

@@ -107,7 +107,7 @@ def report_csv(report: EvalReport) -> str:
     cells = [report.model_id, repr(report.threshold)]
     cells.extend(csv_value(report.metric(name)) for name in METRIC_NAMES)
     cells.extend(str(v) for v in (cm.tp, cm.fp, cm.fn, cm.tn))
-    return ",".join(_REPORT_HEADERS) + "\n" + ",".join(cells) + "\n"
+    return ds.csv_table(_REPORT_HEADERS, [cells])
 
 
 def compare_table(rows) -> str:
@@ -120,11 +120,11 @@ def compare_table(rows) -> str:
 
 
 def compare_csv(rows) -> str:
-    lines = ["algorithm,accuracy,precision,recall,f1"]
-    for label, report in rows:
-        cells = [label] + [csv_value(report.metric(name)) for name in METRIC_NAMES]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return ds.csv_table(
+        ("algorithm",) + METRIC_NAMES,
+        ([label] + [csv_value(report.metric(name)) for name in METRIC_NAMES]
+         for label, report in rows),
+    )
 
 
 # --- argument plumbing ----------------------------------------------------------
@@ -156,7 +156,7 @@ def _load_json(path, what):
         text = handle.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise BadHyperparameter(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
@@ -294,7 +294,7 @@ def cmd_summarize(args) -> int:
     report = ds.summarize(data)
     headers = ["feature", "count", "missing", "min", "max", "mean", "std"]
     rows = []
-    csv_lines = [",".join(headers)]
+    csv_rows = []
     for name, stats in report.numeric.items():
         def cell(v, fmt="{:.4f}"):
             return "NA" if v is None else fmt.format(v)
@@ -303,10 +303,10 @@ def cmd_summarize(args) -> int:
             cell(stats.minimum, "{:g}"), cell(stats.maximum, "{:g}"),
             cell(stats.mean), cell(stats.std),
         ])
-        csv_lines.append(",".join([
+        csv_rows.append([
             name, str(stats.count), str(stats.missing),
             *(csv_value(v) for v in (stats.minimum, stats.maximum, stats.mean, stats.std)),
-        ]))
+        ])
     print(f"records: {report.n_records}  positive: {report.positives}  "
           f"negative: {report.negatives}  positive fraction: {report.positive_fraction:.4f}")
     print()
@@ -316,7 +316,7 @@ def cmd_summarize(args) -> int:
         tokens = "  ".join(f"{token}:{count}" for token, count in hist.items())
         print(f"{name}: {tokens}")
     if args.out:
-        atomic_write_text(args.out, "\n".join(csv_lines) + "\n")
+        atomic_write_text(args.out, ds.csv_table(headers, csv_rows))
         print(f"\nwrote numeric summary to {args.out}")
     return 0
 
@@ -350,10 +350,12 @@ def cmd_preprocess(args) -> int:
     ]
     print(format_table(headers, rows))
     if args.out:
-        lines = [",".join(train_m.column_names + ("label",))]
-        for row, label in zip(train_m.values, train_m.labels):
-            lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
-        atomic_write_text(args.out, "\n".join(lines) + "\n")
+        text = ds.csv_table(
+            train_m.column_names + ("label",),
+            ([repr(float(v)) for v in row] + [str(int(label))]
+             for row, label in zip(train_m.values, train_m.labels)),
+        )
+        atomic_write_text(args.out, text)
         print(f"\nwrote transformed training matrix to {args.out}")
     return 0
 
@@ -413,10 +415,11 @@ def cmd_predict(args) -> int:
     if not 0.0 < threshold < 1.0:
         raise BadHyperparameter(f"threshold must be in (0, 1), got {threshold}")
     probabilities = predict_probabilities(bundle.preprocessor, bundle.model, data)
-    lines = ["row_index,probability,label"]
-    for i, p in enumerate(probabilities):
-        lines.append(f"{i},{p!r},{1 if p >= threshold else 0}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    text = ds.csv_table(
+        ("row_index", "probability", "label"),
+        ((str(i), repr(p), "1" if p >= threshold else "0") for i, p in enumerate(probabilities)),
+    )
+    atomic_write_text(args.out, text)
     print(f"wrote {len(probabilities)} prediction(s) to {args.out}")
     return 0
 
@@ -473,10 +476,10 @@ def cmd_gridsearch(args) -> int:
 def cmd_compare(args) -> int:
     data = ds.load_csv(args.data)
     config = _run_config(args, Algorithm.NB)  # per-algorithm families fixed below
-    outcome = run_compare(data, config)
-    print(compare_table(outcome.rows))
+    rows = run_compare(data, config)
+    print(compare_table(rows))
     if args.out:
-        atomic_write_text(args.out, compare_csv(outcome.rows))
+        atomic_write_text(args.out, compare_csv(rows))
         print(f"\ncomparison CSV written to {args.out}")
     return 0
 

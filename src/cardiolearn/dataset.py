@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
+
 from .errors import (
     BadEncoding,
     BadFraction,
@@ -109,8 +111,6 @@ class Dataset:
 class SplitResult:
     train: Dataset
     test: Dataset
-    seed: int
-    test_fraction: float
     train_indices: tuple
     test_indices: tuple
 
@@ -268,6 +268,17 @@ def write_csv(data: Dataset, path) -> None:
             )
 
 
+def csv_table(header, rows) -> str:
+    """Header line plus one line per row, cells joined by commas as given.
+
+    Cells are already-formatted strings and are written without quoting, so
+    each caller owns its cell formatting; the text ends with a newline.
+    """
+    lines = [",".join(header)]
+    lines.extend(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def summarize(data: Dataset) -> SummaryReport:
     """Per-column statistics and label balance.
 
@@ -315,17 +326,37 @@ def summarize(data: Dataset) -> SummaryReport:
     )
 
 
-def _per_class_indices(data: Dataset) -> dict:
-    by_class = {0: [], 1: []}
-    for i, record in enumerate(data.records):
-        by_class[record.label].append(i)
-    return by_class
+def class_shuffles(labels, seed: int, key=None) -> tuple:
+    """Each class's row indices, class 0 first, shuffled by one SplitMix64(seed).
+
+    The shuffle stream runs through class 0 and then class 1. With a ``key``
+    (row index -> sortable), each class is first put in (key, index) order,
+    so the shuffle does not depend on the order rows arrive in.
+    """
+    labels = np.asarray(labels)
+    gen = SplitMix64(seed)
+    shuffled = []
+    for label in (0, 1):
+        indices = np.flatnonzero(labels == label).tolist()
+        if key is not None:
+            indices.sort(key=key)  # stable over ascending indices: ties keep index order
+        gen.shuffle(indices)
+        shuffled.append(indices)
+    return tuple(shuffled)
 
 
-def _canonical_class_order(data: Dataset, indices: list) -> list:
-    # sort by record content (index as tie-break) so that the seeded shuffle,
-    # and therefore the resulting partition, does not depend on input row order
-    return sorted(indices, key=lambda i: (record_key(data.records[i]), i))
+def quota_indices(shuffled, fraction: float) -> list:
+    """The first round_half_up(count * fraction) indices of each class."""
+    chosen = []
+    for indices in shuffled:
+        chosen.extend(indices[: _round_half_up(len(indices) * fraction)])
+    return chosen
+
+
+def complement_split(n: int, chosen) -> tuple:
+    """(the indices below n not chosen, the chosen indices), both sorted."""
+    chosen = set(chosen)
+    return tuple(i for i in range(n) if i not in chosen), tuple(sorted(chosen))
 
 
 def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitResult:
@@ -336,24 +367,16 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitRes
     """
     if not 0.0 < test_fraction < 1.0:
         raise FractionOutOfRange(f"test_fraction must be in (0, 1), got {test_fraction}")
-    by_class = _per_class_indices(data)
-    if not by_class[0] or not by_class[1]:
+    records = data.records
+    shuffled = class_shuffles(data.labels, seed, key=lambda i: record_key(records[i]))
+    if not shuffled[0] or not shuffled[1]:
         raise SingleClassDataset("both label classes required before splitting")
-    gen = SplitMix64(seed)
-    test_indices = []
-    for label in (0, 1):
-        ordered = _canonical_class_order(data, by_class[label])
-        gen.shuffle(ordered)
-        quota = _round_half_up(len(ordered) * test_fraction)
-        test_indices.extend(ordered[:quota])
-    test_set = set(test_indices)
-    train_indices = tuple(i for i in range(len(data)) if i not in test_set)
-    test_indices = tuple(sorted(test_set))
+    train_indices, test_indices = complement_split(
+        len(data), quota_indices(shuffled, test_fraction)
+    )
     return SplitResult(
         train=data.subset(train_indices, source=f"{data.source}#train"),
         test=data.subset(test_indices, source=f"{data.source}#test"),
-        seed=seed,
-        test_fraction=test_fraction,
         train_indices=train_indices,
         test_indices=test_indices,
     )
@@ -370,29 +393,15 @@ def kfold(data: Dataset, k: int, seed: int) -> list:
         raise BadHyperparameter(f"k must be at least 2, got {k}")
     if k > len(data):
         raise KTooLarge(f"k={k} exceeds record count {len(data)}")
-    by_class = _per_class_indices(data)
-    if not by_class[0] or not by_class[1]:
+    shuffled = class_shuffles(data.labels, seed)
+    if not shuffled[0] or not shuffled[1]:
         raise SingleClassDataset("both label classes required for folding")
-    if min(len(by_class[0]), len(by_class[1])) < k:
+    if min(len(shuffled[0]), len(shuffled[1])) < k:
         raise SingleClassDataset(
             f"smallest class has fewer than k={k} records; every fold needs both classes"
         )
-    gen = SplitMix64(seed)
-    folds = [[] for _ in range(k)]
-    offset = 0
-    for label in (0, 1):
-        indices = list(by_class[label])
-        gen.shuffle(indices)
-        for j, idx in enumerate(indices):
-            folds[(offset + j) % k].append(idx)
-        offset = (offset + len(indices)) % k
-    pairs = []
-    for i in range(k):
-        val = sorted(folds[i])
-        val_set = set(val)
-        train = [idx for idx in range(len(data)) if idx not in val_set]
-        pairs.append((tuple(train), tuple(val)))
-    return pairs
+    dealt = shuffled[0] + shuffled[1]
+    return [complement_split(len(data), dealt[i::k]) for i in range(k)]
 
 
 # Constants for the synthetic generator: per class (negative, positive) the

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import preprocess
-from .dataset import Dataset, kfold
+from .dataset import Dataset, csv_table, kfold
 from .errors import (
     BadHyperparameter,
     EmptyGrid,
@@ -265,11 +265,11 @@ def format_params(params: dict) -> str:
 
 def results_csv(result: GridSearchResult) -> str:
     """Fold-level results table: model_id,params,fold,accuracy,precision,recall,f1."""
-    lines = ["model_id,params,fold,accuracy,precision,recall,f1"]
+    rows = []
     for candidate in result.candidates:
         params = format_params(candidate.params)
         for fold, report in enumerate(candidate.cv.fold_reports):
             cells = [report.model_id, params, str(fold)]
             cells.extend(csv_value(report.metric(n)) for n in METRIC_NAMES)
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            rows.append(cells)
+    return csv_table(("model_id", "params", "fold") + METRIC_NAMES, rows)

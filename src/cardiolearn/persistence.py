@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .bayes import GaussianNBModel
-from .boosting import BoostedEnsemble, BoostMode, TreeNode
+from .boosting import BoostConfig, BoostedEnsemble, BoostMode, TreeNode
 from .errors import CorruptBundle, SchemaMismatch, VersionMismatch
 from .evaluation import ConfusionMatrix, EvalReport
 from .preprocess import FittedPreprocessor, UnseenPolicy
@@ -69,12 +69,20 @@ def serialize_preprocessor(fp: FittedPreprocessor) -> dict:
     }
 
 
+def _number(value, what: str):
+    """A bundle field that must be a JSON number (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CorruptBundle(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def deserialize_preprocessor(doc: dict) -> FittedPreprocessor:
     return FittedPreprocessor(
         vocab={name: tuple(tokens) for name, tokens in doc["vocab"].items()},
         modes=dict(doc["modes"]),
         scale_stats={
-            name: (stats["mean"], stats["std"])
+            name: (_number(stats["mean"], f"scale_stats {name} mean"),
+                   _number(stats["std"], f"scale_stats {name} std"))
             for name, stats in doc["scale_stats"].items()
         },
         impute_table={
@@ -101,13 +109,13 @@ def _serialize_tree(node: TreeNode) -> dict:
 
 def _deserialize_tree(doc: dict, n_features: int) -> TreeNode:
     if "weight" in doc:
-        return TreeNode(weight=doc["weight"])
+        return TreeNode(weight=_number(doc["weight"], "tree leaf weight"))
     feature = doc["feature"]
     if isinstance(feature, bool) or not isinstance(feature, int) or not 0 <= feature < n_features:
         raise CorruptBundle(f"tree split feature {feature!r} is not a column below {n_features!r}")
     return TreeNode(
         feature=feature,
-        threshold=doc["threshold"],
+        threshold=_number(doc["threshold"], "tree split threshold"),
         left=_deserialize_tree(doc["left"], n_features),
         right=_deserialize_tree(doc["right"], n_features),
     )
@@ -131,16 +139,18 @@ def serialize_model(algorithm: Algorithm, model) -> dict:
             "var_floor": float(model.var_floor),
         }
     if algorithm in (Algorithm.GB, Algorithm.XGB):
+        config = model.config
+        tree_params = config.tree_params()  # first-order mode stores lambda = gamma = 0
         return {
             "family": algorithm.value,
-            "mode": model.mode.value,
+            "mode": config.mode.value,
             "base_score": model.base_score,
-            "learning_rate": model.learning_rate,
-            "reg_lambda": model.reg_lambda,
-            "gamma": model.gamma,
-            "max_depth": model.max_depth,
-            "n_rounds": model.n_rounds,
-            "min_child_weight": model.min_child_weight,
+            "learning_rate": config.learning_rate,
+            "reg_lambda": tree_params.reg_lambda,
+            "gamma": tree_params.gamma,
+            "max_depth": config.max_depth,
+            "n_rounds": config.n_rounds,
+            "min_child_weight": config.min_child_weight,
             "n_features": model.n_features,
             "trees": [_serialize_tree(tree) for tree in model.trees],
         }
@@ -166,16 +176,19 @@ def deserialize_model(algorithm: Algorithm, doc: dict):
             var_floor=doc["var_floor"],
         )
     if algorithm in (Algorithm.GB, Algorithm.XGB):
-        return BoostedEnsemble(
+        config = BoostConfig(
             mode=BoostMode(doc["mode"]),
-            base_score=doc["base_score"],
-            trees=[_deserialize_tree(t, doc["n_features"]) for t in doc["trees"]],
+            n_rounds=doc["n_rounds"],
             learning_rate=doc["learning_rate"],
+            max_depth=doc["max_depth"],
             reg_lambda=doc["reg_lambda"],
             gamma=doc["gamma"],
-            max_depth=doc["max_depth"],
-            n_rounds=doc["n_rounds"],
             min_child_weight=doc["min_child_weight"],
+        )
+        return BoostedEnsemble(
+            config=config,
+            base_score=_number(doc["base_score"], "base_score"),
+            trees=[_deserialize_tree(t, doc["n_features"]) for t in doc["trees"]],
             n_features=doc["n_features"],
         )
     params = RNNParams(
@@ -269,7 +282,7 @@ def load_bundle(path: str) -> LoadedBundle:
         raw = handle.read()
     try:
         doc = json.loads(raw, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise CorruptBundle(f"bundle is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorruptBundle("bundle document must be a JSON object")

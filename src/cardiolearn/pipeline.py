@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
 from . import preprocess
-from .dataset import Dataset, SplitResult, stratified_split
+from .dataset import Dataset, stratified_split
 from .errors import BadHyperparameter, FractionOutOfRange
 from .evaluation import EvalReport, evaluate_model
 from .persistence import build_bundle
@@ -71,9 +71,7 @@ class RunConfig:
 @dataclass
 class TrainOutcome:
     config: RunConfig
-    split: SplitResult
     preprocessor: FittedPreprocessor
-    train_matrix: FeatureMatrix
     test_matrix: FeatureMatrix
     model: object
     report: EvalReport
@@ -96,7 +94,7 @@ def prepare_matrices(data: Dataset, config: RunConfig):
 
 def run_training(data: Dataset, config: RunConfig) -> TrainOutcome:
     config.validate()
-    split, fp, train_m, test_m = prepare_matrices(data, config)
+    _, fp, train_m, test_m = prepare_matrices(data, config)
     model = fit_algorithm(
         ModelSpec(config.algorithm, config.params), train_m,
         seed=derive_seed(config.seed, 2),
@@ -111,9 +109,7 @@ def run_training(data: Dataset, config: RunConfig) -> TrainOutcome:
     history = model.history if isinstance(model, RNNModel) else None
     return TrainOutcome(
         config=config,
-        split=split,
         preprocessor=fp,
-        train_matrix=train_m,
         test_matrix=test_m,
         model=model,
         report=report,
@@ -122,16 +118,9 @@ def run_training(data: Dataset, config: RunConfig) -> TrainOutcome:
     )
 
 
-@dataclass
-class CompareOutcome:
-    config: RunConfig
-    split: SplitResult
-    preprocessor: FittedPreprocessor
-    rows: Tuple[Tuple[str, EvalReport], ...]
-
-
-def run_compare(data: Dataset, config: RunConfig) -> CompareOutcome:
-    """Train all four families on one shared split and preprocessor state.
+def run_compare(data: Dataset, config: RunConfig) -> Tuple[Tuple[str, EvalReport], ...]:
+    """Train all four families on one shared split and preprocessor state;
+    returns one (family label, test report) row per family in COMPARE_ORDER.
 
     Default hyperparameters apply to every family, so the comparison varies
     only the model. Any single failure propagates and aborts the whole
@@ -142,7 +131,7 @@ def run_compare(data: Dataset, config: RunConfig) -> CompareOutcome:
         raise BadHyperparameter(
             "compare runs every algorithm at its defaults; per-family overrides are not accepted"
         )
-    split, fp, train_m, test_m = prepare_matrices(data, config)
+    _, _, train_m, test_m = prepare_matrices(data, config)
     rows = []
     for algorithm in COMPARE_ORDER:
         model = fit_algorithm(
@@ -152,9 +141,7 @@ def run_compare(data: Dataset, config: RunConfig) -> CompareOutcome:
             model, test_m, config.threshold, model_id=ALGORITHM_LABELS[algorithm]
         )
         rows.append((ALGORITHM_LABELS[algorithm], report))
-    return CompareOutcome(
-        config=config, split=split, preprocessor=fp, rows=tuple(rows)
-    )
+    return tuple(rows)
 
 
 def predict_probabilities(preprocessor: FittedPreprocessor, model,

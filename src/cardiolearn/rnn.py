@@ -25,6 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .boosting import PROB_CLAMP, clamp_probability, sigmoid
+from .dataset import csv_table
 from .errors import (
     BadHyperparameter,
     DimensionMismatch,
@@ -140,10 +141,11 @@ class TrainHistory:
     stopped_epoch: int = 0
 
     def csv_text(self) -> str:
-        lines = ["epoch,train_loss,val_loss"]
-        for i, (tr, va) in enumerate(zip(self.train_losses, self.val_losses), start=1):
-            lines.append(f"{i},{tr!r},{va!r}")
-        return "\n".join(lines) + "\n"
+        return csv_table(
+            ("epoch", "train_loss", "val_loss"),
+            ((str(i), repr(tr), repr(va))
+             for i, (tr, va) in enumerate(zip(self.train_losses, self.val_losses), start=1)),
+        )
 
 
 def init_params(hidden_size: int, input_size: int, init_scale: float,

@@ -21,14 +21,12 @@ import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Tuple
 
-import numpy as np
-
 from .bayes import fit_gaussian_nb
 from .boosting import BoostConfig, BoostMode, fit_boosted
-from .dataset import _round_half_up
+from .dataset import class_shuffles, complement_split, quota_indices
 from .errors import BadHyperparameter, EmptyPartition
 from .preprocess import FeatureMatrix
-from .rng import SplitMix64, derive_seed
+from .rng import derive_seed
 from .rnn import RNNModel, RNNTrainConfig, train_rnn
 
 _INNER_VAL_FRACTION = 0.2
@@ -129,21 +127,11 @@ def stratified_matrix_split(m: FeatureMatrix, val_fraction: float,
     """
     if m.n_rows < 2:
         raise EmptyPartition("need at least 2 rows to carve out a validation set")
-    gen = SplitMix64(seed)
-    classes = sorted(set(int(v) for v in m.labels))
-    shuffled = {}
-    val_indices = []
-    for label in classes:
-        indices = [int(i) for i in np.flatnonzero(m.labels == label)]
-        gen.shuffle(indices)
-        shuffled[label] = indices
-        val_indices.extend(indices[: _round_half_up(len(indices) * val_fraction)])
+    shuffled = class_shuffles(m.labels, seed)
+    val_indices = quota_indices(shuffled, val_fraction)
     if not val_indices:
-        largest = max(classes, key=lambda c: (len(shuffled[c]), -c))
-        val_indices.append(shuffled[largest][0])
-    val_set = set(val_indices)
-    train_rows = [i for i in range(m.n_rows) if i not in val_set]
-    val_rows = sorted(val_set)
+        val_indices = [max(shuffled, key=len)[0]]  # equal sizes: class 0 wins
+    train_rows, val_rows = map(list, complement_split(m.n_rows, val_indices))
     if not train_rows:
         raise EmptyPartition("validation split consumed every row")
     return (

@@ -91,9 +91,9 @@ def test_criterion_1_published_accuracy_proximity(capsys):
             "real heart dataset not found (set HEART_CSV or add data/heart.csv)",
         )
     start = time.monotonic()
-    outcome = run_compare(load_csv(path), RunConfig(algorithm=Algorithm.NB))
+    rows = run_compare(load_csv(path), RunConfig(algorithm=Algorithm.NB))
     elapsed = time.monotonic() - start
-    accuracy = {label: report.accuracy for label, report in outcome.rows}
+    accuracy = {label: report.accuracy for label, report in rows}
     offsets = {
         label: accuracy[label] - TABLE_ACCURACY[label] for label in TABLE_ACCURACY
     }

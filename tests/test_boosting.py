@@ -257,12 +257,14 @@ class TestRouting:
 
 class TestEnsemblePrediction:
     def test_empty_ensemble_returns_base(self):
-        ens = BoostedEnsemble(mode=BoostMode.SECOND_ORDER, base_score=0.3, n_features=2)
+        ens = BoostedEnsemble(
+            config=BoostConfig(BoostMode.SECOND_ORDER), base_score=0.3, n_features=2
+        )
         assert ens.predict_margin(np.array([[5.0, -5.0]])).tolist() == [0.3]
 
     def test_single_leaf_tree_adds_weight(self):
         ens = BoostedEnsemble(
-            mode=BoostMode.SECOND_ORDER,
+            config=BoostConfig(BoostMode.SECOND_ORDER),
             base_score=0.0,
             trees=[TreeNode(weight=-0.4)],
             n_features=1,
@@ -270,21 +272,27 @@ class TestEnsemblePrediction:
         assert ens.predict_margin(np.array([[0.0]]))[0] == pytest.approx(-0.4)
 
     def test_margin_to_probability(self):
-        ens = BoostedEnsemble(mode=BoostMode.SECOND_ORDER, base_score=0.0, n_features=1)
+        ens = BoostedEnsemble(
+            config=BoostConfig(BoostMode.SECOND_ORDER), base_score=0.0, n_features=1
+        )
         assert ens.predict_proba(np.array([[0.0]]))[0] == pytest.approx(0.5)
         ens_pos = BoostedEnsemble(
-            mode=BoostMode.SECOND_ORDER, base_score=math.log(3.0), n_features=1
+            config=BoostConfig(BoostMode.SECOND_ORDER), base_score=math.log(3.0), n_features=1
         )
         assert ens_pos.predict_proba(np.array([[0.0]]))[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_very_negative_margin_clamped_above_zero(self):
-        ens = BoostedEnsemble(mode=BoostMode.SECOND_ORDER, base_score=-50.0, n_features=1)
+        ens = BoostedEnsemble(
+            config=BoostConfig(BoostMode.SECOND_ORDER), base_score=-50.0, n_features=1
+        )
         p = ens.predict_proba(np.array([[0.0]]))[0]
         assert p > 0.0
         assert p >= 1e-12
 
     def test_dimension_mismatch(self):
-        ens = BoostedEnsemble(mode=BoostMode.SECOND_ORDER, base_score=0.0, n_features=3)
+        ens = BoostedEnsemble(
+            config=BoostConfig(BoostMode.SECOND_ORDER), base_score=0.0, n_features=3
+        )
         with pytest.raises(DimensionMismatch):
             ens.predict_margin(np.array([[1.0]]))
 
@@ -350,7 +358,8 @@ class TestFitBoosted:
         b = fit_boosted(m, BoostConfig(mode=BoostMode.FIRST_ORDER, n_rounds=5,
                                        reg_lambda=0.0, gamma=0.0, min_child_weight=0.0))
         assert [_serialize_tree(t) for t in a.trees] == [_serialize_tree(t) for t in b.trees]
-        assert a.reg_lambda == 0.0 and a.gamma == 0.0
+        params = a.config.tree_params()
+        assert params.reg_lambda == 0.0 and params.gamma == 0.0
 
     def test_modes_agree_when_regularization_is_zero(self):
         gen = np.random.default_rng(9)

@@ -117,10 +117,10 @@ class TestErrorCodes:
         assert code == 6
         assert capsys.readouterr().err.startswith("E_DATA CorruptBundle:")
 
-    def _predict_with_edited_bundle(self, tmp_path, data_csv, edit):
+    def _predict_with_edited_bundle(self, tmp_path, data_csv, edit, part="model"):
         bundle_path = train_bundle(tmp_path, data_csv, "gb", extra=("--param", "n_rounds=5"))
         doc = json.load(open(bundle_path, encoding="utf-8"))
-        edit(doc["model"])
+        edit(doc[part])
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc), encoding="utf-8")
         unlabeled = unlabeled_from(data_csv, tmp_path / "unlabeled.csv", n_rows=5)
@@ -160,6 +160,66 @@ class TestErrorCodes:
         assert code == 6
         assert capsys.readouterr().err.startswith("E_DATA CorruptBundle:")
         assert not out_path.exists()
+
+    def _assert_one_corrupt_bundle_line(self, code, out_path, capsys, *fragments):
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.startswith("E_DATA CorruptBundle:")
+        assert len(err.strip().splitlines()) == 1
+        for fragment in fragments:
+            assert fragment in err
+        assert not out_path.exists()
+
+    def test_string_split_threshold_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        def edit(model):
+            next(t for t in model["trees"] if "feature" in t)["threshold"] = "x"
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit)
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "threshold")
+
+    def test_string_base_score_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        def edit(model):
+            model["base_score"] = "x"
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit)
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "base_score")
+
+    def test_string_leaf_weight_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        def edit(model):
+            node = model["trees"][0]
+            while "weight" not in node:
+                node = node["left"]
+            node["weight"] = "0.5"
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit)
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "weight")
+
+    def test_string_scale_std_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        def edit(preprocessor):
+            preprocessor["scale_stats"]["Age"]["std"] = "9.5"
+        code, out_path = self._predict_with_edited_bundle(
+            tmp_path, data_csv, edit, part="preprocessor"
+        )
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "Age std")
+
+    def test_bool_scale_mean_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        def edit(preprocessor):
+            preprocessor["scale_stats"]["MaxHR"]["mean"] = True
+        code, out_path = self._predict_with_edited_bundle(
+            tmp_path, data_csv, edit, part="preprocessor"
+        )
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "MaxHR mean")
+
+    def test_over_long_integer_format_version_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        bundle_path = train_bundle(tmp_path, data_csv)
+        text = open(bundle_path, encoding="utf-8").read()
+        assert text.count('"format_version": 1,') == 1
+        huge = tmp_path / "huge.json"
+        huge.write_text(
+            text.replace('"format_version": 1,', '"format_version": ' + "1" * 5001 + ","),
+            encoding="utf-8",
+        )
+        unlabeled = unlabeled_from(data_csv, tmp_path / "unlabeled.csv", n_rows=5)
+        out_path = tmp_path / "preds.csv"
+        code = main(["predict", "--bundle", str(huge), "--data", unlabeled, "--out", str(out_path)])
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys)
 
     def test_non_utf8_csv_is_data_error(self, tmp_path, data_csv, capsys):
         text = open(data_csv, encoding="utf-8").read()
@@ -422,6 +482,16 @@ class TestConfigFile:
         assert err.startswith("E_CONFIG BadHyperparameter:")
         assert "test_fraction" in err and len(err.strip().splitlines()) == 1
 
+    def test_over_long_integer_param_rejected(self, tmp_path, data_csv, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"params": {"n_rounds": ' + "1" * 5001 + "}}", encoding="utf-8")
+        code = main(["train", "--data", data_csv, "--algo", "gb", "--config", str(config_path),
+                     "--out", str(tmp_path / "model.json")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_typed_smote_config_applied(self, tmp_path, data_csv, capsys):
         doc = {"smote_enabled": False, "smote_k": 3}
         assert self._preprocess_with_config(tmp_path, data_csv, doc) == 0
@@ -496,6 +566,17 @@ class TestGridsearch:
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG BadHyperparameter:")
         assert "'k'" in err and len(err.strip().splitlines()) == 1
+
+    def test_over_long_integer_grid_k_rejected(self, tmp_path, data_csv, capsys):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text('{"grid": {"n_rounds": [2]}, "k": ' + "1" * 5001 + "}",
+                             encoding="utf-8")
+        code = main(["gridsearch", "--data", data_csv, "--algo", "gb",
+                     "--grid", str(grid_path), "--out", str(tmp_path / "r.csv")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_grid_entry_must_be_list(self, tmp_path, data_csv, capsys):
         grid_path = tmp_path / "grid.json"
