@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import dataset as ds
 from . import preprocess
@@ -442,18 +443,20 @@ def cmd_gridsearch(args) -> int:
         metric = SelectionMetric(metric_token)
     except ValueError:
         raise BadHyperparameter(f"unknown selection metric {metric_token!r}") from None
+    config = replace(_run_config(args, algorithm), seed=doc.get("seed", args.seed))
+    config.validate()
     spec = GridSpec(
         grid=doc["grid"],
         selection_metric=metric,
         k=doc.get("k", args.k),
-        seed=doc.get("seed", args.seed),
+        seed=config.seed,
     )
     result = grid_search(
         spec, algorithm, data,
-        threshold=float(args.threshold),
-        smote_enabled=bool(args.smote_enabled),
-        smote_k=int(args.smote_k),
-        unseen_policy=UnseenPolicy(args.unseen_policy),
+        threshold=config.threshold,
+        smote_enabled=config.smote_enabled,
+        smote_k=config.smote_k,
+        unseen_policy=config.unseen_policy,
     )
     atomic_write_text(args.out, results_csv(result))
     headers = ["params", f"mean {metric.value}", f"std {metric.value}"]

@@ -157,6 +157,10 @@ def record_key(record: RawRecord) -> str:
 
 
 def _parse_features(row_index, raw_cells, positions):
+    if len(raw_cells) > len(positions):  # the header has exactly one column per position
+        raise SchemaMismatch(
+            f"row {row_index} has {len(raw_cells)} cells but the header has {len(positions)}"
+        )
     values = []
     for spec in SCHEMA:
         pos = positions[spec.name]

@@ -130,8 +130,6 @@ class CVSummary:
 class CVResult:
     fold_reports: Tuple[EvalReport, ...]
     summary: CVSummary
-    k: int
-    seed: int
 
 
 def summarize_reports(reports: Sequence[EvalReport]) -> CVSummary:
@@ -179,8 +177,6 @@ def cross_validate(spec: ModelSpec, data: Dataset, k: int, seed: int,
     return CVResult(
         fold_reports=tuple(reports),
         summary=summarize_reports(reports),
-        k=k,
-        seed=seed,
     )
 
 
@@ -202,7 +198,6 @@ class GridCandidate:
 class GridSearchResult:
     best_params: dict
     best_mean: Optional[float]
-    selection_metric: SelectionMetric
     candidates: Tuple[GridCandidate, ...]
 
 
@@ -249,7 +244,6 @@ def grid_search(spec: GridSpec, algorithm, data: Dataset,
     return GridSearchResult(
         best_params=evaluated[best_index].params,
         best_mean=best_mean,
-        selection_metric=spec.selection_metric,
         candidates=tuple(evaluated),
     )
 

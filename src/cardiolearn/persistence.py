@@ -121,12 +121,21 @@ def _deserialize_tree(doc: dict, n_features: int) -> TreeNode:
     )
 
 
-def _serialize_array(arr: np.ndarray) -> dict:
+def _serialize_array(arr: np.ndarray):
+    """A 0-d array is a plain JSON number; any other is {"shape", "data"}."""
+    if np.ndim(arr) == 0:
+        return float(arr)
     return {"shape": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
 
 
-def _deserialize_array(doc: dict) -> np.ndarray:
-    return np.array(doc["data"], dtype=float).reshape(doc["shape"])
+def _deserialize_array(doc, shape: tuple, what: str) -> np.ndarray:
+    """Inverse of _serialize_array; the stored array must have `shape`."""
+    if shape == ():
+        return np.array(_number(doc, what), dtype=float)
+    arr = np.array(doc["data"], dtype=float).reshape(doc["shape"])
+    if arr.shape != shape:
+        raise CorruptBundle(f"{what} has shape {list(arr.shape)}, expected {list(shape)}")
+    return arr
 
 
 def serialize_model(algorithm: Algorithm, model) -> dict:
@@ -155,25 +164,28 @@ def serialize_model(algorithm: Algorithm, model) -> dict:
             "trees": [_serialize_tree(tree) for tree in model.trees],
         }
     params = model.params
+    shapes = RNNParams.shapes(params.hidden_size, params.input_size)
     return {
         "family": "rnn",
         "hidden_size": params.hidden_size,
         "input_size": params.input_size,
-        "W_xh": _serialize_array(params.W_xh),
-        "W_hh": _serialize_array(params.W_hh),
-        "W_hy": _serialize_array(params.W_hy),
-        "b_h": _serialize_array(params.b_h),
-        "b_y": params.b_y,
+        **{name: _serialize_array(value) for name, value in zip(shapes, params.arrays())},
     }
 
 
 def deserialize_model(algorithm: Algorithm, doc: dict):
     if algorithm is Algorithm.NB:
+        priors, means, variances = (
+            np.array(doc[name], dtype=float) for name in ("priors", "means", "variances")
+        )
+        if (priors.shape != (2,) or means.ndim != 2 or means.shape[0] != 2
+                or variances.shape != means.shape):
+            raise CorruptBundle(
+                f"nb priors / means / variances have shapes {list(priors.shape)} / "
+                f"{list(means.shape)} / {list(variances.shape)}, expected [2] / [2, d] / [2, d]"
+            )
         return GaussianNBModel(
-            priors=np.array(doc["priors"], dtype=float),
-            means=np.array(doc["means"], dtype=float),
-            variances=np.array(doc["variances"], dtype=float),
-            var_floor=doc["var_floor"],
+            priors=priors, means=means, variances=variances, var_floor=doc["var_floor"]
         )
     if algorithm in (Algorithm.GB, Algorithm.XGB):
         config = BoostConfig(
@@ -191,13 +203,10 @@ def deserialize_model(algorithm: Algorithm, doc: dict):
             trees=[_deserialize_tree(t, doc["n_features"]) for t in doc["trees"]],
             n_features=doc["n_features"],
         )
-    params = RNNParams(
-        W_xh=_deserialize_array(doc["W_xh"]),
-        W_hh=_deserialize_array(doc["W_hh"]),
-        W_hy=_deserialize_array(doc["W_hy"]),
-        b_h=_deserialize_array(doc["b_h"]),
-        b_y=doc["b_y"],
-    )
+    shapes = RNNParams.shapes(doc["hidden_size"], doc["input_size"])
+    params = RNNParams(*(
+        _deserialize_array(doc[name], shape, f"rnn {name}") for name, shape in shapes.items()
+    ))
     return RNNModel(params=params, history=TrainHistory())
 
 
@@ -297,7 +306,11 @@ def load_bundle(path: str) -> LoadedBundle:
         model = deserialize_model(algorithm, doc["model"])
         report_doc = doc.get("metrics_at_save")
         report = deserialize_report(report_doc) if report_doc is not None else None
-        train_config = doc.get("train_config") or {}
+        train_config = doc.get("train_config", {})
+        if not isinstance(train_config, dict):
+            raise CorruptBundle("train_config must be a JSON object")
+        if "threshold" in train_config:
+            _number(train_config["threshold"], "train_config threshold")
         created_at = doc.get("created_at", "")
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptBundle(f"bundle is missing or mangles a field: {exc}") from exc

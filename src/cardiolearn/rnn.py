@@ -66,12 +66,27 @@ class EarlyStopper:
 @dataclass
 class RNNParams:
     """Network weights; also reused as the container for gradients and
-    RMSprop caches, which share these shapes."""
+    RMSprop caches, which share these shapes.
+
+    The fields, in `_PARAM_FIELDS` order (also the init draw order), have
+    the shapes `shapes(H, I)` gives for H = hidden_size, I = input_size:
+    W_xh (H, I), W_hh (H, H), W_hy (1, H), b_h (H,) and b_y (), a 0-d
+    float64 array, so every field takes the same array code (which also
+    accepts a Python float assigned to b_y).
+    """
     W_xh: np.ndarray
     W_hh: np.ndarray
     W_hy: np.ndarray
     b_h: np.ndarray
-    b_y: float
+    b_y: np.ndarray
+
+    @staticmethod
+    def shapes(hidden_size, input_size) -> dict:
+        h = hidden_size
+        return dict(zip(_PARAM_FIELDS, ((h, input_size), (h, h), (1, h), (h,), ())))
+
+    def arrays(self) -> list:
+        return [getattr(self, name) for name in _PARAM_FIELDS]
 
     @property
     def hidden_size(self) -> int:
@@ -82,23 +97,11 @@ class RNNParams:
         return self.W_xh.shape[1]
 
     def copy(self) -> "RNNParams":
-        return RNNParams(
-            W_xh=self.W_xh.copy(),
-            W_hh=self.W_hh.copy(),
-            W_hy=self.W_hy.copy(),
-            b_h=self.b_h.copy(),
-            b_y=self.b_y,
-        )
+        return RNNParams(*(np.array(value, dtype=float) for value in self.arrays()))
 
     @classmethod
     def zeros(cls, hidden_size: int, input_size: int) -> "RNNParams":
-        return cls(
-            W_xh=np.zeros((hidden_size, input_size)),
-            W_hh=np.zeros((hidden_size, hidden_size)),
-            W_hy=np.zeros((1, hidden_size)),
-            b_h=np.zeros(hidden_size),
-            b_y=0.0,
-        )
+        return cls(*(np.zeros(shape) for shape in cls.shapes(hidden_size, input_size).values()))
 
 
 @dataclass(frozen=True)
@@ -150,21 +153,15 @@ class TrainHistory:
 
 def init_params(hidden_size: int, input_size: int, init_scale: float,
                 gen: SplitMix64) -> RNNParams:
-    """Uniform init in [-init_scale, init_scale], drawn in the fixed order
-    W_xh, W_hh, W_hy, b_h, b_y with row-major fill inside each array."""
+    """Uniform init in [-init_scale, init_scale], drawn field by field in
+    `_PARAM_FIELDS` order with row-major fill inside each array."""
 
     def draw(shape) -> np.ndarray:
         n = int(np.prod(shape))
         flat = np.array([init_scale * (2.0 * gen.uniform() - 1.0) for _ in range(n)])
         return flat.reshape(shape)
 
-    return RNNParams(
-        W_xh=draw((hidden_size, input_size)),
-        W_hh=draw((hidden_size, hidden_size)),
-        W_hy=draw((1, hidden_size)),
-        b_h=draw((hidden_size,)),
-        b_y=init_scale * (2.0 * gen.uniform() - 1.0),
-    )
+    return RNNParams(*(draw(shape) for shape in RNNParams.shapes(hidden_size, input_size).values()))
 
 
 def as_sequence(x: np.ndarray) -> np.ndarray:
@@ -192,7 +189,7 @@ def _forward_full(params: RNNParams, seq: np.ndarray):
         hs[t + 1] = np.tanh(
             params.W_xh @ seq[t] + params.W_hh @ hs[t] + params.b_h
         )
-    raw = sigmoid(float((params.W_hy @ hs[steps])[0]) + params.b_y)
+    raw = sigmoid(float((params.W_hy @ hs[steps])[0]) + float(params.b_y))
     return hs, raw, clamp_probability(raw)
 
 
@@ -220,7 +217,7 @@ def backward(params: RNNParams, seq: np.ndarray, y: float) -> RNNParams:
     dz = prob - y
     steps = seq.shape[0]
     grads.W_hy = dz * hs[steps][np.newaxis, :]
-    grads.b_y = dz
+    grads.b_y = np.array(dz)
     dh = dz * params.W_hy[0]
     for t in range(steps, 0, -1):
         dz_h = (1.0 - hs[t] * hs[t]) * dh
@@ -244,17 +241,10 @@ def rmsprop_step(params: RNNParams, caches: RNNParams, grads: RNNParams,
 
     def update(p, c, g):
         c2 = rho * c + (1.0 - rho) * g * g
-        return p - lr * g / np.sqrt(c2 + eps), c2
+        return np.asarray(p - lr * g / np.sqrt(c2 + eps)), np.asarray(c2)
 
-    new_p = {}
-    new_c = {}
-    for name in _PARAM_FIELDS:
-        p2, c2 = update(getattr(params, name), getattr(caches, name), getattr(grads, name))
-        if name == "b_y":
-            p2, c2 = float(p2), float(c2)
-        new_p[name] = p2
-        new_c[name] = c2
-    return RNNParams(**new_p), RNNParams(**new_c)
+    pairs = [update(*fields) for fields in zip(params.arrays(), caches.arrays(), grads.arrays())]
+    return RNNParams(*(p for p, _ in pairs)), RNNParams(*(c for _, c in pairs))
 
 
 def _mean_loss(params: RNNParams, m: FeatureMatrix) -> float:
@@ -264,19 +254,14 @@ def _mean_loss(params: RNNParams, m: FeatureMatrix) -> float:
 
 def _batch_grads(params: RNNParams, m: FeatureMatrix, rows) -> RNNParams:
     acc = RNNParams.zeros(params.hidden_size, params.input_size)
+    totals = acc.arrays()  # updated in place below
     for r in rows:
         g = backward(params, as_sequence(m.values[r]), float(m.labels[r]))
-        acc.W_xh += g.W_xh
-        acc.W_hh += g.W_hh
-        acc.W_hy += g.W_hy
-        acc.b_h += g.b_h
-        acc.b_y += g.b_y
+        for total, part in zip(totals, g.arrays()):
+            total += part
     scale = 1.0 / len(rows)
-    acc.W_xh *= scale
-    acc.W_hh *= scale
-    acc.W_hy *= scale
-    acc.b_h *= scale
-    acc.b_y *= scale
+    for total in totals:
+        total *= scale
     return acc
 
 
@@ -339,25 +324,15 @@ def grad_check(params: RNNParams, seq: np.ndarray, y: float,
 
     analytic = backward(params, seq, y)
     worst = 0.0
-    for name in _PARAM_FIELDS:
-        value = getattr(params, name)
-        if name == "b_y":
-            plus = params.copy()
-            plus.b_y = value + step
-            minus = params.copy()
-            minus.b_y = value - step
-            numeric = (loss_at(plus) - loss_at(minus)) / (2.0 * step)
-            a = analytic.b_y
-            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
-            continue
-        flat = value.reshape(-1)
-        a_flat = getattr(analytic, name).reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
+    for field_index, a_value in enumerate(analytic.arrays()):
+        a_flat = np.reshape(a_value, -1)
+        for i in range(a_flat.size):
             probe = params.copy()
-            getattr(probe, name).reshape(-1)[i] = original + step
+            entry = probe.arrays()[field_index].reshape(-1)  # a view: copies are contiguous
+            original = entry[i]
+            entry[i] = original + step
             up = loss_at(probe)
-            getattr(probe, name).reshape(-1)[i] = original - step
+            entry[i] = original - step
             down = loss_at(probe)
             numeric = (up - down) / (2.0 * step)
             a = a_flat[i]

@@ -117,15 +117,21 @@ class TestErrorCodes:
         assert code == 6
         assert capsys.readouterr().err.startswith("E_DATA CorruptBundle:")
 
-    def _predict_with_edited_bundle(self, tmp_path, data_csv, edit, part="model"):
-        bundle_path = train_bundle(tmp_path, data_csv, "gb", extra=("--param", "n_rounds=5"))
+    _QUICK_FIT = {"gb": ("--param", "n_rounds=5"), "rnn": ("--param", "max_epochs=2"), "nb": ()}
+
+    def _predict_with_edited_bundle(self, tmp_path, data_csv, edit, part="model",
+                                    algo="gb", command="predict"):
+        bundle_path = train_bundle(tmp_path, data_csv, algo, extra=self._QUICK_FIT[algo])
         doc = json.load(open(bundle_path, encoding="utf-8"))
         edit(doc[part])
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc), encoding="utf-8")
-        unlabeled = unlabeled_from(data_csv, tmp_path / "unlabeled.csv", n_rows=5)
+        if command == "predict":
+            data = unlabeled_from(data_csv, tmp_path / "unlabeled.csv", n_rows=5)
+        else:
+            data = data_csv
         out_path = tmp_path / "preds.csv"
-        code = main(["predict", "--bundle", str(edited), "--data", unlabeled,
+        code = main([command, "--bundle", str(edited), "--data", data,
                      "--out", str(out_path)])
         return code, out_path
 
@@ -206,6 +212,68 @@ class TestErrorCodes:
             tmp_path, data_csv, edit, part="preprocessor"
         )
         self._assert_one_corrupt_bundle_line(code, out_path, capsys, "MaxHR mean")
+
+    def test_mis_shaped_rnn_w_hh_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        def edit(model):
+            assert model["W_hh"]["shape"] == [16, 16]
+            model["W_hh"]["shape"] = [4, 64]
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="rnn")
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "W_hh", "[4, 64]")
+
+    def test_rnn_hidden_size_disagreeing_with_arrays_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys):
+        def edit(model):
+            model["hidden_size"] = 8
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="rnn")
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "W_xh", "[16, 1]")
+
+    def test_string_rnn_b_y_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        def edit(model):
+            model["b_y"] = "x"
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="rnn")
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "b_y")
+
+    def test_one_row_nb_means_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        def edit(model):
+            model["means"] = model["means"][:1]
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="nb")
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "means")
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_string_train_config_threshold_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys, command):
+        def edit(train_config):
+            train_config["threshold"] = "x"
+        code, out_path = self._predict_with_edited_bundle(
+            tmp_path, data_csv, edit, part="train_config", command=command
+        )
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "threshold")
+
+    def _csv_with_trailing_cells(self, source, path):
+        lines = open(source, encoding="utf-8").read().splitlines()
+        lines[3] += ",999,junk"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    def _assert_one_row_2_schema_line(self, code, capsys):
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("E_SCHEMA SchemaMismatch: row 2 ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_labeled_row_with_trailing_cells_is_rejected(self, tmp_path, data_csv, capsys):
+        padded = self._csv_with_trailing_cells(data_csv, tmp_path / "padded.csv")
+        self._assert_one_row_2_schema_line(main(["summarize", "--data", padded]), capsys)
+
+    def test_unlabeled_row_with_trailing_cells_is_rejected(self, tmp_path, data_csv, capsys):
+        bundle_path = train_bundle(tmp_path, data_csv)
+        unlabeled = unlabeled_from(data_csv, tmp_path / "unlabeled.csv", n_rows=5)
+        padded = self._csv_with_trailing_cells(unlabeled, tmp_path / "padded.csv")
+        out_path = tmp_path / "preds.csv"
+        code = main(["predict", "--bundle", bundle_path, "--data", padded,
+                     "--out", str(out_path)])
+        self._assert_one_row_2_schema_line(code, capsys)
+        assert not out_path.exists()
 
     def test_over_long_integer_format_version_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
         bundle_path = train_bundle(tmp_path, data_csv)
@@ -541,11 +609,26 @@ class TestGridsearch:
         assert code == 4
         assert "folds" in capsys.readouterr().err
 
-    def _gridsearch_with(self, tmp_path, data_csv, doc):
+    def _gridsearch_with(self, tmp_path, data_csv, doc, *flags):
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps(doc), encoding="utf-8")
         return main(["gridsearch", "--data", data_csv, "--algo", "gb",
-                     "--grid", str(grid_path), "--out", str(tmp_path / "r.csv")])
+                     "--grid", str(grid_path), "--out", str(tmp_path / "r.csv"), *flags])
+
+    @pytest.mark.parametrize("doc, flags, fragment", [
+        ({}, ("--seed", "-1"), "seed"),
+        ({"seed": -5}, (), "seed"),
+        ({}, ("--smote-k", "0"), "smote_k"),
+        ({}, ("--threshold", "1.5"), "threshold"),
+    ])
+    def test_settings_range_checked_like_train(self, tmp_path, data_csv, capsys,
+                                               doc, flags, fragment):
+        doc = {"grid": {"n_rounds": [2]}, "k": 2, **doc}
+        assert self._gridsearch_with(tmp_path, data_csv, doc, *flags) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert fragment in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "r.csv").exists()
 
     def test_non_numeric_grid_candidate_rejected(self, tmp_path, data_csv, capsys):
         assert self._gridsearch_with(tmp_path, data_csv, {"grid": {"n_rounds": ["x"]}}) == 4

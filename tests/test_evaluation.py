@@ -166,7 +166,6 @@ class TestCrossValidate:
         spec = ModelSpec(Algorithm.NB, {})
         result = cross_validate(spec, data, k=3, seed=11)
         assert len(result.fold_reports) == 3
-        assert result.k == 3
         accs = [r.accuracy for r in result.fold_reports]
         assert result.summary.means["accuracy"] == pytest.approx(np.mean(accs))
         for report in result.fold_reports:

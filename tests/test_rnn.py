@@ -1,5 +1,6 @@
 """Recurrent network: forward pass, gradients, optimizer, and training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -272,6 +273,35 @@ class TestEarlyStopper:
         assert not stopper.update(1, 2e-6)
         assert not stopper.update(2, 1e-6)
         assert stopper.best_epoch == 2
+
+
+class TestParamTable:
+    def assert_layout(self, params, hidden, inputs):
+        for name, shape in RNNParams.shapes(hidden, inputs).items():
+            value = getattr(params, name)
+            assert isinstance(value, np.ndarray) and value.dtype == np.float64, name
+            assert value.shape == shape, name
+
+    def test_table_lists_the_dataclass_fields_in_order(self):
+        assert tuple(RNNParams.shapes(3, 2)) == tuple(f.name for f in dataclasses.fields(RNNParams))
+        assert RNNParams.shapes(3, 2)["b_y"] == ()
+
+    def test_every_producer_follows_the_table(self):
+        params = init_params(3, 1, 0.1, SplitMix64(5))
+        self.assert_layout(params, 3, 1)
+        self.assert_layout(RNNParams.zeros(3, 2), 3, 2)
+        self.assert_layout(params.copy(), 3, 1)
+        grads = backward(params, as_sequence(np.array([0.2, -0.7])), 1.0)
+        self.assert_layout(grads, 3, 1)
+        for updated in rmsprop_step(params, RNNParams.zeros(3, 1), grads, RNNTrainConfig()):
+            self.assert_layout(updated, 3, 1)
+
+    def test_python_float_b_y_is_copied_into_an_array(self):
+        params = RNNParams.zeros(2, 1)
+        params.b_y = 0.25
+        copied = params.copy()
+        self.assert_layout(copied, 2, 1)
+        assert copied.b_y == 0.25
 
 
 class TestInitParams:
