@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadHyperparameter, EmptyNode, SingleClassDataset
+from .errors import EmptyNode, SingleClassDataset
+from .hyperparams import Hyperparameters, hyperparameter
 from .preprocess import FeatureMatrix, feature_batch
 
 PROB_CLAMP = 1e-12
@@ -85,28 +86,14 @@ class TreeParams:
 
 
 @dataclass(frozen=True)
-class BoostConfig:
+class BoostConfig(Hyperparameters):
     mode: BoostMode
-    n_rounds: int = 200
-    learning_rate: float = 0.1
-    max_depth: int = 3
-    reg_lambda: float = 1.0
-    gamma: float = 0.0
-    min_child_weight: float = 1.0
-
-    def validate(self):
-        if self.n_rounds < 1:
-            raise BadHyperparameter(f"n_rounds must be >= 1, got {self.n_rounds}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise BadHyperparameter(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if self.max_depth < 1:
-            raise BadHyperparameter(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.reg_lambda < 0.0:
-            raise BadHyperparameter(f"reg_lambda must be >= 0, got {self.reg_lambda}")
-        if self.gamma < 0.0:
-            raise BadHyperparameter(f"gamma must be >= 0, got {self.gamma}")
-        if self.min_child_weight < 0.0:
-            raise BadHyperparameter(f"min_child_weight must be >= 0, got {self.min_child_weight}")
+    n_rounds: int = hyperparameter(200, "[1, inf)")
+    learning_rate: float = hyperparameter(0.1, "(0, 1]")
+    max_depth: int = hyperparameter(3, "[1, inf)")
+    reg_lambda: float = hyperparameter(1.0, "[0, inf)")
+    gamma: float = hyperparameter(0.0, "[0, inf)")
+    min_child_weight: float = hyperparameter(1.0, "[0, inf)")
 
     def tree_params(self) -> TreeParams:
         # first-order mode has lambda = gamma = 0 semantics
@@ -238,8 +225,6 @@ def fit_tree(m: FeatureMatrix, gh: GradHess, params: TreeParams) -> TreeNode:
     """Fit one regression tree to the given gradients and curvatures."""
     if m.n_rows == 0:
         raise EmptyNode("cannot fit a tree on zero rows")
-    if params.max_depth < 1:
-        raise BadHyperparameter(f"max_depth must be >= 1, got {params.max_depth}")
     rows = np.arange(m.n_rows)
     return _build_node(m.values, gh.g, gh.h, rows, params, depth=0)
 

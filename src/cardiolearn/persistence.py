@@ -10,20 +10,22 @@ line. All files are written atomically (temp file, then rename).
 
 import json
 import os
+import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
 import numpy as np
 
 from .bayes import GaussianNBModel
-from .boosting import BoostConfig, BoostedEnsemble, BoostMode, TreeNode
-from .errors import CorruptBundle, SchemaMismatch, VersionMismatch
+from .boosting import BoostedEnsemble, TreeNode
+from .errors import BadHyperparameter, CorruptBundle, SchemaMismatch, VersionMismatch
 from .evaluation import ConfusionMatrix, EvalReport
+from .hyperparams import within
 from .preprocess import FittedPreprocessor, UnseenPolicy
 from .rnn import RNNModel, RNNParams, TrainHistory
-from .training import Algorithm
+from .training import FAMILY_CONFIGS, PARAM_DEFAULTS, Algorithm, family_config
 
 FORMAT_VERSION = 1
 
@@ -69,10 +71,13 @@ def serialize_preprocessor(fp: FittedPreprocessor) -> dict:
     }
 
 
-def _number(value, what: str):
-    """A bundle field that must be a JSON number (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _number(value, what: str, interval: Optional[str] = None):
+    """A finite JSON number (a bool is not one), inside `interval` if given."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
         raise CorruptBundle(f"{what} must be a number, got {value!r}")
+    if interval is not None and not within(value, interval):
+        raise CorruptBundle(f"{what} must be in {interval}, got {value!r}")
     return value
 
 
@@ -128,14 +133,18 @@ def _serialize_array(arr: np.ndarray):
     return {"shape": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
 
 
-def _deserialize_array(doc, shape: tuple, what: str) -> np.ndarray:
-    """Inverse of _serialize_array; the stored array must have `shape`."""
+def _deserialize_array(doc, shape: tuple, what: str, interval: Optional[str] = None) -> np.ndarray:
+    """Inverse of _serialize_array, or a nested JSON list, of `shape` (a None
+    length matches any) and of numbers only, each inside `interval` if given."""
     if shape == ():
         return np.array(_number(doc, what), dtype=float)
-    arr = np.array(doc["data"], dtype=float).reshape(doc["shape"])
-    if arr.shape != shape:
+    arr = (np.array(doc["data"], dtype=object).reshape(doc["shape"]) if isinstance(doc, dict)
+           else np.array(doc, dtype=object))
+    if arr.ndim != len(shape) or any(w not in (None, g) for w, g in zip(shape, arr.shape)):
         raise CorruptBundle(f"{what} has shape {list(arr.shape)}, expected {list(shape)}")
-    return arr
+    for value in arr.flat:
+        _number(value, f"{what} element", interval)
+    return arr.astype(float)
 
 
 def serialize_model(algorithm: Algorithm, model) -> dict:
@@ -149,17 +158,12 @@ def serialize_model(algorithm: Algorithm, model) -> dict:
         }
     if algorithm in (Algorithm.GB, Algorithm.XGB):
         config = model.config
-        tree_params = config.tree_params()  # first-order mode stores lambda = gamma = 0
         return {
             "family": algorithm.value,
+            **asdict(config),
+            **asdict(config.tree_params()),  # first-order mode stores lambda = gamma = 0
             "mode": config.mode.value,
             "base_score": model.base_score,
-            "learning_rate": config.learning_rate,
-            "reg_lambda": tree_params.reg_lambda,
-            "gamma": tree_params.gamma,
-            "max_depth": config.max_depth,
-            "n_rounds": config.n_rounds,
-            "min_child_weight": config.min_child_weight,
             "n_features": model.n_features,
             "trees": [_serialize_tree(tree) for tree in model.trees],
         }
@@ -175,28 +179,22 @@ def serialize_model(algorithm: Algorithm, model) -> dict:
 
 def deserialize_model(algorithm: Algorithm, doc: dict):
     if algorithm is Algorithm.NB:
-        priors, means, variances = (
-            np.array(doc[name], dtype=float) for name in ("priors", "means", "variances")
-        )
-        if (priors.shape != (2,) or means.ndim != 2 or means.shape[0] != 2
-                or variances.shape != means.shape):
-            raise CorruptBundle(
-                f"nb priors / means / variances have shapes {list(priors.shape)} / "
-                f"{list(means.shape)} / {list(variances.shape)}, expected [2] / [2, d] / [2, d]"
-            )
-        return GaussianNBModel(
-            priors=priors, means=means, variances=variances, var_floor=doc["var_floor"]
-        )
+        priors = _deserialize_array(doc["priors"], (2,), "nb priors", "(0, 1]")
+        means = _deserialize_array(doc["means"], (2, None), "nb means")
+        variances = _deserialize_array(doc["variances"], means.shape, "nb variances", "(0, inf)")
+        var_floor = _number(doc["var_floor"], "nb var_floor", "(0, inf)")
+        return GaussianNBModel(priors=priors, means=means, variances=variances, var_floor=var_floor)
     if algorithm in (Algorithm.GB, Algorithm.XGB):
-        config = BoostConfig(
-            mode=BoostMode(doc["mode"]),
-            n_rounds=doc["n_rounds"],
-            learning_rate=doc["learning_rate"],
-            max_depth=doc["max_depth"],
-            reg_lambda=doc["reg_lambda"],
-            gamma=doc["gamma"],
-            min_child_weight=doc["min_child_weight"],
-        )
+        for name, value in FAMILY_CONFIGS[algorithm][1].items():
+            expected = getattr(value, "value", value)  # the mode is stored by its value
+            if doc[name] != expected:
+                raise CorruptBundle(f"{algorithm.value} {name} {doc[name]!r} is not {expected!r}")
+        if not isinstance(doc["trees"], list):
+            raise CorruptBundle(f"{algorithm.value} model trees must be a JSON list")
+        try:
+            config = family_config(algorithm, {n: doc[n] for n in PARAM_DEFAULTS[algorithm]})
+        except BadHyperparameter as exc:
+            raise CorruptBundle(f"{algorithm.value} model: {exc}") from None
         return BoostedEnsemble(
             config=config,
             base_score=_number(doc["base_score"], "base_score"),

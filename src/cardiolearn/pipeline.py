@@ -15,6 +15,7 @@ from . import preprocess
 from .dataset import Dataset, stratified_split
 from .errors import BadHyperparameter, FractionOutOfRange
 from .evaluation import EvalReport, evaluate_model
+from .hyperparams import Hyperparameters, hyperparameter
 from .persistence import build_bundle
 from .preprocess import FeatureMatrix, FittedPreprocessor, UnseenPolicy
 from .rng import derive_seed
@@ -31,13 +32,13 @@ COMPARE_ORDER = (Algorithm.RNN, Algorithm.NB, Algorithm.GB, Algorithm.XGB)
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Hyperparameters):
     algorithm: Algorithm
     test_fraction: float = 0.2
-    seed: int = 42
-    threshold: float = 0.5
+    seed: int = hyperparameter(42, "[0, inf)")
+    threshold: float = hyperparameter(0.5, "(0, 1)")
     smote_enabled: bool = True
-    smote_k: int = 5
+    smote_k: int = hyperparameter(5, "[1, inf)")
     unseen_policy: UnseenPolicy = UnseenPolicy.ERROR
     params: Mapping = field(default_factory=dict)
 
@@ -47,12 +48,7 @@ class RunConfig:
             raise FractionOutOfRange(
                 f"test_fraction must be in (0, 1), got {self.test_fraction}"
             )
-        if not 0.0 < self.threshold < 1.0:
-            raise BadHyperparameter(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.seed < 0:
-            raise BadHyperparameter(f"seed must be non-negative, got {self.seed}")
-        if self.smote_k < 1:
-            raise BadHyperparameter(f"smote_k must be >= 1, got {self.smote_k}")
+        super().validate()
         resolve_params(self.algorithm, self.params)
 
     def train_config_record(self) -> dict:

@@ -32,6 +32,7 @@ from .errors import (
     EmptyPartition,
     EmptySequence,
 )
+from .hyperparams import Hyperparameters, hyperparameter
 from .preprocess import FeatureMatrix, feature_batch
 from .rng import SplitMix64
 
@@ -105,34 +106,16 @@ class RNNParams:
 
 
 @dataclass(frozen=True)
-class RNNTrainConfig:
-    learning_rate: float = 0.001
-    rms_decay: float = 0.9
-    epsilon: float = 1e-8
-    max_epochs: int = 200
-    patience: int = 10
-    batch_size: int = 32
-    hidden_size: int = 16
+class RNNTrainConfig(Hyperparameters):
+    learning_rate: float = hyperparameter(0.001, "(0, inf)")
+    rms_decay: float = hyperparameter(0.9, "(0, 1)")
+    epsilon: float = hyperparameter(1e-8, "(0, inf)")
+    max_epochs: int = hyperparameter(200, "[1, inf)")
+    patience: int = hyperparameter(10, "[1, inf)")
+    batch_size: int = hyperparameter(32, "[1, inf)")
+    hidden_size: int = hyperparameter(16, "[1, inf)")
     seed: int = 0
-    init_scale: float = 0.1
-
-    def validate(self):
-        if self.learning_rate <= 0.0:
-            raise BadHyperparameter(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 < self.rms_decay < 1.0:
-            raise BadHyperparameter(f"rms_decay must be in (0, 1), got {self.rms_decay}")
-        if self.epsilon <= 0.0:
-            raise BadHyperparameter(f"epsilon must be > 0, got {self.epsilon}")
-        if self.max_epochs < 1:
-            raise BadHyperparameter(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise BadHyperparameter(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 1:
-            raise BadHyperparameter(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.hidden_size < 1:
-            raise BadHyperparameter(f"hidden_size must be >= 1, got {self.hidden_size}")
-        if self.init_scale <= 0.0:
-            raise BadHyperparameter(f"init_scale must be > 0, got {self.init_scale}")
+    init_scale: float = hyperparameter(0.1, "(0, inf)")
 
 
 @dataclass

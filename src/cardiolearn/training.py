@@ -5,8 +5,9 @@ Every fitted model exposes one batch method, `predict_proba(X)`: given an
 positive-class probabilities, bit-equal to scoring each row alone; any
 other shape raises DimensionMismatch. Evaluation, persistence, and the CLI
 never branch on the family. Hyperparameters arrive as a plain name/value
-mapping that is validated against the family's known names (and as finite
-numbers) before any work starts.
+mapping and are checked, before any work starts, by building the family's
+config (`BoostConfig`, `RNNTrainConfig`), whose fields own every name,
+default, type and range.
 
 The recurrent network needs a validation partition for early stopping; it
 is carved out of the supplied training matrix (stratified, one fifth) so
@@ -16,9 +17,7 @@ fixed, documented streams.
 """
 
 import enum
-import numbers
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Tuple
 
 from .bayes import fit_gaussian_nb
@@ -46,36 +45,19 @@ ALGORITHM_LABELS = {
     Algorithm.RNN: "RNN",
 }
 
-# accepted hyperparameter names and their defaults, per family
-PARAM_DEFAULTS = {
-    Algorithm.NB: {},
-    Algorithm.GB: {
-        "n_rounds": 200,
-        "learning_rate": 0.1,
-        "max_depth": 3,
-        "min_child_weight": 1.0,
-    },
-    Algorithm.XGB: {
-        "n_rounds": 200,
-        "learning_rate": 0.1,
-        "max_depth": 3,
-        "reg_lambda": 1.0,
-        "gamma": 0.0,
-        "min_child_weight": 1.0,
-    },
-    Algorithm.RNN: {
-        "learning_rate": 0.001,
-        "rms_decay": 0.9,
-        "epsilon": 1e-8,
-        "max_epochs": 200,
-        "patience": 10,
-        "batch_size": 32,
-        "hidden_size": 16,
-        "init_scale": 0.1,
-    },
+# per family: its config class and the fields a caller may not set, with
+# their values (each RNN fit replaces the seed with one derived from its own)
+FAMILY_CONFIGS = {
+    Algorithm.GB: (BoostConfig, {"mode": BoostMode.FIRST_ORDER, "reg_lambda": 0.0, "gamma": 0.0}),
+    Algorithm.XGB: (BoostConfig, {"mode": BoostMode.SECOND_ORDER}),
+    Algorithm.RNN: (RNNTrainConfig, {"seed": 0}),
 }
 
-_INT_PARAMS = {"n_rounds", "max_depth", "max_epochs", "patience", "batch_size", "hidden_size"}
+# accepted hyperparameter names and their defaults, per family
+PARAM_DEFAULTS = {Algorithm.NB: {}} | {
+    algorithm: {f.name: f.default for f in fields(config_class) if f.name not in fixed}
+    for algorithm, (config_class, fixed) in FAMILY_CONFIGS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -84,29 +66,25 @@ class ModelSpec:
     params: Mapping = field(default_factory=dict)
 
 
-def resolve_params(algorithm: Algorithm, overrides: Mapping) -> dict:
-    """Defaults overlaid with overrides; unknown names, non-numbers, bools
-    and non-finite values are rejected."""
+def family_config(algorithm: Algorithm, overrides: Mapping):
+    """The family's config (None for NB): its defaults overlaid with known
+    overrides, plus the fields a caller may not set; type- and range-checked."""
     defaults = PARAM_DEFAULTS[algorithm]
-    resolved = dict(defaults)
-    for name, value in overrides.items():
+    for name in overrides:
         if name not in defaults:
             raise BadHyperparameter(
                 f"unknown hyperparameter {name!r} for algorithm {algorithm.value!r}"
             )
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not abs(value) <= sys.float_info.max):
-            raise BadHyperparameter(
-                f"hyperparameter {name!r} must be a finite number, got {value!r}"
-            )
-        if name in _INT_PARAMS:
-            if float(value) != int(value):
-                raise BadHyperparameter(f"hyperparameter {name!r} must be an integer, got {value!r}")
-            value = int(value)
-        else:
-            value = float(value)
-        resolved[name] = value
-    return resolved
+    if algorithm is Algorithm.NB:
+        return None
+    config_class, fixed = FAMILY_CONFIGS[algorithm]
+    return config_class.build({**defaults, **overrides}, **fixed)
+
+
+def resolve_params(algorithm: Algorithm, overrides: Mapping) -> dict:
+    """Every settable hyperparameter's value, as checked by `family_config`."""
+    config = family_config(algorithm, overrides)
+    return {name: getattr(config, name) for name in PARAM_DEFAULTS[algorithm]}
 
 
 def parse_algorithm(token: str) -> Algorithm:
@@ -142,15 +120,13 @@ def stratified_matrix_split(m: FeatureMatrix, val_fraction: float,
 
 def fit_algorithm(spec: ModelSpec, m: FeatureMatrix, seed: int):
     """Fit one model family on an encoded matrix; returns the fitted model."""
-    params = resolve_params(spec.algorithm, spec.params)
+    config = family_config(spec.algorithm, spec.params)
     if spec.algorithm is Algorithm.NB:
         return fit_gaussian_nb(m)
-    if spec.algorithm in (Algorithm.GB, Algorithm.XGB):
-        mode = BoostMode.FIRST_ORDER if spec.algorithm is Algorithm.GB else BoostMode.SECOND_ORDER
-        return fit_boosted(m, BoostConfig(mode=mode, **params))
+    if spec.algorithm is not Algorithm.RNN:
+        return fit_boosted(m, config)
     inner_train, inner_val = stratified_matrix_split(
         m, _INNER_VAL_FRACTION, derive_seed(seed, 1)
     )
-    config = RNNTrainConfig(seed=derive_seed(seed, 2), **params)
-    trained, history = train_rnn(inner_train, inner_val, config)
+    trained, history = train_rnn(inner_train, inner_val, replace(config, seed=derive_seed(seed, 2)))
     return RNNModel(params=trained, history=history)

@@ -10,6 +10,7 @@ import pytest
 import cardiolearn
 
 from conftest import make_dataset
+from cardiolearn import evaluation
 from cardiolearn.cli import main
 from cardiolearn.dataset import synth_generate, write_csv
 from cardiolearn.errors import (
@@ -117,7 +118,8 @@ class TestErrorCodes:
         assert code == 6
         assert capsys.readouterr().err.startswith("E_DATA CorruptBundle:")
 
-    _QUICK_FIT = {"gb": ("--param", "n_rounds=5"), "rnn": ("--param", "max_epochs=2"), "nb": ()}
+    _QUICK_FIT = {"gb": ("--param", "n_rounds=5"), "xgb": ("--param", "n_rounds=5"),
+                  "rnn": ("--param", "max_epochs=2"), "nb": ()}
 
     def _predict_with_edited_bundle(self, tmp_path, data_csv, edit, part="model",
                                     algo="gb", command="predict"):
@@ -238,6 +240,58 @@ class TestErrorCodes:
             model["means"] = model["means"][:1]
         code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="nb")
         self._assert_one_corrupt_bundle_line(code, out_path, capsys, "means")
+
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", "x"), ("n_rounds", "x"), ("max_depth", -1), ("reg_lambda", -5),
+    ])
+    def test_mistyped_or_out_of_range_xgb_hyperparameter_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys, name, value):
+        def edit(model):
+            model[name] = value
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="xgb")
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, name)
+
+    @pytest.mark.parametrize("algo, name, value", [
+        ("rnn", "W_hy", None), ("nb", "means", None), ("nb", "priors", "0.5"), ("rnn", "b_h", True),
+    ])
+    def test_non_number_array_element_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys, algo, name, value):
+        def edit(model):
+            array = model[name]["data"] if algo == "rnn" else model[name]
+            if isinstance(array[0], list):
+                array[0][0] = value
+            else:
+                array[0] = value
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo=algo)
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, name, repr(value))
+
+    @pytest.mark.parametrize("name, value", [
+        ("priors", [-0.5, 1.5]), ("priors", [0.0, 1.0]), ("variances", -1.0), ("var_floor", "x"),
+        ("var_floor", 0.0),
+    ])
+    def test_out_of_range_nb_value_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys, name, value):
+        def edit(model):
+            if name == "variances":
+                model[name][0][0] = value
+            else:
+                model[name] = value
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="nb")
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, name)
+
+    def test_non_list_trees_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        def edit(model):
+            model["trees"] = {}
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="xgb")
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "trees")
+
+    def test_gb_bundle_holding_second_order_mode_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys):
+        def edit(model):
+            assert model["mode"] == "first_order"
+            model["mode"] = "second_order"
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit)
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "mode", "second_order")
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_string_train_config_threshold_is_corrupt_bundle(
@@ -659,6 +713,21 @@ class TestGridsearch:
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_out_of_range_candidate_rejected_before_any_fold(
+            self, tmp_path, data_csv, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fold was fitted before every candidate was checked")
+
+        monkeypatch.setattr(evaluation, "fit_algorithm", no_fit)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"grid": {"hidden_size": [4, 0]}}), encoding="utf-8")
+        code = main(["gridsearch", "--data", data_csv, "--algo", "rnn",
+                     "--grid", str(grid_path), "--out", str(tmp_path / "r.csv")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter: hidden_size must be in [1, inf)")
         assert len(err.strip().splitlines()) == 1
 
     def test_grid_entry_must_be_list(self, tmp_path, data_csv, capsys):

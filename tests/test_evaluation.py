@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import matrix, spread_dataset
+from cardiolearn import evaluation
 from cardiolearn.dataset import kfold, synth_generate
 from cardiolearn.errors import (
     BadHyperparameter,
@@ -288,11 +289,19 @@ class TestGridSearch:
         assert result.best_mean is None
         assert result.best_params == {"learning_rate": 1e-9}
 
-    def test_invalid_candidate_rejected_before_any_fit(self):
+    def test_invalid_candidate_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fold was fitted before every candidate was checked")
+
+        monkeypatch.setattr(evaluation, "fit_algorithm", no_fit)
         data = synth_generate(30, 0.5, seed=1)
-        spec = self.grid_spec({"nonsense": [1, 2]})
-        with pytest.raises(BadHyperparameter, match="nonsense"):
-            grid_search(spec, Algorithm.GB, data)
+        for algorithm, grid, fragment in (
+            (Algorithm.GB, {"nonsense": [1, 2]}, "nonsense"),
+            (Algorithm.GB, {"n_rounds": [5, 0]}, "n_rounds must be in"),
+            (Algorithm.RNN, {"hidden_size": [4, 0]}, "hidden_size must be in"),
+        ):
+            with pytest.raises(BadHyperparameter, match=fragment):
+                grid_search(self.grid_spec(grid), algorithm, data)
 
 
 class TestResultsCsv:
