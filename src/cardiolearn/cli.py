@@ -9,16 +9,20 @@ to stable exit codes:
     E_IO       2    E_SCHEMA   3    E_CONFIG   4
     E_VERSION  5    E_DATA     6
 
-A JSON file passed via --config supplies the same settings as the flags
-(keys named like the flag destinations, e.g. test_fraction, smote_enabled)
-and takes precedence over flag values.
+A JSON file passed via --config overrides the flags. Its keys are the
+subcommand's flag destinations (`params` for --param), each value checked
+against its flag: a bool for --no-smote, an integer or a number for an int
+or float flag, one of a choice flag's values, else a string (a path). A
+grid file's k, seed and selection_metric are checked against --k, --seed
+and --metric. Run settings default to RunConfig's; evaluate and predict
+use --threshold, else the bundle's threshold, else RunConfig's default.
 """
 
 import argparse
-import json
 import os
+import reprlib
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from . import dataset as ds
 from . import preprocess
@@ -28,13 +32,14 @@ from .evaluation import (
     EvalReport,
     GridSpec,
     SelectionMetric,
+    check_threshold,
     csv_value,
     evaluate_model,
     format_params,
     grid_search,
     results_csv,
 )
-from .persistence import atomic_write_text, load_bundle, save_bundle
+from .persistence import atomic_write_text, load_bundle, read_json, save_bundle
 from .pipeline import (
     RunConfig,
     predict_probabilities,
@@ -43,25 +48,15 @@ from .pipeline import (
     run_training,
 )
 from .preprocess import UnseenPolicy
-from .training import ALGORITHM_LABELS, Algorithm, parse_algorithm
+from .training import ALGORITHM_LABELS, Algorithm
 
 EXIT_CODES = {"E_IO": 2, "E_SCHEMA": 3, "E_CONFIG": 4, "E_VERSION": 5, "E_DATA": 6}
 
-_CONFIG_KEYS = {
-    "data", "algo", "seed", "test_fraction", "threshold", "smote_enabled",
-    "smote_k", "unseen_policy", "out", "curves", "report_csv", "params",
-    "k", "metric", "grid", "bundle",
-}
+# JSON types (and wording) a config value takes, by its flag's type; bools are not numbers
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"), None: (str, "a string")}
 
-# JSON type (and wording) of typed config / grid-file scalars; bools are not numbers
-_SCALAR_TYPES = {
-    "seed": (int, "an integer"),
-    "k": (int, "an integer"),
-    "smote_k": (int, "an integer"),
-    "test_fraction": ((int, float), "a number"),
-    "threshold": ((int, float), "a number"),
-    "smote_enabled": (bool, "true or false"),
-}
+# grid-file keys and the --flag destination each is checked against
+_GRID_FILE_FLAGS = {"k": "k", "seed": "seed", "selection_metric": "metric"}
 
 
 # --- formatting helpers -------------------------------------------------------
@@ -152,78 +147,87 @@ def _coerce_params(raw) -> dict:
     return _parse_param_flags(raw)
 
 
-def _load_json(path, what):
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
-        raise BadHyperparameter(f"{what} file {path} is not valid JSON: {exc}") from None
+def _flags(parser, command: str) -> dict:
+    """Config key -> argparse action for each flag of `command` but --config;
+    `params` stands for --param."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        "params" if action.dest == "param" else action.dest: action
+        for action in sub.choices[command]._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
 
 
-def _check_scalar(where: str, key: str, value) -> None:
-    if key not in _SCALAR_TYPES:
-        return
-    expected, wording = _SCALAR_TYPES[key]
-    if not isinstance(value, expected) or isinstance(value, bool) != (expected is bool):
-        raise BadHyperparameter(f"{where} key {key!r} must be {wording}, got {value!r}")
+def _flag_value(where: str, key: str, action, value):
+    """`value` as `action`'s flag would hold it: a bool for a switch, one of
+    the choices for a choice flag, else a JSON value of the flag's type."""
+    if action.nargs == 0:
+        ok, wording = isinstance(value, bool), "true or false"
+    elif action.choices is not None:
+        ok = isinstance(value, str) and value in action.choices
+        wording = "one of " + ", ".join(action.choices)
+    else:
+        kinds, wording = _JSON_TYPES[action.type]
+        ok = isinstance(value, kinds) and not isinstance(value, bool)
+    if ok:
+        try:
+            return action.type(value) if action.type else value
+        except OverflowError:  # an integer beyond float range
+            pass
+    raise BadHyperparameter(f"{where} key {key!r} must be {wording}, got {reprlib.repr(value)}")
 
 
 def _apply_config_file(args) -> None:
     if not getattr(args, "config", None):
         return
-    doc = _load_json(args.config, "config")
+    doc = read_json(args.config, "config file", BadHyperparameter)
     if not isinstance(doc, dict):
         raise BadHyperparameter("config file must hold a JSON object")
     for key in sorted(doc):
-        if key not in _CONFIG_KEYS:
-            raise BadHyperparameter(f"unknown config key {key!r}")
+        if key not in args.flags:
+            raise BadHyperparameter(
+                f"config key {key!r} does not apply to command {args.command!r}"
+            )
         value = doc[key]
         if key == "params":
             if not isinstance(value, dict):
                 raise BadHyperparameter("config key 'params' must be an object")
-            if not hasattr(args, "param"):
-                raise BadHyperparameter(
-                    f"config key 'params' does not apply to command {args.command!r}"
-                )
-            merged = _coerce_params(args.param)
-            merged.update(value)
-            args.param = merged
-            continue
-        if not hasattr(args, key):
-            raise BadHyperparameter(
-                f"config key {key!r} does not apply to command {args.command!r}"
-            )
-        _check_scalar("config", key, value)
-        setattr(args, key, value)
+            args.param = {**_coerce_params(args.param), **value}
+        else:
+            setattr(args, key, _flag_value("config", key, args.flags[key], value))
 
 
 def _run_config(args, algorithm: Algorithm, params=None) -> RunConfig:
-    return RunConfig(
-        algorithm=algorithm,
-        test_fraction=float(args.test_fraction),
-        seed=int(args.seed),
-        threshold=float(args.threshold),
-        smote_enabled=bool(args.smote_enabled),
-        smote_k=int(args.smote_k),
-        unseen_policy=UnseenPolicy(args.unseen_policy),
-        params=params if params is not None else {},
-    )
+    """Each run setting from its flag, if the command has it, else RunConfig's
+    default; `algorithm` and `params` are no flag's destination."""
+    settings = {
+        f.name: f.type(getattr(args, f.name)) for f in fields(RunConfig) if hasattr(args, f.name)
+    }
+    return RunConfig(algorithm=algorithm, params=params or {}, **settings)
+
+
+def _threshold(args, bundle) -> float:
+    """--threshold, else the bundle's stored threshold, else RunConfig's default."""
+    threshold = args.threshold
+    if threshold is None:
+        threshold = bundle.train_config.get("threshold", RunConfig.threshold)
+    return check_threshold(threshold)
 
 
 def _add_common(p, with_split=True, with_threshold=True, with_params=False):
     p.add_argument("--data", required=True, help="input CSV path")
     p.add_argument("--config", help="JSON config file; its values override flags")
     if with_split:
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--test-fraction", type=float, default=0.2, dest="test_fraction")
+        p.add_argument("--seed", type=int, default=RunConfig.seed)
+        p.add_argument("--test-fraction", type=float, default=RunConfig.test_fraction,
+                       dest="test_fraction")
         p.add_argument("--no-smote", action="store_false", dest="smote_enabled",
-                       default=True, help="disable minority oversampling")
-        p.add_argument("--smote-k", type=int, default=5, dest="smote_k")
+                       default=RunConfig.smote_enabled, help="disable minority oversampling")
+        p.add_argument("--smote-k", type=int, default=RunConfig.smote_k, dest="smote_k")
         p.add_argument("--unseen-policy", choices=[u.value for u in UnseenPolicy],
-                       default="error", dest="unseen_policy")
+                       default=RunConfig.unseen_policy.value, dest="unseen_policy")
     if with_threshold:
-        p.add_argument("--threshold", type=float, default=0.5)
+        p.add_argument("--threshold", type=float, default=RunConfig.threshold)
     if with_params:
         p.add_argument("--param", action="append", default=[], dest="param",
                        metavar="NAME=VALUE",
@@ -272,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--algo", required=True, choices=[a.value for a in Algorithm])
     p.add_argument("--grid", required=True, help="JSON grid file")
-    p.add_argument("--k", type=int, default=5, help="cross-validation folds")
+    p.add_argument("--k", type=int, default=GridSpec.k, help="cross-validation folds")
     p.add_argument("--metric", choices=[m.value for m in SelectionMetric],
-                   default="accuracy", help="selection metric")
+                   default=GridSpec.selection_metric.value, help="selection metric")
     p.add_argument("--out", default="grid_results.csv")
 
     p = sub.add_parser("compare", help="train all four algorithms on one shared split")
@@ -324,14 +328,7 @@ def cmd_summarize(args) -> int:
 
 def cmd_preprocess(args) -> int:
     data = ds.load_csv(args.data)
-    config = RunConfig(
-        algorithm=Algorithm.NB,  # placeholder; no model is fitted here
-        test_fraction=float(args.test_fraction),
-        seed=int(args.seed),
-        smote_enabled=bool(args.smote_enabled),
-        smote_k=int(args.smote_k),
-        unseen_policy=UnseenPolicy(args.unseen_policy),
-    )
+    config = _run_config(args, Algorithm.NB)  # no model is fitted here
     config.validate()
     split, fp, train_m, test_m = prepare_matrices(data, config)
     outliers = preprocess.flag_outliers(train_m)
@@ -367,7 +364,7 @@ def _default_curves_path(out_path: str) -> str:
 
 
 def cmd_train(args) -> int:
-    algorithm = parse_algorithm(args.algo)
+    algorithm = Algorithm(args.algo)
     if args.curves and algorithm is not Algorithm.RNN:
         raise BadHyperparameter("--curves applies only to --algo rnn")
     params = _coerce_params(args.param)
@@ -393,11 +390,8 @@ def cmd_evaluate(args) -> int:
     bundle = load_bundle(args.bundle)
     data = ds.load_csv(args.data)
     matrix = preprocess.transform(bundle.preprocessor, data)
-    threshold = args.threshold
-    if threshold is None:
-        threshold = float(bundle.train_config.get("threshold", 0.5))
     report = evaluate_model(
-        bundle.model, matrix, threshold,
+        bundle.model, matrix, _threshold(args, bundle),
         model_id=ALGORITHM_LABELS[bundle.algorithm],
     )
     print(report_table(report))
@@ -410,11 +404,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     bundle = load_bundle(args.bundle)
     data = ds.load_unlabeled_csv(args.data)
-    threshold = args.threshold
-    if threshold is None:
-        threshold = float(bundle.train_config.get("threshold", 0.5))
-    if not 0.0 < threshold < 1.0:
-        raise BadHyperparameter(f"threshold must be in (0, 1), got {threshold}")
+    threshold = _threshold(args, bundle)
     probabilities = predict_probabilities(bundle.preprocessor, bundle.model, data)
     text = ds.csv_table(
         ("row_index", "probability", "label"),
@@ -426,31 +416,23 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    algorithm = parse_algorithm(args.algo)
+    algorithm = Algorithm(args.algo)
     data = ds.load_csv(args.data)
-    doc = _load_json(args.grid, "grid")
+    doc = read_json(args.grid, "grid file", BadHyperparameter)
     if not isinstance(doc, dict) or not isinstance(doc.get("grid"), dict):
         raise BadHyperparameter("grid file must be a JSON object with a 'grid' mapping")
-    for key in doc:
-        if key not in {"grid", "selection_metric", "k", "seed"}:
+    for key in sorted(doc.keys() - {"grid"}):
+        if key not in _GRID_FILE_FLAGS:
             raise BadHyperparameter(f"unknown grid-file key {key!r}")
-        _check_scalar("grid-file", key, doc[key])
+        dest = _GRID_FILE_FLAGS[key]
+        setattr(args, dest, _flag_value("grid-file", key, args.flags[dest], doc[key]))
     for name, candidates in doc["grid"].items():
         if not isinstance(candidates, list):
             raise BadHyperparameter(f"grid entry {name!r} must be a list of candidates")
-    metric_token = doc.get("selection_metric", args.metric)
-    try:
-        metric = SelectionMetric(metric_token)
-    except ValueError:
-        raise BadHyperparameter(f"unknown selection metric {metric_token!r}") from None
-    config = replace(_run_config(args, algorithm), seed=doc.get("seed", args.seed))
+    config = _run_config(args, algorithm)
     config.validate()
-    spec = GridSpec(
-        grid=doc["grid"],
-        selection_metric=metric,
-        k=doc.get("k", args.k),
-        seed=config.seed,
-    )
+    metric = SelectionMetric(args.metric)
+    spec = GridSpec(grid=doc["grid"], selection_metric=metric, k=args.k, seed=config.seed)
     result = grid_search(
         spec, algorithm, data,
         threshold=config.threshold,
@@ -514,6 +496,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.flags = _flags(parser, args.command)
     try:
         _apply_config_file(args)
         return _HANDLERS[args.command](args)

@@ -2,7 +2,8 @@
 
 Metrics with a zero denominator report None (never NaN, never a silent 0)
 so a degenerate model cannot masquerade as a scoring one. The decision rule
-is fixed and inclusive: label 1 iff probability >= threshold.
+is fixed and inclusive: label 1 iff probability >= threshold, for a
+threshold inside THRESHOLD_INTERVAL.
 
 Cross-validation re-fits the preprocessor (and re-applies oversampling)
 inside every fold on that fold's training portion only. Grid search walks
@@ -26,11 +27,14 @@ from .errors import (
     EmptyPredictions,
     LengthMismatch,
 )
+from .hyperparams import within
 from .preprocess import FeatureMatrix, UnseenPolicy
 from .rng import derive_seed
 from .training import ALGORITHM_LABELS, ModelSpec, fit_algorithm, resolve_params
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
+
+THRESHOLD_INTERVAL = "(0, 1)"
 
 
 class SelectionMetric(enum.Enum):
@@ -104,11 +108,17 @@ def metrics(cm: ConfusionMatrix, threshold: float, model_id: str) -> EvalReport:
     )
 
 
+def check_threshold(threshold: float) -> float:
+    """`threshold`, if it lies in THRESHOLD_INTERVAL."""
+    if not within(threshold, THRESHOLD_INTERVAL):
+        raise BadHyperparameter(f"threshold must be in {THRESHOLD_INTERVAL}, got {threshold}")
+    return threshold
+
+
 def evaluate_model(model, m: FeatureMatrix, threshold: float = 0.5,
                    model_id: str = "") -> EvalReport:
     """Score a fitted model on an encoded matrix; label 1 iff p >= threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise BadHyperparameter(f"threshold must be in (0, 1), got {threshold}")
+    check_threshold(threshold)
     if not model_id:
         model_id = type(model).__name__
     predicted = (model.predict_proba(m.values) >= threshold).astype(int)
@@ -183,9 +193,9 @@ def cross_validate(spec: ModelSpec, data: Dataset, k: int, seed: int,
 @dataclass(frozen=True)
 class GridSpec:
     grid: dict                      # hyperparameter name -> candidate list
-    selection_metric: SelectionMetric
-    k: int
     seed: int
+    selection_metric: SelectionMetric = SelectionMetric.ACCURACY
+    k: int = 5
 
 
 @dataclass(frozen=True)

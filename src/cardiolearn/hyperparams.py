@@ -15,9 +15,10 @@ from typing import Mapping
 from .errors import BadHyperparameter
 
 
-def hyperparameter(default, interval: str):
-    """A config field with a default and the interval its values must lie in."""
-    return field(default=default, metadata={"interval": interval})
+def hyperparameter(default, interval: str, error: type = BadHyperparameter):
+    """A config field with a default and the interval its values must lie in;
+    a value outside it raises `error`."""
+    return field(default=default, metadata={"interval": interval, "error": error})
 
 
 def within(value, interval: str) -> bool:
@@ -55,4 +56,4 @@ class Hyperparameters:
             interval = f.metadata.get("interval")
             value = getattr(self, f.name)
             if interval is not None and not within(value, interval):
-                raise BadHyperparameter(f"{f.name} must be in {interval}, got {value}")
+                raise f.metadata["error"](f"{f.name} must be in {interval}, got {value}")

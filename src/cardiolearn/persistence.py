@@ -10,6 +10,7 @@ line. All files are written atomically (temp file, then rename).
 
 import json
 import os
+import reprlib
 import sys
 import tempfile
 from dataclasses import asdict, dataclass
@@ -21,7 +22,7 @@ import numpy as np
 from .bayes import GaussianNBModel
 from .boosting import BoostedEnsemble, TreeNode
 from .errors import BadHyperparameter, CorruptBundle, SchemaMismatch, VersionMismatch
-from .evaluation import ConfusionMatrix, EvalReport
+from .evaluation import THRESHOLD_INTERVAL, ConfusionMatrix, EvalReport
 from .hyperparams import within
 from .preprocess import FittedPreprocessor, UnseenPolicy
 from .rnn import RNNModel, RNNParams, TrainHistory
@@ -42,6 +43,21 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(temp_path):
             os.unlink(temp_path)
         raise
+
+
+def read_json(path: str, what: str, error: type):
+    """The JSON document in the file at `path`; text that is not JSON, nests
+    too deep to parse or holds NaN or Infinity raises `error` about `what`."""
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+
+    def reject_constant(name):
+        raise error(f"{what} {path} holds the non-finite number {name}")
+
+    try:
+        return json.loads(text, parse_constant=reject_constant)
+    except (ValueError, RecursionError) as exc:  # also an integer literal over the digit limit
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def _timestamp() -> str:
@@ -81,20 +97,37 @@ def _number(value, what: str, interval: Optional[str] = None):
     return value
 
 
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON list", str: "a string"}
+
+
+def _json(value, kind: type, what: str):
+    """`value`, if it is a JSON `kind` (dict, list or str)."""
+    if not isinstance(value, kind):
+        raise CorruptBundle(f"{what} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
+    return value
+
+
+def _table(doc, what: str, entry) -> dict:
+    """`doc`, a JSON object, with each value passed through `entry(value, what name)`."""
+    return {name: entry(value, f"{what} {name}") for name, value in _json(doc, dict, what).items()}
+
+
 def deserialize_preprocessor(doc: dict) -> FittedPreprocessor:
+    def tokens(value, what):
+        return tuple(_json(token, str, f"{what} token") for token in _json(value, list, what))
+
+    def scale(stats, what):
+        return _number(stats["mean"], f"{what} mean"), _number(stats["std"], f"{what} std")
+
     return FittedPreprocessor(
-        vocab={name: tuple(tokens) for name, tokens in doc["vocab"].items()},
-        modes=dict(doc["modes"]),
-        scale_stats={
-            name: (_number(stats["mean"], f"scale_stats {name} mean"),
-                   _number(stats["std"], f"scale_stats {name} std"))
-            for name, stats in doc["scale_stats"].items()
-        },
+        vocab=_table(doc["vocab"], "vocab", tokens),
+        modes=_table(doc["modes"], "modes", lambda mode, what: _json(mode, str, what)),
+        scale_stats=_table(doc["scale_stats"], "scale_stats", scale),
         impute_table={
-            (entry["sex"], entry["decade"]): dict(entry["medians"])
+            (entry["sex"], entry["decade"]): _table(entry["medians"], "impute_table medians", _number)
             for entry in doc["impute_table"]
         },
-        global_medians=dict(doc["global_medians"]),
+        global_medians=_table(doc["global_medians"], "global_medians", _number),
         unseen_policy=UnseenPolicy(doc["unseen_policy"]),
     )
 
@@ -189,8 +222,7 @@ def deserialize_model(algorithm: Algorithm, doc: dict):
             expected = getattr(value, "value", value)  # the mode is stored by its value
             if doc[name] != expected:
                 raise CorruptBundle(f"{algorithm.value} {name} {doc[name]!r} is not {expected!r}")
-        if not isinstance(doc["trees"], list):
-            raise CorruptBundle(f"{algorithm.value} model trees must be a JSON list")
+        _json(doc["trees"], list, f"{algorithm.value} model trees")
         try:
             config = family_config(algorithm, {n: doc[n] for n in PARAM_DEFAULTS[algorithm]})
         except BadHyperparameter as exc:
@@ -280,19 +312,8 @@ def save_bundle(bundle: dict, path: str) -> None:
     atomic_write_text(path, bundle_text(bundle))
 
 
-def _reject_constant(name: str):
-    raise CorruptBundle(f"bundle holds the non-finite number {name}")
-
-
 def load_bundle(path: str) -> LoadedBundle:
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read()
-    try:
-        doc = json.loads(raw, parse_constant=_reject_constant)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
-        raise CorruptBundle(f"bundle is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CorruptBundle("bundle document must be a JSON object")
+    doc = _json(read_json(path, "bundle", CorruptBundle), dict, "bundle document")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionMismatch(
@@ -304,11 +325,9 @@ def load_bundle(path: str) -> LoadedBundle:
         model = deserialize_model(algorithm, doc["model"])
         report_doc = doc.get("metrics_at_save")
         report = deserialize_report(report_doc) if report_doc is not None else None
-        train_config = doc.get("train_config", {})
-        if not isinstance(train_config, dict):
-            raise CorruptBundle("train_config must be a JSON object")
+        train_config = _json(doc.get("train_config", {}), dict, "train_config")
         if "threshold" in train_config:
-            _number(train_config["threshold"], "train_config threshold")
+            _number(train_config["threshold"], "train_config threshold", THRESHOLD_INTERVAL)
         created_at = doc.get("created_at", "")
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptBundle(f"bundle is missing or mangles a field: {exc}") from exc

@@ -8,13 +8,14 @@ fixed derived streams (split uses the seed itself, oversampling stream 1,
 model fitting stream 2) so every stage is independently reproducible.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from typing import Mapping, Optional, Tuple
 
 from . import preprocess
 from .dataset import Dataset, stratified_split
 from .errors import BadHyperparameter, FractionOutOfRange
-from .evaluation import EvalReport, evaluate_model
+from .evaluation import THRESHOLD_INTERVAL, EvalReport, evaluate_model
 from .hyperparams import Hyperparameters, hyperparameter
 from .persistence import build_bundle
 from .preprocess import FeatureMatrix, FittedPreprocessor, UnseenPolicy
@@ -33,10 +34,11 @@ COMPARE_ORDER = (Algorithm.RNN, Algorithm.NB, Algorithm.GB, Algorithm.XGB)
 
 @dataclass(frozen=True)
 class RunConfig(Hyperparameters):
+    """The one table of run settings: each one's name, default, type and range."""
     algorithm: Algorithm
-    test_fraction: float = 0.2
+    test_fraction: float = hyperparameter(0.2, "(0, 1)", FractionOutOfRange)
     seed: int = hyperparameter(42, "[0, inf)")
-    threshold: float = hyperparameter(0.5, "(0, 1)")
+    threshold: float = hyperparameter(0.5, THRESHOLD_INTERVAL)
     smote_enabled: bool = True
     smote_k: int = hyperparameter(5, "[1, inf)")
     unseen_policy: UnseenPolicy = UnseenPolicy.ERROR
@@ -44,24 +46,14 @@ class RunConfig(Hyperparameters):
 
     def validate(self) -> None:
         """Range-check everything before any data is touched."""
-        if not 0.0 < self.test_fraction < 1.0:
-            raise FractionOutOfRange(
-                f"test_fraction must be in (0, 1), got {self.test_fraction}"
-            )
         super().validate()
         resolve_params(self.algorithm, self.params)
 
     def train_config_record(self) -> dict:
-        return {
-            "algorithm": self.algorithm.value,
-            "seed": self.seed,
-            "test_fraction": self.test_fraction,
-            "threshold": self.threshold,
-            "smote_enabled": self.smote_enabled,
-            "smote_k": self.smote_k,
-            "unseen_policy": self.unseen_policy.value,
-            "params": resolve_params(self.algorithm, self.params),
-        }
+        """Every setting as a bundle stores it: enums by value, params resolved."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record["params"] = resolve_params(self.algorithm, self.params)
+        return {name: v.value if isinstance(v, Enum) else v for name, v in record.items()}
 
 
 @dataclass

@@ -87,13 +87,6 @@ def resolve_params(algorithm: Algorithm, overrides: Mapping) -> dict:
     return {name: getattr(config, name) for name in PARAM_DEFAULTS[algorithm]}
 
 
-def parse_algorithm(token: str) -> Algorithm:
-    for algorithm in Algorithm:
-        if algorithm.value == token:
-            return algorithm
-    raise BadHyperparameter(f"unknown algorithm {token!r} (expected nb, gb, xgb, or rnn)")
-
-
 def stratified_matrix_split(m: FeatureMatrix, val_fraction: float,
                             seed: int) -> Tuple[FeatureMatrix, FeatureMatrix]:
     """Split matrix rows into (train, validation) preserving class balance.

@@ -303,6 +303,56 @@ class TestErrorCodes:
         )
         self._assert_one_corrupt_bundle_line(code, out_path, capsys, "threshold")
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_out_of_range_train_config_threshold_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys, command):
+        def edit(train_config):
+            train_config["threshold"] = 1.5
+        code, out_path = self._predict_with_edited_bundle(
+            tmp_path, data_csv, edit, part="train_config", command=command
+        )
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "threshold", "(0, 1)")
+
+    @pytest.mark.parametrize("field, value, fragment", [
+        ("vocab", ["ASY", "NAP"], "vocab"),
+        ("vocab", {"ChestPainType": "ASY"}, "vocab ChestPainType"),
+        ("vocab", {"Sex": ["F", 1]}, "vocab Sex token"),
+        ("modes", ["ASY"], "modes"),
+        ("modes", {"Sex": 1}, "modes Sex"),
+        ("global_medians", ["54"], "global_medians"),
+        ("global_medians", {"Age": "54"}, "global_medians Age"),
+        ("global_medians", {"Age": None}, "global_medians Age"),
+        ("impute_table medians", [], "impute_table medians"),
+        ("impute_table medians", {"Age": "54"}, "impute_table medians Age"),
+        ("scale_stats", [], "scale_stats"),
+    ])
+    def test_mistyped_preprocessor_field_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys, field, value, fragment):
+        def edit(preprocessor):
+            if field == "impute_table medians":
+                preprocessor["impute_table"][0]["medians"] = value
+            elif isinstance(value, dict):
+                preprocessor[field].update(value)
+            else:
+                preprocessor[field] = value
+        code, out_path = self._predict_with_edited_bundle(
+            tmp_path, data_csv, edit, part="preprocessor", algo="nb", command="evaluate"
+        )
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, fragment)
+
+    def test_deeply_nested_bundle_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        bundle_path = train_bundle(tmp_path, data_csv, "gb", extra=self._QUICK_FIT["gb"])
+        doc = json.load(open(bundle_path, encoding="utf-8"))
+        doc["model"]["trees"] = ["DEEP"]
+        split = '{"feature": 0, "threshold": 0.0, "right": {"weight": 0.0}, "left": '
+        deep = split * 3000 + '{"weight": 0.0}' + "}" * 3000
+        edited = tmp_path / "deep.json"
+        edited.write_text(json.dumps(doc).replace('"DEEP"', deep), encoding="utf-8")
+        out_path = tmp_path / "report.csv"
+        code = main(["evaluate", "--bundle", str(edited), "--data", data_csv,
+                     "--out", str(out_path)])
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "not valid JSON")
+
     def _csv_with_trailing_cells(self, source, path):
         lines = open(source, encoding="utf-8").read().splitlines()
         lines[3] += ",999,junk"
@@ -517,6 +567,43 @@ class TestEvaluateAndPredict:
         assert low_labels.count("1") >= high_labels.count("1")
 
 
+    @pytest.mark.parametrize("stored, flags, expected", [
+        (0.999, (), 0.999),             # no flag: the bundle's stored threshold
+        (0.999, ("--threshold", "0.001"), 0.001),
+        (None, (), 0.5),                # no flag and none stored: RunConfig's default
+    ])
+    def test_predict_threshold_resolution(self, tmp_path, data_csv, stored, flags, expected):
+        bundle_path = train_bundle(tmp_path, data_csv, "gb", extra=("--param", "n_rounds=5"))
+        doc = json.load(open(bundle_path, encoding="utf-8"))
+        if stored is None:
+            del doc["train_config"]["threshold"]
+        else:
+            doc["train_config"]["threshold"] = stored
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc), encoding="utf-8")
+        unlabeled = unlabeled_from(data_csv, tmp_path / "u.csv")
+        out_path = tmp_path / "preds.csv"
+        assert main(["predict", "--bundle", str(edited), "--data", unlabeled,
+                     "--out", str(out_path), *flags]) == 0
+        cells = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        rows = [(float(p), label) for _, p, label in cells]
+        assert rows and all(label == ("1" if p >= expected else "0") for p, label in rows)
+        assert any(label != ("1" if p >= 0.5 else "0") for p, label in rows) == (expected != 0.5)
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_out_of_range_threshold_flag_rejected(self, tmp_path, data_csv, capsys, command):
+        bundle_path = train_bundle(tmp_path, data_csv)
+        data = unlabeled_from(data_csv, tmp_path / "u.csv") if command == "predict" else data_csv
+        out_path = tmp_path / "out.csv"
+        code = main([command, "--bundle", bundle_path, "--data", data,
+                     "--threshold", "1.5", "--out", str(out_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter: threshold must be in (0, 1), got 1.5")
+        assert len(err.strip().splitlines()) == 1
+        assert not out_path.exists()
+
+
 class TestConfigFile:
     def test_config_overrides_flags(self, tmp_path, data_csv):
         config_path = tmp_path / "config.json"
@@ -570,39 +657,99 @@ class TestConfigFile:
         config_path.write_text(json.dumps(doc), encoding="utf-8")
         return main(["preprocess", "--data", data_csv, "--config", str(config_path)])
 
-    def test_smote_enabled_string_rejected(self, tmp_path, data_csv, capsys):
-        assert self._preprocess_with_config(tmp_path, data_csv, {"smote_enabled": "false"}) == 4
+    # the required flags of each command; the config check runs before any file is read
+    _REQUIRED = {
+        "summarize": [], "preprocess": [], "compare": [], "curves": [],
+        "train": ["--algo", "nb"], "gridsearch": ["--algo", "nb", "--grid", "grid.json"],
+        "evaluate": ["--bundle", "model.json"], "predict": ["--bundle", "model.json"],
+    }
+
+    def _run_with_config(self, tmp_path, monkeypatch, command, doc):
+        monkeypatch.chdir(tmp_path)  # relative default outputs land in tmp_path
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        return main([command, "--data", "data.csv", *self._REQUIRED[command],
+                     "--config", str(config_path)])
+
+    @pytest.mark.parametrize("command, key, value, fragment", [
+        ("preprocess", "smote_enabled", "false", "smote_enabled"),
+        ("preprocess", "smote_k", "abc", "smote_k"),
+        ("preprocess", "smote_k", 2.7, "2.7"),
+        ("preprocess", "smote_k", True, "smote_k"),
+        ("preprocess", "seed", "abc", "seed"),
+        ("preprocess", "test_fraction", "0.3", "test_fraction"),
+        ("train", "algo", "bogus", "one of nb, gb, xgb, rnn"),
+        ("train", "curves", 5, "curves"),
+        ("train", "data", 5, "'data' must be a string"),
+        ("train", "out", 5, "'out' must be a string"),
+        ("train", "params", [], "params"),
+        ("train", "report_csv", 5, "report_csv"),
+        ("train", "seed", 1.5, "seed"),
+        ("train", "smote_enabled", 1, "true or false"),
+        ("train", "smote_k", "5", "smote_k"),
+        ("train", "test_fraction", True, "test_fraction"),
+        ("train", "threshold", "0.5", "threshold"),
+        ("train", "unseen_policy", "bogus", "one of error, map_to_mode"),
+        ("train", "unseen_policy", None, "unseen_policy"),
+        ("gridsearch", "algo", None, "algo"),
+        ("gridsearch", "data", 5, "data"),
+        ("gridsearch", "grid", 5, "'grid' must be a string"),
+        ("gridsearch", "k", "3", "'k' must be an integer"),
+        ("gridsearch", "metric", "bogus", "one of accuracy, f1"),
+        ("gridsearch", "out", None, "out"),
+        ("gridsearch", "seed", True, "seed"),
+        ("gridsearch", "smote_enabled", "yes", "smote_enabled"),
+        ("gridsearch", "smote_k", 1.0, "smote_k"),
+        ("gridsearch", "test_fraction", None, "test_fraction"),
+        ("gridsearch", "threshold", [], "threshold"),
+        ("gridsearch", "unseen_policy", 7, "unseen_policy"),
+        ("evaluate", "bundle", 7, "'bundle' must be a string"),
+        ("evaluate", "data", 5, "data"),
+        ("evaluate", "out", 5, "out"),
+        ("evaluate", "threshold", "x", "threshold"),
+        ("predict", "bundle", 7, "'bundle' must be a string"),
+        ("predict", "data", 5, "data"),
+        ("predict", "out", 5, "out"),
+        ("predict", "threshold", None, "threshold"),
+        ("predict", "threshold", 10 ** 400, "must be a number"),
+    ])
+    def test_mistyped_config_value_rejected(self, tmp_path, data_csv, capsys, monkeypatch,
+                                            command, key, value, fragment):
+        before = set(os.listdir(tmp_path))
+        assert self._run_with_config(tmp_path, monkeypatch, command, {key: value}) == 4
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG BadHyperparameter:")
-        assert "smote_enabled" in err and len(err.strip().splitlines()) == 1
+        assert fragment in err and len(err.strip().splitlines()) == 1
+        assert set(os.listdir(tmp_path)) == before | {"config.json"}
 
-    def test_smote_k_string_rejected(self, tmp_path, data_csv, capsys):
-        assert self._preprocess_with_config(tmp_path, data_csv, {"smote_k": "abc"}) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("E_CONFIG BadHyperparameter:")
-        assert "smote_k" in err and len(err.strip().splitlines()) == 1
+    # accepted config keys per command, as recorded before the keys were derived from the parser
+    _ACCEPTED_KEYS = {
+        "summarize": {"data", "out"},
+        "preprocess": {"data", "out", "seed", "smote_enabled", "smote_k", "test_fraction",
+                       "unseen_policy"},
+        "train": {"algo", "curves", "data", "out", "params", "report_csv", "seed",
+                  "smote_enabled", "smote_k", "test_fraction", "threshold", "unseen_policy"},
+        "evaluate": {"bundle", "data", "out", "threshold"},
+        "predict": {"bundle", "data", "out", "threshold"},
+        "gridsearch": {"algo", "data", "grid", "k", "metric", "out", "seed", "smote_enabled",
+                       "smote_k", "test_fraction", "threshold", "unseen_policy"},
+        "compare": {"data", "out", "seed", "smote_enabled", "smote_k", "test_fraction",
+                    "threshold", "unseen_policy"},
+        "curves": {"data", "out", "params", "seed", "smote_enabled", "smote_k", "test_fraction",
+                   "threshold", "unseen_policy"},
+    }
 
-    def test_smote_k_float_rejected(self, tmp_path, data_csv, capsys):
-        assert self._preprocess_with_config(tmp_path, data_csv, {"smote_k": 2.7}) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("E_CONFIG BadHyperparameter:")
-        assert "2.7" in err and len(err.strip().splitlines()) == 1
-
-    def test_smote_k_bool_rejected(self, tmp_path, data_csv, capsys):
-        assert self._preprocess_with_config(tmp_path, data_csv, {"smote_k": True}) == 4
-        assert capsys.readouterr().err.startswith("E_CONFIG BadHyperparameter:")
-
-    def test_seed_string_rejected(self, tmp_path, data_csv, capsys):
-        assert self._preprocess_with_config(tmp_path, data_csv, {"seed": "abc"}) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("E_CONFIG BadHyperparameter:")
-        assert "seed" in err and len(err.strip().splitlines()) == 1
-
-    def test_test_fraction_string_rejected(self, tmp_path, data_csv, capsys):
-        assert self._preprocess_with_config(tmp_path, data_csv, {"test_fraction": "0.3"}) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("E_CONFIG BadHyperparameter:")
-        assert "test_fraction" in err and len(err.strip().splitlines()) == 1
+    @pytest.mark.parametrize("command", sorted(_ACCEPTED_KEYS))
+    def test_accepted_config_keys_pinned(self, tmp_path, capsys, monkeypatch, command):
+        candidates = set().union(*self._ACCEPTED_KEYS.values()) | {
+            "param", "config", "command", "flags", "help", "mystery"}
+        accepted = set()
+        for key in sorted(candidates):
+            # a list is no flag's value, so an accepted key fails its type check instead
+            assert self._run_with_config(tmp_path, monkeypatch, command, {key: []}) == 4
+            if "does not apply" not in capsys.readouterr().err:
+                accepted.add(key)
+        assert accepted == self._ACCEPTED_KEYS[command]
 
     def test_over_long_integer_param_rejected(self, tmp_path, data_csv, capsys):
         config_path = tmp_path / "config.json"
@@ -612,6 +759,30 @@ class TestConfigFile:
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG BadHyperparameter:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_deeply_nested_config_rejected(self, tmp_path, data_csv, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"params": ' + '{"a": ' * 100000 + "1" + "}" * 100001,
+                               encoding="utf-8")
+        out = tmp_path / "model.json"
+        code = main(["train", "--data", data_csv, "--algo", "gb", "--config", str(config_path),
+                     "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:") and "not valid JSON" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_config_constant_rejected(self, tmp_path, data_csv, capsys, constant):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"threshold": ' + constant + "}", encoding="utf-8")
+        code = main(["train", "--data", data_csv, "--algo", "nb", "--config", str(config_path),
+                     "--out", str(tmp_path / "model.json")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:") and constant in err
         assert len(err.strip().splitlines()) == 1
 
     def test_typed_smote_config_applied(self, tmp_path, data_csv, capsys):
@@ -729,6 +900,51 @@ class TestGridsearch:
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG BadHyperparameter: hidden_size must be in [1, inf)")
         assert len(err.strip().splitlines()) == 1
+
+    def test_deeply_nested_grid_entry_rejected(self, tmp_path, data_csv, capsys):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text('{"grid": {"n_rounds": ' + "[" * 100000 + "]" * 100000 + "}}",
+                             encoding="utf-8")
+        out_path = tmp_path / "r.csv"
+        code = main(["gridsearch", "--data", data_csv, "--algo", "gb",
+                     "--grid", str(grid_path), "--out", str(out_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:") and "not valid JSON" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out_path.exists()
+
+    def test_non_finite_grid_constant_rejected(self, tmp_path, data_csv, capsys):
+        doc = '{"grid": {"learning_rate": [0.1, NaN]}}'
+        (tmp_path / "grid.json").write_text(doc, encoding="utf-8")
+        code = main(["gridsearch", "--data", data_csv, "--algo", "gb",
+                     "--grid", str(tmp_path / "grid.json"), "--out", str(tmp_path / "r.csv")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter:") and "NaN" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("selection_metric", "bogus", "one of accuracy, f1"),
+        ("selection_metric", 1, "selection_metric"),
+        ("seed", 1.5, "'seed' must be an integer"),
+        ("k", True, "'k' must be an integer"),
+    ])
+    def test_grid_file_keys_checked_like_their_flags(self, tmp_path, data_csv, capsys,
+                                                      key, value, fragment):
+        doc = {"grid": {"n_rounds": [2]}, key: value}
+        assert self._gridsearch_with(tmp_path, data_csv, doc) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter: grid-file key")
+        assert fragment in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_grid_file_settings_override_flags(self, tmp_path, data_csv, capsys):
+        doc = {"grid": {"n_rounds": [2]}, "k": 3, "selection_metric": "f1"}
+        assert self._gridsearch_with(tmp_path, data_csv, doc, "--k", "2") == 0
+        lines = (tmp_path / "r.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 3
+        assert "mean f1" in capsys.readouterr().out
 
     def test_grid_entry_must_be_list(self, tmp_path, data_csv, capsys):
         grid_path = tmp_path / "grid.json"
