@@ -48,6 +48,7 @@ from .evaluation import (
     EvalReport,
     GridSearchResult,
     GridSpec,
+    RunConfig,
     SelectionMetric,
     confusion,
     cross_validate,
@@ -64,7 +65,6 @@ from .persistence import (
 )
 from .pipeline import (
     COMPARE_ORDER,
-    RunConfig,
     TrainOutcome,
     run_compare,
     run_training,

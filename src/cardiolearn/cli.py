@@ -31,6 +31,7 @@ from .evaluation import (
     METRIC_NAMES,
     EvalReport,
     GridSpec,
+    RunConfig,
     SelectionMetric,
     check_threshold,
     csv_value,
@@ -40,13 +41,7 @@ from .evaluation import (
     results_csv,
 )
 from .persistence import atomic_write_text, load_bundle, read_json, save_bundle
-from .pipeline import (
-    RunConfig,
-    predict_probabilities,
-    prepare_matrices,
-    run_compare,
-    run_training,
-)
+from .pipeline import predict_probabilities, prepare_matrices, run_compare, run_training
 from .preprocess import UnseenPolicy
 from .training import ALGORITHM_LABELS, Algorithm
 
@@ -432,14 +427,8 @@ def cmd_gridsearch(args) -> int:
     config = _run_config(args, algorithm)
     config.validate()
     metric = SelectionMetric(args.metric)
-    spec = GridSpec(grid=doc["grid"], selection_metric=metric, k=args.k, seed=config.seed)
-    result = grid_search(
-        spec, algorithm, data,
-        threshold=config.threshold,
-        smote_enabled=config.smote_enabled,
-        smote_k=config.smote_k,
-        unseen_policy=config.unseen_policy,
-    )
+    spec = GridSpec(grid=doc["grid"], selection_metric=metric, k=args.k)
+    result = grid_search(spec, config, data)
     atomic_write_text(args.out, results_csv(result))
     headers = ["params", f"mean {metric.value}", f"std {metric.value}"]
     rows = [

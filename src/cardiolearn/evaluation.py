@@ -1,21 +1,28 @@
-"""Confusion-matrix metrics, cross-validated evaluation, and grid search.
+"""Run settings, confusion-matrix metrics, cross-validation and grid search.
+
+`RunConfig` is the one table of a run's settings, and `encode_partitions`
+the one preprocessing step of a run: fit the preprocessor on the training
+side, transform both sides, oversample the training side only (when
+enabled). A `train`, `compare` or `preprocess` run and every
+cross-validation fold go through both.
 
 Metrics with a zero denominator report None (never NaN, never a silent 0)
 so a degenerate model cannot masquerade as a scoring one. The decision rule
 is fixed and inclusive: label 1 iff probability >= threshold, for a
 threshold inside THRESHOLD_INTERVAL.
 
-Cross-validation re-fits the preprocessor (and re-applies oversampling)
-inside every fold on that fold's training portion only. Grid search walks
-the full Cartesian product in a canonical order: candidate lists iterate
+Cross-validation fold i encodes its own partitions (oversampling on seed
+stream 2i) and fits the model on stream 2i+1. Grid search runs every
+candidate as the run's config with that candidate's params, walking the
+full Cartesian product in a canonical order: candidate lists iterate
 lexicographically with parameter names sorted alphabetically, and metric
 ties keep the earliest candidate in that order.
 """
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,16 +32,56 @@ from .errors import (
     BadHyperparameter,
     EmptyGrid,
     EmptyPredictions,
+    FractionOutOfRange,
     LengthMismatch,
 )
-from .hyperparams import within
-from .preprocess import FeatureMatrix, UnseenPolicy
+from .hyperparams import Hyperparameters, hyperparameter, within
+from .preprocess import FeatureMatrix, FittedPreprocessor, UnseenPolicy
 from .rng import derive_seed
-from .training import ALGORITHM_LABELS, ModelSpec, fit_algorithm, resolve_params
+from .training import ALGORITHM_LABELS, Algorithm, ModelSpec, fit_algorithm, resolve_params
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
 
 THRESHOLD_INTERVAL = "(0, 1)"
+
+
+@dataclass(frozen=True)
+class RunConfig(Hyperparameters):
+    """The one table of run settings: each one's name, default, type and range."""
+    algorithm: Algorithm
+    test_fraction: float = hyperparameter(0.2, "(0, 1)", FractionOutOfRange)
+    seed: int = hyperparameter(42, "[0, inf)")
+    threshold: float = hyperparameter(0.5, THRESHOLD_INTERVAL)
+    smote_enabled: bool = True
+    smote_k: int = hyperparameter(5, "[1, inf)")
+    unseen_policy: UnseenPolicy = UnseenPolicy.ERROR
+    params: Mapping = field(default_factory=dict)
+
+    def validate(self) -> None:
+        """Range-check everything before any data is touched."""
+        super().validate()
+        resolve_params(self.algorithm, self.params)
+
+    def train_config_record(self) -> dict:
+        """Every setting as a bundle stores it: enums by value, params resolved."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record["params"] = resolve_params(self.algorithm, self.params)
+        return {name: v.value if isinstance(v, enum.Enum) else v for name, v in record.items()}
+
+
+def encode_partitions(
+    config: RunConfig, train: Dataset, held_out: Dataset, smote_stream: int,
+) -> Tuple[FittedPreprocessor, FeatureMatrix, FeatureMatrix]:
+    """Fit the preprocessor on `train`, transform both partitions, and
+    oversample the training matrix on seed stream `smote_stream` when enabled."""
+    fp = preprocess.fit(train, config.unseen_policy)
+    train_m = preprocess.transform(fp, train)
+    held_out_m = preprocess.transform(fp, held_out)
+    if config.smote_enabled:
+        train_m = preprocess.smote(
+            train_m, k=config.smote_k, seed=derive_seed(config.seed, smote_stream)
+        )
+    return fp, train_m, held_out_m
 
 
 class SelectionMetric(enum.Enum):
@@ -115,7 +162,7 @@ def check_threshold(threshold: float) -> float:
     return threshold
 
 
-def evaluate_model(model, m: FeatureMatrix, threshold: float = 0.5,
+def evaluate_model(model, m: FeatureMatrix, threshold: float = RunConfig.threshold,
                    model_id: str = "") -> EvalReport:
     """Score a fitted model on an encoded matrix; label 1 iff p >= threshold."""
     check_threshold(threshold)
@@ -157,31 +204,25 @@ def summarize_reports(reports: Sequence[EvalReport]) -> CVSummary:
     return CVSummary(means=means, stds=stds)
 
 
-def cross_validate(spec: ModelSpec, data: Dataset, k: int, seed: int,
-                   threshold: float = 0.5, smote_enabled: bool = True,
-                   smote_k: int = 5,
-                   unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> CVResult:
-    """Stratified k-fold evaluation with per-fold preprocessing.
+def cross_validate(config: RunConfig, data: Dataset, k: int) -> CVResult:
+    """Stratified k-fold evaluation of `config`'s run, folds drawn from its seed.
 
-    Fold i re-fits the preprocessor on its training portion, transforms both
-    portions, oversamples the training side only, fits the model with a
-    fold-derived seed, and scores the validation portion.
+    Fold i encodes its training and validation portions as a run does
+    (oversampling on stream 2i), fits the model on stream 2i+1, and scores
+    the validation portion.
     """
-    resolve_params(spec.algorithm, spec.params)
+    config.validate()
+    spec = ModelSpec(config.algorithm, config.params)
     reports = []
-    for i, (train_idx, val_idx) in enumerate(kfold(data, k, seed)):
+    for i, (train_idx, val_idx) in enumerate(kfold(data, k, config.seed)):
         fold_train = data.subset(train_idx, source=f"{data.source}#fold{i}-train")
         fold_val = data.subset(val_idx, source=f"{data.source}#fold{i}-val")
-        fp = preprocess.fit(fold_train, unseen_policy)
-        train_m = preprocess.transform(fp, fold_train)
-        val_m = preprocess.transform(fp, fold_val)
-        if smote_enabled:
-            train_m = preprocess.smote(train_m, k=smote_k, seed=derive_seed(seed, 2 * i))
-        model = fit_algorithm(spec, train_m, seed=derive_seed(seed, 2 * i + 1))
+        _, train_m, val_m = encode_partitions(config, fold_train, fold_val, 2 * i)
+        model = fit_algorithm(spec, train_m, seed=derive_seed(config.seed, 2 * i + 1))
         reports.append(
             evaluate_model(
-                model, val_m, threshold,
-                model_id=ALGORITHM_LABELS[spec.algorithm],
+                model, val_m, config.threshold,
+                model_id=ALGORITHM_LABELS[config.algorithm],
             )
         )
     return CVResult(
@@ -193,7 +234,6 @@ def cross_validate(spec: ModelSpec, data: Dataset, k: int, seed: int,
 @dataclass(frozen=True)
 class GridSpec:
     grid: dict                      # hyperparameter name -> candidate list
-    seed: int
     selection_metric: SelectionMetric = SelectionMetric.ACCURACY
     k: int = 5
 
@@ -225,28 +265,23 @@ def grid_candidates(grid: dict) -> List[dict]:
     ]
 
 
-def grid_search(spec: GridSpec, algorithm, data: Dataset,
-                threshold: float = 0.5, smote_enabled: bool = True,
-                smote_k: int = 5,
-                unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> GridSearchResult:
-    """Exhaustive search over the grid, ranked by mean selection metric.
+def grid_search(spec: GridSpec, config: RunConfig, data: Dataset) -> GridSearchResult:
+    """Exhaustive search over the grid, each candidate cross-validated as
+    `config` with that candidate's params; ranked by mean selection metric.
 
-    Candidates whose metric is undefined in any fold rank below every
-    defined candidate. Equal means keep the earliest canonical candidate.
+    Every candidate is checked before any fold runs. Candidates whose metric
+    is undefined in any fold rank below every defined candidate. Equal means
+    keep the earliest canonical candidate.
     """
-    candidates = grid_candidates(spec.grid)
-    for params in candidates:
-        resolve_params(algorithm, params)
+    candidates = [replace(config, params=params) for params in grid_candidates(spec.grid)]
+    for candidate in candidates:
+        candidate.validate()
     evaluated = []
     best_index = 0
     best_mean = None
-    for index, params in enumerate(candidates):
-        cv = cross_validate(
-            ModelSpec(algorithm, params), data, spec.k, spec.seed,
-            threshold=threshold, smote_enabled=smote_enabled, smote_k=smote_k,
-            unseen_policy=unseen_policy,
-        )
-        evaluated.append(GridCandidate(params=params, cv=cv))
+    for index, candidate in enumerate(candidates):
+        cv = cross_validate(candidate, data, spec.k)
+        evaluated.append(GridCandidate(params=candidate.params, cv=cv))
         mean = cv.summary.means[spec.selection_metric.value]
         if mean is not None and (best_mean is None or mean > best_mean):
             best_mean = mean

@@ -117,7 +117,8 @@ def deserialize_preprocessor(doc: dict) -> FittedPreprocessor:
         return tuple(_json(token, str, f"{what} token") for token in _json(value, list, what))
 
     def scale(stats, what):
-        return _number(stats["mean"], f"{what} mean"), _number(stats["std"], f"{what} std")
+        return (_number(stats["mean"], f"{what} mean"),
+                _number(stats["std"], f"{what} std", "[0, inf)"))
 
     return FittedPreprocessor(
         vocab=_table(doc["vocab"], "vocab", tokens),

@@ -1,59 +1,28 @@
 """End-to-end orchestration of the canonical training run.
 
-The pipeline order is fixed: load, stratified split, fit preprocessor on
+The pipeline order is fixed: load, stratified split, the run's
+preprocessing step (`evaluation.encode_partitions`: fit the preprocessor on
 the training partition, transform both partitions, oversample the training
-matrix only (when enabled), fit the model, evaluate on the untouched test
+matrix only when enabled), fit the model, evaluate on the untouched test
 matrix, and assemble the persistence bundle. The run seed fans out through
 fixed derived streams (split uses the seed itself, oversampling stream 1,
 model fitting stream 2) so every stage is independently reproducible.
 """
 
-from dataclasses import dataclass, field, fields
-from enum import Enum
-from typing import Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from . import preprocess
 from .dataset import Dataset, stratified_split
-from .errors import BadHyperparameter, FractionOutOfRange
-from .evaluation import THRESHOLD_INTERVAL, EvalReport, evaluate_model
-from .hyperparams import Hyperparameters, hyperparameter
+from .errors import BadHyperparameter
+from .evaluation import EvalReport, RunConfig, encode_partitions, evaluate_model
 from .persistence import build_bundle
-from .preprocess import FeatureMatrix, FittedPreprocessor, UnseenPolicy
+from .preprocess import FeatureMatrix, FittedPreprocessor
 from .rng import derive_seed
 from .rnn import RNNModel, TrainHistory
-from .training import (
-    ALGORITHM_LABELS,
-    Algorithm,
-    ModelSpec,
-    fit_algorithm,
-    resolve_params,
-)
+from .training import ALGORITHM_LABELS, Algorithm, ModelSpec, fit_algorithm
 
 COMPARE_ORDER = (Algorithm.RNN, Algorithm.NB, Algorithm.GB, Algorithm.XGB)
-
-
-@dataclass(frozen=True)
-class RunConfig(Hyperparameters):
-    """The one table of run settings: each one's name, default, type and range."""
-    algorithm: Algorithm
-    test_fraction: float = hyperparameter(0.2, "(0, 1)", FractionOutOfRange)
-    seed: int = hyperparameter(42, "[0, inf)")
-    threshold: float = hyperparameter(0.5, THRESHOLD_INTERVAL)
-    smote_enabled: bool = True
-    smote_k: int = hyperparameter(5, "[1, inf)")
-    unseen_policy: UnseenPolicy = UnseenPolicy.ERROR
-    params: Mapping = field(default_factory=dict)
-
-    def validate(self) -> None:
-        """Range-check everything before any data is touched."""
-        super().validate()
-        resolve_params(self.algorithm, self.params)
-
-    def train_config_record(self) -> dict:
-        """Every setting as a bundle stores it: enums by value, params resolved."""
-        record = {f.name: getattr(self, f.name) for f in fields(self)}
-        record["params"] = resolve_params(self.algorithm, self.params)
-        return {name: v.value if isinstance(v, Enum) else v for name, v in record.items()}
 
 
 @dataclass
@@ -68,15 +37,10 @@ class TrainOutcome:
 
 
 def prepare_matrices(data: Dataset, config: RunConfig):
-    """Split, fit, transform, and oversample; shared by train and compare."""
+    """Split, then encode the partitions (oversampling on stream 1); shared by
+    train, compare and preprocess."""
     split = stratified_split(data, config.test_fraction, config.seed)
-    fp = preprocess.fit(split.train, config.unseen_policy)
-    train_m = preprocess.transform(fp, split.train)
-    test_m = preprocess.transform(fp, split.test)
-    if config.smote_enabled:
-        train_m = preprocess.smote(
-            train_m, k=config.smote_k, seed=derive_seed(config.seed, 1)
-        )
+    fp, train_m, test_m = encode_partitions(config, split.train, split.test, 1)
     return split, fp, train_m, test_m
 
 

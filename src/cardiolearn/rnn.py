@@ -113,7 +113,8 @@ class RNNTrainConfig(Hyperparameters):
     max_epochs: int = hyperparameter(200, "[1, inf)")
     patience: int = hyperparameter(10, "[1, inf)")
     batch_size: int = hyperparameter(32, "[1, inf)")
-    hidden_size: int = hyperparameter(16, "[1, inf)")
+    # init draws H^2 + 3H + 1 values one at a time: H = 1024 is about 1 M draws and an 8 MB W_hh
+    hidden_size: int = hyperparameter(16, "[1, 1024]")
     seed: int = 0
     init_scale: float = hyperparameter(0.1, "(0, inf)")
 

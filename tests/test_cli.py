@@ -1,5 +1,6 @@
 """Command-line interface: flows, file outputs, config files, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -206,6 +207,15 @@ class TestErrorCodes:
             tmp_path, data_csv, edit, part="preprocessor"
         )
         self._assert_one_corrupt_bundle_line(code, out_path, capsys, "Age std")
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_negative_scale_std_is_corrupt_bundle(self, tmp_path, data_csv, capsys, command):
+        def edit(preprocessor):
+            preprocessor["scale_stats"]["Age"]["std"] = -1.0
+        code, out_path = self._predict_with_edited_bundle(
+            tmp_path, data_csv, edit, part="preprocessor", algo="nb", command=command
+        )
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "Age std", "[0, inf)")
 
     def test_bool_scale_mean_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
         def edit(preprocessor):
@@ -491,6 +501,16 @@ class TestTrain:
         code = main(["train", "--data", data_csv, "--algo", "gb",
                      "--param", "n_rounds=2.5"])
         assert code == 4
+
+    def test_oversized_hidden_size_rejected(self, tmp_path, data_csv, capsys):
+        # checked by its error only: a fit at this size would draw 10^10 values
+        out_path = tmp_path / "model.json"
+        code = main(["train", "--data", data_csv, "--algo", "rnn",
+                     "--param", "hidden_size=100000", "--out", str(out_path)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "E_CONFIG BadHyperparameter: hidden_size must be in [1, 1024], got 100000\n")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_param_rejected(self, data_csv, capsys, value):
@@ -893,13 +913,15 @@ class TestGridsearch:
 
         monkeypatch.setattr(evaluation, "fit_algorithm", no_fit)
         grid_path = tmp_path / "grid.json"
-        grid_path.write_text(json.dumps({"grid": {"hidden_size": [4, 0]}}), encoding="utf-8")
-        code = main(["gridsearch", "--data", data_csv, "--algo", "rnn",
-                     "--grid", str(grid_path), "--out", str(tmp_path / "r.csv")])
-        assert code == 4
-        err = capsys.readouterr().err
-        assert err.startswith("E_CONFIG BadHyperparameter: hidden_size must be in [1, inf)")
-        assert len(err.strip().splitlines()) == 1
+        # 100000 is checked by its error only: a fit at that size would draw 10^10 values
+        for size in (0, 100000):
+            grid_path.write_text(json.dumps({"grid": {"hidden_size": [4, size]}}),
+                                 encoding="utf-8")
+            code = main(["gridsearch", "--data", data_csv, "--algo", "rnn",
+                         "--grid", str(grid_path), "--out", str(tmp_path / "r.csv")])
+            assert code == 4
+            assert capsys.readouterr().err == (
+                f"E_CONFIG BadHyperparameter: hidden_size must be in [1, 1024], got {size}\n")
 
     def test_deeply_nested_grid_entry_rejected(self, tmp_path, data_csv, capsys):
         grid_path = tmp_path / "grid.json"
@@ -968,6 +990,9 @@ class TestCompareAndCurves:
         assert lines[0] == "algorithm,accuracy,precision,recall,f1"
         assert len(lines) == 5
         assert lines[1].startswith("RNN,")
+        # recorded before cross-validation shared the run's preprocessing step
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "969cca13fcadc4e0e9cdbf039d811719ed361350b2f53282176d38d7782c656f")
 
     def test_curves_command(self, tmp_path, data_csv, capsys):
         out_path = tmp_path / "curves.csv"

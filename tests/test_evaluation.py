@@ -17,9 +17,11 @@ from cardiolearn.evaluation import (
     ConfusionMatrix,
     EvalReport,
     GridSpec,
+    RunConfig,
     SelectionMetric,
     confusion,
     cross_validate,
+    encode_partitions,
     evaluate_model,
     format_params,
     grid_candidates,
@@ -28,8 +30,6 @@ from cardiolearn.evaluation import (
     results_csv,
     summarize_reports,
 )
-from cardiolearn.preprocess import fit as fit_preprocessor
-from cardiolearn.preprocess import smote, transform
 from cardiolearn.persistence import serialize_model, serialize_preprocessor
 from cardiolearn.rng import derive_seed
 from cardiolearn.training import Algorithm, ModelSpec, fit_algorithm, resolve_params
@@ -164,8 +164,7 @@ class TestSummarizeReports:
 class TestCrossValidate:
     def test_fold_count_and_summary(self):
         data = synth_generate(60, 0.5, seed=3)
-        spec = ModelSpec(Algorithm.NB, {})
-        result = cross_validate(spec, data, k=3, seed=11)
+        result = cross_validate(RunConfig(Algorithm.NB, seed=11), data, k=3)
         assert len(result.fold_reports) == 3
         accs = [r.accuracy for r in result.fold_reports]
         assert result.summary.means["accuracy"] == pytest.approx(np.mean(accs))
@@ -174,9 +173,9 @@ class TestCrossValidate:
 
     def test_deterministic(self):
         data = synth_generate(60, 0.5, seed=3)
-        spec = ModelSpec(Algorithm.GB, {"n_rounds": 10})
-        a = cross_validate(spec, data, k=3, seed=7)
-        b = cross_validate(spec, data, k=3, seed=7)
+        config = RunConfig(Algorithm.GB, seed=7, params={"n_rounds": 10})
+        a = cross_validate(config, data, k=3)
+        b = cross_validate(config, data, k=3)
         assert [r.accuracy for r in a.fold_reports] == [r.accuracy for r in b.fold_reports]
         assert a.summary.means == b.summary.means
 
@@ -188,10 +187,12 @@ class TestCrossValidate:
         fold0_train, fold0_val = kfold(data, k, seed)[0]
 
         def fit_fold0(dataset):
-            fold_train = dataset.subset(fold0_train, source="t")
-            fp = fit_preprocessor(fold_train)
-            train_m = transform(fp, fold_train)
-            train_m = smote(train_m, k=5, seed=derive_seed(seed, 0))
+            # the validation portion goes in too, as a fold passes it
+            fp, train_m, _ = encode_partitions(
+                RunConfig(Algorithm.GB, seed=seed),
+                dataset.subset(fold0_train, source="t"),
+                dataset.subset(fold0_val, source="v"), 0,
+            )
             model = fit_algorithm(
                 ModelSpec(Algorithm.GB, resolve_params(Algorithm.GB, {"n_rounds": 5})),
                 train_m, seed=derive_seed(seed, 1),
@@ -213,9 +214,9 @@ class TestCrossValidate:
 
     def test_rejects_unknown_hyperparameters(self):
         data = synth_generate(30, 0.5, seed=1)
-        spec = ModelSpec(Algorithm.NB, {"bogus": 1.0})
+        config = RunConfig(Algorithm.NB, seed=0, params={"bogus": 1.0})
         with pytest.raises(BadHyperparameter, match="bogus"):
-            cross_validate(spec, data, k=3, seed=0)
+            cross_validate(config, data, k=3)
 
 
 class TestGridCandidates:
@@ -240,13 +241,16 @@ class TestGridCandidates:
 
 
 class TestGridSearch:
-    def grid_spec(self, grid, metric=SelectionMetric.ACCURACY, k=3, seed=2):
-        return GridSpec(grid=grid, selection_metric=metric, k=k, seed=seed)
+    def grid_spec(self, grid, metric=SelectionMetric.ACCURACY, k=3):
+        return GridSpec(grid=grid, selection_metric=metric, k=k)
+
+    def config(self, algorithm, **settings):
+        return RunConfig(algorithm, seed=2, **settings)
 
     def test_evaluates_every_candidate(self):
         data = synth_generate(48, 0.5, seed=6)
         spec = self.grid_spec({"n_rounds": [3, 6], "max_depth": [1, 2]})
-        result = grid_search(spec, Algorithm.XGB, data)
+        result = grid_search(spec, self.config(Algorithm.XGB), data)
         assert len(result.candidates) == 4
         assert [c.params for c in result.candidates] == grid_candidates(spec.grid)
         assert result.best_params in [c.params for c in result.candidates]
@@ -254,9 +258,9 @@ class TestGridSearch:
     def test_best_mean_is_reproducible(self):
         data = synth_generate(48, 0.5, seed=6)
         spec = self.grid_spec({"n_rounds": [2, 8]})
-        result = grid_search(spec, Algorithm.GB, data)
+        result = grid_search(spec, self.config(Algorithm.GB), data)
         replay = cross_validate(
-            ModelSpec(Algorithm.GB, result.best_params), data, spec.k, spec.seed
+            self.config(Algorithm.GB, params=result.best_params), data, spec.k
         )
         assert replay.summary.means["accuracy"] == result.best_mean
 
@@ -264,7 +268,7 @@ class TestGridSearch:
         data = synth_generate(40, 0.5, seed=4)
         # same effective model twice: identical means, first candidate wins
         spec = self.grid_spec({"n_rounds": [5, 5]})
-        result = grid_search(spec, Algorithm.XGB, data)
+        result = grid_search(spec, self.config(Algorithm.XGB), data)
         means = [c.cv.summary.means["accuracy"] for c in result.candidates]
         assert means[0] == means[1]
         assert result.best_params is result.candidates[0].params
@@ -275,7 +279,7 @@ class TestGridSearch:
         # predictions exist and f1 is undefined in every fold
         data = synth_generate(120, 0.25, seed=8)
         spec = self.grid_spec({"learning_rate": [1e-9, 0.3]}, metric=SelectionMetric.F1)
-        result = grid_search(spec, Algorithm.XGB, data, smote_enabled=False)
+        result = grid_search(spec, self.config(Algorithm.XGB, smote_enabled=False), data)
         means = [c.cv.summary.means["f1"] for c in result.candidates]
         assert means[0] is None
         assert means[1] is not None
@@ -285,7 +289,7 @@ class TestGridSearch:
     def test_all_undefined_keeps_first_candidate_with_none_mean(self):
         data = synth_generate(120, 0.25, seed=8)
         spec = self.grid_spec({"learning_rate": [1e-9, 1e-10]}, metric=SelectionMetric.F1)
-        result = grid_search(spec, Algorithm.XGB, data, smote_enabled=False)
+        result = grid_search(spec, self.config(Algorithm.XGB, smote_enabled=False), data)
         assert result.best_mean is None
         assert result.best_params == {"learning_rate": 1e-9}
 
@@ -301,17 +305,14 @@ class TestGridSearch:
             (Algorithm.RNN, {"hidden_size": [4, 0]}, "hidden_size must be in"),
         ):
             with pytest.raises(BadHyperparameter, match=fragment):
-                grid_search(self.grid_spec(grid), algorithm, data)
+                grid_search(self.grid_spec(grid), self.config(algorithm), data)
 
 
 class TestResultsCsv:
     def test_shape_and_header(self):
         data = synth_generate(36, 0.5, seed=2)
-        spec = GridSpec(
-            grid={"n_rounds": [2, 4]}, selection_metric=SelectionMetric.ACCURACY,
-            k=3, seed=5,
-        )
-        result = grid_search(spec, Algorithm.XGB, data)
+        spec = GridSpec(grid={"n_rounds": [2, 4]}, selection_metric=SelectionMetric.ACCURACY, k=3)
+        result = grid_search(spec, RunConfig(Algorithm.XGB, seed=5), data)
         text = results_csv(result)
         lines = text.splitlines()
         assert lines[0] == "model_id,params,fold,accuracy,precision,recall,f1"

@@ -5,16 +5,19 @@ scored with `evaluate` (report CSV) and `predict` (predictions CSV) on a
 second, held-out synthetic dataset. The SHA-256 of each artifact must match
 the digest recorded below; the bundle is hashed with its created_at line
 removed. Any change to a probability, a report cell or a bundle byte shows
-up here.
+up here. The fold-level results CSV of `gridsearch` is pinned the same way,
+so every cross-validation fold's preprocessing, oversampling and fit are
+covered too.
 """
 
 import hashlib
+import json
 import re
 
 import pytest
 
 from cardiolearn.cli import main
-from cardiolearn.dataset import synth_generate, write_csv
+from cardiolearn.dataset import Dataset, RawRecord, synth_generate, write_csv
 
 FAMILY_ARGS = {
     "nb": (),
@@ -86,3 +89,40 @@ def family_digests(tmp_path, algo: str) -> dict:
 @pytest.mark.parametrize("algo", sorted(FAMILY_ARGS))
 def test_artifacts_match_recorded_digests(tmp_path, algo):
     assert family_digests(tmp_path, algo) == DIGESTS[algo]
+
+
+# grid file per family for the gridsearch digests: small fits, one or two candidates
+GRIDS = {
+    "gb": {"n_rounds": [5, 10], "max_depth": [2]},
+    "rnn": {"max_epochs": [4], "hidden_size": [4], "learning_rate": [0.01, 0.05]},
+    "xgb": {"max_depth": [2, 3], "n_rounds": [8]},
+}
+
+# Recorded before cross-validation shared the run's preprocessing step.
+GRIDSEARCH_DIGESTS = {
+    "gb": "8c8486ec6c92bb11ec210b4d3dbb9b7077e1866a91c2aa26de1360000bf34bfa",
+    "rnn": "da0c0de7957a9710fd0da0f5e764f1113d663812b402757fdd8b7da22d06c88c",
+    "xgb": "1de49cf50e4be2fb11f392a7724b3619d8571bea7a94fdc51f207964a12f89b7",
+}
+
+
+def noisy(data: Dataset) -> Dataset:
+    """Every fifth label flipped, so fold metrics depend on every fold's fit."""
+    return Dataset(tuple(RawRecord(r.values, 1 - r.label if i % 5 == 0 else r.label)
+                         for i, r in enumerate(data.records)), source=data.source)
+
+
+def test_gridsearch_results_match_recorded_digests(tmp_path):
+    """Fold-level results CSV of `gridsearch --k 3` on 120 imbalanced, noisy
+    rows, per family."""
+    data = tmp_path / "data.csv"
+    write_csv(noisy(synth_generate(120, 0.35, seed=31)), data)
+    digests = {}
+    for algo, grid in GRIDS.items():
+        grid_path = tmp_path / f"{algo}_grid.json"
+        grid_path.write_text(json.dumps({"grid": grid}), encoding="utf-8")
+        out = tmp_path / f"{algo}_results.csv"
+        assert main(["gridsearch", "--data", str(data), "--algo", algo, "--grid", str(grid_path),
+                     "--k", "3", "--seed", "5", "--out", str(out)]) == 0
+        digests[algo] = _sha256(out.read_bytes())
+    assert digests == GRIDSEARCH_DIGESTS

@@ -47,7 +47,7 @@ def test_resolved_values_take_their_field_types():
     (Algorithm.GB, {"n_rounds": 0}, "n_rounds must be in [1, inf)"),
     (Algorithm.XGB, {"learning_rate": 1.5}, "learning_rate must be in (0, 1]"),
     (Algorithm.XGB, {"reg_lambda": -5}, "reg_lambda must be in [0, inf)"),
-    (Algorithm.RNN, {"hidden_size": 0}, "hidden_size must be in [1, inf)"),
+    (Algorithm.RNN, {"hidden_size": 0}, "hidden_size must be in [1, 1024]"),
     (Algorithm.RNN, {"rms_decay": 1.0}, "rms_decay must be in (0, 1)"),
     (Algorithm.RNN, {"batch_size": 2.5}, "must be an integer"),
     (Algorithm.RNN, {"seed": 3}, "unknown hyperparameter 'seed'"),
