@@ -283,6 +283,19 @@ def csv_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sum_in_order(values):
+    """Left-to-right sum from 0, one rounding per addition.
+
+    The builtin `sum` adds floats with compensated summation from Python
+    3.12 on, so a statistic summed with it would differ between interpreter
+    versions; this loop gives the 3.10/3.11 result everywhere.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def summarize(data: Dataset) -> SummaryReport:
     """Per-column statistics and label balance.
 
@@ -303,8 +316,8 @@ def summarize(data: Dataset) -> SummaryReport:
                 present = [v for v in column if v != spec.missing_sentinel]
                 missing = len(column) - len(present)
             if present:
-                mean = sum(present) / len(present)
-                var = sum((v - mean) ** 2 for v in present) / len(present)
+                mean = sum_in_order(present) / len(present)
+                var = sum_in_order((v - mean) ** 2 for v in present) / len(present)
                 numeric[spec.name] = NumericSummary(
                     count=len(present),
                     missing=missing,

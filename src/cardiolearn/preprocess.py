@@ -275,7 +275,7 @@ def _nearest_neighbours(points: np.ndarray, k: int) -> np.ndarray:
     return neighbours
 
 
-def smote(m: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:
+def smote(m: FeatureMatrix, k: int, seed: int) -> FeatureMatrix:
     """Balance classes by interpolated synthetic minority rows.
 
     Each synthetic row is x + u * (nn - x) with x a minority row (cycled in

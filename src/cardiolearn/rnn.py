@@ -16,6 +16,18 @@ init and epoch shuffles draw from one deterministic generator stream.
 Column order matters: permuting features permutes the sequence and changes
 the model. grad_check verifies the analytic gradients against central
 finite differences for every parameter entry.
+
+One batched forward kernel and one batched BPTT kernel run B rows at once;
+`forward` and `backward` are their B = 1 views, and prediction, the epoch
+losses and the minibatch gradients all call them. Every row gets the same
+bits the per-row recurrence gives, because:
+- each mat-vec product is a stacked matmul, one gemv (or dot) per row, the
+  call `W @ v` makes for a single row;
+- the output sigmoid and clamp run once per row on Python floats, since
+  np.exp may differ from math.exp in the last bit;
+- sums add their terms left to right from a +0.0 start: the per-row
+  gradients over a minibatch in row order, and the per-row losses of an
+  epoch without the builtin `sum`, which compensates from Python 3.12 on.
 """
 
 import math
@@ -25,7 +37,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .boosting import PROB_CLAMP, clamp_probability, sigmoid
-from .dataset import csv_table
+from .dataset import csv_table, sum_in_order
 from .errors import (
     BadHyperparameter,
     DimensionMismatch,
@@ -37,6 +49,8 @@ from .preprocess import FeatureMatrix, feature_batch
 from .rng import SplitMix64
 
 IMPROVEMENT_EPS = 1e-6
+# floats of hidden states and per-row gradients one batch kernel call holds (8 MB)
+_BLOCK_FLOATS = 1 << 20
 _PARAM_FIELDS = ("W_xh", "W_hh", "W_hy", "b_h", "b_y")
 
 
@@ -157,30 +171,81 @@ def as_sequence(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, 1)
 
 
-def _forward_full(params: RNNParams, seq: np.ndarray):
+def _matvec(W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """`W @ v` for every row v of V, as one stacked matmul: (B, n) -> (B, m).
+
+    NumPy runs one gemv (or dot) per stack slice, the same BLAS call that
+    `W @ v` makes for a single row, so every row's product is bit-identical
+    to the per-row one. `V @ W.T` (one gemm), an einsum or a broadcast
+    multiply and sum add the same terms in another order and change bits.
+    """
+    return np.matmul(W, V[:, :, np.newaxis])[:, :, 0]
+
+
+def _forward_batch(params: RNNParams, seqs: np.ndarray):
+    """Run the recurrence on B sequences at once; seqs is (B, T, input_size).
+
+    Returns the hidden states (T+1, B, H) with h_0 = 0, and per-row lists of
+    the raw and the clamped output probabilities.
+    """
+    n_rows, steps, width = seqs.shape
+    if steps == 0:
+        raise EmptySequence("cannot run the network on an empty sequence")
+    if width != params.input_size:
+        raise DimensionMismatch(
+            f"sequence input size {width} != parameter input size {params.input_size}"
+        )
+    hs = np.zeros((steps + 1, n_rows, params.hidden_size))
+    for t in range(steps):
+        hs[t + 1] = np.tanh(
+            _matvec(params.W_xh, seqs[:, t]) + _matvec(params.W_hh, hs[t]) + params.b_h
+        )
+    b_y = float(params.b_y)
+    raw = [sigmoid(z + b_y) for z in _matvec(params.W_hy, hs[steps])[:, 0].tolist()]
+    return hs, raw, [clamp_probability(p) for p in raw]
+
+
+def _backward_batch(params: RNNParams, seqs: np.ndarray, labels: np.ndarray) -> list:
+    """Per-row BPTT gradients of bce for B sequences, in `_PARAM_FIELDS`
+    order: one (B, *shape) array per field. When a row's output probability
+    sits at a clamp boundary its loss is locally flat in the parameters, so
+    all its gradients are exactly +0.0."""
+    hs, raw, prob = _forward_batch(params, seqs)
+    n_rows, steps, _ = seqs.shape
+    dz = np.array(prob) - labels
+    g_W_xh = np.zeros((n_rows,) + params.W_xh.shape)
+    g_W_hh = np.zeros((n_rows,) + params.W_hh.shape)
+    g_b_h = np.zeros((n_rows, params.hidden_size))
+    g_W_hy = dz[:, np.newaxis, np.newaxis] * hs[steps][:, np.newaxis, :]
+    dh = dz[:, np.newaxis] * params.W_hy[0]
+    for t in range(steps, 0, -1):
+        dz_h = (1.0 - hs[t] * hs[t]) * dh
+        # einsum with no summed index rounds each product once, as `*` does, but
+        # may give +0.0 for a -0.0 product: adding onto an accumulator that
+        # starts at +0.0, and so never holds -0.0, makes the two equal
+        g_W_xh += np.einsum("bi,bj->bij", dz_h, seqs[:, t - 1])
+        g_W_hh += np.einsum("bi,bj->bij", dz_h, hs[t - 1])
+        g_b_h += dz_h
+        dh = _matvec(params.W_hh.T, dz_h)
+    grads = [g_W_xh, g_W_hh, g_W_hy, g_b_h, dz]
+    clamped = np.array([r != p for r, p in zip(raw, prob)], dtype=bool)
+    for g in grads:
+        g[clamped] = 0.0
+    return grads
+
+
+def _sequence_batch(seq: np.ndarray) -> np.ndarray:
+    """One (T, input_size) sequence as a batch of one, (1, T, input_size)."""
     seq = np.asarray(seq, dtype=float)
     if seq.ndim != 2:
         raise DimensionMismatch(f"expected a (T, input_size) sequence, got shape {seq.shape}")
-    if seq.shape[0] == 0:
-        raise EmptySequence("cannot run the network on an empty sequence")
-    if seq.shape[1] != params.input_size:
-        raise DimensionMismatch(
-            f"sequence input size {seq.shape[1]} != parameter input size {params.input_size}"
-        )
-    steps = seq.shape[0]
-    hs = np.zeros((steps + 1, params.hidden_size))
-    for t in range(steps):
-        hs[t + 1] = np.tanh(
-            params.W_xh @ seq[t] + params.W_hh @ hs[t] + params.b_h
-        )
-    raw = sigmoid(float((params.W_hy @ hs[steps])[0]) + float(params.b_y))
-    return hs, raw, clamp_probability(raw)
+    return seq[np.newaxis]
 
 
 def forward(params: RNNParams, seq: np.ndarray) -> Tuple[np.ndarray, float]:
     """Run the recurrence; returns (hidden states h_1..h_T, probability)."""
-    hs, _, prob = _forward_full(params, seq)
-    return hs[1:], prob
+    hs, _, prob = _forward_batch(params, _sequence_batch(seq))
+    return hs[1:, 0], prob[0]
 
 
 def bce(p: float, y: float) -> float:
@@ -193,23 +258,8 @@ def backward(params: RNNParams, seq: np.ndarray, y: float) -> RNNParams:
     """Exact gradients of bce(forward(params, seq), y) via backpropagation
     through time. When the output probability sits at a clamp boundary the
     loss is locally flat in the parameters, so all gradients are zero."""
-    hs, raw, prob = _forward_full(params, seq)
-    seq = np.asarray(seq, dtype=float)
-    grads = RNNParams.zeros(params.hidden_size, params.input_size)
-    if raw != prob:
-        return grads
-    dz = prob - y
-    steps = seq.shape[0]
-    grads.W_hy = dz * hs[steps][np.newaxis, :]
-    grads.b_y = np.array(dz)
-    dh = dz * params.W_hy[0]
-    for t in range(steps, 0, -1):
-        dz_h = (1.0 - hs[t] * hs[t]) * dh
-        grads.W_xh += np.outer(dz_h, seq[t - 1])
-        grads.W_hh += np.outer(dz_h, hs[t - 1])
-        grads.b_h += dz_h
-        dh = params.W_hh.T @ dz_h
-    return grads
+    grads = _backward_batch(params, _sequence_batch(seq), np.array([y], dtype=float))
+    return RNNParams(*(g[0, ...] for g in grads))
 
 
 def rmsprop_step(params: RNNParams, caches: RNNParams, grads: RNNParams,
@@ -231,22 +281,53 @@ def rmsprop_step(params: RNNParams, caches: RNNParams, grads: RNNParams,
     return RNNParams(*(p for p, _ in pairs)), RNNParams(*(c for _, c in pairs))
 
 
+def _row_blocks(params: RNNParams, n_rows: int, steps: int) -> list:
+    """Row slices that keep one batch kernel call near _BLOCK_FLOATS floats of
+    hidden states and per-row W_hh gradients, whatever the row count."""
+    per_row = params.hidden_size * (params.hidden_size + steps + 1)
+    size = max(1, _BLOCK_FLOATS // per_row)
+    return [slice(start, start + size) for start in range(0, n_rows, size)]
+
+
+def _probabilities(params: RNNParams, X: np.ndarray) -> list:
+    """Clamped probability per row of X, each row run as its own sequence."""
+    probs = []
+    for block in _row_blocks(params, X.shape[0], X.shape[1]):
+        probs += _forward_batch(params, X[block, :, np.newaxis])[2]
+    return probs
+
+
 def _mean_loss(params: RNNParams, m: FeatureMatrix) -> float:
-    probs = RNNModel(params=params, history=TrainHistory()).predict_proba(m.values)
-    return sum(bce(p, float(y)) for p, y in zip(probs.tolist(), m.labels)) / m.n_rows
+    losses = (bce(p, float(y)) for p, y in zip(_probabilities(params, m.values), m.labels))
+    return sum_in_order(losses) / m.n_rows
+
+
+def _add_rows(total: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """total + G[0] + G[1] + ..., added left to right as a `+=` loop over
+    the rows of G does, so the sum does not depend on how rows are batched."""
+    stacked = np.concatenate([total[np.newaxis], G])
+    if total.size >= 2:
+        # an axis-0 reduce adds whole row slices elementwise, in row order
+        return np.add.reduce(stacked, axis=0)
+    # rows of one element would make that reduce sum pairwise; accumulate
+    # adds in order by definition
+    return np.add.accumulate(stacked, axis=0)[-1, ...]
 
 
 def _batch_grads(params: RNNParams, m: FeatureMatrix, rows) -> RNNParams:
-    acc = RNNParams.zeros(params.hidden_size, params.input_size)
-    totals = acc.arrays()  # updated in place below
-    for r in rows:
-        g = backward(params, as_sequence(m.values[r]), float(m.labels[r]))
-        for total, part in zip(totals, g.arrays()):
-            total += part
+    """Mean of the rows' gradients: each field's per-row gradients are added
+    in row order onto a +0.0 accumulator, then scaled by 1 / len(rows)."""
+    rows = np.asarray(rows)
+    totals = RNNParams.zeros(params.hidden_size, params.input_size).arrays()
+    for block in _row_blocks(params, len(rows), m.n_cols):
+        picked = rows[block]
+        per_row = _backward_batch(params, m.values[picked][:, :, np.newaxis],
+                                  m.labels[picked].astype(float))
+        totals = [_add_rows(total, g) for total, g in zip(totals, per_row)]
     scale = 1.0 / len(rows)
     for total in totals:
         total *= scale
-    return acc
+    return RNNParams(*totals)
 
 
 def train_rnn(train: FeatureMatrix, val: FeatureMatrix,
@@ -332,5 +413,4 @@ class RNNModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probability per row; each row runs as its own sequence."""
-        X = feature_batch(X)
-        return np.array([forward(self.params, as_sequence(row))[1] for row in X], dtype=float)
+        return np.array(_probabilities(self.params, feature_batch(X)), dtype=float)

@@ -243,6 +243,13 @@ class TestSummarize:
         assert stats.missing == 0
         assert stats.minimum == 40.0 and stats.maximum == 60.0
 
+    def test_mean_adds_left_to_right(self):
+        # correctly rounded, as Python 3.12's builtin sum gives, the total is 2.0
+        ages = [1e16, 1.0, -1e16, 1.0]
+        data = make_dataset([({"Age": age}, i % 2) for i, age in enumerate(ages)])
+        assert math.fsum(ages) == 2.0
+        assert summarize(data).numeric["Age"].mean == 0.25
+
     def test_positive_fraction(self):
         data = make_dataset([({}, 1), ({}, 1), ({}, 0), ({}, 1)])
         report = summarize(data)

@@ -126,3 +126,18 @@ def test_gridsearch_results_match_recorded_digests(tmp_path):
                      "--k", "3", "--seed", "5", "--out", str(out)]) == 0
         digests[algo] = _sha256(out.read_bytes())
     assert digests == GRIDSEARCH_DIGESTS
+
+
+# Recorded from the per-row RNN recurrence, before the batched kernels.
+NOISY_COMPARE_DIGEST = "8ec77bbeb4739e84759ea0f45d299dd50429762963a3b3e570da889901ad45af"
+
+
+def test_compare_on_noisy_rows_matches_recorded_digest(tmp_path):
+    """`compare --out` with default settings on 120 imbalanced, noisy rows:
+    no model scores 1.0, so every family's fit and predictions, the default
+    200-epoch RNN's included, reach the digest."""
+    data = tmp_path / "data.csv"
+    write_csv(noisy(synth_generate(120, 0.35, seed=31)), data)
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--data", str(data), "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == NOISY_COMPARE_DIGEST

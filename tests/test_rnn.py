@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import matrix
+from cardiolearn.boosting import clamp_probability, sigmoid
 from cardiolearn.errors import (
     BadHyperparameter,
     DimensionMismatch,
@@ -20,6 +21,10 @@ from cardiolearn.rnn import (
     RNNParams,
     RNNTrainConfig,
     TrainHistory,
+    _add_rows,
+    _batch_grads,
+    _matvec,
+    _mean_loss,
     as_sequence,
     backward,
     bce,
@@ -424,7 +429,10 @@ class TestTrainRnn:
             bce(forward(params, as_sequence(row))[1], float(label))
             for row, label in zip(train.values, train.labels)
         ]
-        assert history.train_losses == [sum(losses) / len(losses)]
+        total = 0.0
+        for loss in losses:
+            total += loss
+        assert history.train_losses == [total / len(losses)]
         assert history.best_epoch == 1
         assert history.stopped_epoch == 1
 
@@ -495,3 +503,148 @@ class TestRNNModel:
         row = np.array([0.3, -1.2, 2.0])
         _, expected = forward(params, as_sequence(row))
         assert model.predict_proba(row[None]).tolist() == [expected]
+
+
+def reference_forward(params: RNNParams, seq: np.ndarray):
+    """One row's recurrence as a plain loop, the reference the batch kernels
+    must match bit for bit: (h_0..h_T, raw, clamped probability)."""
+    hs = np.zeros((seq.shape[0] + 1, params.hidden_size))
+    for t in range(seq.shape[0]):
+        hs[t + 1] = np.tanh(params.W_xh @ seq[t] + params.W_hh @ hs[t] + params.b_h)
+    raw = sigmoid(float((params.W_hy @ hs[-1])[0]) + float(params.b_y))
+    return hs, raw, clamp_probability(raw)
+
+
+def reference_backward(params: RNNParams, seq: np.ndarray, y: float) -> RNNParams:
+    """One row's BPTT as a plain loop, the reference for the batch kernels."""
+    hs, raw, prob = reference_forward(params, seq)
+    grads = RNNParams.zeros(params.hidden_size, params.input_size)
+    if raw != prob:
+        return grads
+    dz = prob - y
+    grads.W_hy = dz * hs[-1][np.newaxis, :]
+    grads.b_y = np.array(dz)
+    dh = dz * params.W_hy[0]
+    for t in range(seq.shape[0], 0, -1):
+        dz_h = (1.0 - hs[t] * hs[t]) * dh
+        grads.W_xh += np.outer(dz_h, seq[t - 1])
+        grads.W_hh += np.outer(dz_h, hs[t - 1])
+        grads.b_h += dz_h
+        dh = params.W_hh.T @ dz_h
+    return grads
+
+
+def assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype == np.float64 and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()  # equal values and equal sign bits
+
+
+def saturating_params(gen: SplitMix64, hidden: int, sign: float) -> RNNParams:
+    """A wide output layer and a bias near the clamp boundary (|z| > 27.6), so
+    some rows' probabilities sit at a clamp bound and others do not."""
+    params = init_params(hidden, 1, 1.0, gen)
+    params.W_hy = params.W_hy * 12.0
+    params.b_y = np.array(sign * 26.0)
+    return params
+
+
+class TestBatchKernels:
+    """The batch kernels against the per-row recurrence, bit for bit. These
+    rest on NumPy running one gemv (or dot) per slice of a stacked matmul, the
+    call `W @ v` makes, and on an axis-0 `np.add.reduce` adding whole row
+    slices in order: a NumPy or BLAS upgrade that breaks either fails here."""
+
+    @pytest.mark.parametrize("hidden", [1, 2, 16, 33])
+    def test_stacked_matmul_equals_per_row_matmul(self, hidden):
+        gen = np.random.default_rng(hidden)
+        W = gen.normal(0.0, 1.0, (hidden, hidden))
+        for weight in (W, W.T, gen.normal(0.0, 1.0, (1, hidden)), gen.normal(0.0, 1.0, (hidden, 1))):
+            for rows in (1, 2, 7, 39):
+                V = gen.normal(0.0, 1.0, (rows, weight.shape[1])) * 10.0 ** gen.integers(-8, 9, (rows, 1))
+                expected = np.array([weight @ v for v in V])
+                assert_same_bits(_matvec(weight, V), expected)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (2,), (16, 1), (16, 16), (33, 33)])
+    def test_add_rows_equals_a_row_loop(self, shape):
+        gen = np.random.default_rng(len(shape) * 100 + sum(shape))
+        for rows in range(1, 40):
+            G = gen.normal(0.0, 1.0, (rows,) + shape) * 10.0 ** gen.integers(-8, 9, (rows,) + shape)
+            G[gen.random(rows) < 0.2] = -0.0
+            total = np.zeros(shape)
+            for part in G:
+                total += part
+            assert_same_bits(_add_rows(np.zeros(shape), G), total)
+
+    @pytest.mark.parametrize("hidden", [1, 2, 16])
+    def test_forward_and_predict_match_the_per_row_recurrence(self, hidden):
+        gen = SplitMix64(hidden)
+        values = np.random.default_rng(hidden).normal(0.0, 2.0, (39, 7))
+        for params in (random_params(gen, hidden, 0.8), saturating_params(gen, hidden, 1.0)):
+            model = RNNModel(params=params, history=TrainHistory())
+            expected = [reference_forward(params, as_sequence(row)) for row in values]
+            assert_same_bits(model.predict_proba(values), [prob for _, _, prob in expected])
+            for row, (hs, _, prob) in zip(values, expected):
+                got_hs, got_prob = forward(params, as_sequence(row))
+                assert_same_bits(got_hs, hs[1:])
+                assert got_prob == prob
+
+    @pytest.mark.parametrize("hidden", [1, 2, 16])
+    def test_batch_grads_equal_per_row_backward_summed_in_order(self, hidden):
+        gen = SplitMix64(40 + hidden)
+        data = np.random.default_rng(hidden)
+        values = data.normal(0.0, 2.0, (60, 6))
+        values[::4, 1:3] = 0.0  # exact zero products, -0.0 among them
+        m = matrix(values, data.integers(0, 2, 60))
+        clamped_batches = 0
+        for trial in range(12):
+            if trial % 3 == 0:
+                params = random_params(gen, hidden, 0.8)
+            else:
+                params = saturating_params(gen, hidden, 1.0 if trial % 2 else -1.0)
+            rows = [int(r) for r in data.choice(60, size=1 + trial * 38 // 11, replace=False)]
+            expected = RNNParams.zeros(hidden, 1)
+            totals = expected.arrays()
+            clamped = 0
+            for r in rows:
+                seq = as_sequence(values[r])
+                _, raw, prob = reference_forward(params, seq)
+                clamped += raw != prob
+                g = reference_backward(params, seq, float(m.labels[r]))
+                for total, part in zip(totals, g.arrays()):
+                    total += part
+            for total in totals:
+                total *= 1.0 / len(rows)
+            got = _batch_grads(params, m, rows)
+            for got_field, expected_field in zip(got.arrays(), totals):
+                assert_same_bits(got_field, expected_field)
+            clamped_batches += 0 < clamped < len(rows)
+        assert clamped_batches >= 3
+
+    @pytest.mark.parametrize("hidden", [1, 16])
+    def test_backward_matches_the_per_row_bptt(self, hidden):
+        gen = SplitMix64(60 + hidden)
+        values = np.random.default_rng(hidden).normal(0.0, 2.0, (20, 5))
+        for params in (random_params(gen, hidden, 0.8), saturating_params(gen, hidden, 1.0)):
+            for i, row in enumerate(values):
+                got = backward(params, as_sequence(row), float(i % 2))
+                expected = reference_backward(params, as_sequence(row), float(i % 2))
+                for got_field, expected_field in zip(got.arrays(), expected.arrays()):
+                    assert_same_bits(got_field, expected_field)
+
+
+class TestMeanLoss:
+    def test_losses_are_added_left_to_right(self):
+        # rows whose in-order sum of losses differs from the correctly rounded
+        # one: the builtin sum from Python 3.12 on would give another value
+        gen = SplitMix64(4)
+        params = random_params(gen, 3, 2.0)
+        data = np.random.default_rng(4)
+        m = matrix(data.normal(0.0, 3.0, (41, 5)), data.integers(0, 2, 41))
+        losses = [bce(forward(params, as_sequence(row))[1], float(y))
+                  for row, y in zip(m.values, m.labels)]
+        total = 0.0
+        for loss in losses:
+            total += loss
+        assert total != math.fsum(losses)
+        assert _mean_loss(params, m) == total / m.n_rows
