@@ -65,6 +65,10 @@ FEATURE_NAMES = tuple(spec.name for spec in SCHEMA)
 NUMERIC_FEATURES = tuple(s.name for s in SCHEMA if s.kind is FeatureKind.NUMERIC)
 CATEGORICAL_FEATURES = tuple(s.name for s in SCHEMA if s.kind is FeatureKind.CATEGORICAL)
 
+# Largest numeric cell magnitude accepted: fitting sums n squared deviations of
+# at most 2e100 each, which stays far below the float limit of 1.8e308.
+CELL_LIMIT = 1e100
+
 
 @dataclass(frozen=True)
 class RawRecord:
@@ -78,8 +82,8 @@ class RawRecord:
             )
         for spec, cell in zip(SCHEMA, self.values):
             if spec.kind is FeatureKind.NUMERIC:
-                if not isinstance(cell, float) or not math.isfinite(cell):
-                    raise SchemaMismatch(f"{spec.name}: numeric cell must be finite, got {cell!r}")
+                if not isinstance(cell, float) or not abs(cell) <= CELL_LIMIT:
+                    raise SchemaMismatch(f"{spec.name}: {cell!r} is not a float in ±{CELL_LIMIT:g}")
             else:
                 if not isinstance(cell, str) or not cell:
                     raise SchemaMismatch(f"{spec.name}: categorical cell must be a non-empty token")
@@ -98,6 +102,11 @@ class Dataset:
     @property
     def labels(self) -> list:
         return [r.label for r in self.records]
+
+    def column(self, name: str) -> list:
+        """The named feature's cells, in record order."""
+        col = FEATURE_NAMES.index(name)
+        return [r.values[col] for r in self.records]
 
     def class_counts(self) -> tuple:
         labels = self.labels
@@ -172,7 +181,7 @@ def _parse_features(row_index, raw_cells, positions):
                 value = float(token)
             except ValueError:
                 raise UnparsableCell(row_index, spec.name, token) from None
-            if not math.isfinite(value):
+            if not abs(value) <= CELL_LIMIT:  # also rejects nan and inf
                 raise UnparsableCell(row_index, spec.name, token)
             values.append(value)
         else:
@@ -306,8 +315,8 @@ def summarize(data: Dataset) -> SummaryReport:
         raise EmptyDataset("cannot summarize an empty dataset")
     numeric = {}
     categorical = {}
-    for col, spec in enumerate(SCHEMA):
-        column = [r.values[col] for r in data.records]
+    for spec in SCHEMA:
+        column = data.column(spec.name)
         if spec.kind is FeatureKind.NUMERIC:
             if spec.missing_sentinel is None:
                 present = column

@@ -21,6 +21,7 @@ import numpy as np
 
 from .bayes import GaussianNBModel
 from .boosting import BoostedEnsemble, TreeNode
+from .dataset import CATEGORICAL_FEATURES, NUMERIC_FEATURES
 from .errors import BadHyperparameter, CorruptBundle, SchemaMismatch, VersionMismatch
 from .evaluation import THRESHOLD_INTERVAL, ConfusionMatrix, EvalReport
 from .hyperparams import within
@@ -107,9 +108,13 @@ def _json(value, kind: type, what: str):
     return value
 
 
-def _table(doc, what: str, entry) -> dict:
-    """`doc`, a JSON object, with each value passed through `entry(value, what name)`."""
-    return {name: entry(value, f"{what} {name}") for name, value in _json(doc, dict, what).items()}
+def _table(doc, what: str, entry, keys) -> dict:
+    """`doc`, a JSON object keyed by exactly `keys`, with each value passed
+    through `entry(value, what name)`; values are checked before the key set."""
+    table = {name: entry(value, f"{what} {name}") for name, value in _json(doc, dict, what).items()}
+    if set(table) != set(keys):
+        raise CorruptBundle(f"{what} keys {reprlib.repr(sorted(table))} are not {list(keys)}")
+    return table
 
 
 def deserialize_preprocessor(doc: dict) -> FittedPreprocessor:
@@ -120,15 +125,22 @@ def deserialize_preprocessor(doc: dict) -> FittedPreprocessor:
         return (_number(stats["mean"], f"{what} mean"),
                 _number(stats["std"], f"{what} std", "[0, inf)"))
 
+    vocab = _table(doc["vocab"], "vocab", tokens, CATEGORICAL_FEATURES)
+    modes = _table(doc["modes"], "modes", lambda mode, what: _json(mode, str, what),
+                   CATEGORICAL_FEATURES)
+    for name, mode in modes.items():
+        if mode not in vocab[name]:
+            raise CorruptBundle(f"modes {name} must be a token of vocab {name}, got {mode!r}")
     return FittedPreprocessor(
-        vocab=_table(doc["vocab"], "vocab", tokens),
-        modes=_table(doc["modes"], "modes", lambda mode, what: _json(mode, str, what)),
-        scale_stats=_table(doc["scale_stats"], "scale_stats", scale),
+        vocab=vocab,
+        modes=modes,
+        scale_stats=_table(doc["scale_stats"], "scale_stats", scale, NUMERIC_FEATURES),
         impute_table={
-            (entry["sex"], entry["decade"]): _table(entry["medians"], "impute_table medians", _number)
+            (entry["sex"], entry["decade"]):
+                _table(entry["medians"], "impute_table medians", _number, NUMERIC_FEATURES)
             for entry in doc["impute_table"]
         },
-        global_medians=_table(doc["global_medians"], "global_medians", _number),
+        global_medians=_table(doc["global_medians"], "global_medians", _number, NUMERIC_FEATURES),
         unseen_policy=UnseenPolicy(doc["unseen_policy"]),
     )
 

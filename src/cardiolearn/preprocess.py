@@ -9,13 +9,16 @@ Fitting learns, from the training partition only:
 * per-numeric-column mean and population standard deviation, computed on
   the imputed values.
 
-Transforming encodes categories, imputes sentinel cells, and standardizes
-numeric columns to (x - mean) / std; constant columns (std = 0) map to 0 and
-encoded category columns are left unscaled.
+Fit and transform share one column-wise imputation pass: a sentinel cell
+takes its cohort's median, or the global median for a cohort the fit never
+saw. Transforming standardizes numeric columns to (x - mean) / std (0 for a
+constant column, std = 0) and encodes categories, unscaled, row by row: the
+first unseen category in reading order (row, then column) is reported.
 """
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +40,8 @@ from .errors import (
 )
 from .rng import SplitMix64
 
-_AGE_COLUMN = FEATURE_NAMES.index("Age")
-_SEX_COLUMN = FEATURE_NAMES.index("Sex")
+_NUMERIC_SPECS = tuple(spec for spec in SCHEMA if spec.kind is FeatureKind.NUMERIC)
+_CATEGORICAL_COLUMNS = tuple((FEATURE_NAMES.index(name), name) for name in CATEGORICAL_FEATURES)
 # rows per distance block in the SMOTE neighbour search
 _NEIGHBOUR_BLOCK = 64
 
@@ -112,9 +115,10 @@ def _median(values: list) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def _cohort_of(record) -> tuple:
-    decade = int(math.floor(record.values[_AGE_COLUMN] / 10.0) * 10)
-    return record.values[_SEX_COLUMN], decade
+def _cohorts(data: Dataset) -> list:
+    """Each record's (Sex token, age decade) imputation cohort, in record order."""
+    decades = [int(math.floor(age / 10.0) * 10) for age in data.column("Age")]
+    return list(zip(data.column("Sex"), decades))
 
 
 def fit(train: Dataset, unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> FittedPreprocessor:
@@ -124,30 +128,22 @@ def fit(train: Dataset, unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> Fit
 
     vocab = {}
     modes = {}
-    for col, spec in enumerate(SCHEMA):
-        if spec.kind is not FeatureKind.CATEGORICAL:
-            continue
-        counts = {}
-        for record in train.records:
-            token = record.values[col]
-            counts[token] = counts.get(token, 0) + 1
-        vocab[spec.name] = tuple(sorted(counts))
-        modes[spec.name] = min(counts, key=lambda t: (-counts[t], t))
+    for name in CATEGORICAL_FEATURES:
+        counts = Counter(train.column(name))
+        vocab[name] = tuple(sorted(counts))
+        modes[name] = min(counts, key=lambda t: (-counts[t], t))
 
     # sentinel cells become missing before any median is taken
-    cohort_values = {}
+    cohorts = _cohorts(train)
+    cohort_values = {
+        cohort: {name: [] for name in NUMERIC_FEATURES} for cohort in dict.fromkeys(cohorts)
+    }
     global_values = {name: [] for name in NUMERIC_FEATURES}
-    for record in train.records:
-        cohort = _cohort_of(record)
-        per_feature = cohort_values.setdefault(cohort, {name: [] for name in NUMERIC_FEATURES})
-        for col, spec in enumerate(SCHEMA):
-            if spec.kind is not FeatureKind.NUMERIC:
-                continue
-            value = record.values[col]
-            if spec.missing_sentinel is not None and value == spec.missing_sentinel:
-                continue
-            per_feature[spec.name].append(value)
-            global_values[spec.name].append(value)
+    for spec in _NUMERIC_SPECS:
+        for cohort, value in zip(cohorts, train.column(spec.name)):
+            if value != spec.missing_sentinel:  # a None sentinel matches no cell
+                cohort_values[cohort][spec.name].append(value)
+                global_values[spec.name].append(value)
 
     global_medians = {
         name: _median(values) if values else 0.0
@@ -161,18 +157,8 @@ def fit(train: Dataset, unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> Fit
         for cohort, per_feature in cohort_values.items()
     }
 
-    partial = FittedPreprocessor(
-        vocab=vocab,
-        modes=modes,
-        scale_stats={name: (0.0, 1.0) for name in NUMERIC_FEATURES},
-        impute_table=impute_table,
-        global_medians=global_medians,
-        unseen_policy=unseen_policy,
-    )
-    imputed = _imputed_numeric_columns(partial, train)
     scale_stats = {}
-    for name in NUMERIC_FEATURES:
-        column = imputed[name]
+    for name, column in _imputed_columns(train, impute_table, global_medians).items():
         mean = float(np.mean(column))
         std = float(np.sqrt(np.mean((column - mean) ** 2)))
         scale_stats[name] = (mean, std)
@@ -186,45 +172,36 @@ def fit(train: Dataset, unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> Fit
     )
 
 
-def _impute_value(fp: FittedPreprocessor, record, spec, value: float) -> float:
-    if spec.missing_sentinel is None or value != spec.missing_sentinel:
-        return value
-    cohort = _cohort_of(record)
-    table = fp.impute_table.get(cohort)
-    if table is not None:
-        return table[spec.name]
-    return fp.global_medians[spec.name]
-
-
-def _imputed_numeric_columns(fp: FittedPreprocessor, data: Dataset) -> dict:
-    columns = {name: np.empty(len(data)) for name in NUMERIC_FEATURES}
-    for row, record in enumerate(data.records):
-        for col, spec in enumerate(SCHEMA):
-            if spec.kind is not FeatureKind.NUMERIC:
-                continue
-            columns[spec.name][row] = _impute_value(fp, record, spec, record.values[col])
+def _imputed_columns(data: Dataset, impute_table: dict, global_medians: dict) -> dict:
+    """Numeric columns as float arrays, each sentinel cell replaced by its
+    cohort's median (the global median for a cohort not in `impute_table`)."""
+    cohorts = _cohorts(data)
+    columns = {}
+    for spec in _NUMERIC_SPECS:
+        column = np.array(data.column(spec.name), dtype=float)
+        if spec.missing_sentinel is not None:
+            for row in np.flatnonzero(column == spec.missing_sentinel):
+                column[row] = impute_table.get(cohorts[row], global_medians)[spec.name]
+        columns[spec.name] = column
     return columns
 
 
 def transform(fp: FittedPreprocessor, data: Dataset) -> FeatureMatrix:
     """Encode, impute, and scale a dataset with previously fitted state."""
-    n = len(data)
-    matrix = np.empty((n, len(SCHEMA)))
+    matrix = np.empty((len(data), len(SCHEMA)))
     for row, record in enumerate(data.records):
-        for col, spec in enumerate(SCHEMA):
+        for col, name in _CATEGORICAL_COLUMNS:
             value = record.values[col]
-            if spec.kind is FeatureKind.CATEGORICAL:
-                tokens = fp.vocab[spec.name]
-                if value in tokens:
-                    matrix[row, col] = tokens.index(value)
-                elif fp.unseen_policy is UnseenPolicy.MAP_TO_MODE:
-                    matrix[row, col] = tokens.index(fp.modes[spec.name])
-                else:
-                    raise UnseenCategory(spec.name, value)
+            tokens = fp.vocab[name]
+            if value in tokens:
+                matrix[row, col] = tokens.index(value)
+            elif fp.unseen_policy is UnseenPolicy.MAP_TO_MODE:
+                matrix[row, col] = tokens.index(fp.modes[name])
             else:
-                imputed = _impute_value(fp, record, spec, value)
-                mean, std = fp.scale_stats[spec.name]
-                matrix[row, col] = 0.0 if std == 0.0 else (imputed - mean) / std
+                raise UnseenCategory(name, value)
+    for name, column in _imputed_columns(data, fp.impute_table, fp.global_medians).items():
+        mean, std = fp.scale_stats[name]
+        matrix[:, FEATURE_NAMES.index(name)] = 0.0 if std == 0.0 else (column - mean) / std
     return FeatureMatrix(
         values=matrix,
         labels=np.array(data.labels, dtype=np.int64),

@@ -82,6 +82,55 @@ class TestErrorCodes:
         assert code == 6
         assert capsys.readouterr().err.startswith("E_DATA UnparsableCell:")
 
+    @staticmethod
+    def _csv_with_cells(source, path, cells):
+        """A copy of the CSV at `source`, with {(data row, column name): text} replaced."""
+        rows = [line.split(",") for line in open(source, encoding="utf-8").read().splitlines()]
+        for (row, column), text in cells.items():
+            rows[1 + row][rows[0].index(column)] = text
+        path.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+        return str(path)
+
+    def test_train_on_cell_beyond_limit_is_data_error(self, tmp_path, data_csv, capsys):
+        huge = self._csv_with_cells(data_csv, tmp_path / "huge.csv", {(7, "Cholesterol"): "1e160"})
+        out_path = tmp_path / "model.json"
+        code = main(["train", "--data", huge, "--algo", "nb", "--out", str(out_path)])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.startswith("E_DATA UnparsableCell: row 7, column 'Cholesterol'")
+        assert len(err.splitlines()) == 1
+        assert not out_path.exists()
+
+    def test_predict_on_cell_beyond_limit_is_data_error(self, tmp_path, data_csv, capsys):
+        bundle_path = train_bundle(tmp_path, data_csv)
+        unlabeled = unlabeled_from(data_csv, tmp_path / "unlabeled.csv", n_rows=5)
+        huge = self._csv_with_cells(unlabeled, tmp_path / "huge.csv", {(2, "Cholesterol"): "1e160"})
+        capsys.readouterr()
+        out_path = tmp_path / "preds.csv"
+        code = main(["predict", "--bundle", bundle_path, "--data", huge, "--out", str(out_path)])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.startswith("E_DATA UnparsableCell: row 2, column 'Cholesterol'")
+        assert len(err.splitlines()) == 1
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("algo", ["gb", "nb", "rnn", "xgb"])
+    def test_cells_at_limit_train_and_predict(self, tmp_path, data_csv, capsys, algo):
+        """Cells at exactly ±1e100 fit and score with no overflow (a RuntimeWarning
+        fails the test) and no nan probability."""
+        at_limit = {(3, "Cholesterol"): "1e100", (4, "MaxHR"): "-1e100",
+                    (5, "RestingBP"): "1e100"}
+        data = self._csv_with_cells(data_csv, tmp_path / "limit.csv", at_limit)
+        bundle_path = train_bundle(tmp_path, data, algo, extra=self._QUICK_FIT[algo])
+        unlabeled = unlabeled_from(data, tmp_path / "unlabeled.csv", n_rows=8)
+        out_path = tmp_path / "preds.csv"
+        code = main(["predict", "--bundle", bundle_path, "--data", unlabeled,
+                     "--out", str(out_path)])
+        assert code == 0 and capsys.readouterr().err == ""
+        probabilities = [float(line.split(",")[1])
+                         for line in out_path.read_text(encoding="utf-8").splitlines()[1:]]
+        assert len(probabilities) == 8 and all(0.0 <= p <= 1.0 for p in probabilities)
+
     def test_single_class_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "single.csv"
         write_csv(make_dataset([({"Age": 40 + i}, 1) for i in range(6)]), path)
@@ -349,6 +398,53 @@ class TestErrorCodes:
             tmp_path, data_csv, edit, part="preprocessor", algo="nb", command="evaluate"
         )
         self._assert_one_corrupt_bundle_line(code, out_path, capsys, fragment)
+
+    _DELETE = object()
+    _SWAPS = (None, True, "zz", [], {})
+
+    @classmethod
+    def _mutations(cls, doc, path=()):
+        """(path, replacement) for each key or list element at any depth of
+        `doc`: deleted (`_DELETE`), then swapped for each of `_SWAPS`."""
+        children = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, child in children:
+            for replacement in (cls._DELETE,) + cls._SWAPS:
+                yield path + (key,), replacement
+            if isinstance(child, (dict, list)):
+                yield from cls._mutations(child, path + (key,))
+
+    def test_mutated_preprocessor_fails_with_one_line(self, tmp_path, capsys):
+        """Every structural mutation of an rnn bundle's preprocessor section
+        either scores or fails with one `E_` line, never a traceback."""
+        data = tmp_path / "data.csv"
+        write_csv(synth_generate(30, 0.5, seed=8), data)
+        bundle_path = train_bundle(tmp_path, str(data), "rnn", extra=(
+            "--param", "max_epochs=1", "--param", "hidden_size=2", "--smote-k", "2",
+            "--unseen-policy", "map_to_mode"))
+        text = open(bundle_path, encoding="utf-8").read()
+        unlabeled = self._csv_with_cells(  # an unseen category and two missing readings
+            unlabeled_from(str(data), tmp_path / "unlabeled.csv", n_rows=4), tmp_path / "probe.csv",
+            {(0, "ChestPainType"): "XX", (1, "RestingBP"): "0", (1, "Cholesterol"): "0"})
+        edited, out_path = tmp_path / "edited.json", tmp_path / "preds.csv"
+        capsys.readouterr()
+        runs = 0
+        for path, replacement in self._mutations(json.loads(text)["preprocessor"]):
+            doc = json.loads(text)
+            parent = doc["preprocessor"]
+            for key in path[:-1]:
+                parent = parent[key]
+            if replacement is self._DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = replacement
+            edited.write_text(json.dumps(doc), encoding="utf-8")
+            code = main(["predict", "--bundle", str(edited), "--data", unlabeled,
+                         "--out", str(out_path)])
+            err = capsys.readouterr().err
+            if code != 0:
+                assert err.startswith("E_") and len(err.splitlines()) == 1, (path, replacement)
+            runs += 1
+        assert runs > 300
 
     def test_deeply_nested_bundle_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
         bundle_path = train_bundle(tmp_path, data_csv, "gb", extra=self._QUICK_FIT["gb"])

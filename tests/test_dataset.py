@@ -83,6 +83,9 @@ class TestRawRecord:
             make_record(Age=float("nan"))
         with pytest.raises(SchemaMismatch):
             make_record(Oldpeak=float("inf"))
+        with pytest.raises(SchemaMismatch, match="MaxHR"):
+            make_record(MaxHR=-1.5e100)
+        assert make_record(MaxHR=-1e100).values[FEATURE_NAMES.index("MaxHR")] == -1e100
 
     def test_empty_categorical_token(self):
         with pytest.raises(SchemaMismatch):
@@ -138,6 +141,15 @@ class TestLoadCsv:
             load_csv(path)
         message = str(exc.value)
         assert "Age" in message and "abc" in message
+
+    @pytest.mark.parametrize("cell, column", [("1e101", "Cholesterol"), ("-1e160", "Oldpeak")])
+    def test_numeric_cell_beyond_limit(self, tmp_path, cell, column):
+        cells = ROW_B.split(",")
+        cells[FEATURE_NAMES.index(column)] = cell
+        path = write_text(tmp_path / "d.csv", f"{HEADER}\n{ROW_A}\n{','.join(cells)}\n")
+        with pytest.raises(UnparsableCell) as exc:
+            load_csv(path)
+        assert (exc.value.row, exc.value.column, exc.value.content) == (1, column, cell)
 
     def test_label_must_be_binary(self, tmp_path):
         row = ROW_A[:-1] + "2"

@@ -17,7 +17,7 @@ import re
 import pytest
 
 from cardiolearn.cli import main
-from cardiolearn.dataset import Dataset, RawRecord, synth_generate, write_csv
+from cardiolearn.dataset import FEATURE_NAMES, Dataset, RawRecord, synth_generate, write_csv
 
 FAMILY_ARGS = {
     "nb": (),
@@ -141,3 +141,71 @@ def test_compare_on_noisy_rows_matches_recorded_digest(tmp_path):
     out = tmp_path / "compare.csv"
     assert main(["compare", "--data", str(data), "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == NOISY_COMPARE_DIGEST
+
+
+def sentinels(data: Dataset, aged: bool = True) -> Dataset:
+    """Every 6th Cholesterol and every 9th RestingBP set to the missing-value
+    sentinel 0; with `aged`, every 23rd Age set to 97-99, a decade no
+    un-aged synthetic row reaches."""
+    chol, bp, age = (FEATURE_NAMES.index(name) for name in ("Cholesterol", "RestingBP", "Age"))
+    records = []
+    for i, record in enumerate(data.records):
+        values = list(record.values)
+        if i % 6 == 0:
+            values[chol] = 0.0
+        if i % 9 == 0:
+            values[bp] = 0.0
+        if aged and i % 23 == 0:
+            values[age] = 97.0 + (i // 23) % 3
+        records.append(RawRecord(tuple(values), record.label))
+    return Dataset(tuple(records), source=data.source)
+
+
+# Recorded from the per-cell imputation code, before the column passes.
+SENTINEL_DIGESTS = {
+    "matrix": "39408c60cea23d511370987eed6e59f88d47c1cb36e62fcf9eef6840e4168406",
+    "bundle": "00c73bacb7f19b1b36e269e276f5657980416da9875f4054256e339e8ee8d94b",
+    "report": "2b5d2cd16f9f44ce4411bc48da725d4b1e0b77921d3e739a660952088384dde6",
+    "predictions": "566c164acd038d5740fcb63951d5ac95f3ac467f834d546d38830da400c1d174",
+}
+
+
+def test_imputed_artifacts_match_recorded_digests(tmp_path):
+    """Missing readings reach every artifact: `preprocess --out` fits and
+    transforms sentinel rows in a seen 90s cohort; an nb bundle fitted
+    without that cohort scores rows holding it, and an unseen ST_Slope
+    token, under `map_to_mode`."""
+    train_csv = tmp_path / "train.csv"
+    aged_csv = tmp_path / "aged.csv"
+    scored_csv = tmp_path / "scored.csv"
+    write_csv(sentinels(synth_generate(300, 0.45, seed=41), aged=False), train_csv)
+    write_csv(sentinels(synth_generate(300, 0.45, seed=41)), aged_csv)
+    scored = sentinels(synth_generate(120, 0.5, seed=42))
+    slope = FEATURE_NAMES.index("ST_Slope")
+    steep = scored.records[4]
+    write_csv(Dataset(scored.records[:4] + (RawRecord(
+        steep.values[:slope] + ("Steep",) + steep.values[slope + 1:], steep.label),)
+        + scored.records[5:]), scored_csv)
+    lines = scored_csv.read_text(encoding="utf-8").splitlines()
+    unlabeled_csv = tmp_path / "unlabeled.csv"
+    unlabeled_csv.write_text(
+        "\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n", encoding="utf-8"
+    )
+    matrix, bundle = tmp_path / "matrix.csv", tmp_path / "model.json"
+    report, predictions = tmp_path / "report.csv", tmp_path / "predictions.csv"
+    assert main(["preprocess", "--data", str(aged_csv), "--seed", "17",
+                 "--out", str(matrix)]) == 0
+    assert main(["train", "--data", str(train_csv), "--algo", "nb", "--seed", "17",
+                 "--unseen-policy", "map_to_mode", "--out", str(bundle)]) == 0
+    assert main(["evaluate", "--bundle", str(bundle), "--data", str(scored_csv),
+                 "--out", str(report)]) == 0
+    assert main(["predict", "--bundle", str(bundle), "--data", str(unlabeled_csv),
+                 "--out", str(predictions)]) == 0
+    bundle_bytes, stamps = _CREATED_AT.subn(b"", bundle.read_bytes())
+    assert stamps == 1
+    assert {
+        "matrix": _sha256(matrix.read_bytes()),
+        "bundle": _sha256(bundle_bytes),
+        "report": _sha256(report.read_bytes()),
+        "predictions": _sha256(predictions.read_bytes()),
+    } == SENTINEL_DIGESTS

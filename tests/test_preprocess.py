@@ -186,6 +186,14 @@ class TestTransform:
         with pytest.raises(UnseenCategory, match="ST_Slope"):
             transform(fp, probe)
 
+    def test_first_unseen_cell_in_reading_order_is_reported(self):
+        # row 0's ST_Slope comes before row 1's Sex, though Sex is the earlier column
+        train = make_dataset([({"ST_Slope": "Up"}, 0), ({"ST_Slope": "Flat"}, 1)])
+        probe = make_dataset([({"ST_Slope": "Down"}, 0), ({"Sex": "X"}, 1)])
+        with pytest.raises(UnseenCategory) as caught:
+            transform(fit(train), probe)
+        assert (caught.value.feature, caught.value.token) == ("ST_Slope", "Down")
+
     def test_unseen_category_mode_policy(self):
         train = make_dataset([
             ({"ST_Slope": "Up"}, 0),
