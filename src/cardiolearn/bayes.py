@@ -8,12 +8,16 @@ so constant features keep finite log densities.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingleClassDataset
 from .preprocess import FeatureMatrix, feature_batch
+
+# the largest variance whose 2 * pi * var, inside the log density, is finite
+MAX_VARIANCE = sys.float_info.max / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)

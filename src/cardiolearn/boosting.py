@@ -13,8 +13,15 @@ lambda and gamma; first-order mode runs the identical machinery with both
 pinned to zero, so the two modes differ exactly by regularization.
 
 Split search is exhaustive: every feature, every midpoint between
-consecutive distinct sorted values. Equal gains keep the lowest feature
-index, then the lowest threshold, so fits are fully deterministic.
+consecutive distinct sorted values. It runs on a column block (Chen &
+Guestrin 2016, section 4.1): each column of a FeatureMatrix is stably
+sorted once (`FeatureMatrix.column_order`), and each node holds its rows'
+(d, m) slice of that order, which a split divides by a stable filter, so
+every column stays in (value, row) order. A node scores all d * (m - 1) cuts
+at once from prefix sums of g and h, which add one row at a time in that
+order. Node totals G and H are sums over the node's rows in ascending row
+order. Equal gains keep the lowest feature index, then the lowest threshold,
+so fits are fully deterministic.
 """
 
 import enum
@@ -163,61 +170,67 @@ def _leaf(g_sum: float, h_sum: float, reg_lambda: float) -> TreeNode:
     return TreeNode(weight=-g_sum / (h_sum + reg_lambda))
 
 
-def _best_split(values, g, h, rows, params):
-    """Exhaustive (feature, midpoint) search; None when no positive gain."""
-    g_sum = float(g[rows].sum())
-    h_sum = float(h[rows].sum())
+def _best_split(values, g, h, order, g_sum, h_sum, params):
+    """Exhaustive (feature, midpoint) search over a node's (d, m) block of
+    presorted row positions; None when no cut has positive gain.
+
+    Column f's cut i sits between its i-th and (i+1)-th sorted rows. The
+    left sums GL, HL of every cut are prefix sums of g and h in that order,
+    added one row at a time as a running sum would. Gains of all d * (m - 1)
+    cuts are scored at once; a cut between equal values, whose midpoint
+    collapses onto the left value, or that leaves either side below
+    min_child_weight cannot win, and may divide zero by zero on the way.
+    """
     parent_score = g_sum * g_sum / (h_sum + params.reg_lambda)
-    best = None
-    best_gain = 0.0
-    for feature in range(values.shape[1]):
-        col = values[rows, feature]
-        order = np.argsort(col, kind="stable")
-        sorted_rows = rows[order]
-        sorted_vals = col[order]
-        gl = 0.0
-        hl = 0.0
-        for i in range(1, len(sorted_rows)):
-            gl += float(g[sorted_rows[i - 1]])
-            hl += float(h[sorted_rows[i - 1]])
-            if sorted_vals[i - 1] == sorted_vals[i]:
-                continue
-            threshold = (sorted_vals[i - 1] + sorted_vals[i]) / 2.0
-            if not sorted_vals[i - 1] < threshold <= sorted_vals[i]:
-                continue  # midpoint collapsed onto the left value in float
-            hr = h_sum - hl
-            if hl < params.min_child_weight or hr < params.min_child_weight:
-                continue
-            gr = g_sum - gl
-            gain = 0.5 * (
-                gl * gl / (hl + params.reg_lambda)
-                + gr * gr / (hr + params.reg_lambda)
-                - parent_score
-            ) - params.gamma
-            if gain > best_gain:
-                best_gain = gain
-                best = (feature, threshold, gain)
-    return best
+    sorted_values = np.take_along_axis(values.T, order, axis=1)
+    lo, hi = sorted_values[:, :-1], sorted_values[:, 1:]
+    gl = np.cumsum(g[order[:, :-1]], axis=1)
+    hl = np.cumsum(h[order[:, :-1]], axis=1)
+    with np.errstate(all="ignore"):
+        threshold = (lo + hi) / 2.0
+        hr = h_sum - hl
+        gr = g_sum - gl
+        gain = 0.5 * (
+            gl * gl / (hl + params.reg_lambda)
+            + gr * gr / (hr + params.reg_lambda)
+            - parent_score
+        ) - params.gamma
+        # lo < threshold <= hi also rules out a cut between equal values
+        valid = ((lo < threshold) & (threshold <= hi)
+                 & (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
+                 & (gain > 0.0))
+    if not valid.any():
+        return None
+    # the first maximum in feature-major order: the lowest feature, then the
+    # lowest threshold, as a scan keeping only strictly greater gains finds
+    best = int(np.argmax(np.where(valid, gain, -np.inf)))
+    feature, cut = divmod(best, order.shape[1] - 1)
+    return feature, threshold[feature, cut], float(gain[feature, cut])
 
 
-def _build_node(values, g, h, rows, params, depth):
+def _build_node(values, g, h, rows, order, params, depth):
+    """Node over ascending `rows`, whose (d, m) block `order` lists the same
+    rows once per column in that column's (value, row) order."""
     g_sum = float(g[rows].sum())
     h_sum = float(h[rows].sum())
     if depth >= params.max_depth or len(rows) < 2:
         return _leaf(g_sum, h_sum, params.reg_lambda)
-    split = _best_split(values, g, h, rows, params)
+    split = _best_split(values, g, h, order, g_sum, h_sum, params)
     if split is None:
         return _leaf(g_sum, h_sum, params.reg_lambda)
     feature, threshold, gain = split
-    mask = values[rows, feature] < threshold
-    left_rows = rows[mask]
-    right_rows = rows[~mask]
+    goes_left = values[:, feature] < threshold
+    # a stable filter keeps each column's (value, row) order in both children
+    left = goes_left[order]
+    d = order.shape[0]
     return TreeNode(
         feature=feature,
         threshold=threshold,
         gain=gain,
-        left=_build_node(values, g, h, left_rows, params, depth + 1),
-        right=_build_node(values, g, h, right_rows, params, depth + 1),
+        left=_build_node(values, g, h, rows[goes_left[rows]], order[left].reshape(d, -1),
+                         params, depth + 1),
+        right=_build_node(values, g, h, rows[~goes_left[rows]], order[~left].reshape(d, -1),
+                          params, depth + 1),
     )
 
 
@@ -226,7 +239,7 @@ def fit_tree(m: FeatureMatrix, gh: GradHess, params: TreeParams) -> TreeNode:
     if m.n_rows == 0:
         raise EmptyNode("cannot fit a tree on zero rows")
     rows = np.arange(m.n_rows)
-    return _build_node(m.values, gh.g, gh.h, rows, params, depth=0)
+    return _build_node(m.values, gh.g, gh.h, rows, m.column_order, params, depth=0)
 
 
 def fit_boosted(m: FeatureMatrix, config: BoostConfig) -> BoostedEnsemble:

@@ -98,6 +98,10 @@ class MinorityTooSmall(CardioLearnError):
     code = "E_DATA"
 
 
+class NonFiniteFeature(CardioLearnError):
+    code = "E_DATA"
+
+
 # --- models -----------------------------------------------------------------
 
 class DimensionMismatch(CardioLearnError):

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bayes import GaussianNBModel
+from .bayes import MAX_VARIANCE, GaussianNBModel
 from .boosting import BoostedEnsemble, TreeNode
 from .dataset import CATEGORICAL_FEATURES, NUMERIC_FEATURES
 from .errors import BadHyperparameter, CorruptBundle, SchemaMismatch, VersionMismatch
@@ -121,6 +121,13 @@ def deserialize_preprocessor(doc: dict) -> FittedPreprocessor:
     def tokens(value, what):
         return tuple(_json(token, str, f"{what} token") for token in _json(value, list, what))
 
+    def cohort(entry):
+        decade = entry["decade"]
+        if isinstance(decade, bool) or not isinstance(decade, int):
+            raise CorruptBundle(
+                f"impute_table decade must be an integer, got {reprlib.repr(decade)}")
+        return _json(entry["sex"], str, "impute_table sex"), decade
+
     def scale(stats, what):
         return (_number(stats["mean"], f"{what} mean"),
                 _number(stats["std"], f"{what} std", "[0, inf)"))
@@ -136,7 +143,7 @@ def deserialize_preprocessor(doc: dict) -> FittedPreprocessor:
         modes=modes,
         scale_stats=_table(doc["scale_stats"], "scale_stats", scale, NUMERIC_FEATURES),
         impute_table={
-            (entry["sex"], entry["decade"]):
+            cohort(entry):
                 _table(entry["medians"], "impute_table medians", _number, NUMERIC_FEATURES)
             for entry in doc["impute_table"]
         },
@@ -227,8 +234,10 @@ def deserialize_model(algorithm: Algorithm, doc: dict):
     if algorithm is Algorithm.NB:
         priors = _deserialize_array(doc["priors"], (2,), "nb priors", "(0, 1]")
         means = _deserialize_array(doc["means"], (2, None), "nb means")
-        variances = _deserialize_array(doc["variances"], means.shape, "nb variances", "(0, inf)")
-        var_floor = _number(doc["var_floor"], "nb var_floor", "(0, inf)")
+        var_floor = _number(doc["var_floor"], "nb var_floor", f"(0, {MAX_VARIANCE!r}]")
+        # fitting clamps every variance to at least var_floor
+        variances = _deserialize_array(doc["variances"], means.shape, "nb variances",
+                                       f"[{var_floor!r}, {MAX_VARIANCE!r}]")
         return GaussianNBModel(priors=priors, means=means, variances=variances, var_floor=var_floor)
     if algorithm in (Algorithm.GB, Algorithm.XGB):
         for name, value in FAMILY_CONFIGS[algorithm][1].items():

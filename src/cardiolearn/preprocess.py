@@ -12,14 +12,16 @@ Fitting learns, from the training partition only:
 Fit and transform share one column-wise imputation pass: a sentinel cell
 takes its cohort's median, or the global median for a cohort the fit never
 saw. Transforming standardizes numeric columns to (x - mean) / std (0 for a
-constant column, std = 0) and encodes categories, unscaled, row by row: the
-first unseen category in reading order (row, then column) is reported.
+constant column, std = 0; a value that overflows is an error) and encodes
+categories, unscaled, row by row: the first unseen category in reading order
+(row, then column) is reported.
 """
 
 import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .errors import (
     EmptyDataset,
     KTooLarge,
     MinorityTooSmall,
+    NonFiniteFeature,
     UnseenCategory,
 )
 from .rng import SplitMix64
@@ -84,6 +87,12 @@ class FeatureMatrix:
     @property
     def n_cols(self) -> int:
         return self.values.shape[1]
+
+    @cached_property
+    def column_order(self) -> np.ndarray:
+        """(d, n) row positions of each column in ascending (value, row)
+        order: sorted once, then shared by every tree fitted to this matrix."""
+        return np.ascontiguousarray(np.argsort(self.values, axis=0, kind="stable").T)
 
 
 @dataclass(frozen=True)
@@ -201,7 +210,15 @@ def transform(fp: FittedPreprocessor, data: Dataset) -> FeatureMatrix:
                 raise UnseenCategory(name, value)
     for name, column in _imputed_columns(data, fp.impute_table, fp.global_medians).items():
         mean, std = fp.scale_stats[name]
-        matrix[:, FEATURE_NAMES.index(name)] = 0.0 if std == 0.0 else (column - mean) / std
+        # a fitted std is 0 or at least sqrt(5e-324), so only a bundle's
+        # stats can overflow on cells within CELL_LIMIT
+        with np.errstate(over="ignore"):
+            scaled = 0.0 if std == 0.0 else (column - mean) / std
+        if not np.all(np.isfinite(scaled)):
+            raise NonFiniteFeature(
+                f"feature {name!r}: scaling by mean {mean!r} and std {std!r} overflows"
+            )
+        matrix[:, FEATURE_NAMES.index(name)] = scaled
     return FeatureMatrix(
         values=matrix,
         labels=np.array(data.labels, dtype=np.int64),

@@ -1,11 +1,13 @@
 """Gradient-boosted trees: splits, leaf weights, training, and prediction."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from conftest import matrix
+from cardiolearn import preprocess
 from cardiolearn.boosting import (
     BoostConfig,
     BoostedEnsemble,
@@ -19,6 +21,7 @@ from cardiolearn.boosting import (
     log_loss,
     sigmoid,
 )
+from cardiolearn.dataset import synth_generate
 from cardiolearn.errors import (
     BadHyperparameter,
     DimensionMismatch,
@@ -242,6 +245,185 @@ class TestTreeFitting:
             best = objective(rows, leaf.weight)
             assert objective(rows, leaf.weight + 1e-3) > best
             assert objective(rows, leaf.weight - 1e-3) > best
+
+
+def reference_best_split(values, g, h, rows, params):
+    """The per-row split scan the presorted search replaced, kept as the
+    reference it must match bit for bit: each node re-sorts every column and
+    adds g and h one row at a time."""
+    g_sum = float(g[rows].sum())
+    h_sum = float(h[rows].sum())
+    parent_score = g_sum * g_sum / (h_sum + params.reg_lambda)
+    best = None
+    best_gain = 0.0
+    for feature in range(values.shape[1]):
+        col = values[rows, feature]
+        order = np.argsort(col, kind="stable")
+        sorted_rows = rows[order]
+        sorted_vals = col[order]
+        gl = 0.0
+        hl = 0.0
+        for i in range(1, len(sorted_rows)):
+            gl += float(g[sorted_rows[i - 1]])
+            hl += float(h[sorted_rows[i - 1]])
+            if sorted_vals[i - 1] == sorted_vals[i]:
+                continue
+            threshold = (sorted_vals[i - 1] + sorted_vals[i]) / 2.0
+            if not sorted_vals[i - 1] < threshold <= sorted_vals[i]:
+                continue
+            hr = h_sum - hl
+            if hl < params.min_child_weight or hr < params.min_child_weight:
+                continue
+            gr = g_sum - gl
+            gain = 0.5 * (
+                gl * gl / (hl + params.reg_lambda)
+                + gr * gr / (hr + params.reg_lambda)
+                - parent_score
+            ) - params.gamma
+            if gain > best_gain:
+                best_gain = gain
+                best = (feature, threshold, gain)
+    return best
+
+
+def reference_build_node(values, g, h, rows, params, depth):
+    g_sum = float(g[rows].sum())
+    h_sum = float(h[rows].sum())
+    split = None
+    if depth < params.max_depth and len(rows) >= 2:
+        split = reference_best_split(values, g, h, rows, params)
+    if split is None:
+        return TreeNode(weight=-g_sum / (h_sum + params.reg_lambda))
+    feature, threshold, gain = split
+    mask = values[rows, feature] < threshold
+    return TreeNode(
+        feature=feature,
+        threshold=threshold,
+        gain=gain,
+        left=reference_build_node(values, g, h, rows[mask], params, depth + 1),
+        right=reference_build_node(values, g, h, rows[~mask], params, depth + 1),
+    )
+
+
+def tree_bits(node):
+    """Every node's (feature, threshold, weight, gain) in pre-order, each
+    float as its IEEE bytes, so sign bits and last digits count."""
+    floats = (node.threshold, node.weight, node.gain)
+    bits = [(node.feature, *(struct.pack("<d", v) for v in floats))]
+    if not node.is_leaf:
+        bits += tree_bits(node.left) + tree_bits(node.right)
+    return bits
+
+
+def assert_tree_matches_reference(m, gh, params):
+    tree = fit_tree(m, gh, params)
+    expected = reference_build_node(m.values, gh.g, gh.h, np.arange(m.n_rows), params, 0)
+    assert tree_bits(tree) == tree_bits(expected)
+    return tree
+
+
+def encoded_rows(n, seed):
+    """The first n rows of a 918-row synthetic dataset, encoded and scaled."""
+    data = synth_generate(918, 0.55, seed)
+    m = preprocess.transform(preprocess.fit(data), data)
+    return matrix(m.values[:n], m.labels[:n])
+
+
+class TestPresortedSplitSearch:
+    """fit_tree against the per-row reference scan: equal trees, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 300, 918])
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_boosting_rounds_match_the_per_row_scan(self, n, seed):
+        m = encoded_rows(n, seed)
+        labels = m.labels.astype(float)
+        start = np.random.default_rng(seed).normal(0.0, 1.0, n)
+        splits = 0
+        for mode in BoostMode:
+            for depth in range(1, 7):
+                params = BoostConfig(mode=mode, max_depth=depth).tree_params()
+                margins = start.copy()
+                for _ in range(2):
+                    tree = assert_tree_matches_reference(m, grad_hess(margins, labels), params)
+                    splits += not tree.is_leaf
+                    tree.scale_weights(0.3)
+                    margins += tree.leaf_weights(m.values)
+        assert splits == (0 if n < 3 else 24)
+
+    @pytest.mark.parametrize("reg_lambda, gamma, min_child_weight", [
+        (0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (3.5, 0.2, 0.0), (1.0, 0.0, 4.0),
+    ])
+    def test_duplicate_values_and_constant_columns(self, reg_lambda, gamma, min_child_weight):
+        gen = np.random.default_rng(11)
+        values = gen.integers(0, 4, (120, 5)).astype(float)
+        values[:, 1] = 2.5  # constant
+        values[:, 3] = np.where(np.arange(120) == 60, 1.0, 0.0)  # one odd row out
+        gh = GradHess(gen.normal(0.0, 1.0, 120), gen.uniform(0.05, 0.25, 120))
+        params = TreeParams(max_depth=5, reg_lambda=reg_lambda, gamma=gamma,
+                            min_child_weight=min_child_weight)
+        tree = assert_tree_matches_reference(matrix(values, np.zeros(120, dtype=int)), gh, params)
+        assert not tree.is_leaf
+
+    def test_neighbouring_floats_whose_midpoint_collapses(self):
+        ulps = [1.0]
+        for _ in range(7):
+            ulps.append(float(np.nextafter(ulps[-1], 2.0)))
+        assert (ulps[0] + ulps[1]) / 2.0 == ulps[0]  # collapses onto the left value
+        gen = np.random.default_rng(3)
+        values = np.array([[ulps[i % 8], ulps[(3 * i) % 8]] for i in range(40)])
+        for trial in range(6):
+            gh = GradHess(gen.normal(0.0, 1.0, 40), gen.uniform(0.05, 0.25, 40))
+            params = TreeParams(max_depth=4, min_child_weight=0.0, reg_lambda=trial % 2)
+            assert_tree_matches_reference(matrix(values, np.zeros(40, dtype=int)), gh, params)
+
+    def test_saturated_rows_with_zero_curvature_and_no_regularization(self):
+        # each saturated row (h == 0) ties with an unsaturated twin that comes
+        # after it, so every cut with HL or HR of 0 sits between equal values:
+        # the per-row scan skips it, the vectorised scan divides by zero there
+        gen = np.random.default_rng(17)
+        base = np.round(gen.normal(0.0, 1.0, (50, 3)), 1)
+        values = np.repeat(base, 2, axis=0)
+        g = gen.normal(0.0, 1.0, 100)
+        h = gen.uniform(0.05, 0.25, 100)
+        h[0::2] = 0.0
+        g[0::4] = 0.0  # saturated on the right class: 0 / 0 at the masked cuts
+        params = TreeParams(max_depth=6, reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
+        tree = assert_tree_matches_reference(
+            matrix(values, np.zeros(100, dtype=int)), GradHess(g, h), params
+        )
+        assert not tree.is_leaf
+
+    def test_zero_column_matrix_gives_a_leaf(self):
+        m = matrix(np.empty((5, 0)), [0, 1, 0, 1, 1])
+        gh = grad_hess(np.zeros(5), m.labels.astype(float))
+        tree = assert_tree_matches_reference(m, gh, TreeParams(min_child_weight=0.0))
+        assert tree.is_leaf
+
+    def test_equal_gains_across_features_keep_the_lowest_feature(self):
+        gen = np.random.default_rng(23)
+        column = gen.normal(0.0, 1.0, 60)
+        noise = gen.normal(0.0, 1.0, 60)
+        gh = GradHess(np.where(column < 0.0, -1.0, 1.0) + 0.1 * noise, np.full(60, 0.25))
+        params = TreeParams(max_depth=1, min_child_weight=0.0)
+        # columns 1 and 2 are the same column, so their gains are equal bit for bit
+        tied = matrix(np.column_stack([noise, column, column]), np.zeros(60, dtype=int))
+        assert assert_tree_matches_reference(tied, gh, params).feature == 1
+        # a later feature wins only on a strictly greater gain
+        better = matrix(np.column_stack([noise, column + noise, column]), np.zeros(60, dtype=int))
+        assert assert_tree_matches_reference(better, gh, params).feature == 2
+
+    def test_equal_gains_within_a_feature_keep_the_lowest_threshold(self):
+        m = matrix([[0.0], [1.0], [2.0], [3.0]], [0, 0, 0, 0])
+        gh = GradHess(np.array([1.0, -1.0, -1.0, 1.0]), np.ones(4))
+        params = TreeParams(max_depth=1, reg_lambda=1.0, min_child_weight=0.0)
+        # cutting after the first row or before the last gives the same gain
+        tree = assert_tree_matches_reference(m, gh, params)
+        assert (tree.threshold, tree.gain) == (0.5, 0.375)
+
+    def test_column_order_is_each_columns_stable_sort(self):
+        m = matrix([[2.0, 0.0], [1.0, -0.0], [2.0, 0.0], [0.5, -1.0]], [0, 1, 0, 1])
+        assert m.column_order.tolist() == [[3, 1, 0, 2], [3, 0, 1, 2]]
+        assert m.column_order is m.column_order  # sorted once per matrix
 
 
 class TestRouting:

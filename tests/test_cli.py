@@ -338,6 +338,53 @@ class TestErrorCodes:
         code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="nb")
         self._assert_one_corrupt_bundle_line(code, out_path, capsys, name)
 
+    @pytest.mark.parametrize("name, value, fragment", [
+        ("variances", 1e308, "variances"),
+        ("var_floor", 1e308, "var_floor"),
+        ("variances", "below the floor", "variances"),
+    ])
+    def test_nb_variance_outside_floor_and_finite_density_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys, name, value, fragment):
+        def edit(model):
+            if name == "var_floor":
+                model[name] = value
+                return
+            for row in model[name]:
+                row[:] = [model["var_floor"] / 2.0 if isinstance(value, str) else value] * len(row)
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="nb")
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, fragment)
+
+    @pytest.mark.parametrize("field, value", [
+        ("decade", "zz"), ("decade", None), ("decade", True), ("decade", 50.0), ("sex", 1),
+        ("sex", None),
+    ])
+    def test_mistyped_impute_table_cohort_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys, field, value):
+        def edit(preprocessor):
+            preprocessor["impute_table"][0][field] = value
+        code, out_path = self._predict_with_edited_bundle(
+            tmp_path, data_csv, edit, part="preprocessor", algo="nb"
+        )
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, f"impute_table {field}")
+
+    @pytest.mark.parametrize("command, stats", [
+        ("predict", {"std": 5e-324}),
+        ("evaluate", {"std": 5e-324}),
+        ("predict", {"mean": 1.7e308, "std": 0.5}),
+    ])
+    def test_scaled_value_that_overflows_is_one_data_error(self, tmp_path, data_csv, capsys,
+                                                           command, stats):
+        def edit(preprocessor):
+            preprocessor["scale_stats"]["Age"].update(stats)
+        code, out_path = self._predict_with_edited_bundle(
+            tmp_path, data_csv, edit, part="preprocessor", algo="nb", command=command
+        )
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.startswith("E_DATA NonFiniteFeature: feature 'Age'")
+        assert repr(stats["std"]) in err and len(err.strip().splitlines()) == 1
+        assert not out_path.exists()
+
     def test_non_list_trees_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
         def edit(model):
             model["trees"] = {}
