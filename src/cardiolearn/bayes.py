@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingleClassDataset
+from .errors import NonFiniteFeature, SingleClassDataset
 from .preprocess import FeatureMatrix, feature_batch
 
 # the largest variance whose 2 * pi * var, inside the log density, is finite
@@ -38,8 +38,13 @@ class GaussianNBModel:
         log_joint = np.empty((X.shape[0], 2))
         for c in (0, 1):
             var = self.variances[c]
-            log_pdf = -0.5 * (np.log(2.0 * math.pi * var) + (X - self.means[c]) ** 2 / var)
+            with np.errstate(over="ignore"):  # a mean far from the row: checked below
+                log_pdf = -0.5 * (np.log(2.0 * math.pi * var) + (X - self.means[c]) ** 2 / var)
             log_joint[:, c] = math.log(self.priors[c]) + np.sum(log_pdf, axis=1)
+        lost = ~np.isfinite(np.max(log_joint, axis=1))
+        if lost.any():
+            raise NonFiniteFeature(f"row {int(np.argmax(lost))}: the naive Bayes log density "
+                                   "is not finite under either class")
         return posterior_from_log_joint(log_joint)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ with p = sigmoid(margin):
     leaf       w = -G / (H + lambda)
     split gain = 0.5 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)) - gamma
 
-where G, H sum g, h over the rows at a node. Second-order mode exposes
+where G, H sum g, h over the rows at a node; a node with H + lambda = 0 has
+no Newton step and is a leaf of weight 0. Second-order mode exposes
 lambda and gamma; first-order mode runs the identical machinery with both
 pinned to zero, so the two modes differ exactly by regularization.
 
@@ -122,9 +123,10 @@ class BoostedEnsemble:
         summed in order from zero, then base_score is added."""
         X = feature_batch(X, self.n_features)
         acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += tree.leaf_weights(X)
-        return self.base_score + acc
+        with np.errstate(over="ignore"):  # an infinite margin is a saturated sigmoid
+            for tree in self.trees:
+                acc += tree.leaf_weights(X)
+            return self.base_score + acc
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Clamped sigmoid of each margin, through the scalar `sigmoid`: np.exp
@@ -167,7 +169,9 @@ def grad_hess(margins: np.ndarray, labels: np.ndarray) -> GradHess:
 
 
 def _leaf(g_sum: float, h_sum: float, reg_lambda: float) -> TreeNode:
-    return TreeNode(weight=-g_sum / (h_sum + reg_lambda))
+    """The Newton step, or weight 0 with no curvature (H + lambda = 0)."""
+    curvature = h_sum + reg_lambda
+    return TreeNode(weight=-g_sum / curvature if curvature else 0.0)
 
 
 def _best_split(values, g, h, order, g_sum, h_sum, params):
@@ -213,7 +217,7 @@ def _build_node(values, g, h, rows, order, params, depth):
     rows once per column in that column's (value, row) order."""
     g_sum = float(g[rows].sum())
     h_sum = float(h[rows].sum())
-    if depth >= params.max_depth or len(rows) < 2:
+    if depth >= params.max_depth or len(rows) < 2 or h_sum + params.reg_lambda == 0.0:
         return _leaf(g_sum, h_sum, params.reg_lambda)
     split = _best_split(values, g, h, order, g_sum, h_sum, params)
     if split is None:

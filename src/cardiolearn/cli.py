@@ -20,7 +20,6 @@ use --threshold, else the bundle's threshold, else RunConfig's default.
 
 import argparse
 import os
-import reprlib
 import sys
 from dataclasses import fields
 
@@ -40,15 +39,13 @@ from .evaluation import (
     grid_search,
     results_csv,
 )
+from .hyperparams import NUMBER, check
 from .persistence import atomic_write_text, load_bundle, read_json, save_bundle
 from .pipeline import predict_probabilities, prepare_matrices, run_compare, run_training
 from .preprocess import UnseenPolicy
 from .training import ALGORITHM_LABELS, Algorithm
 
 EXIT_CODES = {"E_IO": 2, "E_SCHEMA": 3, "E_CONFIG": 4, "E_VERSION": 5, "E_DATA": 6}
-
-# JSON types (and wording) a config value takes, by its flag's type; bools are not numbers
-_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"), None: (str, "a string")}
 
 # grid-file keys and the --flag destination each is checked against
 _GRID_FILE_FLAGS = {"k": "k", "seed": "seed", "selection_metric": "metric"}
@@ -156,28 +153,16 @@ def _flags(parser, command: str) -> dict:
 def _flag_value(where: str, key: str, action, value):
     """`value` as `action`'s flag would hold it: a bool for a switch, one of
     the choices for a choice flag, else a JSON value of the flag's type."""
-    if action.nargs == 0:
-        ok, wording = isinstance(value, bool), "true or false"
-    elif action.choices is not None:
-        ok = isinstance(value, str) and value in action.choices
-        wording = "one of " + ", ".join(action.choices)
-    else:
-        kinds, wording = _JSON_TYPES[action.type]
-        ok = isinstance(value, kinds) and not isinstance(value, bool)
-    if ok:
-        try:
-            return action.type(value) if action.type else value
-        except OverflowError:  # an integer beyond float range
-            pass
-    raise BadHyperparameter(f"{where} key {key!r} must be {wording}, got {reprlib.repr(value)}")
+    rule = (bool if action.nargs == 0 else tuple(action.choices) if action.choices
+            else {int: int, float: NUMBER, None: str}[action.type])
+    check(value, rule, f"{where} key {key!r}")
+    return action.type(value) if action.type else value
 
 
 def _apply_config_file(args) -> None:
     if not getattr(args, "config", None):
         return
-    doc = read_json(args.config, "config file", BadHyperparameter)
-    if not isinstance(doc, dict):
-        raise BadHyperparameter("config file must hold a JSON object")
+    doc = check(read_json(args.config, "config file", BadHyperparameter), dict, "config file")
     for key in sorted(doc):
         if key not in args.flags:
             raise BadHyperparameter(
@@ -185,9 +170,7 @@ def _apply_config_file(args) -> None:
             )
         value = doc[key]
         if key == "params":
-            if not isinstance(value, dict):
-                raise BadHyperparameter("config key 'params' must be an object")
-            args.param = {**_coerce_params(args.param), **value}
+            args.param = {**_coerce_params(args.param), **check(value, dict, "config key 'params'")}
         else:
             setattr(args, key, _flag_value("config", key, args.flags[key], value))
 
@@ -413,17 +396,14 @@ def cmd_predict(args) -> int:
 def cmd_gridsearch(args) -> int:
     algorithm = Algorithm(args.algo)
     data = ds.load_csv(args.data)
-    doc = read_json(args.grid, "grid file", BadHyperparameter)
-    if not isinstance(doc, dict) or not isinstance(doc.get("grid"), dict):
-        raise BadHyperparameter("grid file must be a JSON object with a 'grid' mapping")
+    doc = check(read_json(args.grid, "grid file", BadHyperparameter), {"grid": dict}, "grid file")
     for key in sorted(doc.keys() - {"grid"}):
         if key not in _GRID_FILE_FLAGS:
             raise BadHyperparameter(f"unknown grid-file key {key!r}")
         dest = _GRID_FILE_FLAGS[key]
         setattr(args, dest, _flag_value("grid-file", key, args.flags[dest], doc[key]))
     for name, candidates in doc["grid"].items():
-        if not isinstance(candidates, list):
-            raise BadHyperparameter(f"grid entry {name!r} must be a list of candidates")
+        check(candidates, list, f"grid entry {name!r}")
     config = _run_config(args, algorithm)
     config.validate()
     metric = SelectionMetric(args.metric)

@@ -29,13 +29,12 @@ import numpy as np
 from . import preprocess
 from .dataset import Dataset, csv_table, kfold
 from .errors import (
-    BadHyperparameter,
     EmptyGrid,
     EmptyPredictions,
     FractionOutOfRange,
     LengthMismatch,
 )
-from .hyperparams import Hyperparameters, hyperparameter, within
+from .hyperparams import Hyperparameters, check, hyperparameter
 from .preprocess import FeatureMatrix, FittedPreprocessor, UnseenPolicy
 from .rng import derive_seed
 from .training import ALGORITHM_LABELS, Algorithm, ModelSpec, fit_algorithm, resolve_params
@@ -157,9 +156,7 @@ def metrics(cm: ConfusionMatrix, threshold: float, model_id: str) -> EvalReport:
 
 def check_threshold(threshold: float) -> float:
     """`threshold`, if it lies in THRESHOLD_INTERVAL."""
-    if not within(threshold, THRESHOLD_INTERVAL):
-        raise BadHyperparameter(f"threshold must be in {THRESHOLD_INTERVAL}, got {threshold}")
-    return threshold
+    return check(threshold, THRESHOLD_INTERVAL, "threshold")
 
 
 def evaluate_model(model, m: FeatureMatrix, threshold: float = RunConfig.threshold,

@@ -1,18 +1,36 @@
-"""Hyperparameter fields: a config dataclass is the one table of its values.
+"""Hyperparameter fields, and `check`, the one rule checker for JSON input.
 
 A field declared with `hyperparameter(default, interval)` carries its name,
 default, type (its annotation, int or float) and range, an interval written
 like "(0, 1]" or "[1, inf)". A model family's values from outside (flags,
 config and grid files, bundles) enter through `Hyperparameters.build`, which
 coerces each to its field's type and range-checks the result.
+
+`check(value, rule, what, error)` tests a JSON value from a bundle, a config
+or grid file, a hyperparameter or a threshold against a rule, which is
+- an interval string: a finite number inside it (`NUMBER`: any finite one);
+- `bool`, `int`, `str`, `list` or `dict`: that JSON kind;
+- a tuple of strings: one of them;
+- `[rule]`: a list whose elements each follow `rule`;
+- `(keys, rule)`: an object keyed by exactly `keys`, each value following `rule`;
+- `{key: rule}`: an object holding each key, its value following that key's rule.
+A bool is neither a number nor an int. A message names the value at key k as
+`<what> k`, an object element of a list as `<what>`, any other as `<what> token`.
 """
 
+import functools
 import numbers
+import reprlib
 import sys
 from dataclasses import field, fields
 from typing import Mapping
 
 from .errors import BadHyperparameter
+
+NUMBER = "(-inf, inf)"
+
+_KINDS = {bool: "true or false", int: "an integer", str: "a string",
+          list: "a JSON list", dict: "a JSON object"}
 
 
 def hyperparameter(default, interval: str, error: type = BadHyperparameter):
@@ -21,21 +39,57 @@ def hyperparameter(default, interval: str, error: type = BadHyperparameter):
     return field(default=default, metadata={"interval": interval, "error": error})
 
 
-def within(value, interval: str) -> bool:
+@functools.lru_cache(maxsize=128)  # a bundle adds its own variance interval
+def _within(interval: str):
+    """The test of whether a number lies in `interval`, parsed once."""
     low, high = (float(end) for end in interval[1:-1].split(","))
-    above = low < value if interval[0] == "(" else low <= value
-    below = value < high if interval[-1] == ")" else value <= high
-    return above and below
+    above = low.__lt__ if interval[0] == "(" else low.__le__
+    below = high.__gt__ if interval[-1] == ")" else high.__ge__
+    return lambda value: above(value) and below(value)
+
+
+def check(value, rule, what: str, error: type = BadHyperparameter):
+    """`value`, if it follows `rule`; else `error` with one message naming `what`."""
+    if isinstance(rule, str):
+        # (int, float) first: the abstract numbers.Real test is slow
+        if (isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real))
+                or not abs(value) <= sys.float_info.max):
+            raise error(f"{what} must be a number, got {reprlib.repr(value)}")
+        if rule != NUMBER and not _within(rule)(value):
+            raise error(f"{what} must be in {rule}, got {reprlib.repr(value)}")
+    elif isinstance(rule, type):
+        if not isinstance(value, rule) or (isinstance(value, bool) and rule is not bool):
+            raise error(f"{what} must be {_KINDS[rule]}, got {reprlib.repr(value)}")
+    elif isinstance(rule, list):
+        (item,) = rule
+        name = what if isinstance(item, dict) else f"{what} token"
+        for element in check(value, list, what, error):
+            check(element, item, name, error)
+    elif isinstance(rule, dict):
+        check(value, dict, what, error)
+        for key, item in rule.items():
+            if key not in value:
+                raise error(f"{what} must hold the key {key!r}")
+            check(value[key], item, f"{what} {key}", error)
+    elif isinstance(rule[0], str):
+        if value not in rule:
+            raise error(f"{what} must be one of {', '.join(rule)}, got {reprlib.repr(value)}")
+    else:
+        keys, item = rule
+        for key, element in check(value, dict, what, error).items():
+            check(element, item, f"{what} {key}", error)
+        if set(value) != set(keys):
+            raise error(f"{what} keys {reprlib.repr(sorted(value))} are not {list(keys)}")
+    return value
 
 
 def _typed(name: str, kind: type, value):
     """`value` as `kind` (int or float); bools, non-numbers, non-finite values
     and, for an int field, non-integral values are rejected."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not abs(value) <= sys.float_info.max):
-        raise BadHyperparameter(f"hyperparameter {name!r} must be a finite number, got {value!r}")
+    what = f"hyperparameter {name!r}"
+    check(value, NUMBER, what)
     if kind is int and float(value) != int(value):
-        raise BadHyperparameter(f"hyperparameter {name!r} must be an integer, got {value!r}")
+        raise BadHyperparameter(f"{what} must be an integer, got {value!r}")
     return kind(value)
 
 
@@ -53,7 +107,5 @@ class Hyperparameters:
 
     def validate(self) -> None:
         for f in fields(self):
-            interval = f.metadata.get("interval")
-            value = getattr(self, f.name)
-            if interval is not None and not within(value, interval):
-                raise f.metadata["error"](f"{f.name} must be in {interval}, got {value}")
+            if "interval" in f.metadata:
+                check(getattr(self, f.name), f.metadata["interval"], f.name, f.metadata["error"])

@@ -10,8 +10,6 @@ line. All files are written atomically (temp file, then rename).
 
 import json
 import os
-import reprlib
-import sys
 import tempfile
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -24,7 +22,7 @@ from .boosting import BoostedEnsemble, TreeNode
 from .dataset import CATEGORICAL_FEATURES, NUMERIC_FEATURES
 from .errors import BadHyperparameter, CorruptBundle, SchemaMismatch, VersionMismatch
 from .evaluation import THRESHOLD_INTERVAL, ConfusionMatrix, EvalReport
-from .hyperparams import within
+from .hyperparams import NUMBER, check
 from .preprocess import FittedPreprocessor, UnseenPolicy
 from .rnn import RNNModel, RNNParams, TrainHistory
 from .training import FAMILY_CONFIGS, PARAM_DEFAULTS, Algorithm, family_config
@@ -88,66 +86,32 @@ def serialize_preprocessor(fp: FittedPreprocessor) -> dict:
     }
 
 
-def _number(value, what: str, interval: Optional[str] = None):
-    """A finite JSON number (a bool is not one), inside `interval` if given."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise CorruptBundle(f"{what} must be a number, got {value!r}")
-    if interval is not None and not within(value, interval):
-        raise CorruptBundle(f"{what} must be in {interval}, got {value!r}")
-    return value
+# finite numbers keyed by exactly the numeric columns
+_MEDIANS = (NUMERIC_FEATURES, NUMBER)
 
-
-_JSON_KINDS = {dict: "a JSON object", list: "a JSON list", str: "a string"}
-
-
-def _json(value, kind: type, what: str):
-    """`value`, if it is a JSON `kind` (dict, list or str)."""
-    if not isinstance(value, kind):
-        raise CorruptBundle(f"{what} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
-    return value
-
-
-def _table(doc, what: str, entry, keys) -> dict:
-    """`doc`, a JSON object keyed by exactly `keys`, with each value passed
-    through `entry(value, what name)`; values are checked before the key set."""
-    table = {name: entry(value, f"{what} {name}") for name, value in _json(doc, dict, what).items()}
-    if set(table) != set(keys):
-        raise CorruptBundle(f"{what} keys {reprlib.repr(sorted(table))} are not {list(keys)}")
-    return table
+# each preprocessor field and the rule its JSON value follows
+_PREPROCESSOR = {
+    "vocab": (CATEGORICAL_FEATURES, [str]),
+    "modes": (CATEGORICAL_FEATURES, str),
+    "scale_stats": (NUMERIC_FEATURES, {"mean": NUMBER, "std": "[0, inf)"}),
+    "impute_table": [{"sex": str, "decade": int, "medians": _MEDIANS}],
+    "global_medians": _MEDIANS,
+    "unseen_policy": tuple(policy.value for policy in UnseenPolicy),
+}
 
 
 def deserialize_preprocessor(doc: dict) -> FittedPreprocessor:
-    def tokens(value, what):
-        return tuple(_json(token, str, f"{what} token") for token in _json(value, list, what))
-
-    def cohort(entry):
-        decade = entry["decade"]
-        if isinstance(decade, bool) or not isinstance(decade, int):
-            raise CorruptBundle(
-                f"impute_table decade must be an integer, got {reprlib.repr(decade)}")
-        return _json(entry["sex"], str, "impute_table sex"), decade
-
-    def scale(stats, what):
-        return (_number(stats["mean"], f"{what} mean"),
-                _number(stats["std"], f"{what} std", "[0, inf)"))
-
-    vocab = _table(doc["vocab"], "vocab", tokens, CATEGORICAL_FEATURES)
-    modes = _table(doc["modes"], "modes", lambda mode, what: _json(mode, str, what),
-                   CATEGORICAL_FEATURES)
-    for name, mode in modes.items():
+    check(doc, _PREPROCESSOR, "preprocessor", CorruptBundle)
+    vocab = {name: tuple(tokens) for name, tokens in doc["vocab"].items()}
+    for name, mode in doc["modes"].items():
         if mode not in vocab[name]:
             raise CorruptBundle(f"modes {name} must be a token of vocab {name}, got {mode!r}")
     return FittedPreprocessor(
         vocab=vocab,
-        modes=modes,
-        scale_stats=_table(doc["scale_stats"], "scale_stats", scale, NUMERIC_FEATURES),
-        impute_table={
-            cohort(entry):
-                _table(entry["medians"], "impute_table medians", _number, NUMERIC_FEATURES)
-            for entry in doc["impute_table"]
-        },
-        global_medians=_table(doc["global_medians"], "global_medians", _number, NUMERIC_FEATURES),
+        modes=dict(doc["modes"]),
+        scale_stats={name: (s["mean"], s["std"]) for name, s in doc["scale_stats"].items()},
+        impute_table={(e["sex"], e["decade"]): dict(e["medians"]) for e in doc["impute_table"]},
+        global_medians=dict(doc["global_medians"]),
         unseen_policy=UnseenPolicy(doc["unseen_policy"]),
     )
 
@@ -165,17 +129,20 @@ def _serialize_tree(node: TreeNode) -> dict:
     }
 
 
-def _deserialize_tree(doc: dict, n_features: int) -> TreeNode:
+def _deserialize_tree(doc: dict, n_features: int, depth_left: int) -> TreeNode:
+    """The tree in `doc`, whose splits must lie `depth_left` levels deep at most."""
     if "weight" in doc:
-        return TreeNode(weight=_number(doc["weight"], "tree leaf weight"))
+        return TreeNode(weight=check(doc["weight"], NUMBER, "tree leaf weight", CorruptBundle))
     feature = doc["feature"]
     if isinstance(feature, bool) or not isinstance(feature, int) or not 0 <= feature < n_features:
         raise CorruptBundle(f"tree split feature {feature!r} is not a column below {n_features!r}")
+    if depth_left == 0:
+        raise CorruptBundle("tree splits deeper than its model's max_depth")
     return TreeNode(
         feature=feature,
-        threshold=_number(doc["threshold"], "tree split threshold"),
-        left=_deserialize_tree(doc["left"], n_features),
-        right=_deserialize_tree(doc["right"], n_features),
+        threshold=check(doc["threshold"], NUMBER, "tree split threshold", CorruptBundle),
+        left=_deserialize_tree(doc["left"], n_features, depth_left - 1),
+        right=_deserialize_tree(doc["right"], n_features, depth_left - 1),
     )
 
 
@@ -186,17 +153,17 @@ def _serialize_array(arr: np.ndarray):
     return {"shape": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
 
 
-def _deserialize_array(doc, shape: tuple, what: str, interval: Optional[str] = None) -> np.ndarray:
+def _deserialize_array(doc, shape: tuple, what: str, interval: str = NUMBER) -> np.ndarray:
     """Inverse of _serialize_array, or a nested JSON list, of `shape` (a None
-    length matches any) and of numbers only, each inside `interval` if given."""
+    length matches any) and of numbers only, each inside `interval`."""
     if shape == ():
-        return np.array(_number(doc, what), dtype=float)
+        return np.array(check(doc, interval, what, CorruptBundle), dtype=float)
     arr = (np.array(doc["data"], dtype=object).reshape(doc["shape"]) if isinstance(doc, dict)
            else np.array(doc, dtype=object))
     if arr.ndim != len(shape) or any(w not in (None, g) for w, g in zip(shape, arr.shape)):
         raise CorruptBundle(f"{what} has shape {list(arr.shape)}, expected {list(shape)}")
     for value in arr.flat:
-        _number(value, f"{what} element", interval)
+        check(value, interval, f"{what} element", CorruptBundle)
     return arr.astype(float)
 
 
@@ -230,11 +197,24 @@ def serialize_model(algorithm: Algorithm, model) -> dict:
     }
 
 
+_BOOSTED = {"base_score": NUMBER, "n_features": int, "trees": list}
+
+# each family's model fields beside its arrays and trees, and their rules
+_MODEL = {
+    Algorithm.NB: {"var_floor": f"(0, {MAX_VARIANCE!r}]"},
+    Algorithm.GB: _BOOSTED,
+    Algorithm.XGB: _BOOSTED,
+    Algorithm.RNN: {"hidden_size": int, "input_size": int},
+}
+
+
 def deserialize_model(algorithm: Algorithm, doc: dict):
+    what = f"{algorithm.value} model"
+    check(doc, {"family": (algorithm.value,), **_MODEL[algorithm]}, what, CorruptBundle)
     if algorithm is Algorithm.NB:
         priors = _deserialize_array(doc["priors"], (2,), "nb priors", "(0, 1]")
         means = _deserialize_array(doc["means"], (2, None), "nb means")
-        var_floor = _number(doc["var_floor"], "nb var_floor", f"(0, {MAX_VARIANCE!r}]")
+        var_floor = doc["var_floor"]
         # fitting clamps every variance to at least var_floor
         variances = _deserialize_array(doc["variances"], means.shape, "nb variances",
                                        f"[{var_floor!r}, {MAX_VARIANCE!r}]")
@@ -244,15 +224,14 @@ def deserialize_model(algorithm: Algorithm, doc: dict):
             expected = getattr(value, "value", value)  # the mode is stored by its value
             if doc[name] != expected:
                 raise CorruptBundle(f"{algorithm.value} {name} {doc[name]!r} is not {expected!r}")
-        _json(doc["trees"], list, f"{algorithm.value} model trees")
         try:
             config = family_config(algorithm, {n: doc[n] for n in PARAM_DEFAULTS[algorithm]})
         except BadHyperparameter as exc:
-            raise CorruptBundle(f"{algorithm.value} model: {exc}") from None
+            raise CorruptBundle(f"{what}: {exc}") from None
         return BoostedEnsemble(
             config=config,
-            base_score=_number(doc["base_score"], "base_score"),
-            trees=[_deserialize_tree(t, doc["n_features"]) for t in doc["trees"]],
+            base_score=doc["base_score"],
+            trees=[_deserialize_tree(t, doc["n_features"], config.max_depth) for t in doc["trees"]],
             n_features=doc["n_features"],
         )
     shapes = RNNParams.shapes(doc["hidden_size"], doc["input_size"])
@@ -335,7 +314,7 @@ def save_bundle(bundle: dict, path: str) -> None:
 
 
 def load_bundle(path: str) -> LoadedBundle:
-    doc = _json(read_json(path, "bundle", CorruptBundle), dict, "bundle document")
+    doc = check(read_json(path, "bundle", CorruptBundle), dict, "bundle document", CorruptBundle)
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionMismatch(
@@ -347,9 +326,10 @@ def load_bundle(path: str) -> LoadedBundle:
         model = deserialize_model(algorithm, doc["model"])
         report_doc = doc.get("metrics_at_save")
         report = deserialize_report(report_doc) if report_doc is not None else None
-        train_config = _json(doc.get("train_config", {}), dict, "train_config")
+        train_config = check(doc.get("train_config", {}), dict, "train_config", CorruptBundle)
         if "threshold" in train_config:
-            _number(train_config["threshold"], "train_config threshold", THRESHOLD_INTERVAL)
+            check(train_config["threshold"], THRESHOLD_INTERVAL, "train_config threshold",
+                  CorruptBundle)
         created_at = doc.get("created_at", "")
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptBundle(f"bundle is missing or mangles a field: {exc}") from exc

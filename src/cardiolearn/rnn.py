@@ -43,6 +43,7 @@ from .errors import (
     DimensionMismatch,
     EmptyPartition,
     EmptySequence,
+    NonFiniteFeature,
 )
 from .hyperparams import Hyperparameters, hyperparameter
 from .preprocess import FeatureMatrix, feature_batch
@@ -412,5 +413,13 @@ class RNNModel:
     history: TrainHistory
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Positive-class probability per row; each row runs as its own sequence."""
-        return np.array(_probabilities(self.params, feature_batch(X)), dtype=float)
+        """Positive-class probability per row; each row runs as its own sequence.
+        A pre-activation may overflow, harmlessly through tanh and sigmoid, but
+        a row whose probability comes out NaN is an error."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = np.array(_probabilities(self.params, feature_batch(X)), dtype=float)
+        lost = np.isnan(probs)
+        if lost.any():
+            raise NonFiniteFeature(
+                f"row {int(np.argmax(lost))}: the network's output is not a number")
+        return probs

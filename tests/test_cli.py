@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import reprlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -22,6 +24,7 @@ from cardiolearn.errors import (
     VersionMismatch,
 )
 from cardiolearn.persistence import FORMAT_VERSION, load_bundle
+from cardiolearn.rng import SplitMix64
 
 
 @pytest.fixture
@@ -399,6 +402,81 @@ class TestErrorCodes:
         code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit)
         self._assert_one_corrupt_bundle_line(code, out_path, capsys, "mode", "second_order")
 
+    @pytest.mark.parametrize("family", ["rnn", "zz"])
+    def test_model_family_other_than_the_algorithm_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys, family):
+        def edit(model):
+            model["family"] = family
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="nb")
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "family", repr(family))
+
+    @pytest.mark.parametrize("algo", ["gb", "xgb"])
+    def test_non_integer_n_features_is_corrupt_bundle(self, tmp_path, data_csv, capsys, algo):
+        def edit(model):
+            model["n_features"] = float(model["n_features"])
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo=algo)
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "n_features", "11.0")
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_tree_deeper_than_max_depth_is_corrupt_bundle(self, tmp_path, data_csv, capsys,
+                                                          command):
+        def edit(model):
+            assert model["max_depth"] == 3
+            tree = {"weight": 0.0}
+            for _ in range(10):
+                tree = {"feature": 0, "threshold": 0.0, "left": tree, "right": {"weight": 0.0}}
+            model["trees"][0] = tree
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit,
+                                                          command=command)
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "max_depth")
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_nb_means_far_from_every_row_are_one_data_error(self, tmp_path, data_csv, capsys,
+                                                            command):
+        def edit(model):
+            model["means"] = [[1e200] * len(row) for row in model["means"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a warning is a stderr line too
+            code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit,
+                                                              algo="nb", command=command)
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.startswith("E_DATA NonFiniteFeature: row 0:")
+        assert len(err.strip().splitlines()) == 1
+        assert not out_path.exists()
+
+    def test_boosted_margin_that_overflows_scores_without_a_warning(
+            self, tmp_path, data_csv, capsys):
+        def edit(model):
+            def saturate(node):
+                if "weight" in node:
+                    node["weight"] = 1e308
+                else:
+                    saturate(node["left"])
+                    saturate(node["right"])
+            for tree in model["trees"]:
+                saturate(tree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a warning is a stderr line too
+            code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit)
+        assert code == 0 and capsys.readouterr().err == ""
+        rows = out_path.read_text(encoding="utf-8").splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {repr(1.0 - 1e-12)}
+
+    def test_rnn_output_that_is_not_a_number_is_one_data_error(self, tmp_path, data_csv, capsys):
+        def edit(model):  # inf + -inf inside the recurrence
+            model["W_xh"]["data"] = [1e308] * len(model["W_xh"]["data"])
+            model["W_hh"]["data"] = [-1e308] * len(model["W_hh"]["data"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a warning is a stderr line too
+            code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit,
+                                                              algo="rnn")
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.startswith("E_DATA NonFiniteFeature: row ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_string_train_config_threshold_is_corrupt_bundle(
             self, tmp_path, data_csv, capsys, command):
@@ -492,6 +570,100 @@ class TestErrorCodes:
                 assert err.startswith("E_") and len(err.splitlines()) == 1, (path, replacement)
             runs += 1
         assert runs > 300
+
+    _EXTREMES = (1e200, -1e200, 1e308, 5e-324)
+
+    @classmethod
+    def _magnitudes(cls, doc, path=()):
+        """(path, replacement) for each number or list at any depth of `doc`:
+        every number in it set to each of `_EXTREMES`."""
+        def is_number(value):
+            return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+        def fill(value, extreme):
+            if isinstance(value, list):
+                return [fill(v, extreme) for v in value]
+            return extreme if is_number(value) else value
+
+        children = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, child in children:
+            if is_number(child) or isinstance(child, list):
+                for extreme in cls._EXTREMES:
+                    yield path + (key,), fill(child, extreme)
+            if isinstance(child, (dict, list)):
+                yield from cls._magnitudes(child, path + (key,))
+
+    _FUZZ_CASES = 400
+
+    def test_mutated_bundles_configs_and_grids_fail_with_one_line(
+            self, tmp_path, capsys, monkeypatch):
+        """A fixed SplitMix64 sample of mutations of every section of all four
+        families' bundles, of a config file and of a grid file either succeeds
+        without `nan` in its output or fails with one `E_` line and exit code
+        2-6; never a traceback or a warning. Bundle sections and the config also
+        take extreme magnitudes, one number or a whole array at a time; the grid
+        file does not, since a huge `n_rounds` candidate would be fitted."""
+        monkeypatch.chdir(tmp_path)
+        write_csv(synth_generate(30, 0.5, seed=8), tmp_path / "data.csv")
+        unlabeled = unlabeled_from("data.csv", tmp_path / "unlabeled.csv", n_rows=4)
+        sources = {}  # name -> (document, its key that is mutated, command run on it)
+        for algo in ("nb", "gb", "xgb", "rnn"):
+            bundle = json.load(open(train_bundle(tmp_path, "data.csv", algo, self._QUICK_FIT[algo]),
+                                    encoding="utf-8"))
+            for part in ("preprocessor", "model", "train_config"):
+                sources[f"{algo} {part}"] = (bundle, part, [
+                    "predict", "--bundle", "edited.json", "--data", unlabeled, "--out", "out.csv"])
+        config = {"seed": 7, "smote_k": 3, "test_fraction": 0.3, "threshold": 0.4,
+                  "smote_enabled": True, "unseen_policy": "map_to_mode", "params": {}}
+        sources["config"] = ({"doc": config}, "doc", [
+            "train", "--data", "data.csv", "--algo", "nb", "--config", "edited.json",
+            "--out", "out.json"])
+        grid = {"grid": {"n_rounds": [2], "learning_rate": [0.5]}, "k": 2, "seed": 1,
+                "selection_metric": "f1"}
+        sources["grid"] = ({"doc": grid}, "doc", [
+            "gridsearch", "--data", "data.csv", "--algo", "gb", "--grid", "edited.json",
+            "--out", "out.csv"])
+        cases = [(name, path, replacement)
+                 for name, (doc, part, _) in sources.items()
+                 for path, replacement in self._mutations(doc[part])]
+        cases += [(name, path, replacement)
+                  for name, (doc, part, _) in sources.items() if name != "grid"
+                  for path, replacement in self._magnitudes(doc[part])]
+        nb_means = sources["nb model"][0]["model"]["means"]
+        huge_means = ("nb model", ("means",), [[1e200] * len(row) for row in nb_means])
+        assert huge_means in cases
+        rng = SplitMix64(12)
+        sample = [huge_means] + [cases[rng.randint(len(cases))] for _ in range(self._FUZZ_CASES)]
+        capsys.readouterr()
+        for name, path, replacement in sample:
+            document, part, argv = sources[name]
+            doc = json.loads(json.dumps(document))
+            parent = doc[part]
+            for key in path[:-1]:
+                parent = parent[key]
+            if replacement is self._DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = replacement
+            edited = doc if part != "doc" else doc["doc"]
+            (tmp_path / "edited.json").write_text(json.dumps(edited), encoding="utf-8")
+            for stale in ("out.csv", "out.json"):
+                if (tmp_path / stale).exists():
+                    os.remove(tmp_path / stale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # a warning is a stderr line too
+                code = main(argv)
+            captured = capsys.readouterr()
+            where = (name, path, reprlib.repr(replacement))
+            assert code in (0, 2, 3, 4, 5, 6), where
+            if code == 0:
+                outputs = [captured.out] + [
+                    (tmp_path / out).read_text(encoding="utf-8")
+                    for out in ("out.csv", "out.json") if (tmp_path / out).exists()]
+                assert captured.err == "" and not any("nan" in text for text in outputs), where
+            else:
+                assert captured.err.startswith("E_"), where
+                assert len(captured.err.splitlines()) == 1, where
 
     def test_deeply_nested_bundle_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
         bundle_path = train_bundle(tmp_path, data_csv, "gb", extra=self._QUICK_FIT["gb"])
@@ -663,6 +835,21 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("E_CONFIG BadHyperparameter:")
         assert "n_rounds" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("algo, extra", [("gb", ()), ("xgb", ("--param", "reg_lambda=0"))])
+    def test_node_without_curvature_is_a_zero_leaf(self, tmp_path, capsys, algo, extra):
+        """Rows saturate (p exactly 0 or 1, so h = 0); with lambda = 0 a node's
+        H + lambda is then 0, and the node is a leaf of weight 0."""
+        data = tmp_path / "data.csv"
+        write_csv(synth_generate(80, 0.5, seed=1), data)
+        bundle_path = train_bundle(tmp_path, str(data), algo, extra=(
+            "--param", "learning_rate=1.0", "--param", "min_child_weight=0", *extra))
+        out_path = tmp_path / "preds.csv"
+        unlabeled = unlabeled_from(str(data), tmp_path / "unlabeled.csv")
+        assert main(["predict", "--bundle", bundle_path, "--data", unlabeled,
+                     "--out", str(out_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "nan" not in out_path.read_text(encoding="utf-8")
 
 
 class TestEvaluateAndPredict:
