@@ -2,8 +2,8 @@
 
 The package covers the full workflow: CSV ingestion and validation,
 preprocessing (label encoding, imputation, standard scaling, minority
-oversampling), four model families (Gaussian naive Bayes, first- and
-second-order gradient-boosted trees, and an Elman recurrent network),
+oversampling), four model families (Gaussian naive Bayes, gradient boosting
+and XGBoost over Newton-step trees, and an Elman recurrent network),
 confusion-matrix evaluation with cross-validation and grid search, JSON
 model persistence, and a command-line front end. Every random choice flows
 from an explicit seed through one documented generator, so identical
@@ -14,10 +14,8 @@ from .bayes import GaussianNBModel, fit_gaussian_nb, posterior_from_log_joint
 from .boosting import (
     BoostConfig,
     BoostedEnsemble,
-    BoostMode,
     GradHess,
     TreeNode,
-    TreeParams,
     fit_boosted,
     fit_tree,
     log_loss,
@@ -97,7 +95,6 @@ from .training import (
     ALGORITHM_LABELS,
     PARAM_DEFAULTS,
     Algorithm,
-    ModelSpec,
     fit_algorithm,
 )
 

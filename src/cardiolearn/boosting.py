@@ -1,17 +1,18 @@
-"""Regression-tree weak learners and two log-loss boosting drivers.
+"""Regression-tree weak learners and one log-loss boosting loop.
 
-Both drivers share the same exact-greedy tree machinery. Per boosting round,
-with p = sigmoid(margin):
+Per boosting round, with p = sigmoid(margin), one exact-greedy tree is fit
+to the Newton step of XGBoost's regularized objective (Chen & Guestrin 2016,
+section 2.2):
 
     gradient   g = p - y
     curvature  h = p * (1 - p)
     leaf       w = -G / (H + lambda)
     split gain = 0.5 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)) - gamma
 
-where G, H sum g, h over the rows at a node; a node with H + lambda = 0 has
-no Newton step and is a leaf of weight 0. Second-order mode exposes
-lambda and gamma; first-order mode runs the identical machinery with both
-pinned to zero, so the two modes differ exactly by regularization.
+where G, H sum g, h over the rows at a node; a node or a split side with
+H + lambda = 0 has no Newton step: it is a leaf of weight 0, and scores 0
+in a gain. The gradient-boosting family is this loop with lambda and
+gamma fixed at 0 (`training.FAMILY_CONFIGS`).
 
 Split search is exhaustive: every feature, every midpoint between
 consecutive distinct sorted values. It runs on a column block (Chen &
@@ -25,7 +26,6 @@ order. Equal gains keep the lowest feature index, then the lowest threshold,
 so fits are fully deterministic.
 """
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,11 +38,6 @@ from .preprocess import FeatureMatrix, feature_batch
 
 PROB_CLAMP = 1e-12
 _STALL_EPS = 1e-12
-
-
-class BoostMode(enum.Enum):
-    FIRST_ORDER = "first_order"
-    SECOND_ORDER = "second_order"
 
 
 @dataclass
@@ -86,28 +81,13 @@ class TreeNode:
 
 
 @dataclass(frozen=True)
-class TreeParams:
-    max_depth: int = 3
-    reg_lambda: float = 1.0
-    gamma: float = 0.0
-    min_child_weight: float = 1.0
-
-
-@dataclass(frozen=True)
 class BoostConfig(Hyperparameters):
-    mode: BoostMode
     n_rounds: int = hyperparameter(200, "[1, inf)")
     learning_rate: float = hyperparameter(0.1, "(0, 1]")
     max_depth: int = hyperparameter(3, "[1, inf)")
     reg_lambda: float = hyperparameter(1.0, "[0, inf)")
     gamma: float = hyperparameter(0.0, "[0, inf)")
     min_child_weight: float = hyperparameter(1.0, "[0, inf)")
-
-    def tree_params(self) -> TreeParams:
-        # first-order mode has lambda = gamma = 0 semantics
-        if self.mode is BoostMode.FIRST_ORDER:
-            return TreeParams(self.max_depth, 0.0, 0.0, self.min_child_weight)
-        return TreeParams(self.max_depth, self.reg_lambda, self.gamma, self.min_child_weight)
 
 
 @dataclass
@@ -174,7 +154,7 @@ def _leaf(g_sum: float, h_sum: float, reg_lambda: float) -> TreeNode:
     return TreeNode(weight=-g_sum / curvature if curvature else 0.0)
 
 
-def _best_split(values, g, h, order, g_sum, h_sum, params):
+def _best_split(values, g, h, order, g_sum, h_sum, config):
     """Exhaustive (feature, midpoint) search over a node's (d, m) block of
     presorted row positions; None when no cut has positive gain.
 
@@ -185,7 +165,7 @@ def _best_split(values, g, h, order, g_sum, h_sum, params):
     collapses onto the left value, or that leaves either side below
     min_child_weight cannot win, and may divide zero by zero on the way.
     """
-    parent_score = g_sum * g_sum / (h_sum + params.reg_lambda)
+    parent_score = g_sum * g_sum / (h_sum + config.reg_lambda)
     sorted_values = np.take_along_axis(values.T, order, axis=1)
     lo, hi = sorted_values[:, :-1], sorted_values[:, 1:]
     gl = np.cumsum(g[order[:, :-1]], axis=1)
@@ -194,14 +174,18 @@ def _best_split(values, g, h, order, g_sum, h_sum, params):
         threshold = (lo + hi) / 2.0
         hr = h_sum - hl
         gr = g_sum - gl
-        gain = 0.5 * (
-            gl * gl / (hl + params.reg_lambda)
-            + gr * gr / (hr + params.reg_lambda)
-            - parent_score
-        ) - params.gamma
+        left = gl * gl / (hl + config.reg_lambda)
+        right = gr * gr / (hr + config.reg_lambda)
+        if config.reg_lambda == 0.0 and config.min_child_weight == 0.0:
+            # h, lambda, min_child_weight >= 0, so only here can a side with
+            # H + lambda = 0 be valid; it has no Newton step, as in _leaf, so
+            # it scores 0 rather than G^2 / 0
+            left[hl == 0.0] = 0.0
+            right[hr == 0.0] = 0.0
+        gain = 0.5 * (left + right - parent_score) - config.gamma
         # lo < threshold <= hi also rules out a cut between equal values
         valid = ((lo < threshold) & (threshold <= hi)
-                 & (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
+                 & (hl >= config.min_child_weight) & (hr >= config.min_child_weight)
                  & (gain > 0.0))
     if not valid.any():
         return None
@@ -212,16 +196,16 @@ def _best_split(values, g, h, order, g_sum, h_sum, params):
     return feature, threshold[feature, cut], float(gain[feature, cut])
 
 
-def _build_node(values, g, h, rows, order, params, depth):
+def _build_node(values, g, h, rows, order, config, depth):
     """Node over ascending `rows`, whose (d, m) block `order` lists the same
     rows once per column in that column's (value, row) order."""
     g_sum = float(g[rows].sum())
     h_sum = float(h[rows].sum())
-    if depth >= params.max_depth or len(rows) < 2 or h_sum + params.reg_lambda == 0.0:
-        return _leaf(g_sum, h_sum, params.reg_lambda)
-    split = _best_split(values, g, h, order, g_sum, h_sum, params)
+    if depth >= config.max_depth or len(rows) < 2 or h_sum + config.reg_lambda == 0.0:
+        return _leaf(g_sum, h_sum, config.reg_lambda)
+    split = _best_split(values, g, h, order, g_sum, h_sum, config)
     if split is None:
-        return _leaf(g_sum, h_sum, params.reg_lambda)
+        return _leaf(g_sum, h_sum, config.reg_lambda)
     feature, threshold, gain = split
     goes_left = values[:, feature] < threshold
     # a stable filter keeps each column's (value, row) order in both children
@@ -232,18 +216,18 @@ def _build_node(values, g, h, rows, order, params, depth):
         threshold=threshold,
         gain=gain,
         left=_build_node(values, g, h, rows[goes_left[rows]], order[left].reshape(d, -1),
-                         params, depth + 1),
+                         config, depth + 1),
         right=_build_node(values, g, h, rows[~goes_left[rows]], order[~left].reshape(d, -1),
-                          params, depth + 1),
+                          config, depth + 1),
     )
 
 
-def fit_tree(m: FeatureMatrix, gh: GradHess, params: TreeParams) -> TreeNode:
+def fit_tree(m: FeatureMatrix, gh: GradHess, config: BoostConfig) -> TreeNode:
     """Fit one regression tree to the given gradients and curvatures."""
     if m.n_rows == 0:
         raise EmptyNode("cannot fit a tree on zero rows")
     rows = np.arange(m.n_rows)
-    return _build_node(m.values, gh.g, gh.h, rows, m.column_order, params, depth=0)
+    return _build_node(m.values, gh.g, gh.h, rows, m.column_order, config, depth=0)
 
 
 def fit_boosted(m: FeatureMatrix, config: BoostConfig) -> BoostedEnsemble:
@@ -260,12 +244,11 @@ def fit_boosted(m: FeatureMatrix, config: BoostConfig) -> BoostedEnsemble:
     if positive_rate in (0.0, 1.0):
         raise SingleClassDataset("boosting needs samples from both classes")
     base_score = math.log(positive_rate / (1.0 - positive_rate))
-    params = config.tree_params()
     ensemble = BoostedEnsemble(config=config, base_score=base_score, n_features=m.n_cols)
     margins = np.full(m.n_rows, base_score)
     for _ in range(config.n_rounds):
         gh = grad_hess(margins, labels)
-        tree = fit_tree(m, gh, params)
+        tree = fit_tree(m, gh, config)
         if tree.is_leaf and abs(tree.weight) < _STALL_EPS:
             break
         tree.scale_weights(config.learning_rate)

@@ -65,8 +65,9 @@ def format_table(headers, rows) -> str:
     return "\n".join(out)
 
 
-def _fmt_metric(value) -> str:
-    return "NA" if value is None else f"{value:.4f}"
+def _fmt_metric(value, spec: str = ".4f") -> str:
+    """Table cell: `value` in format `spec`, or NA when it is undefined."""
+    return "NA" if value is None else f"{value:{spec}}"
 
 
 def _report_row(report: EvalReport):
@@ -279,12 +280,10 @@ def cmd_summarize(args) -> int:
     rows = []
     csv_rows = []
     for name, stats in report.numeric.items():
-        def cell(v, fmt="{:.4f}"):
-            return "NA" if v is None else fmt.format(v)
         rows.append([
             name, str(stats.count), str(stats.missing),
-            cell(stats.minimum, "{:g}"), cell(stats.maximum, "{:g}"),
-            cell(stats.mean), cell(stats.std),
+            _fmt_metric(stats.minimum, "g"), _fmt_metric(stats.maximum, "g"),
+            _fmt_metric(stats.mean), _fmt_metric(stats.std),
         ])
         csv_rows.append([
             name, str(stats.count), str(stats.missing),

@@ -37,7 +37,7 @@ from .errors import (
 from .hyperparams import Hyperparameters, check, hyperparameter
 from .preprocess import FeatureMatrix, FittedPreprocessor, UnseenPolicy
 from .rng import derive_seed
-from .training import ALGORITHM_LABELS, Algorithm, ModelSpec, fit_algorithm, resolve_params
+from .training import ALGORITHM_LABELS, Algorithm, fit_algorithm, resolve_params
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
 
@@ -209,13 +209,12 @@ def cross_validate(config: RunConfig, data: Dataset, k: int) -> CVResult:
     the validation portion.
     """
     config.validate()
-    spec = ModelSpec(config.algorithm, config.params)
     reports = []
     for i, (train_idx, val_idx) in enumerate(kfold(data, k, config.seed)):
         fold_train = data.subset(train_idx, source=f"{data.source}#fold{i}-train")
         fold_val = data.subset(val_idx, source=f"{data.source}#fold{i}-val")
         _, train_m, val_m = encode_partitions(config, fold_train, fold_val, 2 * i)
-        model = fit_algorithm(spec, train_m, seed=derive_seed(config.seed, 2 * i + 1))
+        model = fit_algorithm(config, train_m, seed=derive_seed(config.seed, 2 * i + 1))
         reports.append(
             evaluate_model(
                 model, val_m, config.threshold,

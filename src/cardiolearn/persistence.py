@@ -176,13 +176,11 @@ def serialize_model(algorithm: Algorithm, model) -> dict:
             "variances": [[float(v) for v in row] for row in model.variances],
             "var_floor": float(model.var_floor),
         }
-    if algorithm in (Algorithm.GB, Algorithm.XGB):
-        config = model.config
+    if algorithm in _BOOST_MODE:
         return {
             "family": algorithm.value,
-            **asdict(config),
-            **asdict(config.tree_params()),  # first-order mode stores lambda = gamma = 0
-            "mode": config.mode.value,
+            **asdict(model.config),
+            "mode": _BOOST_MODE[algorithm],
             "base_score": model.base_score,
             "n_features": model.n_features,
             "trees": [_serialize_tree(tree) for tree in model.trees],
@@ -197,13 +195,16 @@ def serialize_model(algorithm: Algorithm, model) -> dict:
     }
 
 
-_BOOSTED = {"base_score": NUMBER, "n_features": int, "trees": list}
+# format v1 labels each boosting family's model with a fixed mode
+_BOOST_MODE = {Algorithm.GB: "first_order", Algorithm.XGB: "second_order"}
 
-# each family's model fields beside its arrays and trees, and their rules
+# each family's model fields beside its arrays and trees, and their rules; a
+# hyperparameter the family fixes must hold its fixed value
 _MODEL = {
     Algorithm.NB: {"var_floor": f"(0, {MAX_VARIANCE!r}]"},
-    Algorithm.GB: _BOOSTED,
-    Algorithm.XGB: _BOOSTED,
+    **{family: {"mode": (mode,), "base_score": NUMBER, "n_features": int, "trees": list,
+                **{name: f"[{v!r}, {v!r}]" for name, v in FAMILY_CONFIGS[family][1].items()}}
+       for family, mode in _BOOST_MODE.items()},
     Algorithm.RNN: {"hidden_size": int, "input_size": int},
 }
 
@@ -219,11 +220,7 @@ def deserialize_model(algorithm: Algorithm, doc: dict):
         variances = _deserialize_array(doc["variances"], means.shape, "nb variances",
                                        f"[{var_floor!r}, {MAX_VARIANCE!r}]")
         return GaussianNBModel(priors=priors, means=means, variances=variances, var_floor=var_floor)
-    if algorithm in (Algorithm.GB, Algorithm.XGB):
-        for name, value in FAMILY_CONFIGS[algorithm][1].items():
-            expected = getattr(value, "value", value)  # the mode is stored by its value
-            if doc[name] != expected:
-                raise CorruptBundle(f"{algorithm.value} {name} {doc[name]!r} is not {expected!r}")
+    if algorithm in _BOOST_MODE:
         try:
             config = family_config(algorithm, {n: doc[n] for n in PARAM_DEFAULTS[algorithm]})
         except BadHyperparameter as exc:
@@ -244,37 +241,11 @@ def deserialize_model(algorithm: Algorithm, doc: dict):
 # --- evaluation reports --------------------------------------------------------
 
 def serialize_report(report: EvalReport) -> dict:
-    return {
-        "accuracy": report.accuracy,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "matrix": {
-            "tp": report.matrix.tp,
-            "fp": report.matrix.fp,
-            "fn": report.matrix.fn,
-            "tn": report.matrix.tn,
-        },
-        "model_id": report.model_id,
-        "threshold": report.threshold,
-    }
+    return asdict(report)
 
 
 def deserialize_report(doc: dict) -> EvalReport:
-    return EvalReport(
-        accuracy=doc["accuracy"],
-        precision=doc["precision"],
-        recall=doc["recall"],
-        f1=doc["f1"],
-        matrix=ConfusionMatrix(
-            tp=doc["matrix"]["tp"],
-            fp=doc["matrix"]["fp"],
-            fn=doc["matrix"]["fn"],
-            tn=doc["matrix"]["tn"],
-        ),
-        model_id=doc["model_id"],
-        threshold=doc["threshold"],
-    )
+    return EvalReport(**{**doc, "matrix": ConfusionMatrix(**doc["matrix"])})
 
 
 # --- bundles --------------------------------------------------------------------

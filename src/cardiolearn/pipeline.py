@@ -9,7 +9,7 @@ fixed derived streams (split uses the seed itself, oversampling stream 1,
 model fitting stream 2) so every stage is independently reproducible.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from . import preprocess
@@ -20,7 +20,7 @@ from .persistence import build_bundle
 from .preprocess import FeatureMatrix, FittedPreprocessor
 from .rng import derive_seed
 from .rnn import RNNModel, TrainHistory
-from .training import ALGORITHM_LABELS, Algorithm, ModelSpec, fit_algorithm
+from .training import ALGORITHM_LABELS, Algorithm, fit_algorithm
 
 COMPARE_ORDER = (Algorithm.RNN, Algorithm.NB, Algorithm.GB, Algorithm.XGB)
 
@@ -47,10 +47,7 @@ def prepare_matrices(data: Dataset, config: RunConfig):
 def run_training(data: Dataset, config: RunConfig) -> TrainOutcome:
     config.validate()
     _, fp, train_m, test_m = prepare_matrices(data, config)
-    model = fit_algorithm(
-        ModelSpec(config.algorithm, config.params), train_m,
-        seed=derive_seed(config.seed, 2),
-    )
+    model = fit_algorithm(config, train_m, seed=derive_seed(config.seed, 2))
     report = evaluate_model(
         model, test_m, config.threshold,
         model_id=ALGORITHM_LABELS[config.algorithm],
@@ -87,7 +84,7 @@ def run_compare(data: Dataset, config: RunConfig) -> Tuple[Tuple[str, EvalReport
     rows = []
     for algorithm in COMPARE_ORDER:
         model = fit_algorithm(
-            ModelSpec(algorithm, {}), train_m, seed=derive_seed(config.seed, 2)
+            replace(config, algorithm=algorithm), train_m, seed=derive_seed(config.seed, 2)
         )
         report = evaluate_model(
             model, test_m, config.threshold, model_id=ALGORITHM_LABELS[algorithm]

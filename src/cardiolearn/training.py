@@ -17,11 +17,11 @@ fixed, documented streams.
 """
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
 from typing import Mapping, Tuple
 
 from .bayes import fit_gaussian_nb
-from .boosting import BoostConfig, BoostMode, fit_boosted
+from .boosting import BoostConfig, fit_boosted
 from .dataset import class_shuffles, complement_split, quota_indices
 from .errors import BadHyperparameter, EmptyPartition
 from .preprocess import FeatureMatrix
@@ -46,10 +46,11 @@ ALGORITHM_LABELS = {
 }
 
 # per family: its config class and the fields a caller may not set, with
-# their values (each RNN fit replaces the seed with one derived from its own)
+# their values (gradient boosting is XGBoost without regularization; each
+# RNN fit replaces the seed with one derived from its own)
 FAMILY_CONFIGS = {
-    Algorithm.GB: (BoostConfig, {"mode": BoostMode.FIRST_ORDER, "reg_lambda": 0.0, "gamma": 0.0}),
-    Algorithm.XGB: (BoostConfig, {"mode": BoostMode.SECOND_ORDER}),
+    Algorithm.GB: (BoostConfig, {"reg_lambda": 0.0, "gamma": 0.0}),
+    Algorithm.XGB: (BoostConfig, {}),
     Algorithm.RNN: (RNNTrainConfig, {"seed": 0}),
 }
 
@@ -58,12 +59,6 @@ PARAM_DEFAULTS = {Algorithm.NB: {}} | {
     algorithm: {f.name: f.default for f in fields(config_class) if f.name not in fixed}
     for algorithm, (config_class, fixed) in FAMILY_CONFIGS.items()
 }
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    algorithm: Algorithm
-    params: Mapping = field(default_factory=dict)
 
 
 def family_config(algorithm: Algorithm, overrides: Mapping):
@@ -111,15 +106,17 @@ def stratified_matrix_split(m: FeatureMatrix, val_fraction: float,
     )
 
 
-def fit_algorithm(spec: ModelSpec, m: FeatureMatrix, seed: int):
-    """Fit one model family on an encoded matrix; returns the fitted model."""
-    config = family_config(spec.algorithm, spec.params)
-    if spec.algorithm is Algorithm.NB:
+def fit_algorithm(config, m: FeatureMatrix, seed: int):
+    """Fit the model family `config.algorithm` names, with `config.params`,
+    on an encoded matrix; returns the fitted model. `config` is a run's
+    `evaluation.RunConfig`."""
+    family = family_config(config.algorithm, config.params)
+    if config.algorithm is Algorithm.NB:
         return fit_gaussian_nb(m)
-    if spec.algorithm is not Algorithm.RNN:
-        return fit_boosted(m, config)
+    if config.algorithm is not Algorithm.RNN:
+        return fit_boosted(m, family)
     inner_train, inner_val = stratified_matrix_split(
         m, _INNER_VAL_FRACTION, derive_seed(seed, 1)
     )
-    trained, history = train_rnn(inner_train, inner_val, replace(config, seed=derive_seed(seed, 2)))
+    trained, history = train_rnn(inner_train, inner_val, replace(family, seed=derive_seed(seed, 2)))
     return RNNModel(params=trained, history=history)

@@ -23,9 +23,7 @@ from test_boosting import check_root_split_against_oracle
 from cardiolearn.bayes import GaussianNBModel, fit_gaussian_nb
 from cardiolearn.boosting import (
     BoostConfig,
-    BoostMode,
     GradHess,
-    TreeParams,
     fit_boosted,
     fit_tree,
     log_loss,
@@ -48,7 +46,7 @@ from cardiolearn.preprocess import fit as fit_preprocessor
 from cardiolearn.preprocess import transform as transform_features
 from cardiolearn.rng import SplitMix64, derive_seed
 from cardiolearn.rnn import grad_check, init_params
-from cardiolearn.training import Algorithm, ModelSpec, fit_algorithm
+from cardiolearn.training import Algorithm, fit_algorithm
 
 # published test accuracies the canonical run must land within 4 points of
 TABLE_ACCURACY = {
@@ -144,7 +142,7 @@ def test_criterion_3_split_search_matches_exhaustive_oracle(capsys):
         )
         g = np.array([4.0 * gen.uniform() - 2.0 for _ in range(n)])
         h = np.array([0.01 + 0.24 * gen.uniform() for _ in range(n)])
-        params = TreeParams(
+        params = BoostConfig(
             max_depth=1 + gen.randint(3),
             reg_lambda=lambdas[trial % 3],
             gamma=gammas[trial % 2],
@@ -168,27 +166,27 @@ def test_criterion_3_split_search_matches_exhaustive_oracle(capsys):
 def test_criterion_4_separable_descent(capsys):
     m = matrix([[-2.0], [-1.5], [-1.0], [1.0], [1.5], [2.0]], [0, 0, 0, 1, 1, 1])
     problems = []
-    for mode in (BoostMode.FIRST_ORDER, BoostMode.SECOND_ORDER):
+    for family, regularization in (("gb", {"reg_lambda": 0.0, "gamma": 0.0}), ("xgb", {})):
         ens = fit_boosted(
             m,
-            BoostConfig(mode=mode, n_rounds=20, learning_rate=0.3, max_depth=1,
-                        min_child_weight=0.0),
+            BoostConfig(n_rounds=20, learning_rate=0.3, max_depth=1,
+                        min_child_weight=0.0, **regularization),
         )
         if len(ens.trees) != 20:
-            problems.append(f"{mode.value}: {len(ens.trees)} trees instead of 20")
+            problems.append(f"{family}: {len(ens.trees)} trees instead of 20")
         margins = np.full(m.n_rows, ens.base_score)
         losses = [log_loss(1.0 / (1.0 + np.exp(-margins)), m.labels)]
         for r, tree in enumerate(ens.trees, start=1):
             margins = margins + tree.leaf_weights(m.values)
             losses.append(log_loss(1.0 / (1.0 + np.exp(-margins)), m.labels))
             if not losses[-1] < losses[-2] + 1e-9:
-                problems.append(f"{mode.value}: loss did not fall at round {r}")
+                problems.append(f"{family}: loss did not fall at round {r}")
         predicted = (ens.predict_proba(m.values) >= 0.5).astype(int).tolist()
         if predicted != m.labels.tolist():
-            problems.append(f"{mode.value}: training accuracy below 1.0")
+            problems.append(f"{family}: training accuracy below 1.0")
     detail = (
         "log-loss fell every round for 20 rounds and training accuracy hit 1.0 "
-        "in both boosting modes"
+        "for gb (lambda = gamma = 0) and xgb"
         if not problems
         else "; ".join(problems)
     )
@@ -318,7 +316,7 @@ def _downstream_state(train: Dataset, test: Dataset, seed: int) -> str:
     state = {"preprocessor": serialize_preprocessor(fp)}
     for algorithm, params in LIGHT_PARAMS.items():
         model = fit_algorithm(
-            ModelSpec(algorithm, params), balanced, seed=derive_seed(seed, 2)
+            RunConfig(algorithm, params=params), balanced, seed=derive_seed(seed, 2)
         )
         state[algorithm.value] = serialize_model(algorithm, model)
     return json.dumps(state, sort_keys=True)

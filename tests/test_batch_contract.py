@@ -9,7 +9,8 @@ import pytest
 
 from conftest import matrix
 from cardiolearn.errors import DimensionMismatch
-from cardiolearn.training import Algorithm, ModelSpec, fit_algorithm
+from cardiolearn.evaluation import RunConfig
+from cardiolearn.training import Algorithm, fit_algorithm
 
 FAST_PARAMS = {
     Algorithm.NB: {},
@@ -27,7 +28,7 @@ def fitted():
     labels = (values[:, 0] - 0.7 * values[:, 3] + 0.5 * gen.normal(0.0, 1.0, 150) > 0)
     m = matrix(values, labels.astype(int))
     return {
-        algorithm: fit_algorithm(ModelSpec(algorithm, params), m, seed=7)
+        algorithm: fit_algorithm(RunConfig(algorithm, params=params), m, seed=7)
         for algorithm, params in FAST_PARAMS.items()
     }
 

@@ -11,10 +11,8 @@ from cardiolearn import preprocess
 from cardiolearn.boosting import (
     BoostConfig,
     BoostedEnsemble,
-    BoostMode,
     GradHess,
     TreeNode,
-    TreeParams,
     fit_boosted,
     fit_tree,
     grad_hess,
@@ -29,6 +27,7 @@ from cardiolearn.errors import (
     SingleClassDataset,
 )
 from cardiolearn.persistence import _serialize_tree
+from cardiolearn.training import Algorithm, family_config
 
 
 def oracle_split_candidates(values, g, h, params):
@@ -90,6 +89,12 @@ def separable_toy():
     return matrix([[-2.0], [-1.5], [-1.0], [1.0], [1.5], [2.0]], [0, 0, 0, 1, 1, 1])
 
 
+def split_nodes(node):
+    if node.is_leaf:
+        return []
+    return [node] + split_nodes(node.left) + split_nodes(node.right)
+
+
 def leaf_weights(node):
     if node.is_leaf:
         return [node.weight]
@@ -128,14 +133,14 @@ class TestTreeFitting:
     def test_leaf_weight_formula(self):
         m = matrix([[0.0]], [1])
         gh = GradHess(g=np.array([2.0]), h=np.array([4.0]))
-        node = fit_tree(m, gh, TreeParams(max_depth=3, reg_lambda=1.0))
+        node = fit_tree(m, gh, BoostConfig(max_depth=3, reg_lambda=1.0))
         assert node.is_leaf
         assert node.weight == pytest.approx(-0.4, abs=1e-15)
 
     def test_gain_arithmetic(self):
         m = matrix([[0.0], [1.0]], [0, 1])
         gh = GradHess(g=np.array([-4.0, 4.0]), h=np.array([4.0, 4.0]))
-        node = fit_tree(m, gh, TreeParams(max_depth=1, reg_lambda=1.0, gamma=0.0))
+        node = fit_tree(m, gh, BoostConfig(max_depth=1, reg_lambda=1.0, gamma=0.0))
         assert not node.is_leaf
         assert node.feature == 0
         assert node.threshold == pytest.approx(0.5)
@@ -146,24 +151,24 @@ class TestTreeFitting:
     def test_gamma_can_veto_the_split(self):
         m = matrix([[0.0], [1.0]], [0, 1])
         gh = GradHess(g=np.array([-4.0, 4.0]), h=np.array([4.0, 4.0]))
-        node = fit_tree(m, gh, TreeParams(max_depth=1, reg_lambda=1.0, gamma=3.3))
+        node = fit_tree(m, gh, BoostConfig(max_depth=1, reg_lambda=1.0, gamma=3.3))
         assert node.is_leaf
-        relaxed = fit_tree(m, gh, TreeParams(max_depth=1, reg_lambda=1.0, gamma=3.1))
+        relaxed = fit_tree(m, gh, BoostConfig(max_depth=1, reg_lambda=1.0, gamma=3.1))
         assert not relaxed.is_leaf
         assert relaxed.gain == pytest.approx(0.1, abs=1e-12)
 
     def test_min_child_weight_blocks_low_curvature_children(self):
         m = matrix([[0.0], [1.0]], [0, 1])
         gh = GradHess(g=np.array([-0.5, 0.5]), h=np.array([0.25, 0.25]))
-        node = fit_tree(m, gh, TreeParams(max_depth=1, min_child_weight=1.0, reg_lambda=0.0))
+        node = fit_tree(m, gh, BoostConfig(max_depth=1, min_child_weight=1.0, reg_lambda=0.0))
         assert node.is_leaf
-        open_node = fit_tree(m, gh, TreeParams(max_depth=1, min_child_weight=0.0, reg_lambda=0.0))
+        open_node = fit_tree(m, gh, BoostConfig(max_depth=1, min_child_weight=0.0, reg_lambda=0.0))
         assert not open_node.is_leaf
 
     def test_constant_feature_yields_leaf(self):
         m = matrix([[1.0], [1.0], [1.0]], [0, 1, 0])
         gh = GradHess(g=np.array([1.0, -1.0, 1.0]), h=np.array([1.0, 1.0, 1.0]))
-        node = fit_tree(m, gh, TreeParams(max_depth=3, min_child_weight=0.0))
+        node = fit_tree(m, gh, BoostConfig(max_depth=3, min_child_weight=0.0))
         assert node.is_leaf
 
     def test_adjacent_float_midpoint_collapse_is_skipped(self):
@@ -172,14 +177,14 @@ class TestTreeFitting:
         assert (lo + hi) / 2.0 == lo  # midpoint is unrepresentable between them
         m = matrix([[lo], [hi]], [0, 1])
         gh = GradHess(g=np.array([-4.0, 4.0]), h=np.array([4.0, 4.0]))
-        node = fit_tree(m, gh, TreeParams(max_depth=1, min_child_weight=0.0))
+        node = fit_tree(m, gh, BoostConfig(max_depth=1, min_child_weight=0.0))
         assert node.is_leaf
 
     def test_depth_limit_respected(self):
         gen = np.random.default_rng(5)
         m = matrix(gen.normal(0, 1, (32, 2)), gen.integers(0, 2, 32))
         gh = grad_hess(np.zeros(32), m.labels.astype(float))
-        node = fit_tree(m, gh, TreeParams(max_depth=2, min_child_weight=0.0))
+        node = fit_tree(m, gh, BoostConfig(max_depth=2, min_child_weight=0.0))
         def depth(n):
             return 0 if n.is_leaf else 1 + max(depth(n.left), depth(n.right))
         assert depth(node) <= 2
@@ -188,13 +193,13 @@ class TestTreeFitting:
         m = matrix(np.empty((0, 1)), [])
         gh = GradHess(g=np.empty(0), h=np.empty(0))
         with pytest.raises(EmptyNode):
-            fit_tree(m, gh, TreeParams())
+            fit_tree(m, gh, BoostConfig())
 
     def test_lambda_shrinks_leaf_magnitude_monotonically(self):
         m = matrix([[0.0]], [1])
         gh = GradHess(g=np.array([3.0]), h=np.array([2.0]))
         magnitudes = [
-            abs(fit_tree(m, gh, TreeParams(reg_lambda=lam)).weight)
+            abs(fit_tree(m, gh, BoostConfig(reg_lambda=lam)).weight)
             for lam in (0.0, 0.5, 1.0, 4.0, 16.0)
         ]
         assert all(a > b for a, b in zip(magnitudes, magnitudes[1:]))
@@ -210,7 +215,7 @@ class TestTreeFitting:
             values = np.round(gen.normal(0, 1, (n, d)), 3)
             g = gen.normal(0, 2, n)
             h = gen.uniform(0.05, 1.0, n)
-            params = TreeParams(
+            params = BoostConfig(
                 max_depth=1,
                 reg_lambda=lambdas[trial % 3],
                 gamma=gammas[trial % 2],
@@ -227,7 +232,7 @@ class TestTreeFitting:
         g = gen.normal(0, 1, 40)
         h = gen.uniform(0.05, 0.5, 40)
         lam = 1.0
-        params = TreeParams(max_depth=2, reg_lambda=lam, min_child_weight=0.0)
+        params = BoostConfig(max_depth=2, reg_lambda=lam, min_child_weight=0.0)
         node = fit_tree(matrix(values, np.zeros(40, dtype=int)), GradHess(g, h), params)
 
         def collect(n, rows):
@@ -339,9 +344,9 @@ class TestPresortedSplitSearch:
         labels = m.labels.astype(float)
         start = np.random.default_rng(seed).normal(0.0, 1.0, n)
         splits = 0
-        for mode in BoostMode:
+        for regularization in ({"reg_lambda": 0.0, "gamma": 0.0}, {}):
             for depth in range(1, 7):
-                params = BoostConfig(mode=mode, max_depth=depth).tree_params()
+                params = BoostConfig(max_depth=depth, **regularization)
                 margins = start.copy()
                 for _ in range(2):
                     tree = assert_tree_matches_reference(m, grad_hess(margins, labels), params)
@@ -359,7 +364,7 @@ class TestPresortedSplitSearch:
         values[:, 1] = 2.5  # constant
         values[:, 3] = np.where(np.arange(120) == 60, 1.0, 0.0)  # one odd row out
         gh = GradHess(gen.normal(0.0, 1.0, 120), gen.uniform(0.05, 0.25, 120))
-        params = TreeParams(max_depth=5, reg_lambda=reg_lambda, gamma=gamma,
+        params = BoostConfig(max_depth=5, reg_lambda=reg_lambda, gamma=gamma,
                             min_child_weight=min_child_weight)
         tree = assert_tree_matches_reference(matrix(values, np.zeros(120, dtype=int)), gh, params)
         assert not tree.is_leaf
@@ -373,7 +378,7 @@ class TestPresortedSplitSearch:
         values = np.array([[ulps[i % 8], ulps[(3 * i) % 8]] for i in range(40)])
         for trial in range(6):
             gh = GradHess(gen.normal(0.0, 1.0, 40), gen.uniform(0.05, 0.25, 40))
-            params = TreeParams(max_depth=4, min_child_weight=0.0, reg_lambda=trial % 2)
+            params = BoostConfig(max_depth=4, min_child_weight=0.0, reg_lambda=trial % 2)
             assert_tree_matches_reference(matrix(values, np.zeros(40, dtype=int)), gh, params)
 
     def test_saturated_rows_with_zero_curvature_and_no_regularization(self):
@@ -387,7 +392,7 @@ class TestPresortedSplitSearch:
         h = gen.uniform(0.05, 0.25, 100)
         h[0::2] = 0.0
         g[0::4] = 0.0  # saturated on the right class: 0 / 0 at the masked cuts
-        params = TreeParams(max_depth=6, reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
+        params = BoostConfig(max_depth=6, reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
         tree = assert_tree_matches_reference(
             matrix(values, np.zeros(100, dtype=int)), GradHess(g, h), params
         )
@@ -396,7 +401,7 @@ class TestPresortedSplitSearch:
     def test_zero_column_matrix_gives_a_leaf(self):
         m = matrix(np.empty((5, 0)), [0, 1, 0, 1, 1])
         gh = grad_hess(np.zeros(5), m.labels.astype(float))
-        tree = assert_tree_matches_reference(m, gh, TreeParams(min_child_weight=0.0))
+        tree = assert_tree_matches_reference(m, gh, BoostConfig(min_child_weight=0.0))
         assert tree.is_leaf
 
     def test_equal_gains_across_features_keep_the_lowest_feature(self):
@@ -404,7 +409,7 @@ class TestPresortedSplitSearch:
         column = gen.normal(0.0, 1.0, 60)
         noise = gen.normal(0.0, 1.0, 60)
         gh = GradHess(np.where(column < 0.0, -1.0, 1.0) + 0.1 * noise, np.full(60, 0.25))
-        params = TreeParams(max_depth=1, min_child_weight=0.0)
+        params = BoostConfig(max_depth=1, min_child_weight=0.0)
         # columns 1 and 2 are the same column, so their gains are equal bit for bit
         tied = matrix(np.column_stack([noise, column, column]), np.zeros(60, dtype=int))
         assert assert_tree_matches_reference(tied, gh, params).feature == 1
@@ -415,7 +420,7 @@ class TestPresortedSplitSearch:
     def test_equal_gains_within_a_feature_keep_the_lowest_threshold(self):
         m = matrix([[0.0], [1.0], [2.0], [3.0]], [0, 0, 0, 0])
         gh = GradHess(np.array([1.0, -1.0, -1.0, 1.0]), np.ones(4))
-        params = TreeParams(max_depth=1, reg_lambda=1.0, min_child_weight=0.0)
+        params = BoostConfig(max_depth=1, reg_lambda=1.0, min_child_weight=0.0)
         # cutting after the first row or before the last gives the same gain
         tree = assert_tree_matches_reference(m, gh, params)
         assert (tree.threshold, tree.gain) == (0.5, 0.375)
@@ -440,13 +445,13 @@ class TestRouting:
 class TestEnsemblePrediction:
     def test_empty_ensemble_returns_base(self):
         ens = BoostedEnsemble(
-            config=BoostConfig(BoostMode.SECOND_ORDER), base_score=0.3, n_features=2
+            config=BoostConfig(), base_score=0.3, n_features=2
         )
         assert ens.predict_margin(np.array([[5.0, -5.0]])).tolist() == [0.3]
 
     def test_single_leaf_tree_adds_weight(self):
         ens = BoostedEnsemble(
-            config=BoostConfig(BoostMode.SECOND_ORDER),
+            config=BoostConfig(),
             base_score=0.0,
             trees=[TreeNode(weight=-0.4)],
             n_features=1,
@@ -455,17 +460,17 @@ class TestEnsemblePrediction:
 
     def test_margin_to_probability(self):
         ens = BoostedEnsemble(
-            config=BoostConfig(BoostMode.SECOND_ORDER), base_score=0.0, n_features=1
+            config=BoostConfig(), base_score=0.0, n_features=1
         )
         assert ens.predict_proba(np.array([[0.0]]))[0] == pytest.approx(0.5)
         ens_pos = BoostedEnsemble(
-            config=BoostConfig(BoostMode.SECOND_ORDER), base_score=math.log(3.0), n_features=1
+            config=BoostConfig(), base_score=math.log(3.0), n_features=1
         )
         assert ens_pos.predict_proba(np.array([[0.0]]))[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_very_negative_margin_clamped_above_zero(self):
         ens = BoostedEnsemble(
-            config=BoostConfig(BoostMode.SECOND_ORDER), base_score=-50.0, n_features=1
+            config=BoostConfig(), base_score=-50.0, n_features=1
         )
         p = ens.predict_proba(np.array([[0.0]]))[0]
         assert p > 0.0
@@ -473,7 +478,7 @@ class TestEnsemblePrediction:
 
     def test_dimension_mismatch(self):
         ens = BoostedEnsemble(
-            config=BoostConfig(BoostMode.SECOND_ORDER), base_score=0.0, n_features=3
+            config=BoostConfig(), base_score=0.0, n_features=3
         )
         with pytest.raises(DimensionMismatch):
             ens.predict_margin(np.array([[1.0]]))
@@ -482,7 +487,7 @@ class TestEnsemblePrediction:
 class TestFitBoosted:
     def test_base_score_is_log_odds_of_positive_rate(self):
         m = matrix([[0.0], [1.0], [2.0], [3.0]], [1, 1, 1, 0])
-        config = BoostConfig(mode=BoostMode.SECOND_ORDER, n_rounds=1)
+        config = BoostConfig(n_rounds=1)
         ens = fit_boosted(m, config)
         assert ens.base_score == pytest.approx(math.log(3.0), abs=1e-15)
 
@@ -497,20 +502,21 @@ class TestFitBoosted:
             dict(gamma=-0.1),
             dict(min_child_weight=-0.5),
         ):
-            config = BoostConfig(mode=BoostMode.SECOND_ORDER, **bad)
+            config = BoostConfig(**bad)
             with pytest.raises(BadHyperparameter):
                 fit_boosted(m, config)
 
     def test_single_class_rejected(self):
         m = matrix([[0.0], [1.0]], [1, 1])
         with pytest.raises(SingleClassDataset):
-            fit_boosted(m, BoostConfig(mode=BoostMode.SECOND_ORDER))
+            fit_boosted(m, BoostConfig())
 
-    @pytest.mark.parametrize("mode", [BoostMode.FIRST_ORDER, BoostMode.SECOND_ORDER])
-    def test_separable_training_descends_and_separates(self, mode):
+    @pytest.mark.parametrize("regularization", [{"reg_lambda": 0.0, "gamma": 0.0}, {}],
+                             ids=["lambda_gamma_0", "defaults"])
+    def test_separable_training_descends_and_separates(self, regularization):
         m = separable_toy()
-        config = BoostConfig(mode=mode, n_rounds=20, learning_rate=0.3, max_depth=1,
-                             min_child_weight=0.0)
+        config = BoostConfig(n_rounds=20, learning_rate=0.3, max_depth=1,
+                             min_child_weight=0.0, **regularization)
         ens = fit_boosted(m, config)
         assert len(ens.trees) == 20
         margins = np.full(m.n_rows, ens.base_score)
@@ -526,40 +532,44 @@ class TestFitBoosted:
 
     def test_learning_rate_scales_first_tree_leaves(self):
         m = separable_toy()
-        base = dict(mode=BoostMode.SECOND_ORDER, n_rounds=1, max_depth=2, min_child_weight=0.0)
+        base = dict(n_rounds=1, max_depth=2, min_child_weight=0.0)
         small = fit_boosted(m, BoostConfig(learning_rate=0.1, **base))
         full = fit_boosted(m, BoostConfig(learning_rate=1.0, **base))
         w_small = leaf_weights(small.trees[0])
         w_full = leaf_weights(full.trees[0])
         assert w_small == pytest.approx([0.1 * w for w in w_full], rel=1e-12)
 
-    def test_first_order_ignores_lambda_and_gamma(self):
-        m = separable_toy()
-        a = fit_boosted(m, BoostConfig(mode=BoostMode.FIRST_ORDER, n_rounds=5,
-                                       reg_lambda=9.0, gamma=5.0, min_child_weight=0.0))
-        b = fit_boosted(m, BoostConfig(mode=BoostMode.FIRST_ORDER, n_rounds=5,
-                                       reg_lambda=0.0, gamma=0.0, min_child_weight=0.0))
-        assert [_serialize_tree(t) for t in a.trees] == [_serialize_tree(t) for t in b.trees]
-        params = a.config.tree_params()
-        assert params.reg_lambda == 0.0 and params.gamma == 0.0
-
-    def test_modes_agree_when_regularization_is_zero(self):
+    def test_gb_is_xgb_with_zero_lambda_and_gamma(self):
         gen = np.random.default_rng(9)
         values = gen.normal(0, 1, (30, 3))
         labels = (values[:, 0] + 0.3 * gen.normal(0, 1, 30) > 0).astype(int)
         labels[0], labels[1] = 0, 1
         m = matrix(values, labels)
-        first = fit_boosted(m, BoostConfig(mode=BoostMode.FIRST_ORDER, n_rounds=8,
-                                           min_child_weight=0.0))
-        second = fit_boosted(m, BoostConfig(mode=BoostMode.SECOND_ORDER, n_rounds=8,
-                                            reg_lambda=0.0, gamma=0.0, min_child_weight=0.0))
-        assert [_serialize_tree(t) for t in first.trees] == [
-            _serialize_tree(t) for t in second.trees
-        ]
+        overrides = {"n_rounds": 8, "min_child_weight": 0.0}
+        gb = fit_boosted(m, family_config(Algorithm.GB, overrides))
+        xgb = fit_boosted(m, family_config(Algorithm.XGB,
+                                           {**overrides, "reg_lambda": 0, "gamma": 0}))
+        assert gb.trees
+        assert [_serialize_tree(t) for t in gb.trees] == [_serialize_tree(t) for t in xgb.trees]
+
+    @pytest.mark.parametrize("algorithm, overrides", [
+        (Algorithm.GB, {}),
+        (Algorithm.XGB, {"reg_lambda": 0}),
+    ])
+    def test_zero_curvature_side_scores_zero_not_infinity(self, algorithm, overrides):
+        # learning rate 1 saturates misclassified rows (g != 0, h == 0); with
+        # lambda = 0 a side holding only such rows has no Newton step
+        data = synth_generate(80, 0.5, 1)
+        m = preprocess.transform(preprocess.fit(data), data)
+        config = family_config(algorithm, {"learning_rate": 1.0, "min_child_weight": 0,
+                                           **overrides})
+        gains = [node.gain for tree in fit_boosted(m, config).trees
+                 for node in split_nodes(tree)]
+        assert gains and all(math.isfinite(gain) for gain in gains)
 
     def test_stalls_immediately_on_uninformative_features(self):
         m = matrix([[1.0], [1.0], [1.0], [1.0]], [1, 1, 1, 0])
-        ens = fit_boosted(m, BoostConfig(mode=BoostMode.SECOND_ORDER, n_rounds=50))
+        ens = fit_boosted(m, BoostConfig(n_rounds=50))
         assert ens.trees == []
         p = ens.predict_proba(np.array([[1.0]]))[0]
         assert p == pytest.approx(0.75, abs=1e-12)
@@ -570,7 +580,7 @@ class TestFitBoosted:
         labels = (values[:, 1] > 0).astype(int)
         labels[0], labels[1] = 0, 1
         m = matrix(values, labels)
-        config = BoostConfig(mode=BoostMode.SECOND_ORDER, n_rounds=10)
+        config = BoostConfig(n_rounds=10)
         a = fit_boosted(m, config)
         b = fit_boosted(m, config)
         assert [_serialize_tree(t) for t in a.trees] == [_serialize_tree(t) for t in b.trees]

@@ -402,6 +402,23 @@ class TestErrorCodes:
         code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit)
         self._assert_one_corrupt_bundle_line(code, out_path, capsys, "mode", "second_order")
 
+    @pytest.mark.parametrize("name, value", [
+        ("reg_lambda", False), ("gamma", False), ("reg_lambda", 1.0), ("gamma", "0"),
+    ])
+    def test_gb_bundle_with_its_fixed_regularization_changed_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys, name, value):
+        def edit(model):
+            assert model[name] == 0.0
+            model[name] = value
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit)
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, name, repr(value))
+
+    def test_gb_bundle_missing_its_mode_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        def edit(model):
+            del model["mode"]
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit)
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "mode")
+
     @pytest.mark.parametrize("family", ["rnn", "zz"])
     def test_model_family_other_than_the_algorithm_is_corrupt_bundle(
             self, tmp_path, data_csv, capsys, family):

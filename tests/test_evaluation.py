@@ -32,7 +32,7 @@ from cardiolearn.evaluation import (
 )
 from cardiolearn.persistence import serialize_model, serialize_preprocessor
 from cardiolearn.rng import derive_seed
-from cardiolearn.training import Algorithm, ModelSpec, fit_algorithm, resolve_params
+from cardiolearn.training import Algorithm, fit_algorithm, resolve_params
 
 
 class FixedProbabilityModel:
@@ -194,7 +194,7 @@ class TestCrossValidate:
                 dataset.subset(fold0_val, source="v"), 0,
             )
             model = fit_algorithm(
-                ModelSpec(Algorithm.GB, resolve_params(Algorithm.GB, {"n_rounds": 5})),
+                RunConfig(Algorithm.GB, params=resolve_params(Algorithm.GB, {"n_rounds": 5})),
                 train_m, seed=derive_seed(seed, 1),
             )
             return fp, model

@@ -22,7 +22,8 @@ from cardiolearn import training
 from cardiolearn.dataset import Dataset, kfold, stratified_split, synth_generate
 from cardiolearn.preprocess import FeatureMatrix
 from cardiolearn.rnn import TrainHistory
-from cardiolearn.training import Algorithm, ModelSpec, fit_algorithm
+from cardiolearn.evaluation import RunConfig
+from cardiolearn.training import Algorithm, fit_algorithm
 
 
 def digest(value) -> str:
@@ -90,7 +91,7 @@ def inner_split_rows(labels, seed, monkeypatch):
         return None, TrainHistory()
 
     monkeypatch.setattr(training, "train_rnn", record)
-    fit_algorithm(ModelSpec(Algorithm.RNN, {}), m, seed=seed)
+    fit_algorithm(RunConfig(Algorithm.RNN, params={}), m, seed=seed)
     (rows,) = seen
     return rows
 

