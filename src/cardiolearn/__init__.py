@@ -7,7 +7,9 @@ and XGBoost over Newton-step trees, and an Elman recurrent network),
 confusion-matrix evaluation with cross-validation and grid search, JSON
 model persistence, and a command-line front end. Every random choice flows
 from an explicit seed through one documented generator, so identical
-configurations reproduce identical artifacts on any platform.
+configurations reproduce identical artifacts with the same Python, NumPy and
+OpenBLAS builds on the same CPU dispatch path; another SIMD path can change
+the last bits (ROADMAP.md open item 3).
 """
 
 from .bayes import GaussianNBModel, fit_gaussian_nb, posterior_from_log_joint

@@ -238,7 +238,6 @@ def fit_boosted(m: FeatureMatrix, config: BoostConfig) -> BoostedEnsemble:
     weights scaled by the learning rate. Rounds stop early when the best
     root split has no positive gain and the root leaf weight is negligible.
     """
-    config.validate()
     labels = m.labels.astype(float)
     positive_rate = float(labels.mean())
     if positive_rate in (0.0, 1.0):

@@ -306,7 +306,6 @@ def cmd_summarize(args) -> int:
 def cmd_preprocess(args) -> int:
     data = ds.load_csv(args.data)
     config = _run_config(args, Algorithm.NB)  # no model is fitted here
-    config.validate()
     split, fp, train_m, test_m = prepare_matrices(data, config)
     outliers = preprocess.flag_outliers(train_m)
     before = split.train.class_counts()
@@ -404,7 +403,6 @@ def cmd_gridsearch(args) -> int:
     for name, candidates in doc["grid"].items():
         check(candidates, list, f"grid entry {name!r}")
     config = _run_config(args, algorithm)
-    config.validate()
     metric = SelectionMetric(args.metric)
     spec = GridSpec(grid=doc["grid"], selection_metric=metric, k=args.k)
     result = grid_search(spec, config, data)

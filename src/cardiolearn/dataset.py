@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     BadEncoding,
-    BadFraction,
     BadHyperparameter,
     DuplicateHeader,
     EmptyDataset,
@@ -477,7 +476,7 @@ def synth_generate(n: int, positive_fraction: float, seed: int) -> Dataset:
     if n < 2:
         raise BadHyperparameter(f"need at least 2 records, got {n}")
     if not 0.0 < positive_fraction < 1.0:
-        raise BadFraction(f"positive_fraction must be in (0, 1), got {positive_fraction}")
+        raise FractionOutOfRange(f"positive_fraction must be in (0, 1), got {positive_fraction}")
     gen = SplitMix64(seed)
     n_pos = _round_half_up(n * positive_fraction)
     labels = [1] * n_pos + [0] * (n - n_pos)

@@ -71,10 +71,6 @@ class FractionOutOfRange(CardioLearnError):
     code = "E_CONFIG"
 
 
-class BadFraction(CardioLearnError):
-    code = "E_CONFIG"
-
-
 class KTooLarge(CardioLearnError):
     code = "E_CONFIG"
 

@@ -1,7 +1,8 @@
 """Run settings, confusion-matrix metrics, cross-validation and grid search.
 
-`RunConfig` is the one table of a run's settings, and `encode_partitions`
-the one preprocessing step of a run: fit the preprocessor on the training
+`RunConfig` is the one table of a run's settings, checked, its params
+included, when it is constructed; `encode_partitions` is the one
+preprocessing step of a run: fit the preprocessor on the training
 side, transform both sides, oversample the training side only (when
 enabled). A `train`, `compare` or `preprocess` run and every
 cross-validation fold go through both.
@@ -56,9 +57,9 @@ class RunConfig(Hyperparameters):
     unseen_policy: UnseenPolicy = UnseenPolicy.ERROR
     params: Mapping = field(default_factory=dict)
 
-    def validate(self) -> None:
-        """Range-check everything before any data is touched."""
-        super().validate()
+    def __post_init__(self) -> None:
+        """Check every setting, and `params` against the algorithm's family."""
+        super().__post_init__()
         resolve_params(self.algorithm, self.params)
 
     def train_config_record(self) -> dict:
@@ -208,7 +209,6 @@ def cross_validate(config: RunConfig, data: Dataset, k: int) -> CVResult:
     (oversampling on stream 2i), fits the model on stream 2i+1, and scores
     the validation portion.
     """
-    config.validate()
     reports = []
     for i, (train_idx, val_idx) in enumerate(kfold(data, k, config.seed)):
         fold_train = data.subset(train_idx, source=f"{data.source}#fold{i}-train")
@@ -265,13 +265,11 @@ def grid_search(spec: GridSpec, config: RunConfig, data: Dataset) -> GridSearchR
     """Exhaustive search over the grid, each candidate cross-validated as
     `config` with that candidate's params; ranked by mean selection metric.
 
-    Every candidate is checked before any fold runs. Candidates whose metric
-    is undefined in any fold rank below every defined candidate. Equal means
-    keep the earliest canonical candidate.
+    Every candidate is checked as it is built, before any fold runs.
+    Candidates whose metric is undefined in any fold rank below every
+    defined candidate. Equal means keep the earliest canonical candidate.
     """
     candidates = [replace(config, params=params) for params in grid_candidates(spec.grid)]
-    for candidate in candidates:
-        candidate.validate()
     evaluated = []
     best_index = 0
     best_mean = None

@@ -2,9 +2,10 @@
 
 A field declared with `hyperparameter(default, interval)` carries its name,
 default, type (its annotation, int or float) and range, an interval written
-like "(0, 1]" or "[1, inf)". A model family's values from outside (flags,
-config and grid files, bundles) enter through `Hyperparameters.build`, which
-coerces each to its field's type and range-checks the result.
+like "(0, 1]" or "[1, inf)". A `Hyperparameters` config checks itself when it
+is constructed, `dataclasses.replace` included: each such field's value is
+coerced to the field's type and range-checked, so an invalid config cannot
+exist and no caller checks one again.
 
 `check(value, rule, what, error)` tests a JSON value from a bundle, a config
 or grid file, a hyperparameter or a threshold against a rule, which is
@@ -23,7 +24,6 @@ import numbers
 import reprlib
 import sys
 from dataclasses import field, fields
-from typing import Mapping
 
 from .errors import BadHyperparameter
 
@@ -83,29 +83,26 @@ def check(value, rule, what: str, error: type = BadHyperparameter):
     return value
 
 
-def _typed(name: str, kind: type, value):
+def _typed(name: str, kind: type, value, error: type):
     """`value` as `kind` (int or float); bools, non-numbers, non-finite values
-    and, for an int field, non-integral values are rejected."""
+    and, for an int field, non-integral values are rejected. An int stays
+    exact; only an integral float is converted to one."""
     what = f"hyperparameter {name!r}"
-    check(value, NUMBER, what)
-    if kind is int and float(value) != int(value):
-        raise BadHyperparameter(f"{what} must be an integer, got {value!r}")
+    check(value, NUMBER, what, error)
+    if kind is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise error(f"{what} must be an integer, got {value!r}")
     return kind(value)
 
 
 class Hyperparameters:
     """Base of a config dataclass whose ranged fields are `hyperparameter`s."""
 
-    @classmethod
-    def build(cls, values: Mapping, **fixed):
-        """The config from `values`, each coerced to its field's type, plus the
-        `fixed` fields; range-checked."""
-        kinds = {f.name: f.type for f in fields(cls)}
-        config = cls(**fixed, **{name: _typed(name, kinds[name], v) for name, v in values.items()})
-        config.validate()
-        return config
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Coerce each ranged field to its type and range-check it; a fault
+        raises that field's error."""
         for f in fields(self):
             if "interval" in f.metadata:
-                check(getattr(self, f.name), f.metadata["interval"], f.name, f.metadata["error"])
+                error = f.metadata["error"]
+                value = _typed(f.name, f.type, getattr(self, f.name), error)
+                check(value, f.metadata["interval"], f.name, error)
+                object.__setattr__(self, f.name, value)

@@ -45,7 +45,6 @@ def prepare_matrices(data: Dataset, config: RunConfig):
 
 
 def run_training(data: Dataset, config: RunConfig) -> TrainOutcome:
-    config.validate()
     _, fp, train_m, test_m = prepare_matrices(data, config)
     model = fit_algorithm(config, train_m, seed=derive_seed(config.seed, 2))
     report = evaluate_model(
@@ -75,7 +74,6 @@ def run_compare(data: Dataset, config: RunConfig) -> Tuple[Tuple[str, EvalReport
     only the model. Any single failure propagates and aborts the whole
     table; partial tables are never produced.
     """
-    config.validate()
     if config.params:
         raise BadHyperparameter(
             "compare runs every algorithm at its defaults; per-family overrides are not accepted"

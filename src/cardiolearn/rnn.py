@@ -342,7 +342,6 @@ def train_rnn(train: FeatureMatrix, val: FeatureMatrix,
     consecutive non-improving epochs training stops, and the weights
     snapshotted at the best epoch are returned.
     """
-    config.validate()
     if train.n_rows == 0:
         raise EmptyPartition("training partition is empty")
     if val.n_rows == 0:

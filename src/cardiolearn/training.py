@@ -5,9 +5,9 @@ Every fitted model exposes one batch method, `predict_proba(X)`: given an
 positive-class probabilities, bit-equal to scoring each row alone; any
 other shape raises DimensionMismatch. Evaluation, persistence, and the CLI
 never branch on the family. Hyperparameters arrive as a plain name/value
-mapping and are checked, before any work starts, by building the family's
-config (`BoostConfig`, `RNNTrainConfig`), whose fields own every name,
-default, type and range.
+mapping and are checked when the family's config (`BoostConfig`,
+`RNNTrainConfig`) is constructed from it, which a run's `RunConfig` does as
+it is made; the config's fields own every name, default, type and range.
 
 The recurrent network needs a validation partition for early stopping; it
 is carved out of the supplied training matrix (stratified, one fifth) so
@@ -64,16 +64,15 @@ PARAM_DEFAULTS = {Algorithm.NB: {}} | {
 def family_config(algorithm: Algorithm, overrides: Mapping):
     """The family's config (None for NB): its defaults overlaid with known
     overrides, plus the fields a caller may not set; type- and range-checked."""
-    defaults = PARAM_DEFAULTS[algorithm]
     for name in overrides:
-        if name not in defaults:
+        if name not in PARAM_DEFAULTS[algorithm]:
             raise BadHyperparameter(
                 f"unknown hyperparameter {name!r} for algorithm {algorithm.value!r}"
             )
     if algorithm is Algorithm.NB:
         return None
     config_class, fixed = FAMILY_CONFIGS[algorithm]
-    return config_class.build({**defaults, **overrides}, **fixed)
+    return config_class(**overrides, **fixed)
 
 
 def resolve_params(algorithm: Algorithm, overrides: Mapping) -> dict:

@@ -502,9 +502,13 @@ class TestFitBoosted:
             dict(gamma=-0.1),
             dict(min_child_weight=-0.5),
         ):
-            config = BoostConfig(**bad)
             with pytest.raises(BadHyperparameter):
-                fit_boosted(m, config)
+                fit_boosted(m, BoostConfig(**bad))
+
+    def test_integral_float_rounds_become_an_int(self):
+        config = BoostConfig(n_rounds=5.0)
+        assert config.n_rounds == 5 and type(config.n_rounds) is int
+        assert len(fit_boosted(separable_toy(), config).trees) <= 5
 
     def test_single_class_rejected(self):
         m = matrix([[0.0], [1.0]], [1, 1])

@@ -24,7 +24,6 @@ from cardiolearn.dataset import (
 )
 from cardiolearn.errors import (
     BadEncoding,
-    BadFraction,
     BadHyperparameter,
     DuplicateHeader,
     EmptyDataset,
@@ -448,7 +447,7 @@ class TestSynthGenerate:
     def test_argument_validation(self):
         with pytest.raises(BadHyperparameter):
             synth_generate(1, 0.5, seed=0)
-        with pytest.raises(BadFraction):
+        with pytest.raises(FractionOutOfRange):
             synth_generate(10, 0.0, seed=0)
-        with pytest.raises(BadFraction):
+        with pytest.raises(FractionOutOfRange):
             synth_generate(10, 1.0, seed=0)

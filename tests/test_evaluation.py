@@ -1,5 +1,7 @@
 """Confusion metrics, cross-validation, and grid search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from cardiolearn.errors import (
     BadHyperparameter,
     EmptyGrid,
     EmptyPredictions,
+    FractionOutOfRange,
     LengthMismatch,
 )
 from cardiolearn.evaluation import (
@@ -52,6 +55,31 @@ def report_with(accuracy, precision=0.5, recall=0.5, f1=0.5) -> EvalReport:
         model_id="stub",
         threshold=0.5,
     )
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("settings, error", [
+        ({"seed": 1.5}, BadHyperparameter),
+        ({"seed": -1}, BadHyperparameter),
+        ({"smote_k": 2.5}, BadHyperparameter),
+        ({"threshold": float("nan")}, BadHyperparameter),
+        ({"test_fraction": "x"}, FractionOutOfRange),
+        ({"test_fraction": 1.0}, FractionOutOfRange),
+        ({"params": {"n_rounds": 0}}, BadHyperparameter),
+    ], ids=["seed=1.5", "seed=-1", "smote_k=2.5", "threshold=nan", "test_fraction=x",
+            "test_fraction=1", "n_rounds=0"])
+    def test_invalid_setting_rejected_at_construction(self, settings, error):
+        with pytest.raises(error):
+            RunConfig(Algorithm.XGB, **settings)
+
+    def test_replace_checks_its_result(self):
+        with pytest.raises(BadHyperparameter, match="bogus"):
+            replace(RunConfig(Algorithm.NB), params={"bogus": 1})
+
+    def test_settings_take_their_field_types(self):
+        config = RunConfig(Algorithm.NB, seed=2 ** 53 + 1, smote_k=3.0)
+        assert config.seed == 2 ** 53 + 1 and type(config.seed) is int
+        assert config.smote_k == 3 and type(config.smote_k) is int
 
 
 class TestConfusion:
@@ -214,9 +242,8 @@ class TestCrossValidate:
 
     def test_rejects_unknown_hyperparameters(self):
         data = synth_generate(30, 0.5, seed=1)
-        config = RunConfig(Algorithm.NB, seed=0, params={"bogus": 1.0})
         with pytest.raises(BadHyperparameter, match="bogus"):
-            cross_validate(config, data, k=3)
+            cross_validate(RunConfig(Algorithm.NB, seed=0, params={"bogus": 1.0}), data, k=3)
 
 
 class TestGridCandidates:

@@ -42,6 +42,14 @@ def test_resolved_values_take_their_field_types():
     assert resolved["gamma"] == 1.0 and type(resolved["gamma"]) is float
 
 
+@pytest.mark.parametrize("algorithm, name", [
+    (Algorithm.XGB, "n_rounds"), (Algorithm.GB, "max_depth"), (Algorithm.RNN, "max_epochs"),
+])
+def test_large_integers_stay_exact(algorithm, name):
+    config = family_config(algorithm, {name: 2 ** 53 + 1})
+    assert getattr(config, name) == 2 ** 53 + 1
+
+
 @pytest.mark.parametrize("algorithm, overrides, fragment", [
     (Algorithm.GB, {"n_rounds": 0}, "n_rounds must be in [1, inf)"),
     (Algorithm.XGB, {"learning_rate": 1.5}, "learning_rate must be in (0, 1]"),
