@@ -9,13 +9,15 @@ to stable exit codes:
     E_IO       2    E_SCHEMA   3    E_CONFIG   4
     E_VERSION  5    E_DATA     6
 
-A JSON file passed via --config overrides the flags. Its keys are the
-subcommand's flag destinations (`params` for --param), each value checked
-against its flag: a bool for --no-smote, an integer or a number for an int
-or float flag, one of a choice flag's values, else a string (a path). A
-grid file's k, seed and selection_metric are checked against --k, --seed
-and --metric. Run settings default to RunConfig's; evaluate and predict
-use --threshold, else the bundle's threshold, else RunConfig's default.
+--param flags are parsed once into a `params` dict. A JSON file passed via
+--config then overrides the flags: its keys are the subcommand's flag
+destinations, each value checked against its flag (a bool for --no-smote,
+an integer or a number for an int or float flag, one of a choice flag's
+values, an object for `params`, merged over --param, else a string). A grid
+file's k, seed and selection_metric set --k, --seed and --metric the same
+way. RunConfig alone converts the values it is handed, and defaults the run
+settings a command has no flag for; evaluate and predict use --threshold,
+else the bundle's threshold, else RunConfig's default.
 """
 
 import argparse
@@ -47,7 +49,7 @@ from .training import ALGORITHM_LABELS, Algorithm
 
 EXIT_CODES = {"E_IO": 2, "E_SCHEMA": 3, "E_CONFIG": 4, "E_VERSION": 5, "E_DATA": 6}
 
-# grid-file keys and the --flag destination each is checked against
+# grid-file keys and the destination of the --flag each sets
 _GRID_FILE_FLAGS = {"k": "k", "seed": "seed", "selection_metric": "metric"}
 
 
@@ -120,7 +122,7 @@ def compare_csv(rows) -> str:
 
 def _parse_param_flags(pairs) -> dict:
     params = {}
-    for pair in pairs or []:
+    for pair in pairs:
         name, sep, raw = pair.partition("=")
         if not sep or not name:
             raise BadHyperparameter(f"--param expects name=value, got {pair!r}")
@@ -133,56 +135,45 @@ def _parse_param_flags(pairs) -> dict:
     return params
 
 
-def _coerce_params(raw) -> dict:
-    """Accept either --param NAME=VALUE strings or an already-merged dict."""
-    if isinstance(raw, dict):
-        return dict(raw)
-    return _parse_param_flags(raw)
-
-
 def _flags(parser, command: str) -> dict:
-    """Config key -> argparse action for each flag of `command` but --config;
-    `params` stands for --param."""
+    """Config key (flag destination) -> argparse action for each flag of
+    `command` but --config."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
-        "params" if action.dest == "param" else action.dest: action
+        action.dest: action
         for action in sub.choices[command]._actions
         if action.option_strings and action.dest not in ("help", "config")
     }
 
 
 def _flag_value(where: str, key: str, action, value):
-    """`value` as `action`'s flag would hold it: a bool for a switch, one of
-    the choices for a choice flag, else a JSON value of the flag's type."""
+    """`value`, if `action`'s flag could hold it: a bool for a switch, one of
+    the choices for a choice flag, an object for --param, else a JSON value
+    of the flag's type."""
     rule = (bool if action.nargs == 0 else tuple(action.choices) if action.choices
+            else dict if action.dest == "params"
             else {int: int, float: NUMBER, None: str}[action.type])
-    check(value, rule, f"{where} key {key!r}")
-    return action.type(value) if action.type else value
+    return check(value, rule, f"{where} key {key!r}")
 
 
-def _apply_config_file(args) -> None:
-    if not getattr(args, "config", None):
-        return
-    doc = check(read_json(args.config, "config file", BadHyperparameter), dict, "config file")
+def _apply_keys(args, where: str, doc: dict, actions: dict) -> None:
+    """Set each key's flag destination to its value in `doc`, checked against
+    the flag `actions` maps it to; `params` merges over --param."""
     for key in sorted(doc):
-        if key not in args.flags:
+        if key not in actions:
             raise BadHyperparameter(
-                f"config key {key!r} does not apply to command {args.command!r}"
+                f"{where} key {key!r} does not apply to command {args.command!r}"
             )
-        value = doc[key]
-        if key == "params":
-            args.param = {**_coerce_params(args.param), **check(value, dict, "config key 'params'")}
-        else:
-            setattr(args, key, _flag_value("config", key, args.flags[key], value))
+        dest = actions[key].dest
+        value = _flag_value(where, key, actions[key], doc[key])
+        setattr(args, dest, {**args.params, **value} if dest == "params" else value)
 
 
-def _run_config(args, algorithm: Algorithm, params=None) -> RunConfig:
-    """Each run setting from its flag, if the command has it, else RunConfig's
-    default; `algorithm` and `params` are no flag's destination."""
-    settings = {
-        f.name: f.type(getattr(args, f.name)) for f in fields(RunConfig) if hasattr(args, f.name)
-    }
-    return RunConfig(algorithm=algorithm, params=params or {}, **settings)
+def _run_config(args, algorithm: Algorithm) -> RunConfig:
+    """Each run setting from its flag, as the flag holds it, if the command
+    has it, else RunConfig's default; `algorithm` is no flag's destination."""
+    settings = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    return RunConfig(algorithm=algorithm, **settings)
 
 
 def _threshold(args, bundle) -> float:
@@ -208,7 +199,7 @@ def _add_common(p, with_split=True, with_threshold=True, with_params=False):
     if with_threshold:
         p.add_argument("--threshold", type=float, default=RunConfig.threshold)
     if with_params:
-        p.add_argument("--param", action="append", default=[], dest="param",
+        p.add_argument("--param", action="append", default=[], dest="params",
                        metavar="NAME=VALUE",
                        help="algorithm hyperparameter override; repeatable")
 
@@ -343,9 +334,8 @@ def cmd_train(args) -> int:
     algorithm = Algorithm(args.algo)
     if args.curves and algorithm is not Algorithm.RNN:
         raise BadHyperparameter("--curves applies only to --algo rnn")
-    params = _coerce_params(args.param)
     data = ds.load_csv(args.data)
-    config = _run_config(args, algorithm, params)
+    config = _run_config(args, algorithm)
     outcome = run_training(data, config)
     save_bundle(outcome.bundle, args.out)
     print(report_table(outcome.report))
@@ -395,16 +385,14 @@ def cmd_gridsearch(args) -> int:
     algorithm = Algorithm(args.algo)
     data = ds.load_csv(args.data)
     doc = check(read_json(args.grid, "grid file", BadHyperparameter), {"grid": dict}, "grid file")
-    for key in sorted(doc.keys() - {"grid"}):
-        if key not in _GRID_FILE_FLAGS:
-            raise BadHyperparameter(f"unknown grid-file key {key!r}")
-        dest = _GRID_FILE_FLAGS[key]
-        setattr(args, dest, _flag_value("grid-file", key, args.flags[dest], doc[key]))
-    for name, candidates in doc["grid"].items():
+    grid = doc.pop("grid")
+    _apply_keys(args, "grid-file", doc,
+                {key: args.flags[flag] for key, flag in _GRID_FILE_FLAGS.items()})
+    for name, candidates in grid.items():
         check(candidates, list, f"grid entry {name!r}")
     config = _run_config(args, algorithm)
     metric = SelectionMetric(args.metric)
-    spec = GridSpec(grid=doc["grid"], selection_metric=metric, k=args.k)
+    spec = GridSpec(grid=grid, selection_metric=metric, k=args.k)
     result = grid_search(spec, config, data)
     atomic_write_text(args.out, results_csv(result))
     headers = ["params", f"mean {metric.value}", f"std {metric.value}"]
@@ -436,9 +424,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    params = _coerce_params(args.param)
     data = ds.load_csv(args.data)
-    config = _run_config(args, Algorithm.RNN, params)
+    config = _run_config(args, Algorithm.RNN)
     outcome = run_training(data, config)
     atomic_write_text(args.out, outcome.history.csv_text())
     history = outcome.history
@@ -464,7 +451,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.flags = _flags(parser, args.command)
     try:
-        _apply_config_file(args)
+        args.params = _parse_param_flags(getattr(args, "params", []))
+        if args.config:
+            doc = read_json(args.config, "config file", BadHyperparameter)
+            _apply_keys(args, "config", check(doc, dict, "config file"), args.flags)
         return _HANDLERS[args.command](args)
     except CardioLearnError as exc:
         message = " ".join(str(exc).split())

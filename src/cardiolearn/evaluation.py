@@ -58,8 +58,14 @@ class RunConfig(Hyperparameters):
     params: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        """Check every setting, and `params` against the algorithm's family."""
+        """Check every setting, turning an `unseen_policy` value into its
+        member, and `params` against the algorithm's family."""
         super().__post_init__()
+        check(self.smote_enabled, bool, "smote_enabled")
+        if not isinstance(self.unseen_policy, UnseenPolicy):
+            value = check(self.unseen_policy, tuple(u.value for u in UnseenPolicy),
+                          "unseen_policy")
+            object.__setattr__(self, "unseen_policy", UnseenPolicy(value))
         resolve_params(self.algorithm, self.params)
 
     def train_config_record(self) -> dict:

@@ -306,13 +306,8 @@ def _mean_loss(params: RNNParams, m: FeatureMatrix) -> float:
 def _add_rows(total: np.ndarray, G: np.ndarray) -> np.ndarray:
     """total + G[0] + G[1] + ..., added left to right as a `+=` loop over
     the rows of G does, so the sum does not depend on how rows are batched."""
-    stacked = np.concatenate([total[np.newaxis], G])
-    if total.size >= 2:
-        # an axis-0 reduce adds whole row slices elementwise, in row order
-        return np.add.reduce(stacked, axis=0)
-    # rows of one element would make that reduce sum pairwise; accumulate
-    # adds in order by definition
-    return np.add.accumulate(stacked, axis=0)[-1, ...]
+    # accumulate adds in order by definition; a reduce may sum pairwise
+    return np.add.accumulate(np.concatenate([total[np.newaxis], G]), axis=0)[-1, ...]
 
 
 def _batch_grads(params: RNNParams, m: FeatureMatrix, rows) -> RNNParams:

@@ -1201,6 +1201,16 @@ class TestGridsearch:
         assert code == 4
         assert "folds" in capsys.readouterr().err
 
+    # `metric` and `threshold` are gridsearch flags, but no grid-file key sets them
+    @pytest.mark.parametrize("key", ["folds", "metric", "threshold"])
+    def test_unknown_grid_file_key_does_not_apply(self, tmp_path, data_csv, capsys, key):
+        doc = {"grid": {"n_rounds": [2]}, key: 0.5}
+        assert self._gridsearch_with(tmp_path, data_csv, doc) == 4
+        assert capsys.readouterr().err == (
+            f"E_CONFIG BadHyperparameter: grid-file key {key!r} does not apply "
+            "to command 'gridsearch'\n")
+        assert not (tmp_path / "r.csv").exists()
+
     def _gridsearch_with(self, tmp_path, data_csv, doc, *flags):
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps(doc), encoding="utf-8")

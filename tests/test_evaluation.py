@@ -34,6 +34,7 @@ from cardiolearn.evaluation import (
     summarize_reports,
 )
 from cardiolearn.persistence import serialize_model, serialize_preprocessor
+from cardiolearn.preprocess import UnseenPolicy
 from cardiolearn.rng import derive_seed
 from cardiolearn.training import Algorithm, fit_algorithm, resolve_params
 
@@ -66,8 +67,13 @@ class TestRunConfig:
         ({"test_fraction": "x"}, FractionOutOfRange),
         ({"test_fraction": 1.0}, FractionOutOfRange),
         ({"params": {"n_rounds": 0}}, BadHyperparameter),
+        ({"smote_enabled": "no"}, BadHyperparameter),
+        ({"smote_enabled": 1}, BadHyperparameter),
+        ({"unseen_policy": "bogus"}, BadHyperparameter),
+        ({"unseen_policy": None}, BadHyperparameter),
     ], ids=["seed=1.5", "seed=-1", "smote_k=2.5", "threshold=nan", "test_fraction=x",
-            "test_fraction=1", "n_rounds=0"])
+            "test_fraction=1", "n_rounds=0", "smote_enabled=no", "smote_enabled=1",
+            "unseen_policy=bogus", "unseen_policy=None"])
     def test_invalid_setting_rejected_at_construction(self, settings, error):
         with pytest.raises(error):
             RunConfig(Algorithm.XGB, **settings)
@@ -80,6 +86,11 @@ class TestRunConfig:
         config = RunConfig(Algorithm.NB, seed=2 ** 53 + 1, smote_k=3.0)
         assert config.seed == 2 ** 53 + 1 and type(config.seed) is int
         assert config.smote_k == 3 and type(config.smote_k) is int
+
+    def test_unseen_policy_value_becomes_its_member(self):
+        config = RunConfig(Algorithm.NB, unseen_policy="map_to_mode")
+        assert config.unseen_policy is UnseenPolicy.MAP_TO_MODE
+        assert replace(config, seed=1).unseen_policy is UnseenPolicy.MAP_TO_MODE
 
 
 class TestConfusion:

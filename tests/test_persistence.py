@@ -160,6 +160,12 @@ class TestBundles:
         assert cfg["algorithm"] == "gb"
         assert cfg["params"]["n_rounds"] == 8
 
+    def test_unseen_policy_given_by_value_is_stored(self):
+        data = synth_generate(80, 0.5, seed=2)
+        outcome = run_training(data, RunConfig(Algorithm.NB, unseen_policy="map_to_mode"))
+        assert outcome.bundle["preprocessor"]["unseen_policy"] == "map_to_mode"
+        assert outcome.bundle["train_config"]["unseen_policy"] == "map_to_mode"
+
     def test_version_mismatch(self, tmp_path):
         _, outcome = trained_outcome(Algorithm.NB)
         doc = dict(outcome.bundle)

@@ -480,7 +480,7 @@ class TestTrainRnn:
             dict(init_scale=0.0),
         ):
             with pytest.raises(BadHyperparameter):
-                RNNTrainConfig(**bad).validate()
+                RNNTrainConfig(**bad)
 
 
 class TestTrainHistory:
