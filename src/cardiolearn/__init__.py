@@ -52,6 +52,7 @@ from .evaluation import (
     SelectionMetric,
     confusion,
     cross_validate,
+    encode_folds,
     evaluate_model,
     grid_search,
     metrics,

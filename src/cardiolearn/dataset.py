@@ -22,6 +22,7 @@ from .errors import (
     EmptyFile,
     FractionOutOfRange,
     KTooLarge,
+    MalformedCsv,
     MissingColumn,
     SchemaMismatch,
     SingleClassDataset,
@@ -207,12 +208,19 @@ def _parse_row(row_index, raw_cells, positions):
 
 def _read_rows(path):
     # utf-8-sig drops a leading byte-order mark, so the first header name stays clean
+    rows = []
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+            for row in csv.reader(fh):
+                if row and any(cell.strip() for cell in row):
+                    rows.append(row)
     except UnicodeDecodeError as exc:
         raise BadEncoding(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        # e.g. a cell longer than csv.field_size_limit(); the failing row is
+        # the one after the last kept, numbered as load_csv numbers data rows
+        where = f"row {len(rows) - 1}" if rows else "header"
+        raise MalformedCsv(f"{path}: {where}: {exc}") from None
     if not rows:
         raise EmptyFile(f"{path}: no content")
     return rows

@@ -25,6 +25,10 @@ class BadEncoding(CardioLearnError):
     code = "E_DATA"
 
 
+class MalformedCsv(CardioLearnError):
+    code = "E_DATA"
+
+
 class DuplicateHeader(CardioLearnError):
     code = "E_SCHEMA"
 

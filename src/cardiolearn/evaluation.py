@@ -12,12 +12,14 @@ so a degenerate model cannot masquerade as a scoring one. The decision rule
 is fixed and inclusive: label 1 iff probability >= threshold, for a
 threshold inside THRESHOLD_INTERVAL.
 
-Cross-validation fold i encodes its own partitions (oversampling on seed
-stream 2i) and fits the model on stream 2i+1. Grid search runs every
-candidate as the run's config with that candidate's params, walking the
-full Cartesian product in a canonical order: candidate lists iterate
-lexicographically with parameter names sorted alphabetically, and metric
-ties keep the earliest candidate in that order.
+Cross-validation fold i is encoded once per search (oversampling on seed
+stream 2i), and every candidate fits its model to that fold on stream
+2i+1. A candidate changes only `params`, which encoding never reads, so
+the encoded folds, and each matrix's cached presort, are shared. Grid
+search runs every candidate as the run's config with that candidate's
+params, walking the full Cartesian product in a canonical order:
+candidate lists iterate lexicographically with parameter names sorted
+alphabetically, and metric ties keep the earliest candidate in that order.
 """
 
 import enum
@@ -208,25 +210,33 @@ def summarize_reports(reports: Sequence[EvalReport]) -> CVSummary:
     return CVSummary(means=means, stds=stds)
 
 
-def cross_validate(config: RunConfig, data: Dataset, k: int) -> CVResult:
-    """Stratified k-fold evaluation of `config`'s run, folds drawn from its seed.
-
-    Fold i encodes its training and validation portions as a run does
-    (oversampling on stream 2i), fits the model on stream 2i+1, and scores
-    the validation portion.
-    """
-    reports = []
+def encode_folds(
+    config: RunConfig, data: Dataset, k: int,
+) -> Tuple[Tuple[FeatureMatrix, FeatureMatrix], ...]:
+    """Stratified k folds of `data` drawn from `config`'s seed, as
+    (training, validation) matrices; fold i encodes its partitions as a
+    run does, oversampling on stream 2i."""
+    folds = []
     for i, (train_idx, val_idx) in enumerate(kfold(data, k, config.seed)):
         fold_train = data.subset(train_idx, source=f"{data.source}#fold{i}-train")
         fold_val = data.subset(val_idx, source=f"{data.source}#fold{i}-val")
         _, train_m, val_m = encode_partitions(config, fold_train, fold_val, 2 * i)
-        model = fit_algorithm(config, train_m, seed=derive_seed(config.seed, 2 * i + 1))
-        reports.append(
-            evaluate_model(
-                model, val_m, config.threshold,
-                model_id=ALGORITHM_LABELS[config.algorithm],
-            )
+        folds.append((train_m, val_m))
+    return tuple(folds)
+
+
+def cross_validate(
+    config: RunConfig, folds: Sequence[Tuple[FeatureMatrix, FeatureMatrix]],
+) -> CVResult:
+    """Evaluate `config`'s model on encoded folds: fold i fits on its
+    training matrix on stream 2i+1 and scores its validation matrix."""
+    reports = [
+        evaluate_model(
+            fit_algorithm(config, train_m, seed=derive_seed(config.seed, 2 * i + 1)),
+            val_m, config.threshold, model_id=ALGORITHM_LABELS[config.algorithm],
         )
+        for i, (train_m, val_m) in enumerate(folds)
+    ]
     return CVResult(
         fold_reports=tuple(reports),
         summary=summarize_reports(reports),
@@ -271,16 +281,19 @@ def grid_search(spec: GridSpec, config: RunConfig, data: Dataset) -> GridSearchR
     """Exhaustive search over the grid, each candidate cross-validated as
     `config` with that candidate's params; ranked by mean selection metric.
 
-    Every candidate is checked as it is built, before any fold runs.
-    Candidates whose metric is undefined in any fold rank below every
-    defined candidate. Equal means keep the earliest canonical candidate.
+    Every candidate is checked as it is built, before any fold is
+    encoded; the k folds are then encoded once and shared by every
+    candidate. Candidates whose metric is undefined in any fold rank
+    below every defined candidate. Equal means keep the earliest
+    canonical candidate.
     """
     candidates = [replace(config, params=params) for params in grid_candidates(spec.grid)]
+    folds = encode_folds(config, data, spec.k)
     evaluated = []
     best_index = 0
     best_mean = None
     for index, candidate in enumerate(candidates):
-        cv = cross_validate(candidate, data, spec.k)
+        cv = cross_validate(candidate, folds)
         evaluated.append(GridCandidate(params=candidate.params, cv=cv))
         mean = cv.summary.means[spec.selection_metric.value]
         if mean is not None and (best_mean is None or mean > best_mean):

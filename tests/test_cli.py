@@ -745,6 +745,34 @@ class TestErrorCodes:
         assert err.startswith("E_DATA BadEncoding:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["summarize", "train", "gridsearch", "predict"])
+    def test_over_long_cell_is_one_data_line(self, tmp_path, data_csv, command, capsys):
+        # the csv module refuses a field longer than its 131072-character limit
+        out_path = tmp_path / "out.csv"
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"grid": {"n_rounds": [2]}}), encoding="utf-8")
+        source = data_csv
+        flags = {
+            "summarize": [],
+            "train": ["--algo", "nb", "--out", str(out_path)],
+            "gridsearch": ["--algo", "gb", "--grid", str(grid_path), "--out", str(out_path)],
+            "predict": ["--out", str(out_path)],
+        }[command]
+        if command == "predict":
+            source = unlabeled_from(data_csv, tmp_path / "unlabeled.csv")
+            flags += ["--bundle", train_bundle(tmp_path, data_csv)]
+            capsys.readouterr()
+        lines = open(source, encoding="utf-8").read().splitlines()
+        lines[3] = "1" * 200_000 + lines[3]
+        long_csv = tmp_path / "long.csv"
+        long_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = [command, "--data", str(long_csv), *flags]
+        assert main(args) == 6
+        err = capsys.readouterr().err
+        assert err.startswith(f"E_DATA MalformedCsv: {long_csv}: row 2: field larger than")
+        assert len(err.strip().splitlines()) == 1
+        assert not out_path.exists()
+
 
 class TestSummarize:
     def test_prints_counts_and_histograms(self, data_csv, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import matrix, spread_dataset
-from cardiolearn import evaluation
+from cardiolearn import evaluation, preprocess
 from cardiolearn.dataset import kfold, synth_generate
 from cardiolearn.errors import (
     BadHyperparameter,
@@ -24,6 +24,7 @@ from cardiolearn.evaluation import (
     SelectionMetric,
     confusion,
     cross_validate,
+    encode_folds,
     encode_partitions,
     evaluate_model,
     format_params,
@@ -203,7 +204,8 @@ class TestSummarizeReports:
 class TestCrossValidate:
     def test_fold_count_and_summary(self):
         data = synth_generate(60, 0.5, seed=3)
-        result = cross_validate(RunConfig(Algorithm.NB, seed=11), data, k=3)
+        config = RunConfig(Algorithm.NB, seed=11)
+        result = cross_validate(config, encode_folds(config, data, k=3))
         assert len(result.fold_reports) == 3
         accs = [r.accuracy for r in result.fold_reports]
         assert result.summary.means["accuracy"] == pytest.approx(np.mean(accs))
@@ -213,8 +215,8 @@ class TestCrossValidate:
     def test_deterministic(self):
         data = synth_generate(60, 0.5, seed=3)
         config = RunConfig(Algorithm.GB, seed=7, params={"n_rounds": 10})
-        a = cross_validate(config, data, k=3)
-        b = cross_validate(config, data, k=3)
+        a = cross_validate(config, encode_folds(config, data, k=3))
+        b = cross_validate(config, encode_folds(config, data, k=3))
         assert [r.accuracy for r in a.fold_reports] == [r.accuracy for r in b.fold_reports]
         assert a.summary.means == b.summary.means
 
@@ -254,7 +256,28 @@ class TestCrossValidate:
     def test_rejects_unknown_hyperparameters(self):
         data = synth_generate(30, 0.5, seed=1)
         with pytest.raises(BadHyperparameter, match="bogus"):
-            cross_validate(RunConfig(Algorithm.NB, seed=0, params={"bogus": 1.0}), data, k=3)
+            config = RunConfig(Algorithm.NB, seed=0, params={"bogus": 1.0})
+            cross_validate(config, encode_folds(config, data, k=3))
+
+
+class TestEncodeFolds:
+    def test_fitting_leaves_the_fold_untouched(self):
+        # a grid search shares each encoded fold across its candidates, so a
+        # fit or a score that wrote into the matrix would leak into the next
+        data = synth_generate(60, 0.5, seed=3)
+        for algorithm, params in (
+            (Algorithm.NB, {}),
+            (Algorithm.GB, {"n_rounds": 5}),
+            (Algorithm.XGB, {"n_rounds": 5}),
+            (Algorithm.RNN, {"max_epochs": 3}),
+        ):
+            config = RunConfig(algorithm, seed=4, params=params)
+            for train_m, val_m in encode_folds(config, data, k=3):
+                before = [(m.values.tobytes(), m.labels.tobytes()) for m in (train_m, val_m)]
+                model = fit_algorithm(config, train_m, seed=derive_seed(config.seed, 1))
+                evaluate_model(model, val_m, config.threshold)
+                after = [(m.values.tobytes(), m.labels.tobytes()) for m in (train_m, val_m)]
+                assert after == before, algorithm
 
 
 class TestGridCandidates:
@@ -297,9 +320,8 @@ class TestGridSearch:
         data = synth_generate(48, 0.5, seed=6)
         spec = self.grid_spec({"n_rounds": [2, 8]})
         result = grid_search(spec, self.config(Algorithm.GB), data)
-        replay = cross_validate(
-            self.config(Algorithm.GB, params=result.best_params), data, spec.k
-        )
+        config = self.config(Algorithm.GB, params=result.best_params)
+        replay = cross_validate(config, encode_folds(config, data, spec.k))
         assert replay.summary.means["accuracy"] == result.best_mean
 
     def test_equal_means_keep_earliest_candidate(self):
@@ -333,8 +355,9 @@ class TestGridSearch:
 
     def test_invalid_candidate_rejected_before_any_fit(self, monkeypatch):
         def no_fit(*args, **kwargs):
-            raise AssertionError("a fold was fitted before every candidate was checked")
+            raise AssertionError("a fold was encoded or fitted before every candidate was checked")
 
+        monkeypatch.setattr(evaluation, "encode_partitions", no_fit)
         monkeypatch.setattr(evaluation, "fit_algorithm", no_fit)
         data = synth_generate(30, 0.5, seed=1)
         for algorithm, grid, fragment in (
@@ -344,6 +367,28 @@ class TestGridSearch:
         ):
             with pytest.raises(BadHyperparameter, match=fragment):
                 grid_search(self.grid_spec(grid), self.config(algorithm), data)
+
+
+    def test_folds_are_encoded_once_per_search(self, monkeypatch):
+        calls = {"fit": 0, "smote": 0}
+
+        def counted(name):
+            original = getattr(preprocess, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(preprocess, name, counted(name))
+        data = synth_generate(48, 0.5, seed=6)
+        spec = self.grid_spec({"n_rounds": [3, 6], "max_depth": [1, 2]})
+        result = grid_search(spec, self.config(Algorithm.XGB), data)
+        assert calls == {"fit": 3, "smote": 3}
+        for candidate in result.candidates:
+            config = self.config(Algorithm.XGB, params=candidate.params)
+            assert candidate.cv == cross_validate(config, encode_folds(config, data, 3))
 
 
 class TestResultsCsv:
