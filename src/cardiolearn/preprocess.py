@@ -45,8 +45,12 @@ from .rng import SplitMix64
 
 _NUMERIC_SPECS = tuple(spec for spec in SCHEMA if spec.kind is FeatureKind.NUMERIC)
 _CATEGORICAL_COLUMNS = tuple((FEATURE_NAMES.index(name), name) for name in CATEGORICAL_FEATURES)
-# rows per distance block in the SMOTE neighbour search
+# rows per distance block in the SMOTE neighbour search, which holds
+# _lane_count(d) distance lanes of (block, m), nine for 8 to 128 columns
 _NEIGHBOUR_BLOCK = 64
+# NumPy's pairwise sum adds a run of up to this many values in eight lanes
+# and halves a longer run
+_PAIRWISE_RUN = 128
 
 
 class UnseenPolicy(enum.Enum):
@@ -242,19 +246,80 @@ def flag_outliers(m: FeatureMatrix, threshold_z: float = 3.0) -> OutlierReport:
     return OutlierReport(flags=flags, threshold_z=threshold_z)
 
 
+def _lane_count(d: int) -> int:
+    """(block, m) lanes `_squared_distances` needs for d columns: eight
+    running sums and the column being added, or a total and a column below
+    8 columns, plus one per half held while the other half is summed."""
+    if d > _PAIRWISE_RUN:
+        half = d // 2 - (d // 2) % 8
+        return max(_lane_count(half), 1 + _lane_count(d - half))
+    return 9 if d >= 8 else 2
+
+
+def _squared_distances(block_columns: np.ndarray, columns: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from each block row to each row, (b, m).
+
+    `block_columns` (d, b) and `columns` (d, m) hold the rows column by
+    column, and `lanes` is (_lane_count(d), b, m) scratch; the result is
+    lanes[0]. Each column's squared differences fill one lane, and the lanes
+    are added in the order NumPy's pairwise sum adds a contiguous axis:
+    left to right below 8 columns; up to _PAIRWISE_RUN columns, eight
+    running lanes, then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail
+    in order; past that, the two halves split at a multiple of 8 and added.
+    So the result equals np.sum(diffs * diffs, axis=-1) with diffs =
+    block[:, None, :] - points[None, :, :] bit for bit, from elementwise
+    IEEE operations alone.
+    """
+    d = len(columns)
+    if d > _PAIRWISE_RUN:
+        half = d // 2 - (d // 2) % 8
+        total = _squared_distances(block_columns[:half], columns[:half], lanes)
+        total += _squared_distances(block_columns[half:], columns[half:], lanes[1:])
+        return total
+
+    def square(j, lane):
+        # row minus block row: x - y is exactly -(y - x) in IEEE
+        # arithmetic, so the square is the same, and NumPy broadcasts this
+        # form faster than block row minus row
+        np.copyto(lane, columns[j])
+        lane -= block_columns[j][:, None]
+        return np.multiply(lane, lane, out=lane)
+
+    if d < 8:
+        total = square(0, lanes[0])
+        for j in range(1, d):
+            total += square(j, lanes[1])
+        return total
+    for j in range(8):
+        square(j, lanes[j])
+    tail = d - d % 8
+    for j in range(8, tail):
+        lanes[j % 8] += square(j, lanes[8])
+    for into, add in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+        lanes[into] += lanes[add]
+    for j in range(tail, d):
+        lanes[0] += square(j, lanes[8])
+    return lanes[0]
+
+
 def _nearest_neighbours(points: np.ndarray, k: int) -> np.ndarray:
     """Row positions of each row's k nearest other rows, shape (m, k).
 
-    Distance is Euclidean over all columns; ties go to the lower row
-    position. Distances are computed _NEIGHBOUR_BLOCK rows at a time, so
-    memory is O(block * m * d) rather than O(m^2 * d).
+    Distance is Euclidean over all columns, each squared distance summed in
+    `_squared_distances`' fixed order; ties go to the lower row position.
+    Distances are computed _NEIGHBOUR_BLOCK rows at a time in one scratch
+    array of (block, m) lanes, so memory is O(block * m) rather than
+    O(m^2 * d).
     """
-    m = points.shape[0]
+    m, d = points.shape
+    columns = np.ascontiguousarray(points.T)
+    lanes = np.empty((_lane_count(d), min(m, _NEIGHBOUR_BLOCK), m))
     neighbours = np.empty((m, k), dtype=np.int64)
     for start in range(0, m, _NEIGHBOUR_BLOCK):
-        block = points[start:start + _NEIGHBOUR_BLOCK]
-        diffs = block[:, None, :] - points[None, :, :]
-        distances = np.sqrt(np.sum(diffs * diffs, axis=2))
+        block_columns = columns[:, start:start + _NEIGHBOUR_BLOCK]
+        b = block_columns.shape[1]
+        distances = _squared_distances(block_columns, columns, lanes[:, :b])
+        np.sqrt(distances, out=distances)
         # self sits at distance 0, so the k nearest others all lie at or
         # below each row's (k+1)-th smallest distance
         cutoff = np.partition(distances, k, axis=1)[:, k]
@@ -264,8 +329,8 @@ def _nearest_neighbours(points: np.ndarray, k: int) -> np.ndarray:
         order = np.lexsort((cols, distances[rows, cols], rows))
         rows, cols = rows[order], cols[order]
         # every row keeps at least k candidates; take the first k of each
-        first = np.searchsorted(rows, np.arange(len(block)))
-        neighbours[start:start + len(block)] = cols[first[:, None] + np.arange(k)]
+        first = np.searchsorted(rows, np.arange(b))
+        neighbours[start:start + b] = cols[first[:, None] + np.arange(k)]
     return neighbours
 
 
@@ -274,11 +339,12 @@ def smote(m: FeatureMatrix, k: int, seed: int) -> FeatureMatrix:
 
     Each synthetic row is x + u * (nn - x) with x a minority row (cycled in
     row order), nn one of its k nearest minority neighbours, and u uniform
-    in [0, 1). Neighbours are ranked by Euclidean distance over all
-    columns, ties broken by row position; the search holds
-    O(block * m * d) memory for m minority rows of d columns, not
-    O(m^2 * d). Original rows are preserved unchanged, in order, ahead of
-    the synthetic block.
+    in [0, 1); each row draws its neighbour slot, then its u, from one
+    SplitMix64 stream. Neighbours are ranked by Euclidean distance over all
+    columns, summed in a fixed order, ties broken by row position; the
+    search holds O(block * m) memory for m minority rows, not O(m^2 * d).
+    Original rows are preserved unchanged, in order, ahead of the synthetic
+    block.
     """
     labels = m.labels
     counts = {0: int(np.sum(labels == 0)), 1: int(np.sum(labels == 1))}
@@ -301,12 +367,10 @@ def smote(m: FeatureMatrix, k: int, seed: int) -> FeatureMatrix:
     neighbour_ids = _nearest_neighbours(points, k)
 
     gen = SplitMix64(seed)
-    synthetic = np.empty((needed, m.values.shape[1]))
-    for s in range(needed):
-        i = s % minority_count
-        nn = neighbour_ids[i][gen.randint(k)]
-        u = gen.uniform()
-        synthetic[s] = points[i] + u * (points[nn] - points[i])
+    picks, u = zip(*[(gen.randint(k), gen.uniform()) for _ in range(needed)])
+    sources = np.arange(needed) % minority_count
+    nn = neighbour_ids[sources, np.array(picks)]
+    synthetic = points[sources] + np.array(u)[:, None] * (points[nn] - points[sources])
 
     values = np.vstack([m.values, synthetic])
     new_labels = np.concatenate([labels, np.full(needed, minority, dtype=np.int64)])

@@ -18,7 +18,9 @@ from cardiolearn.errors import (
 from cardiolearn.preprocess import (
     FeatureMatrix,
     UnseenPolicy,
+    _lane_count,
     _nearest_neighbours,
+    _squared_distances,
     fit,
     flag_outliers,
     smote,
@@ -426,7 +428,23 @@ class TestNearestNeighbours:
         finally:
             tracemalloc.stop()
         assert out.n_rows == 4200
-        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("d", [*range(1, 21), 64, 127, 128, 129, 200, 300])
+    @pytest.mark.parametrize("kind", ["gaussian", "grid"])
+    def test_distance_kernel_matches_numpy_sum_bit_for_bit(self, kind, d):
+        if kind == "gaussian":
+            points = np.random.default_rng(d).normal(0.0, 1.0, (70, d))
+        else:
+            points = _integer_grid(d, 70, d, levels=4)
+        block = points[5:18]
+        diffs = block[:, None, :] - points[None, :, :]
+        expected = np.sum(diffs * diffs, axis=-1)
+        columns = np.ascontiguousarray(points.T)
+        lanes = np.empty((_lane_count(d), len(block), len(points)))
+        got = _squared_distances(columns[:, 5:18], columns, lanes)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestEndToEnd:
