@@ -109,10 +109,8 @@ class BoostedEnsemble:
             return self.base_score + acc
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Clamped sigmoid of each margin, through the scalar `sigmoid`: np.exp
-        differs from math.exp in the last bit on some inputs."""
-        margins = self.predict_margin(X).tolist()
-        return np.array([clamp_probability(sigmoid(z)) for z in margins], dtype=float)
+        """Clamped sigmoid of each margin (`clamped_sigmoid`)."""
+        return clamped_sigmoid(self.predict_margin(X))[1]
 
 
 def sigmoid(z: float) -> float:
@@ -124,6 +122,15 @@ def sigmoid(z: float) -> float:
 
 def clamp_probability(p: float) -> float:
     return min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+
+
+def clamped_sigmoid(margins: np.ndarray):
+    """(raw, clamped) probabilities of a 1-d array of margins, as float64
+    arrays. The scalar `sigmoid` runs per margin on Python floats, since
+    np.exp differs from math.exp in the last bit on some inputs; np.clip
+    gives the bits `clamp_probability` gives, NaN included."""
+    raw = np.array([sigmoid(z) for z in margins.tolist()], dtype=float)
+    return raw, np.clip(raw, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 def log_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:

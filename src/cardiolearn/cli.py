@@ -35,9 +35,9 @@ from .evaluation import (
     RunConfig,
     SelectionMetric,
     check_threshold,
-    csv_value,
     evaluate_model,
     format_params,
+    format_value,
     grid_search,
     results_csv,
 )
@@ -67,20 +67,15 @@ def format_table(headers, rows) -> str:
     return "\n".join(out)
 
 
-def _fmt_metric(value, spec: str = ".4f") -> str:
-    """Table cell: `value` in format `spec`, or NA when it is undefined."""
-    return "NA" if value is None else f"{value:{spec}}"
-
-
 def _report_row(report: EvalReport):
     cm = report.matrix
     return [
         report.model_id,
         f"{report.threshold:g}",
-        _fmt_metric(report.accuracy),
-        _fmt_metric(report.precision),
-        _fmt_metric(report.recall),
-        _fmt_metric(report.f1),
+        format_value(report.accuracy, ".4f"),
+        format_value(report.precision, ".4f"),
+        format_value(report.recall, ".4f"),
+        format_value(report.f1, ".4f"),
         str(cm.tp), str(cm.fp), str(cm.fn), str(cm.tn),
     ]
 
@@ -96,7 +91,7 @@ def report_table(report: EvalReport) -> str:
 def report_csv(report: EvalReport) -> str:
     cm = report.matrix
     cells = [report.model_id, repr(report.threshold)]
-    cells.extend(csv_value(report.metric(name)) for name in METRIC_NAMES)
+    cells.extend(format_value(report.metric(name)) for name in METRIC_NAMES)
     cells.extend(str(v) for v in (cm.tp, cm.fp, cm.fn, cm.tn))
     return ds.csv_table(_REPORT_HEADERS, [cells])
 
@@ -104,7 +99,7 @@ def report_csv(report: EvalReport) -> str:
 def compare_table(rows) -> str:
     headers = ["Algorithm", "Accuracy", "Precision", "Recall", "F1"]
     body = [
-        [label] + [_fmt_metric(report.metric(name)) for name in METRIC_NAMES]
+        [label] + [format_value(report.metric(name), ".4f") for name in METRIC_NAMES]
         for label, report in rows
     ]
     return format_table(headers, body)
@@ -113,7 +108,7 @@ def compare_table(rows) -> str:
 def compare_csv(rows) -> str:
     return ds.csv_table(
         ("algorithm",) + METRIC_NAMES,
-        ([label] + [csv_value(report.metric(name)) for name in METRIC_NAMES]
+        ([label] + [format_value(report.metric(name)) for name in METRIC_NAMES]
          for label, report in rows),
     )
 
@@ -273,12 +268,12 @@ def cmd_summarize(args) -> int:
     for name, stats in report.numeric.items():
         rows.append([
             name, str(stats.count), str(stats.missing),
-            _fmt_metric(stats.minimum, "g"), _fmt_metric(stats.maximum, "g"),
-            _fmt_metric(stats.mean), _fmt_metric(stats.std),
+            format_value(stats.minimum, "g"), format_value(stats.maximum, "g"),
+            format_value(stats.mean, ".4f"), format_value(stats.std, ".4f"),
         ])
         csv_rows.append([
             name, str(stats.count), str(stats.missing),
-            *(csv_value(v) for v in (stats.minimum, stats.maximum, stats.mean, stats.std)),
+            *(format_value(v) for v in (stats.minimum, stats.maximum, stats.mean, stats.std)),
         ])
     print(f"records: {report.n_records}  positive: {report.positives}  "
           f"negative: {report.negatives}  positive fraction: {report.positive_fraction:.4f}")
@@ -399,13 +394,13 @@ def cmd_gridsearch(args) -> int:
     rows = [
         [
             format_params(candidate.params),
-            _fmt_metric(candidate.cv.summary.means[metric.value]),
-            _fmt_metric(candidate.cv.summary.stds[metric.value]),
+            format_value(candidate.cv.summary.means[metric.value], ".4f"),
+            format_value(candidate.cv.summary.stds[metric.value], ".4f"),
         ]
         for candidate in result.candidates
     ]
     print(format_table(headers, rows))
-    best_mean = _fmt_metric(result.best_mean)
+    best_mean = format_value(result.best_mean, ".4f")
     print(f"\nbest: {format_params(result.best_params)} "
           f"(mean {metric.value} {best_mean} over {spec.k} folds)")
     print(f"fold-level results written to {args.out}")

@@ -306,9 +306,10 @@ def grid_search(spec: GridSpec, config: RunConfig, data: Dataset) -> GridSearchR
     )
 
 
-def csv_value(value: Optional[float]) -> str:
-    """CSV cell: full-precision repr, or NA when the value is undefined."""
-    return "NA" if value is None else repr(value)
+def format_value(value: Optional[float], spec: str = "") -> str:
+    """Table or CSV cell: `value` in format `spec`, or NA when it is
+    undefined. The default spec writes a float as its full-precision repr."""
+    return "NA" if value is None else f"{value:{spec}}"
 
 
 def format_params(params: dict) -> str:
@@ -322,6 +323,6 @@ def results_csv(result: GridSearchResult) -> str:
         params = format_params(candidate.params)
         for fold, report in enumerate(candidate.cv.fold_reports):
             cells = [report.model_id, params, str(fold)]
-            cells.extend(csv_value(report.metric(n)) for n in METRIC_NAMES)
+            cells.extend(format_value(report.metric(n)) for n in METRIC_NAMES)
             rows.append(cells)
     return csv_table(("model_id", "params", "fold") + METRIC_NAMES, rows)

@@ -21,10 +21,14 @@ One batched forward kernel and one batched BPTT kernel run B rows at once;
 `forward` and `backward` are their B = 1 views, and prediction, the epoch
 losses and the minibatch gradients all call them. Every row gets the same
 bits the per-row recurrence gives, because:
-- each mat-vec product is a stacked matmul, one gemv (or dot) per row, the
-  call `W @ v` makes for a single row;
-- the output sigmoid and clamp run once per row on Python floats, since
-  np.exp may differ from math.exp in the last bit;
+- each mat-vec product is a stacked matmul, one gemv (or dot) per vector,
+  the call `W @ v` makes for a single vector. The input term W_xh x_t of
+  every row and step is one such matmul over the (B, T) stack, made before
+  the step loop, which then adds only the recurrent term W_hh h_{t-1};
+- the output sigmoid runs once per row on Python floats
+  (`boosting.clamped_sigmoid`), since np.exp may differ from math.exp in
+  the last bit; the clamp is one np.clip over the rows, and a row is
+  clamped exactly where the raw and the clamped arrays differ;
 - sums add their terms left to right from a +0.0 start: the per-row
   gradients over a minibatch in row order, and the per-row losses of an
   epoch without the builtin `sum`, which compensates from Python 3.12 on.
@@ -36,7 +40,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .boosting import PROB_CLAMP, clamp_probability, sigmoid
+from .boosting import clamp_probability, clamped_sigmoid
 from .dataset import csv_table, sum_in_order
 from .errors import (
     BadHyperparameter,
@@ -50,7 +54,7 @@ from .preprocess import FeatureMatrix, feature_batch
 from .rng import SplitMix64
 
 IMPROVEMENT_EPS = 1e-6
-# floats of hidden states and per-row gradients one batch kernel call holds (8 MB)
+# floats of input terms, hidden states and per-row gradients one batch kernel call holds (8 MB)
 _BLOCK_FLOATS = 1 << 20
 _PARAM_FIELDS = ("W_xh", "W_hh", "W_hy", "b_h", "b_y")
 
@@ -173,21 +177,22 @@ def as_sequence(x: np.ndarray) -> np.ndarray:
 
 
 def _matvec(W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """`W @ v` for every row v of V, as one stacked matmul: (B, n) -> (B, m).
+    """`W @ v` for every vector v along V's last axis, as one stacked matmul:
+    (..., n) -> (..., m).
 
     NumPy runs one gemv (or dot) per stack slice, the same BLAS call that
-    `W @ v` makes for a single row, so every row's product is bit-identical
-    to the per-row one. `V @ W.T` (one gemm), an einsum or a broadcast
+    `W @ v` makes for a single vector, so every product is bit-identical
+    to the per-vector one. `V @ W.T` (one gemm), an einsum or a broadcast
     multiply and sum add the same terms in another order and change bits.
     """
-    return np.matmul(W, V[:, :, np.newaxis])[:, :, 0]
+    return np.matmul(W, V[..., np.newaxis])[..., 0]
 
 
 def _forward_batch(params: RNNParams, seqs: np.ndarray):
     """Run the recurrence on B sequences at once; seqs is (B, T, input_size).
 
-    Returns the hidden states (T+1, B, H) with h_0 = 0, and per-row lists of
-    the raw and the clamped output probabilities.
+    Returns the hidden states (T+1, B, H) with h_0 = 0, and the raw and the
+    clamped output probabilities, (B,) each.
     """
     n_rows, steps, width = seqs.shape
     if steps == 0:
@@ -196,14 +201,11 @@ def _forward_batch(params: RNNParams, seqs: np.ndarray):
         raise DimensionMismatch(
             f"sequence input size {width} != parameter input size {params.input_size}"
         )
+    inputs = _matvec(params.W_xh, seqs)
     hs = np.zeros((steps + 1, n_rows, params.hidden_size))
     for t in range(steps):
-        hs[t + 1] = np.tanh(
-            _matvec(params.W_xh, seqs[:, t]) + _matvec(params.W_hh, hs[t]) + params.b_h
-        )
-    b_y = float(params.b_y)
-    raw = [sigmoid(z + b_y) for z in _matvec(params.W_hy, hs[steps])[:, 0].tolist()]
-    return hs, raw, [clamp_probability(p) for p in raw]
+        hs[t + 1] = np.tanh(inputs[:, t] + _matvec(params.W_hh, hs[t]) + params.b_h)
+    return (hs, *clamped_sigmoid(_matvec(params.W_hy, hs[steps])[:, 0] + params.b_y))
 
 
 def _backward_batch(params: RNNParams, seqs: np.ndarray, labels: np.ndarray) -> list:
@@ -213,7 +215,7 @@ def _backward_batch(params: RNNParams, seqs: np.ndarray, labels: np.ndarray) -> 
     all its gradients are exactly +0.0."""
     hs, raw, prob = _forward_batch(params, seqs)
     n_rows, steps, _ = seqs.shape
-    dz = np.array(prob) - labels
+    dz = prob - labels
     g_W_xh = np.zeros((n_rows,) + params.W_xh.shape)
     g_W_hh = np.zeros((n_rows,) + params.W_hh.shape)
     g_b_h = np.zeros((n_rows, params.hidden_size))
@@ -229,7 +231,7 @@ def _backward_batch(params: RNNParams, seqs: np.ndarray, labels: np.ndarray) -> 
         g_b_h += dz_h
         dh = _matvec(params.W_hh.T, dz_h)
     grads = [g_W_xh, g_W_hh, g_W_hy, g_b_h, dz]
-    clamped = np.array([r != p for r, p in zip(raw, prob)], dtype=bool)
+    clamped = raw != prob
     for g in grads:
         g[clamped] = 0.0
     return grads
@@ -246,7 +248,7 @@ def _sequence_batch(seq: np.ndarray) -> np.ndarray:
 def forward(params: RNNParams, seq: np.ndarray) -> Tuple[np.ndarray, float]:
     """Run the recurrence; returns (hidden states h_1..h_T, probability)."""
     hs, _, prob = _forward_batch(params, _sequence_batch(seq))
-    return hs[1:, 0], prob[0]
+    return hs[1:, 0], float(prob[0])
 
 
 def bce(p: float, y: float) -> float:
@@ -284,22 +286,25 @@ def rmsprop_step(params: RNNParams, caches: RNNParams, grads: RNNParams,
 
 def _row_blocks(params: RNNParams, n_rows: int, steps: int) -> list:
     """Row slices that keep one batch kernel call near _BLOCK_FLOATS floats of
-    hidden states and per-row W_hh gradients, whatever the row count."""
-    per_row = params.hidden_size * (params.hidden_size + steps + 1)
+    input terms, hidden states and per-row W_hh gradients, whatever the row
+    count."""
+    per_row = params.hidden_size * (params.hidden_size + 2 * steps + 1)
     size = max(1, _BLOCK_FLOATS // per_row)
     return [slice(start, start + size) for start in range(0, n_rows, size)]
 
 
-def _probabilities(params: RNNParams, X: np.ndarray) -> list:
+def _probabilities(params: RNNParams, X: np.ndarray) -> np.ndarray:
     """Clamped probability per row of X, each row run as its own sequence."""
-    probs = []
+    probs = np.empty(X.shape[0])
     for block in _row_blocks(params, X.shape[0], X.shape[1]):
-        probs += _forward_batch(params, X[block, :, np.newaxis])[2]
+        probs[block] = _forward_batch(params, X[block, :, np.newaxis])[2]
     return probs
 
 
 def _mean_loss(params: RNNParams, m: FeatureMatrix) -> float:
-    losses = (bce(p, float(y)) for p, y in zip(_probabilities(params, m.values), m.labels))
+    # bce's scalar arithmetic runs faster on Python floats than on NumPy scalars
+    probs = _probabilities(params, m.values).tolist()
+    losses = (bce(p, float(y)) for p, y in zip(probs, m.labels))
     return sum_in_order(losses) / m.n_rows
 
 
@@ -411,7 +416,7 @@ class RNNModel:
         A pre-activation may overflow, harmlessly through tanh and sigmoid, but
         a row whose probability comes out NaN is an error."""
         with np.errstate(over="ignore", invalid="ignore"):
-            probs = np.array(_probabilities(self.params, feature_batch(X)), dtype=float)
+            probs = _probabilities(self.params, feature_batch(X))
         lost = np.isnan(probs)
         if lost.any():
             raise NonFiniteFeature(

@@ -2,9 +2,10 @@
 
 Each family is trained through `main` on a fixed synthetic dataset, then
 scored with `evaluate` (report CSV) and `predict` (predictions CSV) on a
-second, held-out synthetic dataset. The SHA-256 of each artifact must match
-the digest recorded below; the bundle is hashed with its created_at line
-removed. Any change to a probability, a report cell or a bundle byte shows
+second, held-out synthetic dataset; `train --algo rnn` also writes its
+loss-curves CSV. The SHA-256 of each artifact must match the digest
+recorded below; the bundle is hashed with its created_at line removed.
+Any change to a probability, a report cell or a bundle byte shows
 up here. The fold-level results CSV of `gridsearch` is pinned the same way,
 so every cross-validation fold's preprocessing, oversampling and fit are
 covered too.
@@ -42,6 +43,8 @@ DIGESTS = {
         "bundle": "96916ce4a42cdf4ea771968954c201e215d0e0c352680b9a7a50b089280740b5",
         "report": "fbd62a5620df9d062e26a9693e93a4f80a83ec85538ed2ed123d297b0cb14f1b",
         "predictions": "48b122a4b5136e235c049c3c74518b7a7e3b1eb31d0f073724084cc21db64c71",
+        # the `<out>_curves.csv` that `train --algo rnn` writes beside the bundle
+        "curves": "2902d85db304efd91eb1452be52a85ca2dbefde2aebe7140035ae6e535e4365f",
     },
     "xgb": {
         "bundle": "78b84c0965ed223cb25c575435c5648fa48f66a1e5986394794a33eb335922ed",
@@ -79,11 +82,14 @@ def family_digests(tmp_path, algo: str) -> dict:
                  "--out", str(predictions)]) == 0
     bundle_bytes, stamps = _CREATED_AT.subn(b"", bundle.read_bytes())
     assert stamps == 1
-    return {
+    digests = {
         "bundle": _sha256(bundle_bytes),
         "report": _sha256(report.read_bytes()),
         "predictions": _sha256(predictions.read_bytes()),
     }
+    if algo == "rnn":
+        digests["curves"] = _sha256((tmp_path / "model_curves.csv").read_bytes())
+    return digests
 
 
 @pytest.mark.parametrize("algo", sorted(FAMILY_ARGS))

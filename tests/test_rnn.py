@@ -560,9 +560,12 @@ class TestBatchKernels:
         gen = np.random.default_rng(hidden)
         W = gen.normal(0.0, 1.0, (hidden, hidden))
         for weight in (W, W.T, gen.normal(0.0, 1.0, (1, hidden)), gen.normal(0.0, 1.0, (hidden, 1))):
-            for rows in (1, 2, 7, 39):
-                V = gen.normal(0.0, 1.0, (rows, weight.shape[1])) * 10.0 ** gen.integers(-8, 9, (rows, 1))
-                expected = np.array([weight @ v for v in V])
+            # a (B, T) stack of vectors is the shape of the input term of every step
+            for rows in ((1,), (2,), (7,), (39,), (5, 7)):
+                V = gen.normal(0.0, 1.0, (*rows, weight.shape[1]))
+                V *= 10.0 ** gen.integers(-8, 9, (*rows, 1))
+                per_vector = [weight @ v for v in V.reshape(-1, V.shape[-1])]
+                expected = np.array(per_vector).reshape(*rows, -1)
                 assert_same_bits(_matvec(weight, V), expected)
 
     @pytest.mark.parametrize("shape", [(), (1,), (2,), (16, 1), (16, 16), (33, 33)])
