@@ -86,7 +86,6 @@ from .rnn import (
     RNNParams,
     RNNTrainConfig,
     TrainHistory,
-    as_sequence,
     backward,
     bce,
     forward,

@@ -94,7 +94,6 @@ class RawRecord:
 @dataclass(frozen=True)
 class Dataset:
     records: tuple
-    source: str = "memory"
 
     def __len__(self):
         return len(self.records)
@@ -112,8 +111,8 @@ class Dataset:
         labels = self.labels
         return labels.count(0), labels.count(1)
 
-    def subset(self, indices, source: str) -> "Dataset":
-        return Dataset(tuple(self.records[i] for i in indices), source=source)
+    def subset(self, indices) -> "Dataset":
+        return Dataset(tuple(self.records[i] for i in indices))
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,7 @@ def load_csv(path) -> Dataset:
     records = tuple(
         _parse_row(i, raw, positions) for i, raw in enumerate(rows[1:])
     )
-    return Dataset(records, source=str(path))
+    return Dataset(records)
 
 
 def load_unlabeled_csv(path) -> Dataset:
@@ -270,7 +269,7 @@ def load_unlabeled_csv(path) -> Dataset:
         RawRecord(_parse_features(i, raw, positions), 0)
         for i, raw in enumerate(rows[1:])
     )
-    return Dataset(records, source=str(path))
+    return Dataset(records)
 
 
 def write_csv(data: Dataset, path) -> None:
@@ -408,8 +407,8 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitRes
         len(data), quota_indices(shuffled, test_fraction)
     )
     return SplitResult(
-        train=data.subset(train_indices, source=f"{data.source}#train"),
-        test=data.subset(test_indices, source=f"{data.source}#test"),
+        train=data.subset(train_indices),
+        test=data.subset(test_indices),
         train_indices=train_indices,
         test_indices=test_indices,
     )
@@ -504,4 +503,4 @@ def synth_generate(n: int, positive_fraction: float, seed: int) -> Dataset:
                 tokens, probs_neg, probs_pos = _SYNTH_CATEGORICAL[name]
                 values.append(_draw_token(gen, tokens, probs_pos if label else probs_neg))
         records.append(RawRecord(tuple(values), label))
-    return Dataset(tuple(records), source=f"synthetic(n={n},seed={seed})")
+    return Dataset(tuple(records))

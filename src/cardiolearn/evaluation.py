@@ -218,9 +218,8 @@ def encode_folds(
     run does, oversampling on stream 2i."""
     folds = []
     for i, (train_idx, val_idx) in enumerate(kfold(data, k, config.seed)):
-        fold_train = data.subset(train_idx, source=f"{data.source}#fold{i}-train")
-        fold_val = data.subset(val_idx, source=f"{data.source}#fold{i}-val")
-        _, train_m, val_m = encode_partitions(config, fold_train, fold_val, 2 * i)
+        _, train_m, val_m = encode_partitions(
+            config, data.subset(train_idx), data.subset(val_idx), 2 * i)
         folds.append((train_m, val_m))
     return tuple(folds)
 

@@ -186,11 +186,11 @@ def serialize_model(algorithm: Algorithm, model) -> dict:
             "trees": [_serialize_tree(tree) for tree in model.trees],
         }
     params = model.params
-    shapes = RNNParams.shapes(params.hidden_size, params.input_size)
+    shapes = RNNParams.shapes(params.hidden_size)
     return {
         "family": "rnn",
         "hidden_size": params.hidden_size,
-        "input_size": params.input_size,
+        "input_size": 1,
         **{name: _serialize_array(value) for name, value in zip(shapes, params.arrays())},
     }
 
@@ -199,13 +199,14 @@ def serialize_model(algorithm: Algorithm, model) -> dict:
 _BOOST_MODE = {Algorithm.GB: "first_order", Algorithm.XGB: "second_order"}
 
 # each family's model fields beside its arrays and trees, and their rules; a
-# hyperparameter the family fixes must hold its fixed value
+# hyperparameter the family fixes must hold its fixed value, and the RNN's
+# input width is the fixed 1
 _MODEL = {
     Algorithm.NB: {"var_floor": f"(0, {MAX_VARIANCE!r}]"},
     **{family: {"mode": (mode,), "base_score": NUMBER, "n_features": int, "trees": list,
                 **{name: f"[{v!r}, {v!r}]" for name, v in FAMILY_CONFIGS[family][1].items()}}
        for family, mode in _BOOST_MODE.items()},
-    Algorithm.RNN: {"hidden_size": int, "input_size": int},
+    Algorithm.RNN: {"hidden_size": int, "input_size": "[1, 1]"},
 }
 
 
@@ -231,7 +232,7 @@ def deserialize_model(algorithm: Algorithm, doc: dict):
             trees=[_deserialize_tree(t, doc["n_features"], config.max_depth) for t in doc["trees"]],
             n_features=doc["n_features"],
         )
-    shapes = RNNParams.shapes(doc["hidden_size"], doc["input_size"])
+    shapes = RNNParams.shapes(doc["hidden_size"])
     params = RNNParams(*(
         _deserialize_array(doc[name], shape, f"rnn {name}") for name, shape in shapes.items()
     ))

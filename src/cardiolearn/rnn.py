@@ -1,30 +1,35 @@
 """Elman recurrent network for binary classification of feature rows.
 
-A standardized row of d features becomes a length-d sequence of scalar
-inputs (input size 1), fed through a single tanh recurrent layer:
+A standardized row x of d features is read as a length-d sequence of scalar
+inputs, so the input width is always 1, through a single tanh recurrent
+layer:
 
     h_0 = 0
-    h_t = tanh(W_xh x_t + W_hh h_{t-1} + b_h)
+    h_t = tanh(W_xh[:, 0] * x_t + W_hh h_{t-1} + b_h)
     p   = sigmoid(W_hy h_T + b_y), clamped to [1e-12, 1 - 1e-12]
 
 Training minimizes binary cross-entropy by backpropagation through time
 with RMSprop updates, minibatch gradients averaged over the batch, and
 early stopping on validation loss with best-epoch weight restoration.
-Everything is a pure function of (data, config including seed): parameter
-init and epoch shuffles draw from one deterministic generator stream.
+Everything is a pure function of (data, config, seed): parameter init and
+epoch shuffles draw from one deterministic generator stream.
 
 Column order matters: permuting features permutes the sequence and changes
 the model. grad_check verifies the analytic gradients against central
 finite differences for every parameter entry.
 
-One batched forward kernel and one batched BPTT kernel run B rows at once;
-`forward` and `backward` are their B = 1 views, and prediction, the epoch
-losses and the minibatch gradients all call them. Every row gets the same
-bits the per-row recurrence gives, because:
-- each mat-vec product is a stacked matmul, one gemv (or dot) per vector,
-  the call `W @ v` makes for a single vector. The input term W_xh x_t of
-  every row and step is one such matmul over the (B, T) stack, made before
-  the step loop, which then adds only the recurrent term W_hh h_{t-1};
+One batched forward kernel and one batched BPTT kernel run a (B, T) block
+of rows at once; `forward` and `backward` are their B = 1 views, and
+prediction, the epoch losses and the minibatch gradients all call them.
+Every row gets the same bits the per-row recurrence gives, because:
+- the input term of every row and step is one elementwise product over the
+  (B, T) block, made before the step loop, which then adds only the
+  recurrent term W_hh h_{t-1}. With a width of 1 each entry of `W_xh @ x_t`
+  is a single product with no sum. Where that product is -0.0 the gemv
+  gives +0.0, and adding the recurrent term, which a gemv never gives as
+  -0.0, makes the two equal;
+- each remaining mat-vec product is a stacked matmul, one gemv (or dot) per
+  vector, the call `W @ v` makes for a single vector;
 - the output sigmoid runs once per row on Python floats
   (`boosting.clamped_sigmoid`), since np.exp may differ from math.exp in
   the last bit; the clamp is one np.clip over the rows, and a row is
@@ -89,10 +94,10 @@ class RNNParams:
     RMSprop caches, which share these shapes.
 
     The fields, in `_PARAM_FIELDS` order (also the init draw order), have
-    the shapes `shapes(H, I)` gives for H = hidden_size, I = input_size:
-    W_xh (H, I), W_hh (H, H), W_hy (1, H), b_h (H,) and b_y (), a 0-d
-    float64 array, so every field takes the same array code (which also
-    accepts a Python float assigned to b_y).
+    the shapes `shapes(H)` gives for H = hidden_size: W_xh (H, 1), the
+    input weights of the one scalar input, W_hh (H, H), W_hy (1, H), b_h
+    (H,) and b_y (), a 0-d float64 array, so every field takes the same
+    array code (which also accepts a Python float assigned to b_y).
     """
     W_xh: np.ndarray
     W_hh: np.ndarray
@@ -101,9 +106,9 @@ class RNNParams:
     b_y: np.ndarray
 
     @staticmethod
-    def shapes(hidden_size, input_size) -> dict:
+    def shapes(hidden_size) -> dict:
         h = hidden_size
-        return dict(zip(_PARAM_FIELDS, ((h, input_size), (h, h), (1, h), (h,), ())))
+        return dict(zip(_PARAM_FIELDS, ((h, 1), (h, h), (1, h), (h,), ())))
 
     def arrays(self) -> list:
         return [getattr(self, name) for name in _PARAM_FIELDS]
@@ -112,16 +117,12 @@ class RNNParams:
     def hidden_size(self) -> int:
         return self.W_xh.shape[0]
 
-    @property
-    def input_size(self) -> int:
-        return self.W_xh.shape[1]
-
     def copy(self) -> "RNNParams":
         return RNNParams(*(np.array(value, dtype=float) for value in self.arrays()))
 
     @classmethod
-    def zeros(cls, hidden_size: int, input_size: int) -> "RNNParams":
-        return cls(*(np.zeros(shape) for shape in cls.shapes(hidden_size, input_size).values()))
+    def zeros(cls, hidden_size: int) -> "RNNParams":
+        return cls(*(np.zeros(shape) for shape in cls.shapes(hidden_size).values()))
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,6 @@ class RNNTrainConfig(Hyperparameters):
     batch_size: int = hyperparameter(32, "[1, inf)")
     # init draws H^2 + 3H + 1 values one at a time: H = 1024 is about 1 M draws and an 8 MB W_hh
     hidden_size: int = hyperparameter(16, "[1, 1024]")
-    seed: int = 0
     init_scale: float = hyperparameter(0.1, "(0, inf)")
 
 
@@ -154,8 +154,7 @@ class TrainHistory:
         )
 
 
-def init_params(hidden_size: int, input_size: int, init_scale: float,
-                gen: SplitMix64) -> RNNParams:
+def init_params(hidden_size: int, init_scale: float, gen: SplitMix64) -> RNNParams:
     """Uniform init in [-init_scale, init_scale], drawn field by field in
     `_PARAM_FIELDS` order with row-major fill inside each array."""
 
@@ -164,16 +163,7 @@ def init_params(hidden_size: int, input_size: int, init_scale: float,
         flat = np.array([init_scale * (2.0 * gen.uniform() - 1.0) for _ in range(n)])
         return flat.reshape(shape)
 
-    return RNNParams(*(draw(shape) for shape in RNNParams.shapes(hidden_size, input_size).values()))
-
-
-def as_sequence(x: np.ndarray) -> np.ndarray:
-    """Render a feature vector as a (length, 1) sequence of scalar inputs,
-    preserving column order."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-d feature vector, got shape {x.shape}")
-    return x.reshape(-1, 1)
+    return RNNParams(*(draw(shape) for shape in RNNParams.shapes(hidden_size).values()))
 
 
 def _matvec(W: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -188,33 +178,30 @@ def _matvec(W: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.matmul(W, V[..., np.newaxis])[..., 0]
 
 
-def _forward_batch(params: RNNParams, seqs: np.ndarray):
-    """Run the recurrence on B sequences at once; seqs is (B, T, input_size).
+def _forward_batch(params: RNNParams, X: np.ndarray):
+    """Run the recurrence on a (B, T) block of rows at once, each row a
+    sequence of T scalar inputs.
 
     Returns the hidden states (T+1, B, H) with h_0 = 0, and the raw and the
     clamped output probabilities, (B,) each.
     """
-    n_rows, steps, width = seqs.shape
+    n_rows, steps = X.shape
     if steps == 0:
         raise EmptySequence("cannot run the network on an empty sequence")
-    if width != params.input_size:
-        raise DimensionMismatch(
-            f"sequence input size {width} != parameter input size {params.input_size}"
-        )
-    inputs = _matvec(params.W_xh, seqs)
+    inputs = X[:, :, np.newaxis] * params.W_xh[:, 0]
     hs = np.zeros((steps + 1, n_rows, params.hidden_size))
     for t in range(steps):
         hs[t + 1] = np.tanh(inputs[:, t] + _matvec(params.W_hh, hs[t]) + params.b_h)
     return (hs, *clamped_sigmoid(_matvec(params.W_hy, hs[steps])[:, 0] + params.b_y))
 
 
-def _backward_batch(params: RNNParams, seqs: np.ndarray, labels: np.ndarray) -> list:
-    """Per-row BPTT gradients of bce for B sequences, in `_PARAM_FIELDS`
-    order: one (B, *shape) array per field. When a row's output probability
-    sits at a clamp boundary its loss is locally flat in the parameters, so
-    all its gradients are exactly +0.0."""
-    hs, raw, prob = _forward_batch(params, seqs)
-    n_rows, steps, _ = seqs.shape
+def _backward_batch(params: RNNParams, X: np.ndarray, labels: np.ndarray) -> list:
+    """Per-row BPTT gradients of bce for a (B, T) block of rows, in
+    `_PARAM_FIELDS` order: one (B, *shape) array per field. When a row's
+    output probability sits at a clamp boundary its loss is locally flat in
+    the parameters, so all its gradients are exactly +0.0."""
+    hs, raw, prob = _forward_batch(params, X)
+    n_rows, steps = X.shape
     dz = prob - labels
     g_W_xh = np.zeros((n_rows,) + params.W_xh.shape)
     g_W_hh = np.zeros((n_rows,) + params.W_hh.shape)
@@ -223,10 +210,10 @@ def _backward_batch(params: RNNParams, seqs: np.ndarray, labels: np.ndarray) -> 
     dh = dz[:, np.newaxis] * params.W_hy[0]
     for t in range(steps, 0, -1):
         dz_h = (1.0 - hs[t] * hs[t]) * dh
+        g_W_xh[:, :, 0] += dz_h * X[:, t - 1, np.newaxis]
         # einsum with no summed index rounds each product once, as `*` does, but
         # may give +0.0 for a -0.0 product: adding onto an accumulator that
         # starts at +0.0, and so never holds -0.0, makes the two equal
-        g_W_xh += np.einsum("bi,bj->bij", dz_h, seqs[:, t - 1])
         g_W_hh += np.einsum("bi,bj->bij", dz_h, hs[t - 1])
         g_b_h += dz_h
         dh = _matvec(params.W_hh.T, dz_h)
@@ -237,17 +224,18 @@ def _backward_batch(params: RNNParams, seqs: np.ndarray, labels: np.ndarray) -> 
     return grads
 
 
-def _sequence_batch(seq: np.ndarray) -> np.ndarray:
-    """One (T, input_size) sequence as a batch of one, (1, T, input_size)."""
-    seq = np.asarray(seq, dtype=float)
-    if seq.ndim != 2:
-        raise DimensionMismatch(f"expected a (T, input_size) sequence, got shape {seq.shape}")
-    return seq[np.newaxis]
+def _row_batch(x: np.ndarray) -> np.ndarray:
+    """One 1-d feature row as a block of one row, (1, T)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"expected a 1-d feature row, got shape {x.shape}")
+    return x[np.newaxis]
 
 
-def forward(params: RNNParams, seq: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Run the recurrence; returns (hidden states h_1..h_T, probability)."""
-    hs, _, prob = _forward_batch(params, _sequence_batch(seq))
+def forward(params: RNNParams, x: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Run the recurrence on one feature row; returns (hidden states
+    h_1..h_T, probability)."""
+    hs, _, prob = _forward_batch(params, _row_batch(x))
     return hs[1:, 0], float(prob[0])
 
 
@@ -257,11 +245,11 @@ def bce(p: float, y: float) -> float:
     return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
 
 
-def backward(params: RNNParams, seq: np.ndarray, y: float) -> RNNParams:
-    """Exact gradients of bce(forward(params, seq), y) via backpropagation
+def backward(params: RNNParams, x: np.ndarray, y: float) -> RNNParams:
+    """Exact gradients of bce(forward(params, x), y) via backpropagation
     through time. When the output probability sits at a clamp boundary the
     loss is locally flat in the parameters, so all gradients are zero."""
-    grads = _backward_batch(params, _sequence_batch(seq), np.array([y], dtype=float))
+    grads = _backward_batch(params, _row_batch(x), np.array([y], dtype=float))
     return RNNParams(*(g[0, ...] for g in grads))
 
 
@@ -297,7 +285,7 @@ def _probabilities(params: RNNParams, X: np.ndarray) -> np.ndarray:
     """Clamped probability per row of X, each row run as its own sequence."""
     probs = np.empty(X.shape[0])
     for block in _row_blocks(params, X.shape[0], X.shape[1]):
-        probs[block] = _forward_batch(params, X[block, :, np.newaxis])[2]
+        probs[block] = _forward_batch(params, X[block])[2]
     return probs
 
 
@@ -319,11 +307,10 @@ def _batch_grads(params: RNNParams, m: FeatureMatrix, rows) -> RNNParams:
     """Mean of the rows' gradients: each field's per-row gradients are added
     in row order onto a +0.0 accumulator, then scaled by 1 / len(rows)."""
     rows = np.asarray(rows)
-    totals = RNNParams.zeros(params.hidden_size, params.input_size).arrays()
+    totals = RNNParams.zeros(params.hidden_size).arrays()
     for block in _row_blocks(params, len(rows), m.n_cols):
         picked = rows[block]
-        per_row = _backward_batch(params, m.values[picked][:, :, np.newaxis],
-                                  m.labels[picked].astype(float))
+        per_row = _backward_batch(params, m.values[picked], m.labels[picked].astype(float))
         totals = [_add_rows(total, g) for total, g in zip(totals, per_row)]
     scale = 1.0 / len(rows)
     for total in totals:
@@ -331,12 +318,12 @@ def _batch_grads(params: RNNParams, m: FeatureMatrix, rows) -> RNNParams:
     return RNNParams(*totals)
 
 
-def train_rnn(train: FeatureMatrix, val: FeatureMatrix,
-              config: RNNTrainConfig) -> Tuple[RNNParams, TrainHistory]:
+def train_rnn(train: FeatureMatrix, val: FeatureMatrix, config: RNNTrainConfig,
+              seed: int) -> Tuple[RNNParams, TrainHistory]:
     """Minibatch RMSprop training with early stopping.
 
-    Row order is reshuffled every epoch from the same seeded stream that
-    produced the initial weights. Batch gradients are averaged over the
+    Row order is reshuffled every epoch from the same stream, seeded by
+    `seed`, that produced the initial weights. Batch gradients are averaged over the
     batch (the final short batch over its own size). An epoch improves when
     it lowers the best validation loss by at least 1e-6; after `patience`
     consecutive non-improving epochs training stops, and the weights
@@ -350,9 +337,9 @@ def train_rnn(train: FeatureMatrix, val: FeatureMatrix,
         raise DimensionMismatch(
             f"train has {train.n_cols} columns but validation has {val.n_cols}"
         )
-    gen = SplitMix64(config.seed)
-    params = init_params(config.hidden_size, 1, config.init_scale, gen)
-    caches = RNNParams.zeros(config.hidden_size, 1)
+    gen = SplitMix64(seed)
+    params = init_params(config.hidden_size, config.init_scale, gen)
+    caches = RNNParams.zeros(config.hidden_size)
     history = TrainHistory()
     best_params = params.copy()
     stopper = EarlyStopper(config.patience)
@@ -376,7 +363,7 @@ def train_rnn(train: FeatureMatrix, val: FeatureMatrix,
     return best_params, history
 
 
-def grad_check(params: RNNParams, seq: np.ndarray, y: float,
+def grad_check(params: RNNParams, x: np.ndarray, y: float,
                step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients
     over every parameter entry: |a - n| / max(|a|, |n|, 1e-8)."""
@@ -384,10 +371,10 @@ def grad_check(params: RNNParams, seq: np.ndarray, y: float,
         raise BadHyperparameter(f"step must be > 0, got {step}")
 
     def loss_at(p: RNNParams) -> float:
-        _, prob = forward(p, seq)
+        _, prob = forward(p, x)
         return bce(prob, y)
 
-    analytic = backward(params, seq, y)
+    analytic = backward(params, x, y)
     worst = 0.0
     for field_index, a_value in enumerate(analytic.arrays()):
         a_flat = np.reshape(a_value, -1)

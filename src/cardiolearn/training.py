@@ -17,7 +17,7 @@ fixed, documented streams.
 """
 
 import enum
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import Mapping, Tuple
 
 from .bayes import fit_gaussian_nb
@@ -46,12 +46,11 @@ ALGORITHM_LABELS = {
 }
 
 # per family: its config class and the fields a caller may not set, with
-# their values (gradient boosting is XGBoost without regularization; each
-# RNN fit replaces the seed with one derived from its own)
+# their values (gradient boosting is XGBoost without regularization)
 FAMILY_CONFIGS = {
     Algorithm.GB: (BoostConfig, {"reg_lambda": 0.0, "gamma": 0.0}),
     Algorithm.XGB: (BoostConfig, {}),
-    Algorithm.RNN: (RNNTrainConfig, {"seed": 0}),
+    Algorithm.RNN: (RNNTrainConfig, {}),
 }
 
 # accepted hyperparameter names and their defaults, per family
@@ -117,5 +116,5 @@ def fit_algorithm(config, m: FeatureMatrix, seed: int):
     inner_train, inner_val = stratified_matrix_split(
         m, _INNER_VAL_FRACTION, derive_seed(seed, 1)
     )
-    trained, history = train_rnn(inner_train, inner_val, replace(family, seed=derive_seed(seed, 2)))
+    trained, history = train_rnn(inner_train, inner_val, family, derive_seed(seed, 2))
     return RNNModel(params=trained, history=history)

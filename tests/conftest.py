@@ -32,20 +32,20 @@ def make_record(label: int = 0, **overrides) -> RawRecord:
     return RawRecord(values=tuple(cells), label=label)
 
 
-def make_dataset(rows, source: str = "memory") -> Dataset:
+def make_dataset(rows) -> Dataset:
     """rows: iterable of (overrides dict, label) pairs."""
     records = tuple(make_record(label=label, **overrides) for overrides, label in rows)
-    return Dataset(records=records, source=source)
+    return Dataset(records=records)
 
 
-def spread_dataset(n_neg: int, n_pos: int, source: str = "memory") -> Dataset:
+def spread_dataset(n_neg: int, n_pos: int) -> Dataset:
     """Distinct-content records so content-keyed ordering is unambiguous."""
     rows = []
     for i in range(n_neg):
         rows.append(({"Age": 40 + i, "MaxHR": 150 + i}, 0))
     for i in range(n_pos):
         rows.append(({"Age": 60 + i, "MaxHR": 120 + i, "Oldpeak": 2.0}, 1))
-    return make_dataset(rows, source=source)
+    return make_dataset(rows)
 
 
 def matrix(values, labels, names=None) -> FeatureMatrix:

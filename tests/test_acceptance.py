@@ -118,8 +118,8 @@ def test_criterion_2_gradient_checks(capsys):
     for _ in range(100):
         hidden = 2 + gen.randint(3)
         steps = 2 + gen.randint(10)
-        params = init_params(hidden, 1, 0.5, gen)
-        seq = np.array([[gen.normal(0.0, 1.0)] for _ in range(steps)])
+        params = init_params(hidden, 0.5, gen)
+        seq = np.array([gen.normal(0.0, 1.0) for _ in range(steps)])
         label = float(gen.randint(2))
         worst = max(worst, grad_check(params, seq, label, step=1e-5))
     verdict(
@@ -339,12 +339,10 @@ def test_criterion_7_no_test_leakage(capsys):
     split = stratified_split(data, 0.2, seed=11)
     baseline = _downstream_state(split.train, split.test, seed=11)
 
-    every_row = Dataset(
-        tuple(_perturbed(r) for r in split.test.records), source="perturbed-all"
-    )
+    every_row = Dataset(tuple(_perturbed(r) for r in split.test.records))
     one_records = list(split.test.records)
     one_records[0] = _perturbed(one_records[0])
-    one_row = Dataset(tuple(one_records), source="perturbed-one")
+    one_row = Dataset(tuple(one_records))
 
     same_all = _downstream_state(split.train, every_row, seed=11) == baseline
     same_one = _downstream_state(split.train, one_row, seed=11) == baseline

@@ -291,6 +291,17 @@ class TestErrorCodes:
         code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="rnn")
         self._assert_one_corrupt_bundle_line(code, out_path, capsys, "W_xh", "[16, 1]")
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_rnn_input_size_other_than_one_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys, command):
+        def edit(model):
+            model["input_size"] = 2
+            model["W_xh"] = {"shape": [16, 2], "data": model["W_xh"]["data"] * 2}
+        code, out_path = self._predict_with_edited_bundle(
+            tmp_path, data_csv, edit, algo="rnn", command=command
+        )
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "input_size", "[1, 1]")
+
     def test_string_rnn_b_y_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
         def edit(model):
             model["b_y"] = "x"

@@ -231,8 +231,8 @@ class TestCrossValidate:
             # the validation portion goes in too, as a fold passes it
             fp, train_m, _ = encode_partitions(
                 RunConfig(Algorithm.GB, seed=seed),
-                dataset.subset(fold0_train, source="t"),
-                dataset.subset(fold0_val, source="v"), 0,
+                dataset.subset(fold0_train),
+                dataset.subset(fold0_val), 0,
             )
             model = fit_algorithm(
                 RunConfig(Algorithm.GB, params=resolve_params(Algorithm.GB, {"n_rounds": 5})),

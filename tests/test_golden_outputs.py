@@ -115,7 +115,7 @@ GRIDSEARCH_DIGESTS = {
 def noisy(data: Dataset) -> Dataset:
     """Every fifth label flipped, so fold metrics depend on every fold's fit."""
     return Dataset(tuple(RawRecord(r.values, 1 - r.label if i % 5 == 0 else r.label)
-                         for i, r in enumerate(data.records)), source=data.source)
+                         for i, r in enumerate(data.records)))
 
 
 def test_gridsearch_results_match_recorded_digests(tmp_path):
@@ -164,7 +164,7 @@ def sentinels(data: Dataset, aged: bool = True) -> Dataset:
         if aged and i % 23 == 0:
             values[age] = 97.0 + (i // 23) % 3
         records.append(RawRecord(tuple(values), record.label))
-    return Dataset(tuple(records), source=data.source)
+    return Dataset(tuple(records))
 
 
 # Recorded from the per-cell imputation code, before the column passes.

@@ -32,7 +32,7 @@ def digest(value) -> str:
 
 def doubled(data: Dataset) -> Dataset:
     """Every record twice, so equal ordering keys need their tie-break."""
-    return Dataset(data.records + data.records, source="doubled")
+    return Dataset(data.records + data.records)
 
 
 # (label, dataset factory, test_fraction, split seed)
@@ -85,7 +85,7 @@ def inner_split_rows(labels, seed, monkeypatch):
     m = FeatureMatrix(values, labels, ("position", "ones"))
     seen = []
 
-    def record(train, val, config):
+    def record(train, val, config, seed):
         seen.append((train.values[:, 0].astype(int).tolist(),
                      val.values[:, 0].astype(int).tolist()))
         return None, TrainHistory()

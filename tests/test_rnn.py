@@ -25,7 +25,6 @@ from cardiolearn.rnn import (
     _batch_grads,
     _matvec,
     _mean_loss,
-    as_sequence,
     backward,
     bce,
     forward,
@@ -49,20 +48,20 @@ def small_params() -> RNNParams:
 
 
 def random_params(gen: SplitMix64, hidden: int, scale: float) -> RNNParams:
-    return init_params(hidden, 1, scale, gen)
+    return init_params(hidden, scale, gen)
 
 
 class TestForward:
     def test_zero_parameters_give_even_odds(self):
-        params = RNNParams.zeros(hidden_size=3, input_size=1)
-        hs, prob = forward(params, as_sequence(np.array([0.4, -1.0, 2.5])))
+        params = RNNParams.zeros(hidden_size=3)
+        hs, prob = forward(params, np.array([0.4, -1.0, 2.5]))
         assert prob == 0.5
         assert np.all(hs == 0.0)
 
     def test_output_bias_alone_sets_the_odds(self):
-        params = RNNParams.zeros(hidden_size=2, input_size=1)
+        params = RNNParams.zeros(hidden_size=2)
         params.b_y = math.log(3.0)
-        _, prob = forward(params, as_sequence(np.array([1.0, -2.0])))
+        _, prob = forward(params, np.array([1.0, -2.0]))
         assert prob == pytest.approx(0.75, abs=1e-12)
 
     def test_hand_unrolled_three_steps(self):
@@ -79,7 +78,7 @@ class TestForward:
             states.append(list(h))
         z = 0.7 * h[0] - 0.6 * h[1] + 0.1
         expected_prob = 1.0 / (1.0 + math.exp(-z))
-        hs, prob = forward(params, as_sequence(np.array(xs)))
+        hs, prob = forward(params, np.array(xs))
         assert hs.shape == (3, 2)
         for t in range(3):
             assert hs[t, 0] == pytest.approx(states[t][0], abs=1e-12)
@@ -89,43 +88,32 @@ class TestForward:
     def test_hidden_states_strictly_inside_unit_interval(self):
         gen = SplitMix64(3)
         params = random_params(gen, hidden=4, scale=2.0)
-        seq = as_sequence(np.array([5.0, -5.0, 3.0, 0.0, -2.0]))
+        seq = np.array([5.0, -5.0, 3.0, 0.0, -2.0])
         hs, _ = forward(params, seq)
         assert np.all(hs > -1.0) and np.all(hs < 1.0)
 
     def test_probability_clamped(self):
-        params = RNNParams.zeros(hidden_size=1, input_size=1)
+        params = RNNParams.zeros(hidden_size=1)
         params.b_y = 100.0
-        _, prob = forward(params, as_sequence(np.array([0.0])))
+        _, prob = forward(params, np.array([0.0]))
         assert prob == 1.0 - 1e-12
 
     def test_empty_sequence_rejected(self):
-        params = RNNParams.zeros(hidden_size=2, input_size=1)
+        params = RNNParams.zeros(hidden_size=2)
         with pytest.raises(EmptySequence):
-            forward(params, np.empty((0, 1)))
+            forward(params, np.empty(0))
 
     def test_input_size_mismatch_rejected(self):
-        params = RNNParams.zeros(hidden_size=2, input_size=1)
+        params = RNNParams.zeros(hidden_size=2)
         with pytest.raises(DimensionMismatch):
             forward(params, np.zeros((3, 2)))
 
     def test_column_order_changes_the_output(self):
         gen = SplitMix64(8)
         params = random_params(gen, hidden=3, scale=0.5)
-        a = forward(params, as_sequence(np.array([1.0, -2.0, 0.5])))[1]
-        b = forward(params, as_sequence(np.array([0.5, -2.0, 1.0])))[1]
+        a = forward(params, np.array([1.0, -2.0, 0.5]))[1]
+        b = forward(params, np.array([0.5, -2.0, 1.0]))[1]
         assert a != b
-
-
-class TestAsSequence:
-    def test_row_becomes_column_of_scalars(self):
-        seq = as_sequence(np.array([1.0, 2.0, 3.0]))
-        assert seq.shape == (3, 1)
-        assert seq[:, 0].tolist() == [1.0, 2.0, 3.0]
-
-    def test_rejects_matrices(self):
-        with pytest.raises(DimensionMismatch):
-            as_sequence(np.zeros((2, 2)))
 
 
 class TestBce:
@@ -143,8 +131,8 @@ class TestBce:
 
 class TestBackward:
     def test_zero_parameters_gradient(self):
-        params = RNNParams.zeros(hidden_size=3, input_size=1)
-        grads = backward(params, as_sequence(np.array([1.0, -1.0])), y=1.0)
+        params = RNNParams.zeros(hidden_size=3)
+        grads = backward(params, np.array([1.0, -1.0]), y=1.0)
         assert grads.b_y == pytest.approx(-0.5, abs=1e-15)
         assert np.all(grads.W_xh == 0.0)
         assert np.all(grads.W_hh == 0.0)
@@ -154,14 +142,14 @@ class TestBackward:
     def test_single_step_has_no_recurrent_gradient(self):
         gen = SplitMix64(5)
         params = random_params(gen, hidden=3, scale=0.5)
-        grads = backward(params, as_sequence(np.array([0.7])), y=0.0)
+        grads = backward(params, np.array([0.7]), y=0.0)
         assert np.all(grads.W_hh == 0.0)
         assert not np.all(grads.W_xh == 0.0)
 
     def test_clamped_output_zeroes_all_gradients(self):
-        params = RNNParams.zeros(hidden_size=2, input_size=1)
+        params = RNNParams.zeros(hidden_size=2)
         params.b_y = 100.0  # saturates past the clamp boundary
-        grads = backward(params, as_sequence(np.array([1.0])), y=0.0)
+        grads = backward(params, np.array([1.0]), y=0.0)
         assert grads.b_y == 0.0
         assert np.all(grads.W_hy == 0.0)
 
@@ -171,22 +159,22 @@ class TestBackward:
             hidden = 2 + trial % 3
             params = random_params(gen, hidden, scale=0.5)
             steps = 3 + trial % 5
-            seq = as_sequence(np.array([gen.normal() for _ in range(steps)]))
+            seq = np.array([gen.normal() for _ in range(steps)])
             y = float(trial % 2)
             assert grad_check(params, seq, y, step=1e-5) < 1e-4, f"trial {trial}"
 
     def test_finite_difference_step_size_matters(self):
         gen = SplitMix64(77)
         params = random_params(gen, hidden=3, scale=0.5)
-        seq = as_sequence(np.array([1.3, -0.4, 0.9, 2.0]))
+        seq = np.array([1.3, -0.4, 0.9, 2.0])
         fine = grad_check(params, seq, 1.0, step=1e-5)
         coarse = grad_check(params, seq, 1.0, step=1e-1)
         assert fine < 1e-4
         assert coarse > fine
 
     def test_grad_check_rejects_bad_step(self):
-        params = RNNParams.zeros(hidden_size=2, input_size=1)
-        seq = as_sequence(np.array([1.0]))
+        params = RNNParams.zeros(hidden_size=2)
+        seq = np.array([1.0])
         with pytest.raises(BadHyperparameter):
             grad_check(params, seq, 1.0, step=0.0)
 
@@ -198,10 +186,10 @@ class TestRmsprop:
         return RNNTrainConfig(**base)
 
     def test_first_step_cache_and_delta(self):
-        params = RNNParams.zeros(1, 1)
+        params = RNNParams.zeros(1)
         params.b_y = 0.2
-        caches = RNNParams.zeros(1, 1)
-        grads = RNNParams.zeros(1, 1)
+        caches = RNNParams.zeros(1)
+        grads = RNNParams.zeros(1)
         grads.b_y = 1.0
         new_p, new_c = rmsprop_step(params, caches, grads, self.config())
         assert new_c.b_y == pytest.approx(0.1, abs=1e-15)
@@ -210,28 +198,28 @@ class TestRmsprop:
         assert new_p.b_y - 0.2 == pytest.approx(-0.0031623, abs=1e-7)
 
     def test_zero_gradient_decays_cache_and_freezes_param(self):
-        params = RNNParams.zeros(1, 1)
+        params = RNNParams.zeros(1)
         params.b_y = 0.5
-        caches = RNNParams.zeros(1, 1)
+        caches = RNNParams.zeros(1)
         caches.b_y = 0.4
-        grads = RNNParams.zeros(1, 1)
+        grads = RNNParams.zeros(1)
         new_p, new_c = rmsprop_step(params, caches, grads, self.config())
         assert new_p.b_y == 0.5
         assert new_c.b_y == pytest.approx(0.36, abs=1e-15)
 
     def test_two_constant_gradient_steps_accumulate_cache(self):
-        params = RNNParams.zeros(1, 1)
-        caches = RNNParams.zeros(1, 1)
-        grads = RNNParams.zeros(1, 1)
+        params = RNNParams.zeros(1)
+        caches = RNNParams.zeros(1)
+        grads = RNNParams.zeros(1)
         grads.b_y = 2.0
         params, caches = rmsprop_step(params, caches, grads, self.config())
         params, caches = rmsprop_step(params, caches, grads, self.config())
         assert caches.b_y == pytest.approx(0.19 * 4.0, abs=1e-12)
 
     def test_array_fields_updated_elementwise(self):
-        params = RNNParams.zeros(2, 1)
-        caches = RNNParams.zeros(2, 1)
-        grads = RNNParams.zeros(2, 1)
+        params = RNNParams.zeros(2)
+        caches = RNNParams.zeros(2)
+        grads = RNNParams.zeros(2)
         grads.W_xh = np.array([[1.0], [-2.0]])
         new_p, new_c = rmsprop_step(params, caches, grads, self.config())
         assert new_c.W_xh[0, 0] == pytest.approx(0.1)
@@ -240,9 +228,9 @@ class TestRmsprop:
         assert new_p.W_xh[1, 0] == pytest.approx(0.002 / math.sqrt(0.4 + 1e-8))
 
     def test_inputs_left_untouched(self):
-        params = RNNParams.zeros(1, 1)
-        caches = RNNParams.zeros(1, 1)
-        grads = RNNParams.zeros(1, 1)
+        params = RNNParams.zeros(1)
+        caches = RNNParams.zeros(1)
+        grads = RNNParams.zeros(1)
         grads.b_y = 1.0
         rmsprop_step(params, caches, grads, self.config())
         assert params.b_y == 0.0
@@ -281,31 +269,31 @@ class TestEarlyStopper:
 
 
 class TestParamTable:
-    def assert_layout(self, params, hidden, inputs):
-        for name, shape in RNNParams.shapes(hidden, inputs).items():
+    def assert_layout(self, params, hidden):
+        for name, shape in RNNParams.shapes(hidden).items():
             value = getattr(params, name)
             assert isinstance(value, np.ndarray) and value.dtype == np.float64, name
             assert value.shape == shape, name
 
     def test_table_lists_the_dataclass_fields_in_order(self):
-        assert tuple(RNNParams.shapes(3, 2)) == tuple(f.name for f in dataclasses.fields(RNNParams))
-        assert RNNParams.shapes(3, 2)["b_y"] == ()
+        assert tuple(RNNParams.shapes(3)) == tuple(f.name for f in dataclasses.fields(RNNParams))
+        assert RNNParams.shapes(3)["b_y"] == ()
 
     def test_every_producer_follows_the_table(self):
-        params = init_params(3, 1, 0.1, SplitMix64(5))
-        self.assert_layout(params, 3, 1)
-        self.assert_layout(RNNParams.zeros(3, 2), 3, 2)
-        self.assert_layout(params.copy(), 3, 1)
-        grads = backward(params, as_sequence(np.array([0.2, -0.7])), 1.0)
-        self.assert_layout(grads, 3, 1)
-        for updated in rmsprop_step(params, RNNParams.zeros(3, 1), grads, RNNTrainConfig()):
-            self.assert_layout(updated, 3, 1)
+        params = init_params(3, 0.1, SplitMix64(5))
+        self.assert_layout(params, 3)
+        self.assert_layout(RNNParams.zeros(2), 2)
+        self.assert_layout(params.copy(), 3)
+        grads = backward(params, np.array([0.2, -0.7]), 1.0)
+        self.assert_layout(grads, 3)
+        for updated in rmsprop_step(params, RNNParams.zeros(3), grads, RNNTrainConfig()):
+            self.assert_layout(updated, 3)
 
     def test_python_float_b_y_is_copied_into_an_array(self):
-        params = RNNParams.zeros(2, 1)
+        params = RNNParams.zeros(2)
         params.b_y = 0.25
         copied = params.copy()
-        self.assert_layout(copied, 2, 1)
+        self.assert_layout(copied, 2)
         assert copied.b_y == 0.25
 
 
@@ -314,7 +302,7 @@ class TestInitParams:
         scale = 0.3
         replay = SplitMix64(41)
         expected = [scale * (2.0 * replay.uniform() - 1.0) for _ in range(11)]
-        params = init_params(2, 1, scale, SplitMix64(41))
+        params = init_params(2, scale, SplitMix64(41))
         flat = (
             list(params.W_xh.reshape(-1))
             + list(params.W_hh.reshape(-1))
@@ -325,7 +313,7 @@ class TestInitParams:
         assert flat == expected
 
     def test_range_bound(self):
-        params = init_params(8, 1, 0.1, SplitMix64(9))
+        params = init_params(8, 0.1, SplitMix64(9))
         for arr in (params.W_xh, params.W_hh, params.W_hy, params.b_h):
             assert np.all(np.abs(arr) <= 0.1)
         assert abs(params.b_y) <= 0.1
@@ -344,7 +332,7 @@ class TestTrainRnn:
     def config(self, **overrides):
         base = dict(
             learning_rate=0.02, max_epochs=15, patience=5, batch_size=4,
-            hidden_size=4, seed=13, init_scale=0.1,
+            hidden_size=4, init_scale=0.1,
         )
         base.update(overrides)
         return RNNTrainConfig(**base)
@@ -353,8 +341,8 @@ class TestTrainRnn:
         train = self.separable()
         val = self.separable(n=8, seed=2)
         config = self.config()
-        params_a, hist_a = train_rnn(train, val, config)
-        params_b, hist_b = train_rnn(train, val, config)
+        params_a, hist_a = train_rnn(train, val, config, 13)
+        params_b, hist_b = train_rnn(train, val, config, 13)
         assert hist_a.train_losses == hist_b.train_losses
         assert hist_a.val_losses == hist_b.val_losses
         assert hist_a.best_epoch == hist_b.best_epoch
@@ -367,17 +355,17 @@ class TestTrainRnn:
     def test_seed_changes_the_run(self):
         train = self.separable()
         val = self.separable(n=8, seed=2)
-        _, hist_a = train_rnn(train, val, self.config(seed=13))
-        _, hist_b = train_rnn(train, val, self.config(seed=14))
+        _, hist_a = train_rnn(train, val, self.config(), 13)
+        _, hist_b = train_rnn(train, val, self.config(), 14)
         assert hist_a.train_losses != hist_b.train_losses
 
     def test_returned_params_reproduce_best_epoch_val_loss(self):
         train = self.separable()
         val = self.separable(n=8, seed=2)
-        params, history = train_rnn(train, val, self.config())
+        params, history = train_rnn(train, val, self.config(), 13)
         total = 0.0
         for row, label in zip(val.values, val.labels):
-            _, prob = forward(params, as_sequence(row))
+            _, prob = forward(params, row)
             total += bce(prob, float(label))
         replayed = total / val.n_rows
         assert replayed == history.val_losses[history.best_epoch - 1]
@@ -386,26 +374,26 @@ class TestTrainRnn:
     def test_training_reduces_loss_on_separable_data(self):
         train = self.separable(n=32, seed=5)
         val = self.separable(n=12, seed=6)
-        _, history = train_rnn(train, val, self.config(max_epochs=30, learning_rate=0.05))
+        _, history = train_rnn(train, val, self.config(max_epochs=30, learning_rate=0.05), 13)
         assert history.train_losses[-1] < history.train_losses[0]
 
     def test_single_epoch_matches_manual_replay(self):
         # independent replay of init, shuffle, batching, and updates
         train = self.separable(n=10, seed=3)
         val = self.separable(n=6, seed=4)
-        config = self.config(max_epochs=1, batch_size=4, seed=21)
-        got, history = train_rnn(train, val, config)
+        config = self.config(max_epochs=1, batch_size=4)
+        got, history = train_rnn(train, val, config, 21)
 
         gen = SplitMix64(21)
-        params = init_params(config.hidden_size, 1, config.init_scale, gen)
-        caches = RNNParams.zeros(config.hidden_size, 1)
+        params = init_params(config.hidden_size, config.init_scale, gen)
+        caches = RNNParams.zeros(config.hidden_size)
         order = list(range(10))
         gen.shuffle(order)
         for start in (0, 4, 8):
             rows = order[start:start + 4]
-            acc = RNNParams.zeros(config.hidden_size, 1)
+            acc = RNNParams.zeros(config.hidden_size)
             for r in rows:
-                g = backward(params, as_sequence(train.values[r]), float(train.labels[r]))
+                g = backward(params, train.values[r], float(train.labels[r]))
                 acc.W_xh += g.W_xh
                 acc.W_hh += g.W_hh
                 acc.W_hy += g.W_hy
@@ -426,7 +414,7 @@ class TestTrainRnn:
         assert got.b_y == params.b_y
 
         losses = [
-            bce(forward(params, as_sequence(row))[1], float(label))
+            bce(forward(params, row)[1], float(label))
             for row, label in zip(train.values, train.labels)
         ]
         total = 0.0
@@ -440,7 +428,7 @@ class TestTrainRnn:
         train = self.separable()
         val = self.separable(n=8, seed=2)
         config = self.config(learning_rate=1e-12, max_epochs=50, patience=3)
-        _, history = train_rnn(train, val, config)
+        _, history = train_rnn(train, val, config, 13)
         # epoch 1 always improves on infinity; then patience epochs of stall
         assert history.best_epoch == 1
         assert history.stopped_epoch == 1 + 3
@@ -450,7 +438,7 @@ class TestTrainRnn:
         train = self.separable()
         val = self.separable(n=8, seed=2)
         config = self.config(max_epochs=6, patience=50)
-        _, history = train_rnn(train, val, config)
+        _, history = train_rnn(train, val, config, 13)
         assert history.stopped_epoch == 6
         assert len(history.train_losses) == 6
 
@@ -458,15 +446,15 @@ class TestTrainRnn:
         train = self.separable()
         empty = matrix(np.empty((0, 3)), [])
         with pytest.raises(EmptyPartition):
-            train_rnn(empty, train, self.config())
+            train_rnn(empty, train, self.config(), 13)
         with pytest.raises(EmptyPartition):
-            train_rnn(train, empty, self.config())
+            train_rnn(train, empty, self.config(), 13)
 
     def test_column_mismatch_rejected(self):
         train = self.separable()
         val = matrix(np.zeros((4, 2)), [0, 1, 0, 1])
         with pytest.raises(DimensionMismatch):
-            train_rnn(train, val, self.config())
+            train_rnn(train, val, self.config(), 13)
 
     def test_config_validation(self):
         for bad in (
@@ -501,33 +489,33 @@ class TestRNNModel:
         params = small_params()
         model = RNNModel(params=params, history=TrainHistory())
         row = np.array([0.3, -1.2, 2.0])
-        _, expected = forward(params, as_sequence(row))
+        _, expected = forward(params, row)
         assert model.predict_proba(row[None]).tolist() == [expected]
 
 
-def reference_forward(params: RNNParams, seq: np.ndarray):
+def reference_forward(params: RNNParams, x: np.ndarray):
     """One row's recurrence as a plain loop, the reference the batch kernels
     must match bit for bit: (h_0..h_T, raw, clamped probability)."""
-    hs = np.zeros((seq.shape[0] + 1, params.hidden_size))
-    for t in range(seq.shape[0]):
-        hs[t + 1] = np.tanh(params.W_xh @ seq[t] + params.W_hh @ hs[t] + params.b_h)
+    hs = np.zeros((x.shape[0] + 1, params.hidden_size))
+    for t in range(x.shape[0]):
+        hs[t + 1] = np.tanh(params.W_xh @ x[t:t + 1] + params.W_hh @ hs[t] + params.b_h)
     raw = sigmoid(float((params.W_hy @ hs[-1])[0]) + float(params.b_y))
     return hs, raw, clamp_probability(raw)
 
 
-def reference_backward(params: RNNParams, seq: np.ndarray, y: float) -> RNNParams:
+def reference_backward(params: RNNParams, x: np.ndarray, y: float) -> RNNParams:
     """One row's BPTT as a plain loop, the reference for the batch kernels."""
-    hs, raw, prob = reference_forward(params, seq)
-    grads = RNNParams.zeros(params.hidden_size, params.input_size)
+    hs, raw, prob = reference_forward(params, x)
+    grads = RNNParams.zeros(params.hidden_size)
     if raw != prob:
         return grads
     dz = prob - y
     grads.W_hy = dz * hs[-1][np.newaxis, :]
     grads.b_y = np.array(dz)
     dh = dz * params.W_hy[0]
-    for t in range(seq.shape[0], 0, -1):
+    for t in range(x.shape[0], 0, -1):
         dz_h = (1.0 - hs[t] * hs[t]) * dh
-        grads.W_xh += np.outer(dz_h, seq[t - 1])
+        grads.W_xh += np.outer(dz_h, x[t - 1:t])
         grads.W_hh += np.outer(dz_h, hs[t - 1])
         grads.b_h += dz_h
         dh = params.W_hh.T @ dz_h
@@ -543,7 +531,7 @@ def assert_same_bits(got, expected):
 def saturating_params(gen: SplitMix64, hidden: int, sign: float) -> RNNParams:
     """A wide output layer and a bias near the clamp boundary (|z| > 27.6), so
     some rows' probabilities sit at a clamp bound and others do not."""
-    params = init_params(hidden, 1, 1.0, gen)
+    params = init_params(hidden, 1.0, gen)
     params.W_hy = params.W_hy * 12.0
     params.b_y = np.array(sign * 26.0)
     return params
@@ -560,7 +548,8 @@ class TestBatchKernels:
         gen = np.random.default_rng(hidden)
         W = gen.normal(0.0, 1.0, (hidden, hidden))
         for weight in (W, W.T, gen.normal(0.0, 1.0, (1, hidden)), gen.normal(0.0, 1.0, (hidden, 1))):
-            # a (B, T) stack of vectors is the shape of the input term of every step
+            # the kernels stack one vector per row of a block; a two-axis stack
+            # checks that the bits do not depend on the stack's shape either
             for rows in ((1,), (2,), (7,), (39,), (5, 7)):
                 V = gen.normal(0.0, 1.0, (*rows, weight.shape[1]))
                 V *= 10.0 ** gen.integers(-8, 9, (*rows, 1))
@@ -583,14 +572,25 @@ class TestBatchKernels:
     def test_forward_and_predict_match_the_per_row_recurrence(self, hidden):
         gen = SplitMix64(hidden)
         values = np.random.default_rng(hidden).normal(0.0, 2.0, (39, 7))
-        for params in (random_params(gen, hidden, 0.8), saturating_params(gen, hidden, 1.0)):
+        # zero cells of either sign: the input product is -0.0 where the gemv of
+        # the reference gives +0.0, and only the recurrent term added after it
+        # makes the two equal, also in a unit whose bias is -0.0
+        zeros = values.copy()
+        zeros[::2, :3] = 0.0
+        zeros[1::2, :3] = -0.0
+        zeros[::3, 5] = -0.0
+        zero_bias = random_params(gen, hidden, 0.8)
+        zero_bias.b_h[0] = -0.0
+        for params in (random_params(gen, hidden, 0.8), saturating_params(gen, hidden, 1.0),
+                       zero_bias):
             model = RNNModel(params=params, history=TrainHistory())
-            expected = [reference_forward(params, as_sequence(row)) for row in values]
-            assert_same_bits(model.predict_proba(values), [prob for _, _, prob in expected])
-            for row, (hs, _, prob) in zip(values, expected):
-                got_hs, got_prob = forward(params, as_sequence(row))
-                assert_same_bits(got_hs, hs[1:])
-                assert got_prob == prob
+            for rows in (values, zeros):
+                expected = [reference_forward(params, row) for row in rows]
+                assert_same_bits(model.predict_proba(rows), [prob for _, _, prob in expected])
+                for row, (hs, _, prob) in zip(rows, expected):
+                    got_hs, got_prob = forward(params, row)
+                    assert_same_bits(got_hs, hs[1:])
+                    assert got_prob == prob
 
     @pytest.mark.parametrize("hidden", [1, 2, 16])
     def test_batch_grads_equal_per_row_backward_summed_in_order(self, hidden):
@@ -606,14 +606,13 @@ class TestBatchKernels:
             else:
                 params = saturating_params(gen, hidden, 1.0 if trial % 2 else -1.0)
             rows = [int(r) for r in data.choice(60, size=1 + trial * 38 // 11, replace=False)]
-            expected = RNNParams.zeros(hidden, 1)
+            expected = RNNParams.zeros(hidden)
             totals = expected.arrays()
             clamped = 0
             for r in rows:
-                seq = as_sequence(values[r])
-                _, raw, prob = reference_forward(params, seq)
+                _, raw, prob = reference_forward(params, values[r])
                 clamped += raw != prob
-                g = reference_backward(params, seq, float(m.labels[r]))
+                g = reference_backward(params, values[r], float(m.labels[r]))
                 for total, part in zip(totals, g.arrays()):
                     total += part
             for total in totals:
@@ -630,8 +629,8 @@ class TestBatchKernels:
         values = np.random.default_rng(hidden).normal(0.0, 2.0, (20, 5))
         for params in (random_params(gen, hidden, 0.8), saturating_params(gen, hidden, 1.0)):
             for i, row in enumerate(values):
-                got = backward(params, as_sequence(row), float(i % 2))
-                expected = reference_backward(params, as_sequence(row), float(i % 2))
+                got = backward(params, row, float(i % 2))
+                expected = reference_backward(params, row, float(i % 2))
                 for got_field, expected_field in zip(got.arrays(), expected.arrays()):
                     assert_same_bits(got_field, expected_field)
 
@@ -644,7 +643,7 @@ class TestMeanLoss:
         params = random_params(gen, 3, 2.0)
         data = np.random.default_rng(4)
         m = matrix(data.normal(0.0, 3.0, (41, 5)), data.integers(0, 2, 41))
-        losses = [bce(forward(params, as_sequence(row))[1], float(y))
+        losses = [bce(forward(params, row)[1], float(y))
                   for row, y in zip(m.values, m.labels)]
         total = 0.0
         for loss in losses:
