@@ -312,8 +312,8 @@ def cmd_preprocess(args) -> int:
     if args.out:
         text = ds.csv_table(
             train_m.column_names + ("label",),
-            ([repr(float(v)) for v in row] + [str(int(label))]
-             for row, label in zip(train_m.values, train_m.labels)),
+            ([*map(repr, row.tolist()), str(label)]
+             for row, label in zip(train_m.values, train_m.labels.tolist())),
         )
         atomic_write_text(args.out, text)
         print(f"\nwrote transformed training matrix to {args.out}")

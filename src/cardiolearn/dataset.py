@@ -90,6 +90,15 @@ class RawRecord:
         if self.label not in (0, 1):
             raise SchemaMismatch(f"label must be 0 or 1, got {self.label!r}")
 
+    @classmethod
+    def _parsed(cls, values: tuple, label: int) -> "RawRecord":
+        """A record from cells the CSV parser has already checked against the
+        schema, built without checking them again."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "values", values)
+        object.__setattr__(record, "label", label)
+        return record
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -202,7 +211,7 @@ def _parse_row(row_index, raw_cells, positions):
         raise UnparsableCell(row_index, LABEL_COLUMN, label_token) from None
     if label_value not in (0.0, 1.0):
         raise UnparsableCell(row_index, LABEL_COLUMN, label_token)
-    return RawRecord(values, int(label_value))
+    return RawRecord._parsed(values, int(label_value))
 
 
 def _read_rows(path):
@@ -266,7 +275,7 @@ def load_unlabeled_csv(path) -> Dataset:
     rows = _read_rows(path)
     positions = _header_positions(rows, FEATURE_NAMES)
     records = tuple(
-        RawRecord(_parse_features(i, raw, positions), 0)
+        RawRecord._parsed(_parse_features(i, raw, positions), 0)
         for i, raw in enumerate(rows[1:])
     )
     return Dataset(records)

@@ -302,21 +302,24 @@ def _squared_distances(block_columns: np.ndarray, columns: np.ndarray, lanes: np
     return lanes[0]
 
 
-def _nearest_neighbours(points: np.ndarray, k: int) -> np.ndarray:
-    """Row positions of each row's k nearest other rows, shape (m, k).
+def _nearest_neighbours(points: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Row positions of the k nearest other rows of each of the first n
+    rows, shape (n, k).
 
-    Distance is Euclidean over all columns, each squared distance summed in
-    `_squared_distances`' fixed order; ties go to the lower row position.
+    Each of those rows is ranked against all m rows. Distance is Euclidean
+    over all columns, each squared distance summed in `_squared_distances`'
+    fixed order; ties go to the lower row position. A row's neighbours
+    depend only on its own distances, so they do not change with n.
     Distances are computed _NEIGHBOUR_BLOCK rows at a time in one scratch
-    array of (block, m) lanes, so memory is O(block * m) rather than
-    O(m^2 * d).
+    array of (block, m) lanes, so the search costs O(n * m * d) time and
+    O(block * m) memory.
     """
     m, d = points.shape
     columns = np.ascontiguousarray(points.T)
-    lanes = np.empty((_lane_count(d), min(m, _NEIGHBOUR_BLOCK), m))
-    neighbours = np.empty((m, k), dtype=np.int64)
-    for start in range(0, m, _NEIGHBOUR_BLOCK):
-        block_columns = columns[:, start:start + _NEIGHBOUR_BLOCK]
+    lanes = np.empty((_lane_count(d), min(n, _NEIGHBOUR_BLOCK), m))
+    neighbours = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, _NEIGHBOUR_BLOCK):
+        block_columns = columns[:, start:min(start + _NEIGHBOUR_BLOCK, n)]
         b = block_columns.shape[1]
         distances = _squared_distances(block_columns, columns, lanes[:, :b])
         np.sqrt(distances, out=distances)
@@ -341,10 +344,11 @@ def smote(m: FeatureMatrix, k: int, seed: int) -> FeatureMatrix:
     row order), nn one of its k nearest minority neighbours, and u uniform
     in [0, 1); each row draws its neighbour slot, then its u, from one
     SplitMix64 stream. Neighbours are ranked by Euclidean distance over all
-    columns, summed in a fixed order, ties broken by row position; the
-    search holds O(block * m) memory for m minority rows, not O(m^2 * d).
-    Original rows are preserved unchanged, in order, ahead of the synthetic
-    block.
+    columns, summed in a fixed order, ties broken by row position. Only the
+    q = min(needed, m) minority rows that synthetic rows start from are
+    searched, each against all m minority rows: O(q * m * d) time and
+    O(block * m) memory. Original rows are preserved unchanged, in order,
+    ahead of the synthetic block.
     """
     labels = m.labels
     counts = {0: int(np.sum(labels == 0)), 1: int(np.sum(labels == 1))}
@@ -364,7 +368,7 @@ def smote(m: FeatureMatrix, k: int, seed: int) -> FeatureMatrix:
 
     minority_rows = np.flatnonzero(labels == minority)
     points = m.values[minority_rows]
-    neighbour_ids = _nearest_neighbours(points, k)
+    neighbour_ids = _nearest_neighbours(points, k, min(needed, minority_count))
 
     gen = SplitMix64(seed)
     picks, u = zip(*[(gen.randint(k), gen.uniform()) for _ in range(needed)])

@@ -15,6 +15,7 @@ from cardiolearn.errors import (
     MinorityTooSmall,
     UnseenCategory,
 )
+from cardiolearn import preprocess
 from cardiolearn.preprocess import (
     FeatureMatrix,
     UnseenPolicy,
@@ -379,6 +380,23 @@ def _duplicates_below(k, m=100, row=90):
     return points
 
 
+_TIE_CASES = [
+    (_integer_grid(1, 150, 3), 4),
+    (_integer_grid(2, 200, 11, levels=2), 12),
+    (_integer_grid(3, 70, 1), 5),
+    (_integer_grid(4, 130, 1, levels=4), 1),
+    (_integer_grid(6, 20, 2), 19),
+    (_integer_grid(7, 66, 1, levels=2), 65),
+    (np.random.default_rng(8).normal(0.0, 1.0, (140, 7)), 6),
+    (_duplicates_below(4), 4),
+    (_duplicates_below(12, m=130, row=129), 12),
+]
+_TIE_CASE_IDS = [
+    "grid-3d", "grid-11d-k12", "d1", "d1-k1", "k-m-minus-1", "d1-k-m-minus-1",
+    "gaussian", "duplicates-below", "duplicates-below-last-row",
+]
+
+
 class TestNearestNeighbours:
     # little-endian bytes as produced by a full m x m x d distance search
     # ranked with a per-row sorted((distance, j)); the blocked search must
@@ -391,7 +409,7 @@ class TestNearestNeighbours:
         m = transform(fit(data), data)
         points = m.values[m.labels == 1]
         assert points.shape == (120, 11)
-        neighbours = _nearest_neighbours(points, 5)
+        neighbours = _nearest_neighbours(points, 5, len(points))
         assert neighbours[:3].tolist() == [
             [34, 18, 89, 35, 16], [28, 57, 68, 56, 64], [19, 115, 94, 49, 42],
         ]
@@ -400,22 +418,33 @@ class TestNearestNeighbours:
         assert out.n_rows == 560
         assert _sha256(out.values[m.n_rows:], "<f8") == self.GOLDEN_SYNTHETIC_SHA256
 
-    @pytest.mark.parametrize("points, k", [
-        (_integer_grid(1, 150, 3), 4),
-        (_integer_grid(2, 200, 11, levels=2), 12),
-        (_integer_grid(3, 70, 1), 5),
-        (_integer_grid(4, 130, 1, levels=4), 1),
-        (_integer_grid(6, 20, 2), 19),
-        (_integer_grid(7, 66, 1, levels=2), 65),
-        (np.random.default_rng(8).normal(0.0, 1.0, (140, 7)), 6),
-        (_duplicates_below(4), 4),
-        (_duplicates_below(12, m=130, row=129), 12),
-    ], ids=[
-        "grid-3d", "grid-11d-k12", "d1", "d1-k1", "k-m-minus-1", "d1-k-m-minus-1",
-        "gaussian", "duplicates-below", "duplicates-below-last-row",
-    ])
+    @pytest.mark.parametrize("points, k", _TIE_CASES, ids=_TIE_CASE_IDS)
     def test_matches_brute_force_on_ties(self, points, k):
-        assert np.array_equal(_nearest_neighbours(points, k), _brute_force_neighbours(points, k))
+        got = _nearest_neighbours(points, k, len(points))
+        assert np.array_equal(got, _brute_force_neighbours(points, k))
+
+    @pytest.mark.parametrize("points, k", _TIE_CASES, ids=_TIE_CASE_IDS)
+    def test_leading_rows_match_full_search(self, points, k):
+        m = len(points)
+        full = _nearest_neighbours(points, k, m)
+        for n in sorted({n for n in (1, 63, 64, 65, m - 1, m) if n <= m}):
+            got = _nearest_neighbours(points, k, n)
+            assert got.shape == (n, k)
+            assert got.astype("<i8").tobytes() == full[:n].astype("<i8").tobytes(), n
+
+    def test_smote_searches_only_source_rows(self, monkeypatch):
+        searched = []
+        kernel = preprocess._squared_distances
+
+        def counting(block_columns, columns, lanes):
+            searched.append(block_columns.shape[1])
+            return kernel(block_columns, columns, lanes)
+
+        monkeypatch.setattr(preprocess, "_squared_distances", counting)
+        values = np.random.default_rng(9).normal(0.0, 1.0, (4100, 11))
+        out = smote(matrix(values, [0] * 2100 + [1] * 2000), k=5, seed=1)
+        assert out.n_rows == 4200
+        assert sum(searched) == 100
 
     def test_smote_memory_bounded(self):
         gen = np.random.default_rng(9)
