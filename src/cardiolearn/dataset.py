@@ -10,7 +10,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .errors import (
     UnparsableCell,
 )
 from .rng import SplitMix64
-
-Cell = Union[float, str]
 
 LABEL_COLUMN = "HeartDisease"
 
@@ -64,6 +62,7 @@ SCHEMA = (
 FEATURE_NAMES = tuple(spec.name for spec in SCHEMA)
 NUMERIC_FEATURES = tuple(s.name for s in SCHEMA if s.kind is FeatureKind.NUMERIC)
 CATEGORICAL_FEATURES = tuple(s.name for s in SCHEMA if s.kind is FeatureKind.CATEGORICAL)
+_LABEL_VALUES = frozenset((0.0, 1.0))
 
 # Largest numeric cell magnitude accepted: fitting sums n squared deviations of
 # at most 2e100 each, which stays far below the float limit of 1.8e308.
@@ -111,10 +110,10 @@ class Dataset:
     def labels(self) -> list:
         return [r.label for r in self.records]
 
-    def column(self, name: str) -> list:
-        """The named feature's cells, in record order."""
-        col = FEATURE_NAMES.index(name)
-        return [r.values[col] for r in self.records]
+    def columns(self) -> list:
+        """Each feature's cells in record order, one tuple per feature in
+        schema order."""
+        return list(zip(*(r.values for r in self.records))) or [()] * len(SCHEMA)
 
     def class_counts(self) -> tuple:
         labels = self.labels
@@ -160,58 +159,111 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def _format_cell(value: Cell) -> str:
-    if isinstance(value, str):
-        return value
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
+def _text_columns(data: Dataset) -> list:
+    """Each feature column of `data` as the text write_csv writes, in schema
+    order: a token as it is, a number with no fraction and magnitude below
+    1e16 as an integer, and any other number as its repr, the shortest text
+    that parses back to the same double."""
+    columns = data.columns()
+    for col, spec in enumerate(SCHEMA):
+        if spec.kind is FeatureKind.NUMERIC:
+            columns[col] = [
+                str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v) for v in columns[col]
+            ]
+    return columns
+
+
+def _content_keys(data: Dataset) -> list:
+    """`record_key` of every record, in record order, built a column at a time."""
+    return list(map(",".join, zip(*_text_columns(data), map(str, data.labels))))
 
 
 def record_key(record: RawRecord) -> str:
-    """Content key used to make shuffles independent of input row order."""
-    return ",".join(_format_cell(v) for v in record.values) + f",{record.label}"
+    """Content key used to make shuffles independent of input row order: the
+    record's cells as write_csv writes them, then its label, joined by commas."""
+    return _content_keys(Dataset((record,)))[0]
 
 
-def _parse_features(row_index, raw_cells, positions):
+def _raise_row_error(row_index, raw_cells, positions):
+    """Raise the error of a data row that fails a check, for the first check
+    it fails in this order: more cells than the header, then each feature in
+    schema order, then the label when `positions` has one."""
     if len(raw_cells) > len(positions):  # the header has exactly one column per position
         raise SchemaMismatch(
             f"row {row_index} has {len(raw_cells)} cells but the header has {len(positions)}"
         )
-    values = []
-    for spec in SCHEMA:
-        pos = positions[spec.name]
+    for name, pos in positions.items():
         if pos >= len(raw_cells):
-            raise UnparsableCell(row_index, spec.name, "<missing cell>")
+            raise UnparsableCell(row_index, name, "<missing cell>")
         token = raw_cells[pos].strip()
-        if spec.kind is FeatureKind.NUMERIC:
-            try:
-                value = float(token)
-            except ValueError:
-                raise UnparsableCell(row_index, spec.name, token) from None
-            if not abs(value) <= CELL_LIMIT:  # also rejects nan and inf
-                raise UnparsableCell(row_index, spec.name, token)
-            values.append(value)
-        else:
+        if name in CATEGORICAL_FEATURES:
             if not token:
-                raise UnparsableCell(row_index, spec.name, token)
-            values.append(token)
-    return tuple(values)
+                raise UnparsableCell(row_index, name, token)
+            continue
+        try:
+            value = float(token)
+        except ValueError:
+            raise UnparsableCell(row_index, name, token) from None
+        if name == LABEL_COLUMN:
+            if value not in _LABEL_VALUES:
+                raise UnparsableCell(row_index, name, token)
+        elif not abs(value) <= CELL_LIMIT:  # also rejects nan and inf
+            raise UnparsableCell(row_index, name, token)
 
 
-def _parse_row(row_index, raw_cells, positions):
-    values = _parse_features(row_index, raw_cells, positions)
-    label_pos = positions[LABEL_COLUMN]
-    if label_pos >= len(raw_cells):
-        raise UnparsableCell(row_index, LABEL_COLUMN, "<missing cell>")
-    label_token = raw_cells[label_pos].strip()
+def _first_false(flags: list) -> int:
+    """Position of the first false flag, or len(flags) when there is none."""
+    return flags.index(False) if False in flags else len(flags)
+
+
+def _to_float(token: str) -> float:
     try:
-        label_value = float(label_token)
+        return float(token)
     except ValueError:
-        raise UnparsableCell(row_index, LABEL_COLUMN, label_token) from None
-    if label_value not in (0.0, 1.0):
-        raise UnparsableCell(row_index, LABEL_COLUMN, label_token)
-    return RawRecord._parsed(values, int(label_value))
+        return math.nan  # fails every range and label check
+
+
+def _floats(tokens: list) -> list:
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        return list(map(_to_float, tokens))
+
+
+def _parse_records(body, positions) -> tuple:
+    """Records of the data rows `body`, parsed and checked a column at a time.
+
+    Each column's cells are stripped, parsed and checked as a whole, with
+    the checks `_raise_row_error` makes on one row. When a row fails any of
+    them, the first such row in file order, a row of another length than
+    the header included, goes through `_raise_row_error`, which words the
+    error. `positions` maps each header name to its column; a label column
+    is parsed when it has one, and the label is 0 otherwise.
+    """
+    width = len(positions)
+    # no row after the first ragged one can be the first bad row
+    end = _first_false(list(map(width.__eq__, map(len, body))))
+    columns = list(zip(*body[:end])) or [()] * width
+    first_bad = end
+    features = []
+    for spec in SCHEMA:
+        tokens = list(map(str.strip, columns[positions[spec.name]]))
+        if spec.kind is FeatureKind.NUMERIC:
+            cells = _floats(tokens)
+            ok = map(CELL_LIMIT.__ge__, map(abs, cells))  # false for nan
+        else:
+            cells = tokens
+            ok = map(bool, tokens)
+        first_bad = min(first_bad, _first_false(list(ok)))
+        features.append(cells)
+    labels = [0] * end
+    if LABEL_COLUMN in positions:
+        labels = _floats(list(map(str.strip, columns[positions[LABEL_COLUMN]])))
+        first_bad = min(first_bad, _first_false(list(map(_LABEL_VALUES.__contains__, labels))))
+    del columns  # the transposed rows are not held while the records are built
+    if first_bad < len(body):
+        _raise_row_error(first_bad, body[first_bad], positions)
+    return tuple(map(RawRecord._parsed, zip(*features), map(int, labels)))
 
 
 def _read_rows(path):
@@ -220,7 +272,7 @@ def _read_rows(path):
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             for row in csv.reader(fh):
-                if row and any(cell.strip() for cell in row):
+                if any(map(str.strip, row)):
                     rows.append(row)
     except UnicodeDecodeError as exc:
         raise BadEncoding(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -259,10 +311,7 @@ def load_csv(path) -> Dataset:
     """
     rows = _read_rows(path)
     positions = _header_positions(rows, FEATURE_NAMES + (LABEL_COLUMN,))
-    records = tuple(
-        _parse_row(i, raw, positions) for i, raw in enumerate(rows[1:])
-    )
-    return Dataset(records)
+    return Dataset(_parse_records(rows[1:], positions))
 
 
 def load_unlabeled_csv(path) -> Dataset:
@@ -274,11 +323,7 @@ def load_unlabeled_csv(path) -> Dataset:
     """
     rows = _read_rows(path)
     positions = _header_positions(rows, FEATURE_NAMES)
-    records = tuple(
-        RawRecord._parsed(_parse_features(i, raw, positions), 0)
-        for i, raw in enumerate(rows[1:])
-    )
-    return Dataset(records)
+    return Dataset(_parse_records(rows[1:], positions))
 
 
 def write_csv(data: Dataset, path) -> None:
@@ -290,10 +335,7 @@ def write_csv(data: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(FEATURE_NAMES) + [LABEL_COLUMN])
-        for record in data.records:
-            writer.writerow(
-                [_format_cell(v) for v in record.values] + [str(record.label)]
-            )
+        writer.writerows(zip(*_text_columns(data), map(str, data.labels)))
 
 
 def csv_table(header, rows) -> str:
@@ -330,8 +372,7 @@ def summarize(data: Dataset) -> SummaryReport:
         raise EmptyDataset("cannot summarize an empty dataset")
     numeric = {}
     categorical = {}
-    for spec in SCHEMA:
-        column = data.column(spec.name)
+    for spec, column in zip(SCHEMA, data.columns()):
         if spec.kind is FeatureKind.NUMERIC:
             if spec.missing_sentinel is None:
                 present = column
@@ -408,8 +449,8 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitRes
     """
     if not 0.0 < test_fraction < 1.0:
         raise FractionOutOfRange(f"test_fraction must be in (0, 1), got {test_fraction}")
-    records = data.records
-    shuffled = class_shuffles(data.labels, seed, key=lambda i: record_key(records[i]))
+    keys = _content_keys(data)
+    shuffled = class_shuffles(data.labels, seed, key=keys.__getitem__)
     if not shuffled[0] or not shuffled[1]:
         raise SingleClassDataset("both label classes required before splitting")
     train_indices, test_indices = complement_split(

@@ -9,11 +9,12 @@ Fitting learns, from the training partition only:
 * per-numeric-column mean and population standard deviation, computed on
   the imputed values.
 
-Fit and transform share one column-wise imputation pass: a sentinel cell
-takes its cohort's median, or the global median for a cohort the fit never
-saw. Transforming standardizes numeric columns to (x - mean) / std (0 for a
-constant column, std = 0; a value that overflows is an error) and encodes
-categories, unscaled, row by row: the first unseen category in reading order
+Fit and transform read the dataset a column at a time and share one
+imputation pass: a sentinel cell takes its cohort's median, or the global
+median for a cohort the fit never saw. Transforming standardizes numeric
+columns to (x - mean) / std (0 for a constant column, std = 0; a value that
+overflows is an error) and encodes categories, unscaled, through a
+token -> code table per column: the first unseen category in reading order
 (row, then column) is reported.
 """
 
@@ -43,8 +44,12 @@ from .errors import (
 )
 from .rng import SplitMix64
 
-_NUMERIC_SPECS = tuple(spec for spec in SCHEMA if spec.kind is FeatureKind.NUMERIC)
+_NUMERIC_COLUMNS = tuple(
+    (col, spec) for col, spec in enumerate(SCHEMA) if spec.kind is FeatureKind.NUMERIC
+)
 _CATEGORICAL_COLUMNS = tuple((FEATURE_NAMES.index(name), name) for name in CATEGORICAL_FEATURES)
+_AGE = FEATURE_NAMES.index("Age")
+_SEX = FEATURE_NAMES.index("Sex")
 # rows per distance block in the SMOTE neighbour search, which holds
 # _lane_count(d) distance lanes of (block, m), nine for 8 to 128 columns
 _NEIGHBOUR_BLOCK = 64
@@ -128,50 +133,51 @@ def _median(values: list) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def _cohorts(data: Dataset) -> list:
-    """Each record's (Sex token, age decade) imputation cohort, in record order."""
-    decades = [int(math.floor(age / 10.0) * 10) for age in data.column("Age")]
-    return list(zip(data.column("Sex"), decades))
+def _present(values, spec) -> list:
+    """The values that are not the spec's missing sentinel, in order."""
+    if spec.missing_sentinel is None:
+        return list(values)
+    return list(filter(spec.missing_sentinel.__ne__, values))
+
+
+def _cohorts(columns: list, rows) -> list:
+    """The (Sex token, age decade) imputation cohort of each of the rows."""
+    sexes, ages = columns[_SEX], columns[_AGE]
+    return [(sexes[row], int(math.floor(ages[row] / 10.0) * 10)) for row in rows]
 
 
 def fit(train: Dataset, unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> FittedPreprocessor:
     """Learn vocabularies, imputation medians, and scaling statistics."""
     if len(train) == 0:
         raise EmptyDataset("cannot fit a preprocessor on an empty dataset")
+    columns = train.columns()
 
     vocab = {}
     modes = {}
-    for name in CATEGORICAL_FEATURES:
-        counts = Counter(train.column(name))
+    for col, name in _CATEGORICAL_COLUMNS:
+        counts = Counter(columns[col])
         vocab[name] = tuple(sorted(counts))
         modes[name] = min(counts, key=lambda t: (-counts[t], t))
 
-    # sentinel cells become missing before any median is taken
-    cohorts = _cohorts(train)
-    cohort_values = {
-        cohort: {name: [] for name in NUMERIC_FEATURES} for cohort in dict.fromkeys(cohorts)
-    }
-    global_values = {name: [] for name in NUMERIC_FEATURES}
-    for spec in _NUMERIC_SPECS:
-        for cohort, value in zip(cohorts, train.column(spec.name)):
-            if value != spec.missing_sentinel:  # a None sentinel matches no cell
-                cohort_values[cohort][spec.name].append(value)
-                global_values[spec.name].append(value)
+    # each cohort's rows in row order, cohorts in order of first appearance
+    cohort_rows = {}
+    for row, cohort in enumerate(_cohorts(columns, range(len(train)))):
+        cohort_rows.setdefault(cohort, []).append(row)
 
-    global_medians = {
-        name: _median(values) if values else 0.0
-        for name, values in global_values.items()
-    }
-    impute_table = {
-        cohort: {
-            name: _median(values) if values else global_medians[name]
-            for name, values in per_feature.items()
-        }
-        for cohort, per_feature in cohort_values.items()
-    }
+    # sentinel cells become missing before any median is taken
+    global_medians = {}
+    for col, spec in _NUMERIC_COLUMNS:
+        values = _present(columns[col], spec)
+        global_medians[spec.name] = _median(values) if values else 0.0
+    impute_table = {}
+    for cohort, rows in cohort_rows.items():
+        impute_table[cohort] = medians = {}
+        for col, spec in _NUMERIC_COLUMNS:
+            values = _present(map(columns[col].__getitem__, rows), spec)
+            medians[spec.name] = _median(values) if values else global_medians[spec.name]
 
     scale_stats = {}
-    for name, column in _imputed_columns(train, impute_table, global_medians).items():
+    for name, column in _imputed_columns(columns, impute_table, global_medians).items():
         mean = float(np.mean(column))
         std = float(np.sqrt(np.mean((column - mean) ** 2)))
         scale_stats[name] = (mean, std)
@@ -185,34 +191,40 @@ def fit(train: Dataset, unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> Fit
     )
 
 
-def _imputed_columns(data: Dataset, impute_table: dict, global_medians: dict) -> dict:
+def _imputed_columns(columns: list, impute_table: dict, global_medians: dict) -> dict:
     """Numeric columns as float arrays, each sentinel cell replaced by its
     cohort's median (the global median for a cohort not in `impute_table`)."""
-    cohorts = _cohorts(data)
-    columns = {}
-    for spec in _NUMERIC_SPECS:
-        column = np.array(data.column(spec.name), dtype=float)
+    imputed = {}
+    for col, spec in _NUMERIC_COLUMNS:
+        column = np.array(columns[col], dtype=float)
         if spec.missing_sentinel is not None:
-            for row in np.flatnonzero(column == spec.missing_sentinel):
-                column[row] = impute_table.get(cohorts[row], global_medians)[spec.name]
-        columns[spec.name] = column
-    return columns
+            missing = np.flatnonzero(column == spec.missing_sentinel).tolist()
+            for row, cohort in zip(missing, _cohorts(columns, missing)):
+                column[row] = impute_table.get(cohort, global_medians)[spec.name]
+        imputed[spec.name] = column
+    return imputed
 
 
 def transform(fp: FittedPreprocessor, data: Dataset) -> FeatureMatrix:
     """Encode, impute, and scale a dataset with previously fitted state."""
+    columns = data.columns()
     matrix = np.empty((len(data), len(SCHEMA)))
-    for row, record in enumerate(data.records):
-        for col, name in _CATEGORICAL_COLUMNS:
-            value = record.values[col]
-            tokens = fp.vocab[name]
-            if value in tokens:
-                matrix[row, col] = tokens.index(value)
-            elif fp.unseen_policy is UnseenPolicy.MAP_TO_MODE:
-                matrix[row, col] = tokens.index(fp.modes[name])
-            else:
-                raise UnseenCategory(name, value)
-    for name, column in _imputed_columns(data, fp.impute_table, fp.global_medians).items():
+    unseen = []  # (row, column, name, token) of each column's first unseen token
+    for col, name in _CATEGORICAL_COLUMNS:
+        codes = {token: code for code, token in enumerate(fp.vocab[name])}
+        encoded = list(map(codes.get, columns[col]))
+        if None in encoded:
+            if fp.unseen_policy is UnseenPolicy.ERROR:
+                row = encoded.index(None)
+                unseen.append((row, col, name, columns[col][row]))
+                continue
+            mode = codes[fp.modes[name]]
+            encoded = [mode if code is None else code for code in encoded]
+        matrix[:, col] = encoded
+    if unseen:
+        _, _, name, token = min(unseen)
+        raise UnseenCategory(name, token)
+    for name, column in _imputed_columns(columns, fp.impute_table, fp.global_medians).items():
         mean, std = fp.scale_stats[name]
         # a fitted std is 0 or at least sqrt(5e-324), so only a bundle's
         # stats can overflow on cells within CELL_LIMIT

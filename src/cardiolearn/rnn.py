@@ -299,23 +299,31 @@ def _mean_loss(params: RNNParams, m: FeatureMatrix) -> float:
 def _add_rows(total: np.ndarray, G: np.ndarray) -> np.ndarray:
     """total + G[0] + G[1] + ..., added left to right as a `+=` loop over
     the rows of G does, so the sum does not depend on how rows are batched."""
-    # accumulate adds in order by definition; a reduce may sum pairwise
-    return np.add.accumulate(np.concatenate([total[np.newaxis], G]), axis=0)[-1, ...]
+    # a reduce over the rows may sum pairwise
+    total = total.copy()
+    for g in G:
+        total += g
+    return total
 
 
 def _batch_grads(params: RNNParams, m: FeatureMatrix, rows) -> RNNParams:
     """Mean of the rows' gradients: each field's per-row gradients are added
-    in row order onto a +0.0 accumulator, then scaled by 1 / len(rows)."""
+    in row order onto a +0.0 accumulator, then scaled by 1 / len(rows).
+
+    A row's five fields are added as one flat row, so a block of rows costs
+    one `_add_rows` loop rather than one per field; each cell's sum is the
+    same."""
     rows = np.asarray(rows)
-    totals = RNNParams.zeros(params.hidden_size).arrays()
+    shapes = tuple(RNNParams.shapes(params.hidden_size).values())
+    sizes = [math.prod(shape) for shape in shapes]
+    total = np.zeros(sum(sizes))
     for block in _row_blocks(params, len(rows), m.n_cols):
         picked = rows[block]
         per_row = _backward_batch(params, m.values[picked], m.labels[picked].astype(float))
-        totals = [_add_rows(total, g) for total, g in zip(totals, per_row)]
-    scale = 1.0 / len(rows)
-    for total in totals:
-        total *= scale
-    return RNNParams(*totals)
+        total = _add_rows(total, np.concatenate([g.reshape(len(picked), -1) for g in per_row], axis=1))
+    total *= 1.0 / len(rows)
+    parts = np.split(total, np.cumsum(sizes)[:-1])
+    return RNNParams(*(part.reshape(shape) for part, shape in zip(parts, shapes)))
 
 
 def train_rnn(train: FeatureMatrix, val: FeatureMatrix, config: RNNTrainConfig,

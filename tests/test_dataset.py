@@ -1,5 +1,6 @@
 """CSV ingestion, validation, summaries, splits, and the synthetic generator."""
 
+import csv
 import math
 
 import pytest
@@ -13,9 +14,12 @@ from cardiolearn.dataset import (
     SCHEMA,
     Dataset,
     RawRecord,
+    _content_keys,
+    class_shuffles,
     kfold,
     load_csv,
     load_unlabeled_csv,
+    quota_indices,
     record_key,
     stratified_split,
     summarize,
@@ -44,6 +48,47 @@ ROW_B = "61,F,ATA,142,0,1,ST,122,Y,2.3,Down,1"
 def write_text(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def edited_row(row=ROW_A, keep=None, extra=(), **cells):
+    """`row` with the named cells replaced, cut to its first `keep` cells,
+    then `extra` cells appended."""
+    parts = row.split(",")
+    for name, text in cells.items():
+        parts[(FEATURE_NAMES + (LABEL_COLUMN,)).index(name)] = text
+    return ",".join(parts[:keep] + list(extra))
+
+
+UNLABELED_A = edited_row(keep=len(FEATURE_NAMES))
+
+# (labeled, data rows, the error: (row, column, content) of an UnparsableCell
+# or the message of a SchemaMismatch)
+_FIRST_BAD_ROW_CASES = {
+    "short row after a bad cell": (
+        True, [ROW_A, edited_row(Cholesterol="abc"), edited_row(keep=5)], (1, "Cholesterol", "abc")),
+    "short row with a bad earlier cell": (
+        True, [ROW_B, edited_row(RestingBP="1e999", keep=4)], (1, "RestingBP", "1e999")),
+    "short row of good cells": (
+        True, [ROW_A, edited_row(keep=7), edited_row(Age="x")], (1, "MaxHR", "<missing cell>")),
+    "row without its label": (
+        True, [edited_row(keep=11), edited_row(Age="x")], (0, LABEL_COLUMN, "<missing cell>")),
+    "too many cells": (
+        True, [ROW_A, edited_row(Age="x", extra=["1"])], "row 1 has 13 cells but the header has 12"),
+    "too many cells after a bad cell": (
+        True, [edited_row(Oldpeak="nan"), edited_row(extra=["1"])], (0, "Oldpeak", "nan")),
+    "bad label after good features": (
+        True, [ROW_A, edited_row(HeartDisease="0.5")], (1, LABEL_COLUMN, "0.5")),
+    "bad feature before a bad label": (
+        True, [edited_row(ST_Slope=" ", HeartDisease="2")], (0, "ST_Slope", "")),
+    "bad label before a later row's bad feature": (
+        True, [ROW_B, edited_row(HeartDisease="x"), edited_row(Age="x")], (1, LABEL_COLUMN, "x")),
+    "later column in an earlier row": (
+        True, [edited_row(Oldpeak="inf"), edited_row(Age="abc")], (0, "Oldpeak", "inf")),
+    "unlabeled short row": (
+        False, [UNLABELED_A, edited_row(keep=3), edited_row(Age="x", keep=11)], (1, "RestingBP", "<missing cell>")),
+    "unlabeled row with a label cell": (
+        False, [UNLABELED_A, ROW_A], "row 1 has 12 cells but the header has 11"),
+}
 
 
 class TestSchema:
@@ -195,6 +240,23 @@ class TestLoadCsv:
         with pytest.raises(OSError):
             load_csv(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("labeled, rows, error", _FIRST_BAD_ROW_CASES.values(),
+                             ids=_FIRST_BAD_ROW_CASES.keys())
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path, labeled, rows, error):
+        # every check of a row comes before any check of a later row; within
+        # a row, the cell count, then the features in schema order, then the label
+        header = HEADER if labeled else ",".join(FEATURE_NAMES)
+        path = write_text(tmp_path / "d.csv", "\n".join([header, *rows]) + "\n")
+        loader = load_csv if labeled else load_unlabeled_csv
+        if isinstance(error, str):
+            with pytest.raises(SchemaMismatch) as exc:
+                loader(path)
+            assert str(exc.value) == error
+        else:
+            with pytest.raises(UnparsableCell) as exc:
+                loader(path)
+            assert (exc.value.row, exc.value.column, exc.value.content) == error
+
 
 class TestLoadUnlabeledCsv:
     def test_loads_features_with_placeholder_label(self, tmp_path):
@@ -344,6 +406,37 @@ class TestStratifiedSplit:
             record_key(r) for r in stratified_split(reversed_data, 0.25, seed=9).test.records
         )
         assert keys_a == keys_b
+
+    def test_keys_at_formatting_and_ordering_edges(self, tmp_path):
+        texts = {
+            -0.0: "0", 0.1: "0.1", 1e15 + 0.5: "1000000000000000.5",
+            9999999999999998.0: "9999999999999998", 1e16: "1e+16", 5e-324: "5e-324",
+            1e100: "1e+100", -7.0: "-7", -123456789.0: "-123456789",
+        }
+        # ',' sorts after ' ', '!' and '+', so these tokens order differently
+        # as joined keys than as tuples of cells
+        tokens = ("A", "A+", "A B", "A!", "A,B")
+        records = [
+            make_record(label=(i + j) % 2, Age=age, Oldpeak=oldpeak, ChestPainType=token)
+            for i, (age, oldpeak) in enumerate(zip(texts, reversed(list(texts))))
+            for j, token in enumerate(tokens)
+        ]
+        records += records[:3]  # equal keys keep their row order
+        data = Dataset(tuple(records))
+        for value, text in texts.items():
+            assert record_key(make_record(Age=value)).split(",")[0] == text
+        keys = [record_key(r) for r in records]
+        assert _content_keys(data) == keys
+        # write_csv writes the cells the keys join; "A,B" is quoted
+        path = tmp_path / "edges.csv"
+        write_csv(data, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert [",".join(row) for row in csv.reader(fh)][1:] == keys
+        assert load_csv(path).records == data.records
+        for fraction, seed in ((0.25, 4), (0.5, 11)):
+            shuffled = class_shuffles(data.labels, seed, key=keys.__getitem__)
+            split = stratified_split(data, fraction, seed)
+            assert split.test_indices == tuple(sorted(quota_indices(shuffled, fraction)))
 
     def test_fraction_bounds(self):
         data = spread_dataset(n_neg=4, n_pos=4)
