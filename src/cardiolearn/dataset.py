@@ -329,8 +329,10 @@ def load_unlabeled_csv(path) -> Dataset:
 def write_csv(data: Dataset, path) -> None:
     """Write a dataset in canonical column order.
 
-    Numeric cells use the shortest decimal form that parses back to the
-    identical double, so load_csv(write_csv(d)) reproduces d exactly.
+    Numeric cells use the split's content-key text (`_text_columns`), which
+    parses back to the identical double with one exception: -0.0 is written
+    as `0`. So load_csv(write_csv(d)) gives records equal to d's, with +0.0
+    where d held -0.0.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

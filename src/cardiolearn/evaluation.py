@@ -231,7 +231,7 @@ def cross_validate(
     training matrix on stream 2i+1 and scores its validation matrix."""
     reports = [
         evaluate_model(
-            fit_algorithm(config, train_m, seed=derive_seed(config.seed, 2 * i + 1)),
+            fit_algorithm(config, train_m, seed=derive_seed(config.seed, 2 * i + 1))[0],
             val_m, config.threshold, model_id=ALGORITHM_LABELS[config.algorithm],
         )
         for i, (train_m, val_m) in enumerate(folds)

@@ -12,6 +12,8 @@ or grid file, a hyperparameter or a threshold against a rule, which is
 - an interval string: a finite number inside it (`NUMBER`: any finite one);
 - `bool`, `int`, `str`, `list` or `dict`: that JSON kind;
 - a tuple of strings: one of them;
+- `(None, rule)`: null, or a value following `rule`;
+- `(kind, rule)`, `kind` one of the types above: that JSON kind, following `rule`;
 - `[rule]`: a list whose elements each follow `rule`;
 - `(keys, rule)`: an object keyed by exactly `keys`, each value following `rule`;
 - `{key: rule}`: an object holding each key, its value following that key's rule.
@@ -74,6 +76,11 @@ def check(value, rule, what: str, error: type = BadHyperparameter):
     elif isinstance(rule[0], str):
         if value not in rule:
             raise error(f"{what} must be one of {', '.join(rule)}, got {reprlib.repr(value)}")
+    elif rule[0] is None:
+        if value is not None:
+            check(value, rule[1], what, error)
+    elif isinstance(rule[0], type):
+        check(check(value, rule[0], what, error), rule[1], what, error)
     else:
         keys, item = rule
         for key, element in check(value, dict, what, error).items():

@@ -21,10 +21,10 @@ from .bayes import MAX_VARIANCE, GaussianNBModel
 from .boosting import BoostedEnsemble, TreeNode
 from .dataset import CATEGORICAL_FEATURES, NUMERIC_FEATURES
 from .errors import BadHyperparameter, CorruptBundle, SchemaMismatch, VersionMismatch
-from .evaluation import THRESHOLD_INTERVAL, ConfusionMatrix, EvalReport
+from .evaluation import METRIC_NAMES, THRESHOLD_INTERVAL, ConfusionMatrix, EvalReport
 from .hyperparams import NUMBER, check
 from .preprocess import FittedPreprocessor, UnseenPolicy
-from .rnn import RNNModel, RNNParams, TrainHistory
+from .rnn import RNNModel, RNNParams
 from .training import FAMILY_CONFIGS, PARAM_DEFAULTS, Algorithm, family_config
 
 FORMAT_VERSION = 1
@@ -236,7 +236,7 @@ def deserialize_model(algorithm: Algorithm, doc: dict):
     params = RNNParams(*(
         _deserialize_array(doc[name], shape, f"rnn {name}") for name, shape in shapes.items()
     ))
-    return RNNModel(params=params, history=TrainHistory())
+    return RNNModel(params)
 
 
 # --- evaluation reports --------------------------------------------------------
@@ -245,7 +245,17 @@ def serialize_report(report: EvalReport) -> dict:
     return asdict(report)
 
 
+# each report field and its rule; a metric whose denominator was zero is null
+_REPORT = {
+    **dict.fromkeys(METRIC_NAMES, (None, "[0, 1]")),
+    "matrix": (("tp", "fp", "fn", "tn"), (int, "[0, inf)")),
+    "model_id": str,
+    "threshold": THRESHOLD_INTERVAL,
+}
+
+
 def deserialize_report(doc: dict) -> EvalReport:
+    check(doc, _REPORT, "metrics_at_save", CorruptBundle)
     return EvalReport(**{**doc, "matrix": ConfusionMatrix(**doc["matrix"])})
 
 

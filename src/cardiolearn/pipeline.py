@@ -19,7 +19,7 @@ from .evaluation import EvalReport, RunConfig, encode_partitions, evaluate_model
 from .persistence import build_bundle
 from .preprocess import FeatureMatrix, FittedPreprocessor
 from .rng import derive_seed
-from .rnn import RNNModel, TrainHistory
+from .rnn import TrainHistory
 from .training import ALGORITHM_LABELS, Algorithm, fit_algorithm
 
 COMPARE_ORDER = (Algorithm.RNN, Algorithm.NB, Algorithm.GB, Algorithm.XGB)
@@ -46,7 +46,7 @@ def prepare_matrices(data: Dataset, config: RunConfig):
 
 def run_training(data: Dataset, config: RunConfig) -> TrainOutcome:
     _, fp, train_m, test_m = prepare_matrices(data, config)
-    model = fit_algorithm(config, train_m, seed=derive_seed(config.seed, 2))
+    model, history = fit_algorithm(config, train_m, seed=derive_seed(config.seed, 2))
     report = evaluate_model(
         model, test_m, config.threshold,
         model_id=ALGORITHM_LABELS[config.algorithm],
@@ -54,7 +54,6 @@ def run_training(data: Dataset, config: RunConfig) -> TrainOutcome:
     bundle = build_bundle(
         config.algorithm, fp, model, config.train_config_record(), report
     )
-    history = model.history if isinstance(model, RNNModel) else None
     return TrainOutcome(
         config=config,
         preprocessor=fp,
@@ -81,7 +80,7 @@ def run_compare(data: Dataset, config: RunConfig) -> Tuple[Tuple[str, EvalReport
     _, _, train_m, test_m = prepare_matrices(data, config)
     rows = []
     for algorithm in COMPARE_ORDER:
-        model = fit_algorithm(
+        model, _ = fit_algorithm(
             replace(config, algorithm=algorithm), train_m, seed=derive_seed(config.seed, 2)
         )
         report = evaluate_model(

@@ -402,9 +402,9 @@ def grad_check(params: RNNParams, x: np.ndarray, y: float,
 
 @dataclass
 class RNNModel:
-    """Trained network exposed through the shared prediction interface."""
+    """Trained network exposed through the shared prediction interface; its
+    training history comes back beside it from `training.fit_algorithm`."""
     params: RNNParams
-    history: TrainHistory
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probability per row; each row runs as its own sequence.

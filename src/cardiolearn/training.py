@@ -106,15 +106,16 @@ def stratified_matrix_split(m: FeatureMatrix, val_fraction: float,
 
 def fit_algorithm(config, m: FeatureMatrix, seed: int):
     """Fit the model family `config.algorithm` names, with `config.params`,
-    on an encoded matrix; returns the fitted model. `config` is a run's
-    `evaluation.RunConfig`."""
+    on an encoded matrix; returns `(model, history)`, where `history` is the
+    RNN's `TrainHistory` and None for the other families. The model holds
+    only what its bundle stores. `config` is a run's `evaluation.RunConfig`."""
     family = family_config(config.algorithm, config.params)
     if config.algorithm is Algorithm.NB:
-        return fit_gaussian_nb(m)
+        return fit_gaussian_nb(m), None
     if config.algorithm is not Algorithm.RNN:
-        return fit_boosted(m, family)
+        return fit_boosted(m, family), None
     inner_train, inner_val = stratified_matrix_split(
         m, _INNER_VAL_FRACTION, derive_seed(seed, 1)
     )
     trained, history = train_rnn(inner_train, inner_val, family, derive_seed(seed, 2))
-    return RNNModel(params=trained, history=history)
+    return RNNModel(params=trained), history

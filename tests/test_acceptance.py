@@ -315,7 +315,7 @@ def _downstream_state(train: Dataset, test: Dataset, seed: int) -> str:
     balanced = smote(train_m, k=5, seed=derive_seed(seed, 1))
     state = {"preprocessor": serialize_preprocessor(fp)}
     for algorithm, params in LIGHT_PARAMS.items():
-        model = fit_algorithm(
+        model, _ = fit_algorithm(
             RunConfig(algorithm, params=params), balanced, seed=derive_seed(seed, 2)
         )
         state[algorithm.value] = serialize_model(algorithm, model)

@@ -28,7 +28,7 @@ def fitted():
     labels = (values[:, 0] - 0.7 * values[:, 3] + 0.5 * gen.normal(0.0, 1.0, 150) > 0)
     m = matrix(values, labels.astype(int))
     return {
-        algorithm: fit_algorithm(RunConfig(algorithm, params=params), m, seed=7)
+        algorithm: fit_algorithm(RunConfig(algorithm, params=params), m, seed=7)[0]
         for algorithm, params in FAST_PARAMS.items()
     }
 

@@ -525,6 +525,35 @@ class TestErrorCodes:
         )
         self._assert_one_corrupt_bundle_line(code, out_path, capsys, "threshold", "(0, 1)")
 
+    @pytest.mark.parametrize("path, value, fragment", [
+        (("accuracy",), "high", "metrics_at_save accuracy must be a number"),
+        (("f1",), 1.5, "metrics_at_save f1 must be in [0, 1]"),
+        (("matrix", "tp"), -1, "metrics_at_save matrix tp must be in [0, inf)"),
+        (("matrix", "fn"), 2.5, "metrics_at_save matrix fn must be an integer"),
+        (("matrix", "tn"), True, "metrics_at_save matrix tn must be an integer"),
+        (("threshold",), 7, "metrics_at_save threshold must be in (0, 1)"),
+        (("model_id",), 3, "metrics_at_save model_id must be a string"),
+    ])
+    def test_mangled_metrics_at_save_is_corrupt_bundle(
+            self, tmp_path, data_csv, capsys, path, value, fragment):
+        def edit(report):
+            for key in path[:-1]:
+                report = report[key]
+            report[path[-1]] = value
+        code, out_path = self._predict_with_edited_bundle(
+            tmp_path, data_csv, edit, part="metrics_at_save", algo="nb", command="evaluate"
+        )
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, fragment)
+
+    def test_undefined_metric_at_save_loads(self, tmp_path, data_csv, capsys):
+        def edit(report):
+            report["precision"] = None
+        code, out_path = self._predict_with_edited_bundle(
+            tmp_path, data_csv, edit, part="metrics_at_save", algo="nb", command="evaluate"
+        )
+        assert code == 0 and capsys.readouterr().err == ""
+        assert out_path.exists()
+
     @pytest.mark.parametrize("field, value, fragment", [
         ("vocab", ["ASY", "NAP"], "vocab"),
         ("vocab", {"ChestPainType": "ASY"}, "vocab ChestPainType"),

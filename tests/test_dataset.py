@@ -284,11 +284,16 @@ class TestWriteCsv:
             ({"Age": 61.5, "Oldpeak": 0.1, "Sex": "F"}, 1),
             ({"Cholesterol": 0, "Oldpeak": -2.5}, 1),
             ({"Oldpeak": 1e-3}, 0),
+            ({"Oldpeak": -0.0}, 1),
         ])
         path = tmp_path / "out.csv"
         write_csv(data, path)
         loaded = load_csv(path)
         assert loaded.records == data.records
+        # -0.0 is written as "0", so it reads back as +0.0, an equal value
+        column = FEATURE_NAMES.index("Oldpeak")
+        assert math.copysign(1, data.records[-1].values[column]) == -1
+        assert math.copysign(1, loaded.records[-1].values[column]) == 1
 
     def test_canonical_column_order_and_lf(self, tmp_path):
         data = make_dataset([({}, 0)])

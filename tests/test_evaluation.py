@@ -234,7 +234,7 @@ class TestCrossValidate:
                 dataset.subset(fold0_train),
                 dataset.subset(fold0_val), 0,
             )
-            model = fit_algorithm(
+            model, _ = fit_algorithm(
                 RunConfig(Algorithm.GB, params=resolve_params(Algorithm.GB, {"n_rounds": 5})),
                 train_m, seed=derive_seed(seed, 1),
             )
@@ -274,7 +274,7 @@ class TestEncodeFolds:
             config = RunConfig(algorithm, seed=4, params=params)
             for train_m, val_m in encode_folds(config, data, k=3):
                 before = [(m.values.tobytes(), m.labels.tobytes()) for m in (train_m, val_m)]
-                model = fit_algorithm(config, train_m, seed=derive_seed(config.seed, 1))
+                model, _ = fit_algorithm(config, train_m, seed=derive_seed(config.seed, 1))
                 evaluate_model(model, val_m, config.threshold)
                 after = [(m.values.tobytes(), m.labels.tobytes()) for m in (train_m, val_m)]
                 assert after == before, algorithm

@@ -487,7 +487,7 @@ class TestTrainHistory:
 class TestRNNModel:
     def test_prediction_runs_row_as_sequence(self):
         params = small_params()
-        model = RNNModel(params=params, history=TrainHistory())
+        model = RNNModel(params=params)
         row = np.array([0.3, -1.2, 2.0])
         _, expected = forward(params, row)
         assert model.predict_proba(row[None]).tolist() == [expected]
@@ -583,7 +583,7 @@ class TestBatchKernels:
         zero_bias.b_h[0] = -0.0
         for params in (random_params(gen, hidden, 0.8), saturating_params(gen, hidden, 1.0),
                        zero_bias):
-            model = RNNModel(params=params, history=TrainHistory())
+            model = RNNModel(params=params)
             for rows in (values, zeros):
                 expected = [reference_forward(params, row) for row in rows]
                 assert_same_bits(model.predict_proba(rows), [prob for _, _, prob in expected])

@@ -1,11 +1,28 @@
-"""Hyperparameter resolution: names, defaults, types and ranges per family."""
+"""Hyperparameter resolution: names, defaults, types and ranges per family;
+what a fit returns."""
 
+import dataclasses
 import re
 
+import numpy as np
 import pytest
 
+from conftest import matrix
+from cardiolearn.dataset import synth_generate
 from cardiolearn.errors import BadHyperparameter
-from cardiolearn.training import PARAM_DEFAULTS, Algorithm, family_config, resolve_params
+from cardiolearn.evaluation import RunConfig
+from cardiolearn.persistence import load_bundle, save_bundle
+from cardiolearn.pipeline import run_training
+from cardiolearn.rnn import RNNModel, TrainHistory
+from cardiolearn.training import (
+    PARAM_DEFAULTS,
+    Algorithm,
+    family_config,
+    fit_algorithm,
+    resolve_params,
+)
+
+SHORT_RNN = {"max_epochs": 6, "patience": 2, "hidden_size": 3}
 
 
 def test_param_defaults_pinned():
@@ -69,3 +86,40 @@ def test_out_of_range_or_unsettable_value_rejected(algorithm, overrides, fragmen
 def test_gb_is_first_order_with_lambda_and_gamma_pinned_to_zero():
     config = family_config(Algorithm.GB, {})
     assert (config.reg_lambda, config.gamma) == (0.0, 0.0)
+
+
+def _small_matrix():
+    gen = np.random.default_rng(5)
+    values = gen.normal(0.0, 1.0, (60, 4))
+    return matrix(values, (values[:, 0] + 0.5 * gen.normal(0.0, 1.0, 60) > 0).astype(int))
+
+
+@pytest.mark.parametrize("algorithm, params", [
+    (Algorithm.NB, {}), (Algorithm.GB, {"n_rounds": 3}), (Algorithm.XGB, {"n_rounds": 3}),
+])
+def test_fit_returns_no_history_beside_nb_and_boosted_models(algorithm, params):
+    m = _small_matrix()
+    model, history = fit_algorithm(RunConfig(algorithm, params=params), m, seed=3)
+    assert history is None
+    assert model.predict_proba(m.values).shape == (m.n_rows,)
+
+
+def test_fit_returns_the_rnn_history_beside_a_model_of_params_only():
+    model, history = fit_algorithm(
+        RunConfig(Algorithm.RNN, params=SHORT_RNN), _small_matrix(), seed=3)
+    assert type(model) is RNNModel and type(history) is TrainHistory
+    assert history.stopped_epoch >= 1
+    assert len(history.val_losses) == len(history.train_losses) == history.stopped_epoch
+    assert [f.name for f in dataclasses.fields(RNNModel)] == ["params"]
+
+
+def test_loaded_rnn_bundle_holds_the_fitted_weights(tmp_path):
+    outcome = run_training(synth_generate(60, 0.5, seed=2),
+                           RunConfig(Algorithm.RNN, params=SHORT_RNN))
+    assert type(outcome.history) is TrainHistory and outcome.history.stopped_epoch >= 1
+    path = str(tmp_path / "rnn.json")
+    save_bundle(outcome.bundle, path)
+    loaded = load_bundle(path).model
+    assert type(loaded) is RNNModel
+    assert ([a.tobytes() for a in loaded.params.arrays()]
+            == [a.tobytes() for a in outcome.model.params.arrays()])
