@@ -186,12 +186,12 @@ def serialize_model(algorithm: Algorithm, model) -> dict:
             "trees": [_serialize_tree(tree) for tree in model.trees],
         }
     params = model.params
-    shapes = RNNParams.shapes(params.hidden_size)
     return {
         "family": "rnn",
         "hidden_size": params.hidden_size,
         "input_size": 1,
-        **{name: _serialize_array(value) for name, value in zip(shapes, params.arrays())},
+        **{name: _serialize_array(getattr(params, name))
+           for name in RNNParams.shapes(params.hidden_size)},
     }
 
 
@@ -232,10 +232,13 @@ def deserialize_model(algorithm: Algorithm, doc: dict):
             trees=[_deserialize_tree(t, doc["n_features"], config.max_depth) for t in doc["trees"]],
             n_features=doc["n_features"],
         )
-    shapes = RNNParams.shapes(doc["hidden_size"])
-    params = RNNParams(*(
-        _deserialize_array(doc[name], shape, f"rnn {name}") for name, shape in shapes.items()
-    ))
+    # each field is checked against its shape first, so a hidden_size that
+    # its arrays do not match is rejected before the flat vector is allocated
+    fields = {name: _deserialize_array(doc[name], shape, f"rnn {name}")
+              for name, shape in RNNParams.shapes(doc["hidden_size"]).items()}
+    params = RNNParams.zeros(doc["hidden_size"])
+    for name, value in fields.items():
+        getattr(params, name)[...] = value
     return RNNModel(params)
 
 

@@ -17,7 +17,7 @@ from .dataset import Dataset, stratified_split
 from .errors import BadHyperparameter
 from .evaluation import EvalReport, RunConfig, encode_partitions, evaluate_model
 from .persistence import build_bundle
-from .preprocess import FeatureMatrix, FittedPreprocessor
+from .preprocess import FittedPreprocessor
 from .rng import derive_seed
 from .rnn import TrainHistory
 from .training import ALGORITHM_LABELS, Algorithm, fit_algorithm
@@ -27,10 +27,6 @@ COMPARE_ORDER = (Algorithm.RNN, Algorithm.NB, Algorithm.GB, Algorithm.XGB)
 
 @dataclass
 class TrainOutcome:
-    config: RunConfig
-    preprocessor: FittedPreprocessor
-    test_matrix: FeatureMatrix
-    model: object
     report: EvalReport
     bundle: dict
     history: Optional[TrainHistory]
@@ -54,15 +50,7 @@ def run_training(data: Dataset, config: RunConfig) -> TrainOutcome:
     bundle = build_bundle(
         config.algorithm, fp, model, config.train_config_record(), report
     )
-    return TrainOutcome(
-        config=config,
-        preprocessor=fp,
-        test_matrix=test_m,
-        model=model,
-        report=report,
-        bundle=bundle,
-        history=history,
-    )
+    return TrainOutcome(report=report, bundle=bundle, history=history)
 
 
 def run_compare(data: Dataset, config: RunConfig) -> Tuple[Tuple[str, EvalReport], ...]:

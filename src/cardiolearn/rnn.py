@@ -34,9 +34,14 @@ Every row gets the same bits the per-row recurrence gives, because:
   (`boosting.clamped_sigmoid`), since np.exp may differ from math.exp in
   the last bit; the clamp is one np.clip over the rows, and a row is
   clamped exactly where the raw and the clamped arrays differ;
-- sums add their terms left to right from a +0.0 start: the per-row
+- sums add their terms left to right from a +0.0 start: the per-row flat
   gradients over a minibatch in row order, and the per-row losses of an
   epoch without the builtin `sum`, which compensates from Python 3.12 on.
+
+The weights, their gradients and the RMSprop caches are each one float64
+vector of P = H^2 + 3H + 1 numbers (`RNNParams.flat`), the fields one
+after another, each row-major. The fields are views of it that cannot be
+rebound: a caller writes in place, as in `params.b_y[...] = v`.
 """
 
 import math
@@ -88,41 +93,43 @@ class EarlyStopper:
         return self.streak >= self.patience
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RNNParams:
     """Network weights; also reused as the container for gradients and
-    RMSprop caches, which share these shapes.
+    RMSprop caches, which share this layout.
 
-    The fields, in `_PARAM_FIELDS` order (also the init draw order), have
-    the shapes `shapes(H)` gives for H = hidden_size: W_xh (H, 1), the
-    input weights of the one scalar input, W_hh (H, H), W_hy (1, H), b_h
-    (H,) and b_y (), a 0-d float64 array, so every field takes the same
-    array code (which also accepts a Python float assigned to b_y).
+    `flat` is one float64 vector holding the fields in `_PARAM_FIELDS`
+    order (also the init draw order), each row-major, with the shapes
+    `shapes(H)` gives for H = hidden_size: W_xh (H, 1), the input weights
+    of the one scalar input, W_hh (H, H), W_hy (1, H), b_h (H,) and b_y (),
+    0-d. Each field is a view of `flat`. The object is frozen, so no field
+    can be rebound: a caller writes in place, as in `params.b_y[...] = v`.
     """
-    W_xh: np.ndarray
-    W_hh: np.ndarray
-    W_hy: np.ndarray
-    b_h: np.ndarray
-    b_y: np.ndarray
+    hidden_size: int
+    flat: np.ndarray
+    W_xh: np.ndarray = field(init=False, repr=False)
+    W_hh: np.ndarray = field(init=False, repr=False)
+    W_hy: np.ndarray = field(init=False, repr=False)
+    b_h: np.ndarray = field(init=False, repr=False)
+    b_y: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        stop = 0
+        for name, shape in self.shapes(self.hidden_size).items():
+            start, stop = stop, stop + math.prod(shape)
+            object.__setattr__(self, name, self.flat[start:stop].reshape(shape))
 
     @staticmethod
     def shapes(hidden_size) -> dict:
         h = hidden_size
         return dict(zip(_PARAM_FIELDS, ((h, 1), (h, h), (1, h), (h,), ())))
 
-    def arrays(self) -> list:
-        return [getattr(self, name) for name in _PARAM_FIELDS]
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W_xh.shape[0]
-
     def copy(self) -> "RNNParams":
-        return RNNParams(*(np.array(value, dtype=float) for value in self.arrays()))
+        return RNNParams(self.hidden_size, self.flat.copy())
 
     @classmethod
     def zeros(cls, hidden_size: int) -> "RNNParams":
-        return cls(*(np.zeros(shape) for shape in cls.shapes(hidden_size).values()))
+        return cls(hidden_size, np.zeros(sum(map(math.prod, cls.shapes(hidden_size).values()))))
 
 
 @dataclass(frozen=True)
@@ -155,20 +162,18 @@ class TrainHistory:
 
 
 def init_params(hidden_size: int, init_scale: float, gen: SplitMix64) -> RNNParams:
-    """Uniform init in [-init_scale, init_scale], drawn field by field in
-    `_PARAM_FIELDS` order with row-major fill inside each array."""
-
-    def draw(shape) -> np.ndarray:
-        n = int(np.prod(shape))
-        flat = np.array([init_scale * (2.0 * gen.uniform() - 1.0) for _ in range(n)])
-        return flat.reshape(shape)
-
-    return RNNParams(*(draw(shape) for shape in RNNParams.shapes(hidden_size).values()))
+    """Uniform init in [-init_scale, init_scale], one draw per entry of
+    `flat` in order: field by field in `_PARAM_FIELDS` order, row-major
+    inside each field."""
+    params = RNNParams.zeros(hidden_size)
+    params.flat[:] = [init_scale * (2.0 * gen.uniform() - 1.0) for _ in range(params.flat.size)]
+    return params
 
 
 def _matvec(W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """`W @ v` for every vector v along V's last axis, as one stacked matmul:
-    (..., n) -> (..., m).
+    """`W @ v` for every row v of a (B, n) stack, as one stacked matmul:
+    (B, n) -> (B, m). The kernels pass (B, H) stacks of hidden states or
+    their gradients, against W_hh, W_hh.T or W_hy.
 
     NumPy runs one gemv (or dot) per stack slice, the same BLAS call that
     `W @ v` makes for a single vector, so every product is bit-identical
@@ -195,11 +200,15 @@ def _forward_batch(params: RNNParams, X: np.ndarray):
     return (hs, *clamped_sigmoid(_matvec(params.W_hy, hs[steps])[:, 0] + params.b_y))
 
 
-def _backward_batch(params: RNNParams, X: np.ndarray, labels: np.ndarray) -> list:
-    """Per-row BPTT gradients of bce for a (B, T) block of rows, in
-    `_PARAM_FIELDS` order: one (B, *shape) array per field. When a row's
-    output probability sits at a clamp boundary its loss is locally flat in
-    the parameters, so all its gradients are exactly +0.0."""
+def _backward_batch(params: RNNParams, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row BPTT gradients of bce for a (B, T) block of rows, as one
+    (B, P) array whose row i is row i's gradient in the layout of
+    `RNNParams.flat`. When a row's output probability sits at a clamp
+    boundary its loss is locally flat in the parameters, so all its
+    gradients are exactly +0.0.
+
+    Each field is accumulated in its own contiguous array and the five are
+    joined once: adding into strided views of one (B, P) array is slower."""
     hs, raw, prob = _forward_batch(params, X)
     n_rows, steps = X.shape
     dz = prob - labels
@@ -217,11 +226,10 @@ def _backward_batch(params: RNNParams, X: np.ndarray, labels: np.ndarray) -> lis
         g_W_hh += np.einsum("bi,bj->bij", dz_h, hs[t - 1])
         g_b_h += dz_h
         dh = _matvec(params.W_hh.T, dz_h)
-    grads = [g_W_xh, g_W_hh, g_W_hy, g_b_h, dz]
-    clamped = raw != prob
-    for g in grads:
-        g[clamped] = 0.0
-    return grads
+    G = np.concatenate(
+        [g.reshape(n_rows, -1) for g in (g_W_xh, g_W_hh, g_W_hy, g_b_h, dz)], axis=1)
+    G[raw != prob] = 0.0
+    return G
 
 
 def _row_batch(x: np.ndarray) -> np.ndarray:
@@ -249,8 +257,8 @@ def backward(params: RNNParams, x: np.ndarray, y: float) -> RNNParams:
     """Exact gradients of bce(forward(params, x), y) via backpropagation
     through time. When the output probability sits at a clamp boundary the
     loss is locally flat in the parameters, so all gradients are zero."""
-    grads = _backward_batch(params, _row_batch(x), np.array([y], dtype=float))
-    return RNNParams(*(g[0, ...] for g in grads))
+    G = _backward_batch(params, _row_batch(x), np.array([y], dtype=float))
+    return RNNParams(params.hidden_size, G[0])
 
 
 def rmsprop_step(params: RNNParams, caches: RNNParams, grads: RNNParams,
@@ -263,13 +271,10 @@ def rmsprop_step(params: RNNParams, caches: RNNParams, grads: RNNParams,
     rho = config.rms_decay
     lr = config.learning_rate
     eps = config.epsilon
-
-    def update(p, c, g):
-        c2 = rho * c + (1.0 - rho) * g * g
-        return np.asarray(p - lr * g / np.sqrt(c2 + eps)), np.asarray(c2)
-
-    pairs = [update(*fields) for fields in zip(params.arrays(), caches.arrays(), grads.arrays())]
-    return RNNParams(*(p for p, _ in pairs)), RNNParams(*(c for _, c in pairs))
+    g = grads.flat
+    cache = rho * caches.flat + (1.0 - rho) * g * g
+    return (RNNParams(params.hidden_size, params.flat - lr * g / np.sqrt(cache + eps)),
+            RNNParams(params.hidden_size, cache))
 
 
 def _row_blocks(params: RNNParams, n_rows: int, steps: int) -> list:
@@ -307,23 +312,16 @@ def _add_rows(total: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def _batch_grads(params: RNNParams, m: FeatureMatrix, rows) -> RNNParams:
-    """Mean of the rows' gradients: each field's per-row gradients are added
-    in row order onto a +0.0 accumulator, then scaled by 1 / len(rows).
-
-    A row's five fields are added as one flat row, so a block of rows costs
-    one `_add_rows` loop rather than one per field; each cell's sum is the
-    same."""
+    """Mean of the rows' gradients: the rows' flat gradients are added in
+    row order onto a +0.0 accumulator, then scaled by 1 / len(rows)."""
     rows = np.asarray(rows)
-    shapes = tuple(RNNParams.shapes(params.hidden_size).values())
-    sizes = [math.prod(shape) for shape in shapes]
-    total = np.zeros(sum(sizes))
+    total = np.zeros(params.flat.size)
     for block in _row_blocks(params, len(rows), m.n_cols):
         picked = rows[block]
-        per_row = _backward_batch(params, m.values[picked], m.labels[picked].astype(float))
-        total = _add_rows(total, np.concatenate([g.reshape(len(picked), -1) for g in per_row], axis=1))
+        total = _add_rows(total, _backward_batch(
+            params, m.values[picked], m.labels[picked].astype(float)))
     total *= 1.0 / len(rows)
-    parts = np.split(total, np.cumsum(sizes)[:-1])
-    return RNNParams(*(part.reshape(shape) for part, shape in zip(parts, shapes)))
+    return RNNParams(params.hidden_size, total)
 
 
 def train_rnn(train: FeatureMatrix, val: FeatureMatrix, config: RNNTrainConfig,
@@ -382,21 +380,18 @@ def grad_check(params: RNNParams, x: np.ndarray, y: float,
         _, prob = forward(p, x)
         return bce(prob, y)
 
-    analytic = backward(params, x, y)
+    analytic = backward(params, x, y).flat
+    probe = params.copy()
     worst = 0.0
-    for field_index, a_value in enumerate(analytic.arrays()):
-        a_flat = np.reshape(a_value, -1)
-        for i in range(a_flat.size):
-            probe = params.copy()
-            entry = probe.arrays()[field_index].reshape(-1)  # a view: copies are contiguous
-            original = entry[i]
-            entry[i] = original + step
-            up = loss_at(probe)
-            entry[i] = original - step
-            down = loss_at(probe)
-            numeric = (up - down) / (2.0 * step)
-            a = a_flat[i]
-            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+    for i, a in enumerate(analytic):
+        original = probe.flat[i]
+        probe.flat[i] = original + step
+        up = loss_at(probe)
+        probe.flat[i] = original - step
+        down = loss_at(probe)
+        probe.flat[i] = original
+        numeric = (up - down) / (2.0 * step)
+        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
     return worst
 
 

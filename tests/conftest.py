@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from cardiolearn.dataset import SCHEMA, Dataset, FeatureKind, RawRecord
+from cardiolearn.pipeline import prepare_matrices
 from cardiolearn.preprocess import FeatureMatrix
+from cardiolearn.rng import derive_seed
+from cardiolearn.training import fit_algorithm
 
 # Plausible defaults for every schema column; tests override what they probe.
 BASE_VALUES = {
@@ -59,6 +62,14 @@ def matrix(values, labels, names=None) -> FeatureMatrix:
         labels=np.asarray(labels, dtype=np.int64),
         column_names=tuple(names),
     )
+
+
+def fit_in_memory(data: Dataset, config):
+    """The preprocessor, test matrix and model `pipeline.run_training` fits
+    for (data, config), made again in memory rather than read from its bundle."""
+    _, fp, train_m, test_m = prepare_matrices(data, config)
+    model, _ = fit_algorithm(config, train_m, derive_seed(config.seed, 2))
+    return fp, test_m, model
 
 
 @pytest.fixture

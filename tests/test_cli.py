@@ -722,6 +722,89 @@ class TestErrorCodes:
                 assert captured.err.startswith("E_"), where
                 assert len(captured.err.splitlines()) == 1, where
 
+    _CSV_FUZZ_CASES = 320
+    _CSV_MUTATIONS = ("truncate", "nul", "quote", "long field", "line ends", "non-utf8")
+
+    @classmethod
+    def _csv_mutation(cls, data: bytes, rng: SplitMix64):
+        """(kind, mutated bytes): one byte-level mutation of `data` drawn from `rng`."""
+        kind = cls._CSV_MUTATIONS[rng.randint(len(cls._CSV_MUTATIONS))]
+        at = rng.randint(len(data) + 1)
+        if kind == "truncate":
+            return kind, data[:at]
+        if kind == "line ends":
+            lines = data.split(b"\n")
+            return kind, lines[0] + b"".join(
+                (b"\r\n", b"\r", b"\n\n", b"\n")[rng.randint(4)] + line for line in lines[1:])
+        if kind == "long field":
+            # 140000 characters is over the csv module's field limit
+            inserted = (b"9", b"x", b",", b" ")[rng.randint(4)] * (40, 5000, 140_000)[rng.randint(3)]
+        elif kind == "non-utf8":
+            inserted = (b"\xff", b"\xc3", b"\xe9", b"\x80")[rng.randint(4)]
+        else:
+            inserted = {"nul": b"\x00", "quote": b'"'}[kind]
+        return kind, data[:at] + inserted + data[at:]
+
+    def test_mutated_csv_files_fail_with_one_line(self, tmp_path, capsys, monkeypatch):
+        """A fixed SplitMix64 sample of one or two byte-level mutations of a
+        labeled and an unlabeled file, each run through every command that
+        reads that kind of file, either succeeds without `nan` in its output
+        or fails with one `E_` line and exit code 2-6; never a traceback or a
+        warning."""
+        monkeypatch.chdir(tmp_path)
+        write_csv(synth_generate(40, 0.5, seed=8), tmp_path / "data.csv")
+        labeled = (tmp_path / "data.csv").read_bytes()
+        unlabeled_from("data.csv", tmp_path / "unlabeled.csv", n_rows=8)
+        unlabeled = (tmp_path / "unlabeled.csv").read_bytes()
+        bundle = train_bundle(tmp_path, "data.csv")
+        (tmp_path / "grid.json").write_text(json.dumps({"grid": {"n_rounds": [2]}, "k": 2}),
+                                            encoding="utf-8")
+        commands = {  # command -> (the file it reads, its other flags)
+            "summarize": (labeled, []),
+            "preprocess": (labeled, ["--out", "out.csv"]),
+            "train": (labeled, ["--algo", "nb", "--out", "out.json"]),
+            "evaluate": (labeled, ["--bundle", bundle, "--out", "out.csv"]),
+            "gridsearch": (labeled, ["--algo", "gb", "--grid", "grid.json",
+                                     "--unseen-policy", "map_to_mode", "--out", "out.csv"]),
+            "compare": (labeled, ["--out", "out.csv"]),
+            "curves": (labeled, ["--param", "max_epochs=2", "--out", "out.csv"]),
+            "predict": (unlabeled, ["--bundle", bundle, "--out", "out.csv"]),
+        }
+        names = sorted(commands)
+        rng = SplitMix64(23)
+        seen_kinds, seen_outcomes = set(), set()
+        capsys.readouterr()
+        for _ in range(self._CSV_FUZZ_CASES):
+            command = names[rng.randint(len(names))]
+            data, flags = commands[command]
+            kinds = []
+            for _ in range(1 + rng.randint(2)):
+                kind, data = self._csv_mutation(data, rng)
+                kinds.append(kind)
+            (tmp_path / "in.csv").write_bytes(data)
+            for stale in ("out.csv", "out.json"):
+                if (tmp_path / stale).exists():
+                    os.remove(tmp_path / stale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # a warning is a stderr line too
+                code = main([command, "--data", "in.csv", *flags])
+            captured = capsys.readouterr()
+            where = (command, kinds, reprlib.repr(data))
+            assert code in (0, 2, 3, 4, 5, 6), where
+            if code == 0:
+                outputs = [captured.out] + [
+                    (tmp_path / out).read_text(encoding="utf-8")
+                    for out in ("out.csv", "out.json") if (tmp_path / out).exists()]
+                assert captured.err == "" and not any("nan" in text for text in outputs), where
+            else:
+                assert captured.err.startswith("E_"), where
+                assert len(captured.err.splitlines()) == 1, where
+            seen_kinds.update(kinds)
+            seen_outcomes.add((command, code == 0))
+        assert seen_kinds == set(self._CSV_MUTATIONS)
+        assert {command for command, _ in seen_outcomes} == set(commands)
+        assert {ok for _, ok in seen_outcomes} == {True, False}
+
     def test_deeply_nested_bundle_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
         bundle_path = train_bundle(tmp_path, data_csv, "gb", extra=self._QUICK_FIT["gb"])
         doc = json.load(open(bundle_path, encoding="utf-8"))

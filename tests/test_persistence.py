@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import matrix
+from conftest import fit_in_memory, matrix
 from cardiolearn.dataset import stratified_split, synth_generate
 from cardiolearn.errors import CorruptBundle, SchemaMismatch, VersionMismatch
 from cardiolearn.evaluation import ConfusionMatrix, EvalReport, evaluate_model
@@ -36,10 +36,13 @@ FAST_PARAMS = {
 }
 
 
+def fast_config(algorithm: Algorithm, seed=5) -> RunConfig:
+    return RunConfig(algorithm=algorithm, seed=seed, params=FAST_PARAMS[algorithm])
+
+
 def trained_outcome(algorithm: Algorithm, n=80, seed=5):
     data = synth_generate(n, 0.5, seed=2)
-    config = RunConfig(algorithm=algorithm, seed=seed, params=FAST_PARAMS[algorithm])
-    return data, run_training(data, config)
+    return data, run_training(data, fast_config(algorithm, seed))
 
 
 class TestAtomicWrite:
@@ -77,11 +80,13 @@ class TestModelRoundTrips:
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_predictions_survive_json(self, algorithm):
         data, outcome = trained_outcome(algorithm)
-        doc = serialize_model(algorithm, outcome.model)
+        _, test_m, model = fit_in_memory(data, fast_config(algorithm))
+        doc = serialize_model(algorithm, model)
+        assert doc == outcome.bundle["model"]  # the model run_training fitted and stored
         restored = deserialize_model(algorithm, json.loads(json.dumps(doc)))
         assert serialize_model(algorithm, restored) == doc
-        rows = outcome.test_matrix.values
-        assert restored.predict_proba(rows).tolist() == outcome.model.predict_proba(rows).tolist()
+        rows = test_m.values
+        assert restored.predict_proba(rows).tolist() == model.predict_proba(rows).tolist()
 
 
 class TestReportRoundTrip:
@@ -105,40 +110,44 @@ class TestReportRoundTrip:
 class TestBundles:
     def test_loaded_bundle_reproduces_saved_metrics(self, tmp_path):
         data, outcome = trained_outcome(Algorithm.XGB)
+        config = fast_config(Algorithm.XGB)
         path = tmp_path / "model.json"
         save_bundle(outcome.bundle, str(path))
         loaded = load_bundle(str(path))
         assert loaded.format_version == FORMAT_VERSION
         assert loaded.algorithm is Algorithm.XGB
         assert loaded.metrics_at_save == outcome.report
-        split = stratified_split(data, outcome.config.test_fraction, outcome.config.seed)
+        split = stratified_split(data, config.test_fraction, config.seed)
         test_m = transform(loaded.preprocessor, split.test)
         replay = evaluate_model(
-            loaded.model, test_m, outcome.config.threshold,
+            loaded.model, test_m, config.threshold,
             model_id=outcome.report.model_id,
         )
         assert replay == outcome.report
 
     def test_rnn_bundle_round_trip(self, tmp_path):
         data, outcome = trained_outcome(Algorithm.RNN)
+        _, test_m, model = fit_in_memory(data, fast_config(Algorithm.RNN))
         path = tmp_path / "model.json"
         save_bundle(outcome.bundle, str(path))
         loaded = load_bundle(str(path))
-        rows = outcome.test_matrix.values
+        rows = test_m.values
         assert loaded.model.predict_proba(rows).tolist() == pytest.approx(
-            outcome.model.predict_proba(rows).tolist(), abs=0
+            model.predict_proba(rows).tolist(), abs=0
         )
 
     def test_bundle_text_deterministic_given_timestamp(self):
-        _, outcome = trained_outcome(Algorithm.GB)
+        data, outcome = trained_outcome(Algorithm.GB)
+        config = fast_config(Algorithm.GB)
+        fp, _, model = fit_in_memory(data, config)
         stamp = "2000-01-01T00:00:00Z"
         a = bundle_text(build_bundle(
-            Algorithm.GB, outcome.preprocessor, outcome.model,
-            outcome.config.train_config_record(), outcome.report, created_at=stamp,
+            Algorithm.GB, fp, model,
+            config.train_config_record(), outcome.report, created_at=stamp,
         ))
         b = bundle_text(build_bundle(
-            Algorithm.GB, outcome.preprocessor, outcome.model,
-            outcome.config.train_config_record(), outcome.report, created_at=stamp,
+            Algorithm.GB, fp, model,
+            config.train_config_record(), outcome.report, created_at=stamp,
         ))
         assert a == b
         assert a.endswith("\n")
@@ -216,9 +225,10 @@ class TestBundles:
             accuracy=float("nan"), precision=None, recall=None, f1=None,
             matrix=ConfusionMatrix(1, 0, 0, 0), model_id="m", threshold=0.5,
         )
-        _, outcome = trained_outcome(Algorithm.NB)
+        data = synth_generate(80, 0.5, seed=2)
+        fp, _, model = fit_in_memory(data, fast_config(Algorithm.NB))
         doc = build_bundle(
-            Algorithm.NB, outcome.preprocessor, outcome.model, {}, report,
+            Algorithm.NB, fp, model, {}, report,
             created_at="t",
         )
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Recurrent network: forward pass, gradients, optimizer, and training loop."""
 
-import dataclasses
+import json
 import math
 
 import numpy as np
@@ -33,22 +33,29 @@ from cardiolearn.rnn import (
     rmsprop_step,
     train_rnn,
 )
+from cardiolearn.persistence import deserialize_model, serialize_model
 from cardiolearn.rng import SplitMix64
+from cardiolearn.training import Algorithm
 
 
 def small_params() -> RNNParams:
     """Fixed 2-unit network used by the hand-unrolled oracle tests."""
-    return RNNParams(
-        W_xh=np.array([[0.5], [-0.3]]),
-        W_hh=np.array([[0.1, 0.2], [-0.4, 0.3]]),
-        W_hy=np.array([[0.7, -0.6]]),
-        b_h=np.array([0.05, -0.02]),
-        b_y=0.1,
-    )
+    params = RNNParams.zeros(2)
+    params.W_xh[...] = [[0.5], [-0.3]]
+    params.W_hh[...] = [[0.1, 0.2], [-0.4, 0.3]]
+    params.W_hy[...] = [[0.7, -0.6]]
+    params.b_h[...] = [0.05, -0.02]
+    params.b_y[...] = 0.1
+    return params
 
 
 def random_params(gen: SplitMix64, hidden: int, scale: float) -> RNNParams:
     return init_params(hidden, scale, gen)
+
+
+def fields(params: RNNParams) -> list:
+    """The five fields of `params` in table order."""
+    return [getattr(params, name) for name in RNNParams.shapes(params.hidden_size)]
 
 
 class TestForward:
@@ -60,7 +67,7 @@ class TestForward:
 
     def test_output_bias_alone_sets_the_odds(self):
         params = RNNParams.zeros(hidden_size=2)
-        params.b_y = math.log(3.0)
+        params.b_y[...] = math.log(3.0)
         _, prob = forward(params, np.array([1.0, -2.0]))
         assert prob == pytest.approx(0.75, abs=1e-12)
 
@@ -94,7 +101,7 @@ class TestForward:
 
     def test_probability_clamped(self):
         params = RNNParams.zeros(hidden_size=1)
-        params.b_y = 100.0
+        params.b_y[...] = 100.0
         _, prob = forward(params, np.array([0.0]))
         assert prob == 1.0 - 1e-12
 
@@ -148,7 +155,7 @@ class TestBackward:
 
     def test_clamped_output_zeroes_all_gradients(self):
         params = RNNParams.zeros(hidden_size=2)
-        params.b_y = 100.0  # saturates past the clamp boundary
+        params.b_y[...] = 100.0  # saturates past the clamp boundary
         grads = backward(params, np.array([1.0]), y=0.0)
         assert grads.b_y == 0.0
         assert np.all(grads.W_hy == 0.0)
@@ -187,10 +194,10 @@ class TestRmsprop:
 
     def test_first_step_cache_and_delta(self):
         params = RNNParams.zeros(1)
-        params.b_y = 0.2
+        params.b_y[...] = 0.2
         caches = RNNParams.zeros(1)
         grads = RNNParams.zeros(1)
-        grads.b_y = 1.0
+        grads.b_y[...] = 1.0
         new_p, new_c = rmsprop_step(params, caches, grads, self.config())
         assert new_c.b_y == pytest.approx(0.1, abs=1e-15)
         expected_delta = -0.001 * 1.0 / math.sqrt(0.1 + 1e-8)
@@ -199,9 +206,9 @@ class TestRmsprop:
 
     def test_zero_gradient_decays_cache_and_freezes_param(self):
         params = RNNParams.zeros(1)
-        params.b_y = 0.5
+        params.b_y[...] = 0.5
         caches = RNNParams.zeros(1)
-        caches.b_y = 0.4
+        caches.b_y[...] = 0.4
         grads = RNNParams.zeros(1)
         new_p, new_c = rmsprop_step(params, caches, grads, self.config())
         assert new_p.b_y == 0.5
@@ -211,7 +218,7 @@ class TestRmsprop:
         params = RNNParams.zeros(1)
         caches = RNNParams.zeros(1)
         grads = RNNParams.zeros(1)
-        grads.b_y = 2.0
+        grads.b_y[...] = 2.0
         params, caches = rmsprop_step(params, caches, grads, self.config())
         params, caches = rmsprop_step(params, caches, grads, self.config())
         assert caches.b_y == pytest.approx(0.19 * 4.0, abs=1e-12)
@@ -220,7 +227,7 @@ class TestRmsprop:
         params = RNNParams.zeros(2)
         caches = RNNParams.zeros(2)
         grads = RNNParams.zeros(2)
-        grads.W_xh = np.array([[1.0], [-2.0]])
+        grads.W_xh[...] = [[1.0], [-2.0]]
         new_p, new_c = rmsprop_step(params, caches, grads, self.config())
         assert new_c.W_xh[0, 0] == pytest.approx(0.1)
         assert new_c.W_xh[1, 0] == pytest.approx(0.4)
@@ -231,7 +238,7 @@ class TestRmsprop:
         params = RNNParams.zeros(1)
         caches = RNNParams.zeros(1)
         grads = RNNParams.zeros(1)
-        grads.b_y = 1.0
+        grads.b_y[...] = 1.0
         rmsprop_step(params, caches, grads, self.config())
         assert params.b_y == 0.0
         assert caches.b_y == 0.0
@@ -270,31 +277,54 @@ class TestEarlyStopper:
 
 class TestParamTable:
     def assert_layout(self, params, hidden):
+        assert params.hidden_size == hidden
+        assert params.flat.dtype == np.float64 and params.flat.shape == (hidden * hidden + 3 * hidden + 1,)
         for name, shape in RNNParams.shapes(hidden).items():
             value = getattr(params, name)
             assert isinstance(value, np.ndarray) and value.dtype == np.float64, name
             assert value.shape == shape, name
+            assert np.shares_memory(value, params.flat), name
+        # the fields tile `flat` in table order, each row-major
+        assert np.concatenate([f.reshape(-1) for f in fields(params)]).tobytes() == params.flat.tobytes()
 
-    def test_table_lists_the_dataclass_fields_in_order(self):
-        assert tuple(RNNParams.shapes(3)) == tuple(f.name for f in dataclasses.fields(RNNParams))
+    def test_table_order_and_the_scalar_output_bias(self):
+        assert tuple(RNNParams.shapes(3)) == ("W_xh", "W_hh", "W_hy", "b_h", "b_y")
         assert RNNParams.shapes(3)["b_y"] == ()
 
     def test_every_producer_follows_the_table(self):
         params = init_params(3, 0.1, SplitMix64(5))
         self.assert_layout(params, 3)
         self.assert_layout(RNNParams.zeros(2), 2)
-        self.assert_layout(params.copy(), 3)
+        copied = params.copy()
+        self.assert_layout(copied, 3)
+        assert not np.shares_memory(copied.flat, params.flat)
         grads = backward(params, np.array([0.2, -0.7]), 1.0)
         self.assert_layout(grads, 3)
         for updated in rmsprop_step(params, RNNParams.zeros(3), grads, RNNTrainConfig()):
             self.assert_layout(updated, 3)
+        m = matrix(np.random.default_rng(5).normal(0.0, 1.0, (6, 4)), [0, 1, 0, 1, 1, 0])
+        self.assert_layout(_batch_grads(params, m, [4, 0, 2]), 3)
+        doc = json.loads(json.dumps(serialize_model(Algorithm.RNN, RNNModel(params))))
+        restored = deserialize_model(Algorithm.RNN, doc).params
+        self.assert_layout(restored, 3)
+        assert restored.flat.tobytes() == params.flat.tobytes()
 
-    def test_python_float_b_y_is_copied_into_an_array(self):
+    @pytest.mark.parametrize("hidden", [1, 2, 5])
+    def test_init_fills_flat_with_the_stream_in_order(self, hidden):
+        replay = SplitMix64(hidden + 30)
+        expected = [0.3 * (2.0 * replay.uniform() - 1.0) for _ in range(hidden * hidden + 3 * hidden + 1)]
+        gen = SplitMix64(hidden + 30)
+        assert init_params(hidden, 0.3, gen).flat.tolist() == expected
+        assert gen.uniform() == replay.uniform()  # no draw beyond the last entry
+
+    def test_fields_cannot_be_rebound_and_write_through_in_place(self):
         params = RNNParams.zeros(2)
-        params.b_y = 0.25
-        copied = params.copy()
-        self.assert_layout(copied, 2)
-        assert copied.b_y == 0.25
+        for name in ("hidden_size", "flat", *RNNParams.shapes(2)):
+            with pytest.raises(AttributeError):
+                setattr(params, name, 0.25)
+        params.b_y[...] = 0.25
+        params.W_hh[1, 0] = -1.5
+        assert params.flat[-1] == 0.25 and params.flat[2 + 2] == -1.5
 
 
 class TestInitParams:
@@ -394,17 +424,17 @@ class TestTrainRnn:
             acc = RNNParams.zeros(config.hidden_size)
             for r in rows:
                 g = backward(params, train.values[r], float(train.labels[r]))
-                acc.W_xh += g.W_xh
-                acc.W_hh += g.W_hh
-                acc.W_hy += g.W_hy
-                acc.b_h += g.b_h
-                acc.b_y += g.b_y
+                acc.W_xh[...] += g.W_xh
+                acc.W_hh[...] += g.W_hh
+                acc.W_hy[...] += g.W_hy
+                acc.b_h[...] += g.b_h
+                acc.b_y[...] += g.b_y
             scale = 1.0 / len(rows)
-            acc.W_xh *= scale
-            acc.W_hh *= scale
-            acc.W_hy *= scale
-            acc.b_h *= scale
-            acc.b_y *= scale
+            acc.W_xh[...] *= scale
+            acc.W_hh[...] *= scale
+            acc.W_hy[...] *= scale
+            acc.b_h[...] *= scale
+            acc.b_y[...] *= scale
             params, caches = rmsprop_step(params, caches, grads=acc, config=config)
 
         assert np.array_equal(got.W_xh, params.W_xh)
@@ -510,14 +540,14 @@ def reference_backward(params: RNNParams, x: np.ndarray, y: float) -> RNNParams:
     if raw != prob:
         return grads
     dz = prob - y
-    grads.W_hy = dz * hs[-1][np.newaxis, :]
-    grads.b_y = np.array(dz)
+    grads.W_hy[...] = dz * hs[-1][np.newaxis, :]
+    grads.b_y[...] = dz
     dh = dz * params.W_hy[0]
     for t in range(x.shape[0], 0, -1):
         dz_h = (1.0 - hs[t] * hs[t]) * dh
-        grads.W_xh += np.outer(dz_h, x[t - 1:t])
-        grads.W_hh += np.outer(dz_h, hs[t - 1])
-        grads.b_h += dz_h
+        grads.W_xh[...] += np.outer(dz_h, x[t - 1:t])
+        grads.W_hh[...] += np.outer(dz_h, hs[t - 1])
+        grads.b_h[...] += dz_h
         dh = params.W_hh.T @ dz_h
     return grads
 
@@ -532,8 +562,8 @@ def saturating_params(gen: SplitMix64, hidden: int, sign: float) -> RNNParams:
     """A wide output layer and a bias near the clamp boundary (|z| > 27.6), so
     some rows' probabilities sit at a clamp bound and others do not."""
     params = init_params(hidden, 1.0, gen)
-    params.W_hy = params.W_hy * 12.0
-    params.b_y = np.array(sign * 26.0)
+    params.W_hy[...] = params.W_hy * 12.0
+    params.b_y[...] = sign * 26.0
     return params
 
 
@@ -607,18 +637,18 @@ class TestBatchKernels:
                 params = saturating_params(gen, hidden, 1.0 if trial % 2 else -1.0)
             rows = [int(r) for r in data.choice(60, size=1 + trial * 38 // 11, replace=False)]
             expected = RNNParams.zeros(hidden)
-            totals = expected.arrays()
+            totals = fields(expected)
             clamped = 0
             for r in rows:
                 _, raw, prob = reference_forward(params, values[r])
                 clamped += raw != prob
                 g = reference_backward(params, values[r], float(m.labels[r]))
-                for total, part in zip(totals, g.arrays()):
+                for total, part in zip(totals, fields(g)):
                     total += part
             for total in totals:
                 total *= 1.0 / len(rows)
             got = _batch_grads(params, m, rows)
-            for got_field, expected_field in zip(got.arrays(), totals):
+            for got_field, expected_field in zip(fields(got), totals):
                 assert_same_bits(got_field, expected_field)
             clamped_batches += 0 < clamped < len(rows)
         assert clamped_batches >= 3
@@ -631,7 +661,7 @@ class TestBatchKernels:
             for i, row in enumerate(values):
                 got = backward(params, row, float(i % 2))
                 expected = reference_backward(params, row, float(i % 2))
-                for got_field, expected_field in zip(got.arrays(), expected.arrays()):
+                for got_field, expected_field in zip(fields(got), fields(expected)):
                     assert_same_bits(got_field, expected_field)
 
 

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import matrix
+from conftest import fit_in_memory, matrix
 from cardiolearn.dataset import synth_generate
 from cardiolearn.errors import BadHyperparameter
 from cardiolearn.evaluation import RunConfig
@@ -114,12 +114,13 @@ def test_fit_returns_the_rnn_history_beside_a_model_of_params_only():
 
 
 def test_loaded_rnn_bundle_holds_the_fitted_weights(tmp_path):
-    outcome = run_training(synth_generate(60, 0.5, seed=2),
-                           RunConfig(Algorithm.RNN, params=SHORT_RNN))
+    data = synth_generate(60, 0.5, seed=2)
+    config = RunConfig(Algorithm.RNN, params=SHORT_RNN)
+    outcome = run_training(data, config)
     assert type(outcome.history) is TrainHistory and outcome.history.stopped_epoch >= 1
     path = str(tmp_path / "rnn.json")
     save_bundle(outcome.bundle, path)
     loaded = load_bundle(path).model
     assert type(loaded) is RNNModel
-    assert ([a.tobytes() for a in loaded.params.arrays()]
-            == [a.tobytes() for a in outcome.model.params.arrays()])
+    _, _, model = fit_in_memory(data, config)
+    assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
