@@ -69,30 +69,6 @@ _BLOCK_FLOATS = 1 << 20
 _PARAM_FIELDS = ("W_xh", "W_hh", "W_hy", "b_h", "b_y")
 
 
-class EarlyStopper:
-    """Patience counter over validation losses (epochs are 1-based).
-
-    An epoch improves when it beats the best loss so far by at least
-    IMPROVEMENT_EPS; `update` returns True once `patience` consecutive
-    epochs have failed to improve.
-    """
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best_val = math.inf
-        self.best_epoch = 0
-        self.streak = 0
-
-    def update(self, epoch: int, val_loss: float) -> bool:
-        if self.best_val - val_loss >= IMPROVEMENT_EPS:
-            self.best_val = val_loss
-            self.best_epoch = epoch
-            self.streak = 0
-            return False
-        self.streak += 1
-        return self.streak >= self.patience
-
-
 @dataclass(frozen=True, eq=False)
 class RNNParams:
     """Network weights; also reused as the container for gradients and
@@ -147,11 +123,34 @@ class RNNTrainConfig(Hyperparameters):
 
 @dataclass
 class TrainHistory:
-    """Per-epoch losses plus the early-stopping outcome (1-based epochs)."""
+    """The one record of a fit's epochs (1-based): the per-epoch losses and
+    the best epoch, 0 until an epoch improves.
+
+    An epoch improves when it lowers the best validation loss by at least
+    IMPROVEMENT_EPS (1e-6); a NaN or +inf loss never improves. `train_rnn`
+    stops once `patience` epochs have passed since the best epoch, and
+    returns the best epoch's weights, or the initial weights if no epoch
+    improved.
+    """
     train_losses: List[float] = field(default_factory=list)
     val_losses: List[float] = field(default_factory=list)
     best_epoch: int = 0
-    stopped_epoch: int = 0
+
+    @property
+    def stopped_epoch(self) -> int:
+        return len(self.val_losses)
+
+    def record(self, train_loss: float, val_loss: float) -> bool:
+        """Append one epoch's losses; True, with that epoch now the best,
+        when it improves."""
+        best = self.val_losses[self.best_epoch - 1] if self.best_epoch else math.inf
+        self.train_losses.append(train_loss)
+        self.val_losses.append(val_loss)
+        # a NaN loss compares False here; the negated test (`< eps` returns False) would let it through
+        if best - val_loss >= IMPROVEMENT_EPS:
+            self.best_epoch = len(self.val_losses)
+            return True
+        return False
 
     def csv_text(self) -> str:
         return csv_table(
@@ -331,9 +330,10 @@ def train_rnn(train: FeatureMatrix, val: FeatureMatrix, config: RNNTrainConfig,
     Row order is reshuffled every epoch from the same stream, seeded by
     `seed`, that produced the initial weights. Batch gradients are averaged over the
     batch (the final short batch over its own size). An epoch improves when
-    it lowers the best validation loss by at least 1e-6; after `patience`
-    consecutive non-improving epochs training stops, and the weights
-    snapshotted at the best epoch are returned.
+    it lowers the best validation loss by at least 1e-6; a NaN never
+    improves. Training stops once `patience` epochs have passed since the
+    best epoch, and returns the best epoch's weights, or the initial weights
+    if no epoch improved.
     """
     if train.n_rows == 0:
         raise EmptyPartition("training partition is empty")
@@ -347,8 +347,7 @@ def train_rnn(train: FeatureMatrix, val: FeatureMatrix, config: RNNTrainConfig,
     params = init_params(config.hidden_size, config.init_scale, gen)
     caches = RNNParams.zeros(config.hidden_size)
     history = TrainHistory()
-    best_params = params.copy()
-    stopper = EarlyStopper(config.patience)
+    best_params = params
     order = list(range(train.n_rows))
     for epoch in range(1, config.max_epochs + 1):
         gen.shuffle(order)
@@ -356,15 +355,10 @@ def train_rnn(train: FeatureMatrix, val: FeatureMatrix, config: RNNTrainConfig,
             batch = order[start:start + config.batch_size]
             grads = _batch_grads(params, train, batch)
             params, caches = rmsprop_step(params, caches, grads, config)
-        history.train_losses.append(_mean_loss(params, train))
-        val_loss = _mean_loss(params, val)
-        history.val_losses.append(val_loss)
-        history.stopped_epoch = epoch
-        stop = stopper.update(epoch, val_loss)
-        if stopper.best_epoch == epoch:
-            history.best_epoch = epoch
-            best_params = params.copy()
-        if stop:
+        # rmsprop_step returns fresh arrays, so the best weights need no copy
+        if history.record(_mean_loss(params, train), _mean_loss(params, val)):
+            best_params = params
+        elif epoch - history.best_epoch >= config.patience:
             break
     return best_params, history
 

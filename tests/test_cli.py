@@ -7,6 +7,7 @@ import reprlib
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +36,7 @@ def data_csv(tmp_path):
 
 
 def unlabeled_from(labeled_path, out_path, n_rows=None):
-    lines = open(labeled_path, encoding="utf-8").read().splitlines()
+    lines = Path(labeled_path).read_text(encoding="utf-8").splitlines()
     stripped = [",".join(line.split(",")[:-1]) for line in lines]
     if n_rows is not None:
         stripped = stripped[: 1 + n_rows]
@@ -88,7 +89,7 @@ class TestErrorCodes:
     @staticmethod
     def _csv_with_cells(source, path, cells):
         """A copy of the CSV at `source`, with {(data row, column name): text} replaced."""
-        rows = [line.split(",") for line in open(source, encoding="utf-8").read().splitlines()]
+        rows = [line.split(",") for line in Path(source).read_text(encoding="utf-8").splitlines()]
         for (row, column), text in cells.items():
             rows[1 + row][rows[0].index(column)] = text
         path.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
@@ -156,7 +157,7 @@ class TestErrorCodes:
 
     def test_version_mismatch_exit_code(self, tmp_path, data_csv, capsys):
         bundle_path = train_bundle(tmp_path, data_csv)
-        doc = json.load(open(bundle_path, encoding="utf-8"))
+        doc = json.loads(Path(bundle_path).read_text(encoding="utf-8"))
         doc["format_version"] = FORMAT_VERSION + 1
         bumped = tmp_path / "bumped.json"
         bumped.write_text(json.dumps(doc), encoding="utf-8")
@@ -177,7 +178,7 @@ class TestErrorCodes:
     def _predict_with_edited_bundle(self, tmp_path, data_csv, edit, part="model",
                                     algo="gb", command="predict"):
         bundle_path = train_bundle(tmp_path, data_csv, algo, extra=self._QUICK_FIT[algo])
-        doc = json.load(open(bundle_path, encoding="utf-8"))
+        doc = json.loads(Path(bundle_path).read_text(encoding="utf-8"))
         edit(doc[part])
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc), encoding="utf-8")
@@ -603,7 +604,7 @@ class TestErrorCodes:
         bundle_path = train_bundle(tmp_path, str(data), "rnn", extra=(
             "--param", "max_epochs=1", "--param", "hidden_size=2", "--smote-k", "2",
             "--unseen-policy", "map_to_mode"))
-        text = open(bundle_path, encoding="utf-8").read()
+        text = Path(bundle_path).read_text(encoding="utf-8")
         unlabeled = self._csv_with_cells(  # an unseen category and two missing readings
             unlabeled_from(str(data), tmp_path / "unlabeled.csv", n_rows=4), tmp_path / "probe.csv",
             {(0, "ChestPainType"): "XX", (1, "RestingBP"): "0", (1, "Cholesterol"): "0"})
@@ -665,8 +666,8 @@ class TestErrorCodes:
         unlabeled = unlabeled_from("data.csv", tmp_path / "unlabeled.csv", n_rows=4)
         sources = {}  # name -> (document, its key that is mutated, command run on it)
         for algo in ("nb", "gb", "xgb", "rnn"):
-            bundle = json.load(open(train_bundle(tmp_path, "data.csv", algo, self._QUICK_FIT[algo]),
-                                    encoding="utf-8"))
+            bundle_path = train_bundle(tmp_path, "data.csv", algo, self._QUICK_FIT[algo])
+            bundle = json.loads(Path(bundle_path).read_text(encoding="utf-8"))
             for part in ("preprocessor", "model", "train_config"):
                 sources[f"{algo} {part}"] = (bundle, part, [
                     "predict", "--bundle", "edited.json", "--data", unlabeled, "--out", "out.csv"])
@@ -807,7 +808,7 @@ class TestErrorCodes:
 
     def test_deeply_nested_bundle_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
         bundle_path = train_bundle(tmp_path, data_csv, "gb", extra=self._QUICK_FIT["gb"])
-        doc = json.load(open(bundle_path, encoding="utf-8"))
+        doc = json.loads(Path(bundle_path).read_text(encoding="utf-8"))
         doc["model"]["trees"] = ["DEEP"]
         split = '{"feature": 0, "threshold": 0.0, "right": {"weight": 0.0}, "left": '
         deep = split * 3000 + '{"weight": 0.0}' + "}" * 3000
@@ -819,7 +820,7 @@ class TestErrorCodes:
         self._assert_one_corrupt_bundle_line(code, out_path, capsys, "not valid JSON")
 
     def _csv_with_trailing_cells(self, source, path):
-        lines = open(source, encoding="utf-8").read().splitlines()
+        lines = Path(source).read_text(encoding="utf-8").splitlines()
         lines[3] += ",999,junk"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return str(path)
@@ -846,7 +847,7 @@ class TestErrorCodes:
 
     def test_over_long_integer_format_version_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
         bundle_path = train_bundle(tmp_path, data_csv)
-        text = open(bundle_path, encoding="utf-8").read()
+        text = Path(bundle_path).read_text(encoding="utf-8")
         assert text.count('"format_version": 1,') == 1
         huge = tmp_path / "huge.json"
         huge.write_text(
@@ -859,7 +860,7 @@ class TestErrorCodes:
         self._assert_one_corrupt_bundle_line(code, out_path, capsys)
 
     def test_non_utf8_csv_is_data_error(self, tmp_path, data_csv, capsys):
-        text = open(data_csv, encoding="utf-8").read()
+        text = Path(data_csv).read_text(encoding="utf-8")
         latin1 = tmp_path / "latin1.csv"
         latin1.write_bytes(text.replace("ASY", "ASÝ", 1).encode("latin-1"))
         code = main(["summarize", "--data", str(latin1)])
@@ -885,7 +886,7 @@ class TestErrorCodes:
             source = unlabeled_from(data_csv, tmp_path / "unlabeled.csv")
             flags += ["--bundle", train_bundle(tmp_path, data_csv)]
             capsys.readouterr()
-        lines = open(source, encoding="utf-8").read().splitlines()
+        lines = Path(source).read_text(encoding="utf-8").splitlines()
         lines[3] = "1" * 200_000 + lines[3]
         long_csv = tmp_path / "long.csv"
         long_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -1092,7 +1093,7 @@ class TestEvaluateAndPredict:
     ])
     def test_predict_threshold_resolution(self, tmp_path, data_csv, stored, flags, expected):
         bundle_path = train_bundle(tmp_path, data_csv, "gb", extra=("--param", "n_rounds=5"))
-        doc = json.load(open(bundle_path, encoding="utf-8"))
+        doc = json.loads(Path(bundle_path).read_text(encoding="utf-8"))
         if stored is None:
             del doc["train_config"]["threshold"]
         else:

@@ -16,7 +16,6 @@ from cardiolearn.errors import (
 )
 from cardiolearn.rnn import (
     IMPROVEMENT_EPS,
-    EarlyStopper,
     RNNModel,
     RNNParams,
     RNNTrainConfig,
@@ -244,35 +243,47 @@ class TestRmsprop:
         assert caches.b_y == 0.0
 
 
-class TestEarlyStopper:
-    def test_policy_trace(self):
-        stopper = EarlyStopper(patience=2)
-        losses = [0.50, 0.40, 0.45, 0.46]
-        outcomes = [stopper.update(epoch, loss) for epoch, loss in enumerate(losses, start=1)]
-        assert outcomes == [False, False, False, True]
-        assert stopper.best_epoch == 2
-        assert stopper.best_val == 0.40
+class TestTrainHistoryRecord:
+    def record_all(self, losses):
+        history = TrainHistory()
+        return [history.record(0.7, loss) for loss in losses], history
 
-    def test_monotone_descent_never_stops(self):
-        stopper = EarlyStopper(patience=3)
-        for epoch in range(1, 51):
-            assert not stopper.update(epoch, 1.0 - 0.01 * epoch)
-        assert stopper.best_epoch == 50
+    def test_policy_trace(self):
+        outcomes, history = self.record_all([0.50, 0.40, 0.45, 0.46])
+        assert outcomes == [True, True, False, False]
+        assert history.best_epoch == 2
+        assert history.stopped_epoch == 4
+        assert history.val_losses[history.best_epoch - 1] == 0.40
+
+    def test_monotone_descent_improves_every_epoch(self):
+        outcomes, history = self.record_all([1.0 - 0.01 * epoch for epoch in range(1, 51)])
+        assert all(outcomes)
+        assert history.best_epoch == 50
 
     def test_improvement_below_epsilon_does_not_count(self):
-        stopper = EarlyStopper(patience=2)
-        assert not stopper.update(1, 0.5)
-        assert not stopper.update(2, 0.5 - IMPROVEMENT_EPS / 2.0)
-        assert stopper.update(3, 0.5 - IMPROVEMENT_EPS / 2.0)
-        assert stopper.best_epoch == 1
+        stalled = 0.5 - IMPROVEMENT_EPS / 2.0
+        outcomes, history = self.record_all([0.5, stalled, stalled])
+        assert outcomes == [True, False, False]
+        assert history.best_epoch == 1
 
     def test_improvement_at_epsilon_counts(self):
         # 2e-6 and 1e-6 are exact binary multiples, so the drop is exactly eps
         assert 2e-6 - 1e-6 == IMPROVEMENT_EPS
-        stopper = EarlyStopper(patience=1)
-        assert not stopper.update(1, 2e-6)
-        assert not stopper.update(2, 1e-6)
-        assert stopper.best_epoch == 2
+        outcomes, history = self.record_all([2e-6, 1e-6])
+        assert outcomes == [True, True]
+        assert history.best_epoch == 2
+
+    def test_non_finite_loss_never_improves(self):
+        history = TrainHistory()
+        assert not history.record(0.7, math.nan)
+        assert not history.record(0.7, math.inf)
+        assert history.best_epoch == 0
+        assert history.record(0.7, 0.5)
+        assert history.best_epoch == 3
+        assert not history.record(0.7, math.nan)
+        assert history.best_epoch == 3
+        assert history.train_losses == [0.7] * 4
+        assert history.stopped_epoch == 4
 
 
 class TestParamTable:
@@ -504,7 +515,7 @@ class TestTrainRnn:
 class TestTrainHistory:
     def test_csv_format(self):
         history = TrainHistory(
-            train_losses=[0.5, 0.25], val_losses=[0.6, 0.3], best_epoch=2, stopped_epoch=2
+            train_losses=[0.5, 0.25], val_losses=[0.6, 0.3], best_epoch=2
         )
         text = history.csv_text()
         lines = text.splitlines()
