@@ -21,7 +21,8 @@ finite differences for every parameter entry.
 One batched forward kernel and one batched BPTT kernel run a (B, T) block
 of rows at once; `forward` and `backward` are their B = 1 views, and
 prediction, the epoch losses and the minibatch gradients all call them.
-Every row gets the same bits the per-row recurrence gives, because:
+Every row's forward pass gets the same bits the per-row recurrence gives,
+and an epoch's loss the bits of a left-to-right loop, because:
 - the input term of every row and step is one elementwise product over the
   (B, T) block, made before the step loop, which then adds only the
   recurrent term W_hh h_{t-1}. With a width of 1 each entry of `W_xh @ x_t`
@@ -34,9 +35,13 @@ Every row gets the same bits the per-row recurrence gives, because:
   (`boosting.clamped_sigmoid`), since np.exp may differ from math.exp in
   the last bit; the clamp is one np.clip over the rows, and a row is
   clamped exactly where the raw and the clamped arrays differ;
-- sums add their terms left to right from a +0.0 start: the per-row flat
-  gradients over a minibatch in row order, and the per-row losses of an
-  epoch without the builtin `sum`, which compensates from Python 3.12 on.
+- the per-row losses of an epoch are added left to right from a +0.0
+  start, without the builtin `sum`, which compensates from Python 3.12 on.
+
+BPTT sums a block over the batch inside each step (einsum, no BLAS call)
+into one flat accumulator, and a minibatch adds its blocks in block order:
+a fit stays a pure function of (data, config, seed), and a minibatch
+gradient is the rows' mean up to rounding.
 
 The weights, their gradients and the RMSprop caches are each one float64
 vector of P = H^2 + 3H + 1 numbers (`RNNParams.flat`), the fields one
@@ -50,7 +55,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .boosting import clamp_probability, clamped_sigmoid
+from .boosting import clamped_sigmoid
 from .dataset import csv_table, sum_in_order
 from .errors import (
     BadHyperparameter,
@@ -64,7 +69,7 @@ from .preprocess import FeatureMatrix, feature_batch
 from .rng import SplitMix64
 
 IMPROVEMENT_EPS = 1e-6
-# floats of input terms, hidden states and per-row gradients one batch kernel call holds (8 MB)
+# floats of input terms and hidden states one batch kernel call holds (8 MB)
 _BLOCK_FLOATS = 1 << 20
 _PARAM_FIELDS = ("W_xh", "W_hh", "W_hy", "b_h", "b_y")
 
@@ -129,8 +134,7 @@ class TrainHistory:
     An epoch improves when it lowers the best validation loss by at least
     IMPROVEMENT_EPS (1e-6); a NaN or +inf loss never improves. `train_rnn`
     stops once `patience` epochs have passed since the best epoch, and
-    returns the best epoch's weights, or the initial weights if no epoch
-    improved.
+    returns the best epoch's weights; it raises if no epoch improved.
     """
     train_losses: List[float] = field(default_factory=list)
     val_losses: List[float] = field(default_factory=list)
@@ -170,9 +174,9 @@ def init_params(hidden_size: int, init_scale: float, gen: SplitMix64) -> RNNPara
 
 
 def _matvec(W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """`W @ v` for every row v of a (B, n) stack, as one stacked matmul:
-    (B, n) -> (B, m). The kernels pass (B, H) stacks of hidden states or
-    their gradients, against W_hh, W_hh.T or W_hy.
+    """`W @ v` for every row v of a (B, H) stack of hidden states or their
+    gradients, against W_hh, W_hh.T or W_hy, as one stacked matmul:
+    (B, H) -> (B, m).
 
     NumPy runs one gemv (or dot) per stack slice, the same BLAS call that
     `W @ v` makes for a single vector, so every product is bit-identical
@@ -200,35 +204,27 @@ def _forward_batch(params: RNNParams, X: np.ndarray):
 
 
 def _backward_batch(params: RNNParams, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-row BPTT gradients of bce for a (B, T) block of rows, as one
-    (B, P) array whose row i is row i's gradient in the layout of
-    `RNNParams.flat`. When a row's output probability sits at a clamp
-    boundary its loss is locally flat in the parameters, so all its
-    gradients are exactly +0.0.
+    """Sum of the BPTT gradients of bce over a (B, T) block of rows, one (P,)
+    vector in the layout of `RNNParams.flat`. A clamped row's loss is locally
+    flat, so its dz is +0.0 and it adds nothing.
 
-    Each field is accumulated in its own contiguous array and the five are
-    joined once: adding into strided views of one (B, P) array is slower."""
+    Each step adds its batch sum onto the +0.0-started accumulator, with no
+    BLAS call: einsum runs NumPy's own loop, in row order for a field at
+    least two wide, and b_y's sum is a Python loop in row order."""
     hs, raw, prob = _forward_batch(params, X)
-    n_rows, steps = X.shape
-    dz = prob - labels
-    g_W_xh = np.zeros((n_rows,) + params.W_xh.shape)
-    g_W_hh = np.zeros((n_rows,) + params.W_hh.shape)
-    g_b_h = np.zeros((n_rows, params.hidden_size))
-    g_W_hy = dz[:, np.newaxis, np.newaxis] * hs[steps][:, np.newaxis, :]
+    steps = X.shape[1]
+    dz = np.where(raw == prob, prob - labels, 0.0)
+    grads = RNNParams.zeros(params.hidden_size)
+    grads.W_hy[0] += np.einsum("b,bi->i", dz, hs[steps])
+    grads.b_y[...] += sum_in_order(dz.tolist())
     dh = dz[:, np.newaxis] * params.W_hy[0]
     for t in range(steps, 0, -1):
         dz_h = (1.0 - hs[t] * hs[t]) * dh
-        g_W_xh[:, :, 0] += dz_h * X[:, t - 1, np.newaxis]
-        # einsum with no summed index rounds each product once, as `*` does, but
-        # may give +0.0 for a -0.0 product: adding onto an accumulator that
-        # starts at +0.0, and so never holds -0.0, makes the two equal
-        g_W_hh += np.einsum("bi,bj->bij", dz_h, hs[t - 1])
-        g_b_h += dz_h
+        grads.W_hh[...] += np.einsum("bi,bj->ij", dz_h, hs[t - 1])
+        grads.W_xh[:, 0] += np.einsum("b,bi->i", X[:, t - 1], dz_h)
+        grads.b_h[...] += np.einsum("bi->i", dz_h)
         dh = _matvec(params.W_hh.T, dz_h)
-    G = np.concatenate(
-        [g.reshape(n_rows, -1) for g in (g_W_xh, g_W_hh, g_W_hy, g_b_h, dz)], axis=1)
-    G[raw != prob] = 0.0
-    return G
+    return grads.flat
 
 
 def _row_batch(x: np.ndarray) -> np.ndarray:
@@ -247,8 +243,9 @@ def forward(params: RNNParams, x: np.ndarray) -> Tuple[np.ndarray, float]:
 
 
 def bce(p: float, y: float) -> float:
-    """Binary cross-entropy of one clamped probability against a 0/1 label."""
-    p = clamp_probability(p)
+    """Binary cross-entropy of a probability against a 0/1 label. `p` must
+    already be clamped to [1e-12, 1 - 1e-12], as `forward` and
+    `clamped_sigmoid` return it: bce does not clamp it again."""
     return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
 
 
@@ -256,8 +253,8 @@ def backward(params: RNNParams, x: np.ndarray, y: float) -> RNNParams:
     """Exact gradients of bce(forward(params, x), y) via backpropagation
     through time. When the output probability sits at a clamp boundary the
     loss is locally flat in the parameters, so all gradients are zero."""
-    G = _backward_batch(params, _row_batch(x), np.array([y], dtype=float))
-    return RNNParams(params.hidden_size, G[0])
+    return RNNParams(params.hidden_size,
+                     _backward_batch(params, _row_batch(x), np.array([y], dtype=float)))
 
 
 def rmsprop_step(params: RNNParams, caches: RNNParams, grads: RNNParams,
@@ -278,9 +275,10 @@ def rmsprop_step(params: RNNParams, caches: RNNParams, grads: RNNParams,
 
 def _row_blocks(params: RNNParams, n_rows: int, steps: int) -> list:
     """Row slices that keep one batch kernel call near _BLOCK_FLOATS floats of
-    input terms, hidden states and per-row W_hh gradients, whatever the row
-    count."""
-    per_row = params.hidden_size * (params.hidden_size + 2 * steps + 1)
+    input terms and hidden states, whatever the row count: a row holds
+    H * (2T + 1) of them. The gradient accumulator is one (P,) vector per
+    call, whatever the block's size."""
+    per_row = params.hidden_size * (2 * steps + 1)
     size = max(1, _BLOCK_FLOATS // per_row)
     return [slice(start, start + size) for start in range(0, n_rows, size)]
 
@@ -300,25 +298,14 @@ def _mean_loss(params: RNNParams, m: FeatureMatrix) -> float:
     return sum_in_order(losses) / m.n_rows
 
 
-def _add_rows(total: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """total + G[0] + G[1] + ..., added left to right as a `+=` loop over
-    the rows of G does, so the sum does not depend on how rows are batched."""
-    # a reduce over the rows may sum pairwise
-    total = total.copy()
-    for g in G:
-        total += g
-    return total
-
-
 def _batch_grads(params: RNNParams, m: FeatureMatrix, rows) -> RNNParams:
-    """Mean of the rows' gradients: the rows' flat gradients are added in
-    row order onto a +0.0 accumulator, then scaled by 1 / len(rows)."""
+    """Mean of the rows' gradients: each block's summed gradient is added in
+    block order onto a +0.0 accumulator, then scaled by 1 / len(rows)."""
     rows = np.asarray(rows)
     total = np.zeros(params.flat.size)
     for block in _row_blocks(params, len(rows), m.n_cols):
         picked = rows[block]
-        total = _add_rows(total, _backward_batch(
-            params, m.values[picked], m.labels[picked].astype(float)))
+        total += _backward_batch(params, m.values[picked], m.labels[picked].astype(float))
     total *= 1.0 / len(rows)
     return RNNParams(params.hidden_size, total)
 
@@ -332,8 +319,9 @@ def train_rnn(train: FeatureMatrix, val: FeatureMatrix, config: RNNTrainConfig,
     batch (the final short batch over its own size). An epoch improves when
     it lowers the best validation loss by at least 1e-6; a NaN never
     improves. Training stops once `patience` epochs have passed since the
-    best epoch, and returns the best epoch's weights, or the initial weights
-    if no epoch improved.
+    best epoch, and returns the best epoch's weights. A fit in which no epoch
+    improved, which happens only when every validation loss is NaN or +inf,
+    raises BadHyperparameter.
     """
     if train.n_rows == 0:
         raise EmptyPartition("training partition is empty")
@@ -349,17 +337,24 @@ def train_rnn(train: FeatureMatrix, val: FeatureMatrix, config: RNNTrainConfig,
     history = TrainHistory()
     best_params = params
     order = list(range(train.n_rows))
-    for epoch in range(1, config.max_epochs + 1):
-        gen.shuffle(order)
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            grads = _batch_grads(params, train, batch)
-            params, caches = rmsprop_step(params, caches, grads, config)
-        # rmsprop_step returns fresh arrays, so the best weights need no copy
-        if history.record(_mean_loss(params, train), _mean_loss(params, val)):
-            best_params = params
-        elif epoch - history.best_epoch >= config.patience:
-            break
+    # a diverging fit overflows to inf and NaN; it is reported once, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.max_epochs + 1):
+            gen.shuffle(order)
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start:start + config.batch_size]
+                grads = _batch_grads(params, train, batch)
+                params, caches = rmsprop_step(params, caches, grads, config)
+            # rmsprop_step returns fresh arrays, so the best weights need no copy
+            if history.record(_mean_loss(params, train), _mean_loss(params, val)):
+                best_params = params
+            elif epoch - history.best_epoch >= config.patience:
+                break
+    if history.best_epoch == 0:
+        raise BadHyperparameter(
+            f"the fit diverged: the validation loss was not finite in any of its "
+            f"{history.stopped_epoch} epochs; lower learning_rate "
+            f"({config.learning_rate!r}) or init_scale ({config.init_scale!r})")
     return best_params, history
 
 

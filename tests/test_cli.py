@@ -506,6 +506,19 @@ class TestErrorCodes:
         assert len(err.strip().splitlines()) == 1
         assert not out_path.exists()
 
+    def test_diverging_rnn_fit_is_one_config_error(self, tmp_path, data_csv, capsys):
+        out_path = tmp_path / "model.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a warning is a stderr line too
+            code = main(["train", "--data", data_csv, "--algo", "rnn", "--out", str(out_path),
+                         "--param", "learning_rate=1e308", "--param", "max_epochs=3"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG BadHyperparameter: the fit diverged:")
+        assert "learning_rate (1e+308)" in err and "init_scale" in err
+        assert len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [Path(data_csv)]
+
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_string_train_config_threshold_is_corrupt_bundle(
             self, tmp_path, data_csv, capsys, command):

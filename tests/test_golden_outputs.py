@@ -40,7 +40,9 @@ DIGESTS = {
         "predictions": "ea494760dac1fbf73a3672c167d674c3459cc9ce6afaa536176274c8b92a2949",
     },
     "rnn": {
-        "bundle": "96916ce4a42cdf4ea771968954c201e215d0e0c352680b9a7a50b089280740b5",
+        # re-recorded when BPTT began summing the batch inside each step: the
+        # weights move in the last bits, the probabilities as written do not
+        "bundle": "485410912d346db6b19385a87afd5e90d6eec20b3d31a57b04f386b72dd9db82",
         "report": "fbd62a5620df9d062e26a9693e93a4f80a83ec85538ed2ed123d297b0cb14f1b",
         "predictions": "48b122a4b5136e235c049c3c74518b7a7e3b1eb31d0f073724084cc21db64c71",
         # the `<out>_curves.csv` that `train --algo rnn` writes beside the bundle

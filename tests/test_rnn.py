@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from cardiolearn.rnn import (
     RNNParams,
     RNNTrainConfig,
     TrainHistory,
-    _add_rows,
+    _backward_batch,
     _batch_grads,
     _matvec,
     _mean_loss,
+    _row_blocks,
     backward,
     bce,
     forward,
@@ -131,8 +133,9 @@ class TestBce:
         assert bce(0.75, 1.0) == pytest.approx(0.28768, abs=1e-5)
 
     def test_certainty_is_clamped_finite(self):
-        assert bce(1.0, 0.0) == pytest.approx(-math.log(1e-12), rel=1e-6)
-        assert bce(0.0, 1.0) == pytest.approx(-math.log(1e-12), rel=1e-6)
+        # bce expects the clamped probability its callers pass; it does not clamp again
+        assert bce(clamp_probability(1.0), 0.0) == pytest.approx(-math.log(1e-12), rel=1e-6)
+        assert bce(clamp_probability(0.0), 1.0) == pytest.approx(-math.log(1e-12), rel=1e-6)
 
 
 class TestBackward:
@@ -432,20 +435,8 @@ class TestTrainRnn:
         gen.shuffle(order)
         for start in (0, 4, 8):
             rows = order[start:start + 4]
-            acc = RNNParams.zeros(config.hidden_size)
-            for r in rows:
-                g = backward(params, train.values[r], float(train.labels[r]))
-                acc.W_xh[...] += g.W_xh
-                acc.W_hh[...] += g.W_hh
-                acc.W_hy[...] += g.W_hy
-                acc.b_h[...] += g.b_h
-                acc.b_y[...] += g.b_y
-            scale = 1.0 / len(rows)
-            acc.W_xh[...] *= scale
-            acc.W_hh[...] *= scale
-            acc.W_hy[...] *= scale
-            acc.b_h[...] *= scale
-            acc.b_y[...] *= scale
+            acc = batch_sum_reference(params, train.values[rows], train.labels[rows].astype(float))
+            acc.flat[...] *= 1.0 / len(rows)
             params, caches = rmsprop_step(params, caches, grads=acc, config=config)
 
         assert np.array_equal(got.W_xh, params.W_xh)
@@ -563,6 +554,35 @@ def reference_backward(params: RNNParams, x: np.ndarray, y: float) -> RNNParams:
     return grads
 
 
+def row_order_sum(terms) -> np.ndarray:
+    """The terms added in order onto a +0.0 start."""
+    total = np.zeros_like(terms[0])
+    for term in terms:
+        total += term
+    return total
+
+
+def batch_sum_reference(params: RNNParams, X: np.ndarray, labels: np.ndarray) -> RNNParams:
+    """A block's BPTT as plain loops over its rows, summed over the rows
+    inside each step and added to the total step by step. The reference for
+    `_batch_grads` bit for bit at H >= 2, where einsum adds rows in row
+    order too; at H = 1 the summed axis is contiguous and einsum does not."""
+    forwards = [reference_forward(params, x) for x in X]
+    hs = [row_hs for row_hs, _, _ in forwards]
+    dz = [prob - y if raw == prob else 0.0 for (_, raw, prob), y in zip(forwards, labels)]
+    grads = RNNParams.zeros(params.hidden_size)
+    grads.W_hy[0] += row_order_sum([d * h[-1] for d, h in zip(dz, hs)])
+    grads.b_y[...] += row_order_sum(np.array(dz))
+    dh = [d * params.W_hy[0] for d in dz]
+    for t in range(X.shape[1], 0, -1):
+        dz_h = [(1.0 - h[t] * h[t]) * d for h, d in zip(hs, dh)]
+        grads.W_hh[...] += row_order_sum([np.outer(d, h[t - 1]) for d, h in zip(dz_h, hs)])
+        grads.W_xh[:, 0] += row_order_sum([x[t - 1] * d for x, d in zip(X, dz_h)])
+        grads.b_h[...] += row_order_sum(dz_h)
+        dh = [params.W_hh.T @ d for d in dz_h]
+    return grads
+
+
 def assert_same_bits(got, expected):
     got, expected = np.asarray(got), np.asarray(expected)
     assert got.dtype == expected.dtype == np.float64 and got.shape == expected.shape
@@ -579,35 +599,23 @@ def saturating_params(gen: SplitMix64, hidden: int, sign: float) -> RNNParams:
 
 
 class TestBatchKernels:
-    """The batch kernels against the per-row recurrence, bit for bit. These
-    rest on NumPy running one gemv (or dot) per slice of a stacked matmul, the
-    call `W @ v` makes, and on an axis-0 `np.add.reduce` adding whole row
-    slices in order: a NumPy or BLAS upgrade that breaks either fails here."""
+    """The batch kernels against the per-row recurrence. The forward pass is
+    bit for bit: it rests on NumPy running one gemv (or dot) per slice of a
+    stacked matmul, the call `W @ v` makes, and a NumPy or BLAS upgrade that
+    breaks that fails here. BPTT sums the batch inside each step and adds
+    blocks in block order, so a minibatch gradient is the mean of the
+    per-row BPTT gradients up to rounding; a one-row `backward` is exact."""
 
     @pytest.mark.parametrize("hidden", [1, 2, 16, 33])
     def test_stacked_matmul_equals_per_row_matmul(self, hidden):
         gen = np.random.default_rng(hidden)
         W = gen.normal(0.0, 1.0, (hidden, hidden))
-        for weight in (W, W.T, gen.normal(0.0, 1.0, (1, hidden)), gen.normal(0.0, 1.0, (hidden, 1))):
-            # the kernels stack one vector per row of a block; a two-axis stack
-            # checks that the bits do not depend on the stack's shape either
-            for rows in ((1,), (2,), (7,), (39,), (5, 7)):
-                V = gen.normal(0.0, 1.0, (*rows, weight.shape[1]))
-                V *= 10.0 ** gen.integers(-8, 9, (*rows, 1))
-                per_vector = [weight @ v for v in V.reshape(-1, V.shape[-1])]
-                expected = np.array(per_vector).reshape(*rows, -1)
+        # the weights the kernels pass their (B, H) stacks to
+        for weight in (W, W.T, gen.normal(0.0, 1.0, (1, hidden))):
+            for rows in (1, 2, 7, 39):
+                V = gen.normal(0.0, 1.0, (rows, hidden)) * 10.0 ** gen.integers(-8, 9, (rows, 1))
+                expected = np.array([weight @ v for v in V])
                 assert_same_bits(_matvec(weight, V), expected)
-
-    @pytest.mark.parametrize("shape", [(), (1,), (2,), (16, 1), (16, 16), (33, 33)])
-    def test_add_rows_equals_a_row_loop(self, shape):
-        gen = np.random.default_rng(len(shape) * 100 + sum(shape))
-        for rows in range(1, 40):
-            G = gen.normal(0.0, 1.0, (rows,) + shape) * 10.0 ** gen.integers(-8, 9, (rows,) + shape)
-            G[gen.random(rows) < 0.2] = -0.0
-            total = np.zeros(shape)
-            for part in G:
-                total += part
-            assert_same_bits(_add_rows(np.zeros(shape), G), total)
 
     @pytest.mark.parametrize("hidden", [1, 2, 16])
     def test_forward_and_predict_match_the_per_row_recurrence(self, hidden):
@@ -634,7 +642,7 @@ class TestBatchKernels:
                     assert got_prob == prob
 
     @pytest.mark.parametrize("hidden", [1, 2, 16])
-    def test_batch_grads_equal_per_row_backward_summed_in_order(self, hidden):
+    def test_batch_grads_equal_the_mean_of_per_row_bptt(self, hidden):
         gen = SplitMix64(40 + hidden)
         data = np.random.default_rng(hidden)
         values = data.normal(0.0, 2.0, (60, 6))
@@ -647,22 +655,46 @@ class TestBatchKernels:
             else:
                 params = saturating_params(gen, hidden, 1.0 if trial % 2 else -1.0)
             rows = [int(r) for r in data.choice(60, size=1 + trial * 38 // 11, replace=False)]
-            expected = RNNParams.zeros(hidden)
-            totals = fields(expected)
-            clamped = 0
-            for r in rows:
-                _, raw, prob = reference_forward(params, values[r])
-                clamped += raw != prob
-                g = reference_backward(params, values[r], float(m.labels[r]))
-                for total, part in zip(totals, fields(g)):
-                    total += part
-            for total in totals:
-                total *= 1.0 / len(rows)
-            got = _batch_grads(params, m, rows)
-            for got_field, expected_field in zip(fields(got), totals):
-                assert_same_bits(got_field, expected_field)
+            clamped = sum(raw != prob for _, raw, prob in (reference_forward(params, values[r])
+                                                           for r in rows))
+            per_row = np.array([reference_backward(params, values[r], float(m.labels[r])).flat
+                                for r in rows])
+            got = _batch_grads(params, m, rows).flat
+            # the same terms added in another order: a few roundings of their size apart
+            assert np.all(np.abs(got - per_row.mean(axis=0))
+                          <= 1e-12 * np.abs(per_row).mean(axis=0))
             clamped_batches += 0 < clamped < len(rows)
         assert clamped_batches >= 3
+        # every row clamped: |W_hy h_T| <= 0.8 H, so the output bias alone saturates
+        for sign in (1.0, -1.0):
+            params = random_params(gen, hidden, 0.8)
+            params.b_y[...] = sign * (28.0 + 0.8 * hidden)
+            assert all(raw != prob for _, raw, prob in map(partial(reference_forward, params), values))
+            assert_same_bits(_batch_grads(params, m, range(60)).flat, np.zeros(params.flat.size))
+
+    @pytest.mark.parametrize("hidden", [2, 3, 7, 16, 33, 64])
+    def test_block_sum_adds_rows_in_row_order_inside_each_step(self, hidden):
+        # einsum's own loop adds a field at least two wide row by row, so a
+        # block's sum is the per-step row-order sum bit for bit, clamped rows'
+        # +0.0 terms and zero products of either sign among them
+        gen = SplitMix64(80 + hidden)
+        data = np.random.default_rng(hidden)
+        values = data.normal(0.0, 2.0, (39, 6))
+        values[::4, 1:3] = 0.0
+        values[1::4, 1:3] = -0.0
+        labels = data.integers(0, 2, 39).astype(float)
+        for params in (random_params(gen, hidden, 0.8), saturating_params(gen, hidden, 1.0),
+                       saturating_params(gen, hidden, -1.0)):
+            for rows in range(1, 40):
+                got = _backward_batch(params, values[:rows], labels[:rows])
+                assert_same_bits(got, batch_sum_reference(params, values[:rows], labels[:rows]).flat)
+
+    def test_row_blocks_do_not_shrink_with_the_square_of_hidden_size(self):
+        # a block holds H * (2T + 1) floats per row and one (P,) gradient sum:
+        # at H = 1024 and T = 11 that is 2**20 // 23552 = 44 rows
+        params = RNNParams.zeros(1024)
+        assert _row_blocks(params, 32, 11) == [slice(0, 44)]
+        assert _row_blocks(params, 100, 11) == [slice(0, 44), slice(44, 88), slice(88, 132)]
 
     @pytest.mark.parametrize("hidden", [1, 16])
     def test_backward_matches_the_per_row_bptt(self, hidden):
