@@ -20,7 +20,6 @@ from .boosting import (
     TreeNode,
     fit_boosted,
     fit_tree,
-    log_loss,
 )
 from .dataset import (
     CATEGORICAL_FEATURES,

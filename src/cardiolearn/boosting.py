@@ -17,13 +17,24 @@ gamma fixed at 0 (`training.FAMILY_CONFIGS`).
 Split search is exhaustive: every feature, every midpoint between
 consecutive distinct sorted values. It runs on a column block (Chen &
 Guestrin 2016, section 4.1): each column of a FeatureMatrix is stably
-sorted once (`FeatureMatrix.column_order`), and each node holds its rows'
-(d, m) slice of that order, which a split divides by a stable filter, so
-every column stays in (value, row) order. A node scores all d * (m - 1) cuts
-at once from prefix sums of g and h, which add one row at a time in that
-order. Node totals G and H are sums over the node's rows in ascending row
-order. Equal gains keep the lowest feature index, then the lowest threshold,
-so fits are fully deterministic.
+sorted once, and each node holds a ColumnBlock of its rows: their (d, m)
+slice of that order, the values in that order, and a cut table of the cuts
+between distinct values with their midpoints. The root's block is built
+once per matrix (`FeatureMatrix.column_block`) and shared by every round
+and every fit on that matrix. A split divides a block by one stable filter
+of its flattened arrays, so every column stays in (value, row) order; the
+children of a split at max_depth - 1 are leaves and get no block.
+
+g and h travel as one complex vector, g in the real part and h in the
+imaginary part, set part by part with no arithmetic. One gather and one
+cumulative sum along each column give GL + i*HL at every cut. Complex
+addition adds the real and the imaginary parts apart, each rounded once, so
+each prefix is bit for bit the running sum of g or of h added one row at a
+time in column order. Gains are scored only at the cut table's cuts, about
+half of all d * (m - 1) on an encoded training matrix. Node totals G and H
+are sums over the node's rows in ascending row order. Equal gains keep the
+lowest feature index, then the lowest threshold, so fits are fully
+deterministic.
 """
 
 import math
@@ -34,7 +45,7 @@ import numpy as np
 
 from .errors import EmptyNode, SingleClassDataset
 from .hyperparams import Hyperparameters, hyperparameter
-from .preprocess import FeatureMatrix, feature_batch
+from .preprocess import ColumnBlock, FeatureMatrix, feature_batch
 
 PROB_CLAMP = 1e-12
 _STALL_EPS = 1e-12
@@ -120,24 +131,14 @@ def sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def clamp_probability(p: float) -> float:
-    return min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
-
-
 def clamped_sigmoid(margins: np.ndarray):
     """(raw, clamped) probabilities of a 1-d array of margins, as float64
     arrays. The scalar `sigmoid` runs per margin on Python floats, since
-    np.exp differs from math.exp in the last bit on some inputs; np.clip
-    gives the bits `clamp_probability` gives, NaN included."""
+    np.exp differs from math.exp in the last bit on some inputs. The clamped
+    array holds each probability clipped to [PROB_CLAMP, 1 - PROB_CLAMP]; a
+    NaN stays NaN."""
     raw = np.array([sigmoid(z) for z in margins.tolist()], dtype=float)
     return raw, np.clip(raw, PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-
-def log_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross-entropy with probabilities clamped away from 0/1."""
-    p = np.clip(np.asarray(probabilities, dtype=float), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    y = np.asarray(labels, dtype=float)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
 @dataclass(frozen=True)
@@ -161,26 +162,24 @@ def _leaf(g_sum: float, h_sum: float, reg_lambda: float) -> TreeNode:
     return TreeNode(weight=-g_sum / curvature if curvature else 0.0)
 
 
-def _best_split(values, g, h, order, g_sum, h_sum, config):
-    """Exhaustive (feature, midpoint) search over a node's (d, m) block of
-    presorted row positions; None when no cut has positive gain.
+def _best_split(z, block, g_sum, h_sum, config):
+    """Exhaustive (feature, midpoint) search over a node's ColumnBlock; None
+    when no cut has positive gain.
 
-    Column f's cut i sits between its i-th and (i+1)-th sorted rows. The
-    left sums GL, HL of every cut are prefix sums of g and h in that order,
-    added one row at a time as a running sum would. Gains of all d * (m - 1)
-    cuts are scored at once; a cut between equal values, whose midpoint
-    collapses onto the left value, or that leaves either side below
-    min_child_weight cannot win, and may divide zero by zero on the way.
+    z holds g in its real part and h in its imaginary part, so one
+    cumulative sum along each column of z in the block's order gives the
+    exact running sums GL + i*HL. Only the block's value-distinct cuts are
+    scored; one that leaves either side below min_child_weight cannot win,
+    and may divide zero by zero on the way.
     """
+    order, cuts = block.order, block.cuts
     parent_score = g_sum * g_sum / (h_sum + config.reg_lambda)
-    sorted_values = np.take_along_axis(values.T, order, axis=1)
-    lo, hi = sorted_values[:, :-1], sorted_values[:, 1:]
-    gl = np.cumsum(g[order[:, :-1]], axis=1)
-    hl = np.cumsum(h[order[:, :-1]], axis=1)
+    left_sums = np.cumsum(np.take(z, order[:, :-1]), axis=1).ravel().take(cuts)
+    # complex(...), not g_sum + 1j * h_sum, which turns a -0.0 g_sum into +0.0
+    right_sums = complex(g_sum, h_sum) - left_sums
+    gl, hl = left_sums.real, left_sums.imag
+    gr, hr = right_sums.real, right_sums.imag
     with np.errstate(all="ignore"):
-        threshold = (lo + hi) / 2.0
-        hr = h_sum - hl
-        gr = g_sum - gl
         left = gl * gl / (hl + config.reg_lambda)
         right = gr * gr / (hr + config.reg_lambda)
         if config.reg_lambda == 0.0 and config.min_child_weight == 0.0:
@@ -190,51 +189,59 @@ def _best_split(values, g, h, order, g_sum, h_sum, config):
             left[hl == 0.0] = 0.0
             right[hr == 0.0] = 0.0
         gain = 0.5 * (left + right - parent_score) - config.gamma
-        # lo < threshold <= hi also rules out a cut between equal values
-        valid = ((lo < threshold) & (threshold <= hi)
-                 & (hl >= config.min_child_weight) & (hr >= config.min_child_weight)
-                 & (gain > 0.0))
+        valid = (hl >= config.min_child_weight) & (hr >= config.min_child_weight) & (gain > 0.0)
     if not valid.any():
         return None
-    # the first maximum in feature-major order: the lowest feature, then the
-    # lowest threshold, as a scan keeping only strictly greater gains finds
+    # cuts ascend in feature-major order, so the first maximum is the lowest
+    # feature, then the lowest threshold, as a scan keeping only strictly
+    # greater gains finds
     best = int(np.argmax(np.where(valid, gain, -np.inf)))
-    feature, cut = divmod(best, order.shape[1] - 1)
-    return feature, threshold[feature, cut], float(gain[feature, cut])
+    return int(cuts[best]) // (order.shape[1] - 1), block.thresholds[best], float(gain[best])
 
 
-def _build_node(values, g, h, rows, order, config, depth):
-    """Node over ascending `rows`, whose (d, m) block `order` lists the same
-    rows once per column in that column's (value, row) order."""
+def _child_block(block, keep):
+    """The ColumnBlock of the rows at the (d * m,) mask `keep` over `block`; a
+    stable filter keeps each column in (value, row) order."""
+    keep = np.flatnonzero(keep)
+    d = block.order.shape[0]
+    return ColumnBlock.of(block.order.ravel().take(keep).reshape(d, -1),
+                          block.sorted_values.ravel().take(keep).reshape(d, -1))
+
+
+def _build_node(values, g, h, z, rows, block, config, depth):
+    """Node over ascending `rows`, whose ColumnBlock `block` lists the same
+    rows once per column; `block` is None at max_depth, where the node is a
+    leaf."""
     g_sum = float(g[rows].sum())
     h_sum = float(h[rows].sum())
     if depth >= config.max_depth or len(rows) < 2 or h_sum + config.reg_lambda == 0.0:
         return _leaf(g_sum, h_sum, config.reg_lambda)
-    split = _best_split(values, g, h, order, g_sum, h_sum, config)
+    split = _best_split(z, block, g_sum, h_sum, config)
     if split is None:
         return _leaf(g_sum, h_sum, config.reg_lambda)
     feature, threshold, gain = split
     goes_left = values[:, feature] < threshold
-    # a stable filter keeps each column's (value, row) order in both children
-    left = goes_left[order]
-    d = order.shape[0]
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        gain=gain,
-        left=_build_node(values, g, h, rows[goes_left[rows]], order[left].reshape(d, -1),
-                         config, depth + 1),
-        right=_build_node(values, g, h, rows[~goes_left[rows]], order[~left].reshape(d, -1),
-                          config, depth + 1),
-    )
+    node = TreeNode(feature=feature, threshold=threshold, gain=gain)
+    # children at max_depth are leaves and get no block; each other child's
+    # block is built just before descending into it
+    leaves = depth + 1 == config.max_depth
+    left = None if leaves else goes_left[block.order].ravel()
+    node.left = _build_node(values, g, h, z, rows[goes_left[rows]],
+                            None if leaves else _child_block(block, left), config, depth + 1)
+    node.right = _build_node(values, g, h, z, rows[~goes_left[rows]],
+                             None if leaves else _child_block(block, ~left), config, depth + 1)
+    return node
 
 
 def fit_tree(m: FeatureMatrix, gh: GradHess, config: BoostConfig) -> TreeNode:
     """Fit one regression tree to the given gradients and curvatures."""
     if m.n_rows == 0:
         raise EmptyNode("cannot fit a tree on zero rows")
-    rows = np.arange(m.n_rows)
-    return _build_node(m.values, gh.g, gh.h, rows, m.column_order, config, depth=0)
+    z = np.empty(m.n_rows, dtype=complex)
+    z.real = gh.g
+    z.imag = gh.h
+    return _build_node(m.values, gh.g, gh.h, z, np.arange(m.n_rows), m.column_block,
+                       config, depth=0)
 
 
 def fit_boosted(m: FeatureMatrix, config: BoostConfig) -> BoostedEnsemble:

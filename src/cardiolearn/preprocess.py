@@ -103,6 +103,41 @@ class FeatureMatrix:
         order: sorted once, then shared by every tree fitted to this matrix."""
         return np.ascontiguousarray(np.argsort(self.values, axis=0, kind="stable").T)
 
+    @cached_property
+    def column_block(self) -> "ColumnBlock":
+        """The root's ColumnBlock, read-only: built once, then shared by every
+        tree fitted to this matrix."""
+        order = self.column_order
+        block = ColumnBlock.of(order, np.take_along_axis(self.values.T, order, axis=1))
+        for array in (order, block.sorted_values, block.cuts, block.thresholds):
+            array.flags.writeable = False
+        return block
+
+
+@dataclass(frozen=True)
+class ColumnBlock:
+    """A node's m rows listed once per column in that column's (value, row)
+    order, the column block of Chen & Guestrin (2016, section 4.1).
+
+    Cut i of a column lies between its i-th and (i+1)-th sorted rows. `cuts`
+    holds the flat positions, in the (d, m - 1) grid of all cuts, of those
+    whose midpoint `thresholds` lies strictly above the left value and at
+    most at the right one; that rules out every cut between equal values,
+    and one whose midpoint collapses onto the left value.
+    """
+    order: np.ndarray          # (d, m) row positions
+    sorted_values: np.ndarray  # (d, m) the values at those positions
+    cuts: np.ndarray
+    thresholds: np.ndarray
+
+    @classmethod
+    def of(cls, order: np.ndarray, sorted_values: np.ndarray) -> "ColumnBlock":
+        lo, hi = sorted_values[:, :-1], sorted_values[:, 1:]
+        with np.errstate(over="ignore"):  # an infinite midpoint is above hi
+            mid = (lo + hi) / 2.0
+        cuts = np.flatnonzero((lo < mid) & (mid <= hi))
+        return cls(order, sorted_values, cuts, mid.ravel().take(cuts))
+
 
 @dataclass(frozen=True)
 class OutlierReport:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cardiolearn.boosting import PROB_CLAMP
 from cardiolearn.dataset import SCHEMA, Dataset, FeatureKind, RawRecord
 from cardiolearn.pipeline import prepare_matrices
 from cardiolearn.preprocess import FeatureMatrix
@@ -62,6 +63,17 @@ def matrix(values, labels, names=None) -> FeatureMatrix:
         labels=np.asarray(labels, dtype=np.int64),
         column_names=tuple(names),
     )
+
+
+def clamp_probability(p: float) -> float:
+    return min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+
+
+def log_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:
+    """Mean binary cross-entropy with probabilities clamped away from 0/1."""
+    p = np.clip(np.asarray(probabilities, dtype=float), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    y = np.asarray(labels, dtype=float)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
 def fit_in_memory(data: Dataset, config):

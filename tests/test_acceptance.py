@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import matrix
+from conftest import log_loss, matrix
 from test_bayes import linear_space_posteriors
 from test_boosting import check_root_split_against_oracle
 
@@ -26,7 +26,6 @@ from cardiolearn.boosting import (
     GradHess,
     fit_boosted,
     fit_tree,
-    log_loss,
 )
 from cardiolearn.cli import main
 from cardiolearn.dataset import (

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import matrix
+from conftest import log_loss, matrix
 from cardiolearn import preprocess
 from cardiolearn.boosting import (
     BoostConfig,
@@ -16,7 +16,6 @@ from cardiolearn.boosting import (
     fit_boosted,
     fit_tree,
     grad_hess,
-    log_loss,
     sigmoid,
 )
 from cardiolearn.dataset import synth_generate
@@ -429,6 +428,85 @@ class TestPresortedSplitSearch:
         m = matrix([[2.0, 0.0], [1.0, -0.0], [2.0, 0.0], [0.5, -1.0]], [0, 1, 0, 1])
         assert m.column_order.tolist() == [[3, 1, 0, 2], [3, 0, 1, 2]]
         assert m.column_order is m.column_order  # sorted once per matrix
+
+
+def adversarial_case(seed, twin_zero_curvature):
+    """Rows whose cuts are easy to get wrong in the last bit: SMOTE-like
+    columns of 2 to 4 codes with a few interpolated values, subnormal values,
+    signed zeros, g holding both +0.0 and -0.0, and some h == 0. On odd seeds
+    g and h shrink so that GL^2 and HL are subnormal, which only a split
+    without reg_lambda can still gain from. With `twin_zero_curvature`, every h == 0 row is
+    followed by a twin with equal values and h > 0, so no node and no cut
+    between distinct values sums to zero curvature: with reg_lambda 0 the
+    per-row reference would divide by zero there."""
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(20, 90))
+    columns = []
+    for codes in (2, 3, 4):
+        column = gen.integers(0, codes, n).astype(float)
+        mixed = gen.random(n) < 0.1
+        column[mixed] = gen.uniform(0.0, codes - 1, int(mixed.sum()))
+        columns.append(column)
+    columns.append(gen.integers(-3, 4, n) * np.finfo(float).smallest_subnormal)
+    columns.append(np.where(gen.random(n) < 0.5, 0.0, -0.0) + (gen.random(n) < 0.3))
+    values = np.column_stack(columns)
+    g = gen.normal(0.0, 1.0, n)
+    h = gen.uniform(0.05, 0.25, n)
+    g[gen.random(n) < 0.15] = 0.0
+    g[gen.random(n) < 0.15] = -0.0
+    saturated = np.flatnonzero(gen.random(n) < 0.2)
+    h[saturated] = 0.0
+    if twin_zero_curvature:
+        values = np.concatenate([values, values[saturated]])
+        g = np.concatenate([g, gen.normal(0.0, 1.0, len(saturated))])
+        h = np.concatenate([h, gen.uniform(0.05, 0.25, len(saturated))])
+    if seed % 2:
+        g, h = g * 2.0**-530, h * 2.0**-1040
+    return matrix(values, np.zeros(len(g), dtype=int)), GradHess(g, h)
+
+
+class TestColumnBlockSearch:
+    """The complex-packed prefix sums, the value-distinct cut table and the
+    cached root block: trees still equal the per-row reference bit for bit."""
+
+    @pytest.mark.parametrize("reg_lambda, gamma, min_child_weight", [
+        (0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (3.5, 0.2, 0.0), (1.0, 0.0, 4.0),
+    ])
+    def test_adversarial_columns_match_the_per_row_scan(self, reg_lambda, gamma,
+                                                          min_child_weight):
+        splits = 0
+        for seed in range(6):
+            m, gh = adversarial_case(seed, twin_zero_curvature=reg_lambda == 0.0)
+            for depth in range(1, 7):
+                params = BoostConfig(max_depth=depth, reg_lambda=reg_lambda, gamma=gamma,
+                                     min_child_weight=min_child_weight)
+                splits += len(split_nodes(assert_tree_matches_reference(m, gh, params)))
+        assert splits > 0
+
+    def test_cut_table_holds_only_value_distinct_cuts(self):
+        lo = 1.0
+        hi = float(np.nextafter(1.0, 2.0))  # the midpoint collapses onto lo
+        m = matrix([[2.0, lo], [0.0, hi], [2.0, hi], [-0.0, 3.0]], [0, 1, 0, 1])
+        block = m.column_block
+        assert block.sorted_values.tolist() == [[0.0, -0.0, 2.0, 2.0], [lo, hi, hi, 3.0]]
+        # column 0: only the cut between 0.0 and 2.0; column 1: only hi | 3.0
+        assert block.cuts.tolist() == [1, 5]
+        assert block.thresholds.tolist() == [1.0, (hi + 3.0) / 2.0]
+
+    def test_fits_sharing_a_matrix_equal_fits_on_fresh_copies(self):
+        m = encoded_rows(300, 7)
+        for depth in (2, 3, 2):
+            for algorithm in (Algorithm.GB, Algorithm.XGB):
+                config = family_config(algorithm, {"max_depth": depth, "n_rounds": 15})
+                fresh = matrix(m.values.copy(), m.labels.copy())
+                shared_trees = fit_boosted(m, config).trees
+                fresh_trees = fit_boosted(fresh, config).trees
+                assert len(shared_trees) == 15
+                assert list(map(tree_bits, shared_trees)) == list(map(tree_bits, fresh_trees))
+        block = m.column_block
+        assert m.column_block is block
+        for array in (block.order, block.sorted_values, block.cuts, block.thresholds):
+            assert not array.flags.writeable
 
 
 class TestRouting:

@@ -7,8 +7,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import matrix
-from cardiolearn.boosting import clamp_probability, sigmoid
+from conftest import clamp_probability, matrix
+from cardiolearn.boosting import sigmoid
 from cardiolearn.errors import (
     BadHyperparameter,
     DimensionMismatch,
