@@ -28,13 +28,11 @@ from .dataset import (
     NUMERIC_FEATURES,
     SCHEMA,
     Dataset,
-    RawRecord,
     SplitResult,
     SummaryReport,
     kfold,
     load_csv,
     load_unlabeled_csv,
-    record_key,
     stratified_split,
     summarize,
     synth_generate,

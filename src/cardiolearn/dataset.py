@@ -1,15 +1,19 @@
-"""Record schema, CSV ingestion, deterministic splits, and synthetic data.
+"""Table schema, CSV ingestion, deterministic splits, and synthetic data.
 
 The canonical table has eleven features plus a binary ``HeartDisease``
 label. Two numeric columns (RestingBP, Cholesterol) use 0 as a missing-value
 sentinel because a zero reading is physiologically impossible; FastingBS is
 a 0/1 indicator, so 0 is a legitimate value there.
+
+A `Dataset` holds the table a column at a time, from the CSV parser to the
+feature matrix; build one from rows with ``Dataset(tuple(zip(*rows)), labels)``.
 """
 
 import csv
 import enum
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -70,57 +74,58 @@ CELL_LIMIT = 1e100
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    values: tuple
-    label: int
+class Dataset:
+    """A labeled table a column at a time: `columns` holds one tuple of cells
+    per `SCHEMA` feature, floats within ±CELL_LIMIT for a numeric one and
+    non-empty strings for a categorical one, and `labels` one 0 or 1 per row.
+    Every cell and label is checked when the dataset is made."""
+
+    columns: tuple
+    labels: tuple
 
     def __post_init__(self):
-        if len(self.values) != len(SCHEMA):
-            raise SchemaMismatch(
-                f"record has {len(self.values)} cells, schema has {len(SCHEMA)}"
-            )
-        for spec, cell in zip(SCHEMA, self.values):
-            if spec.kind is FeatureKind.NUMERIC:
-                if not isinstance(cell, float) or not abs(cell) <= CELL_LIMIT:
-                    raise SchemaMismatch(f"{spec.name}: {cell!r} is not a float in ±{CELL_LIMIT:g}")
-            else:
-                if not isinstance(cell, str) or not cell:
-                    raise SchemaMismatch(f"{spec.name}: categorical cell must be a non-empty token")
-        if self.label not in (0, 1):
-            raise SchemaMismatch(f"label must be 0 or 1, got {self.label!r}")
-
-    @classmethod
-    def _parsed(cls, values: tuple, label: int) -> "RawRecord":
-        """A record from cells the CSV parser has already checked against the
-        schema, built without checking them again."""
-        record = object.__new__(cls)
-        object.__setattr__(record, "values", values)
-        object.__setattr__(record, "label", label)
-        return record
-
-
-@dataclass(frozen=True)
-class Dataset:
-    records: tuple
+        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if len(self.columns) != len(SCHEMA):
+            raise SchemaMismatch(f"{len(self.columns)} columns, schema has {len(SCHEMA)}")
+        for spec, column in zip(SCHEMA, self.columns):
+            if len(column) != len(self.labels):
+                raise SchemaMismatch(f"{spec.name}: {len(column)} cells, {len(self.labels)} labels")
+            numeric = spec.kind is FeatureKind.NUMERIC
+            if not (_floats_in_range(column) if numeric else _nonempty_tokens(column)):
+                want = f"a float in ±{CELL_LIMIT:g}" if numeric else "a non-empty token"
+                raise SchemaMismatch(f"{spec.name}: every cell must be {want}")
+        if self.labels.count(0) + self.labels.count(1) != len(self.labels):
+            raise SchemaMismatch("every label must be 0 or 1")
 
     def __len__(self):
-        return len(self.records)
-
-    @property
-    def labels(self) -> list:
-        return [r.label for r in self.records]
-
-    def columns(self) -> list:
-        """Each feature's cells in record order, one tuple per feature in
-        schema order."""
-        return list(zip(*(r.values for r in self.records))) or [()] * len(SCHEMA)
+        return len(self.labels)
 
     def class_counts(self) -> tuple:
-        labels = self.labels
-        return labels.count(0), labels.count(1)
+        return self.labels.count(0), self.labels.count(1)
 
     def subset(self, indices) -> "Dataset":
-        return Dataset(tuple(self.records[i] for i in indices))
+        """The rows at `indices`, in that order."""
+        indices = tuple(indices)
+        # itemgetter of one index gives the cell itself, and of none fails
+        pick = itemgetter(*indices) if len(indices) > 1 else lambda cells: tuple(
+            cells[i] for i in indices
+        )
+        return Dataset(tuple(map(pick, self.columns)), pick(self.labels))
+
+
+def _floats_in_range(column: tuple) -> bool:
+    """Every cell a float (np.float64 too) within ±CELL_LIMIT; nan fails."""
+    return all(issubclass(t, float) for t in set(map(type, column))) and bool(
+        np.all(np.abs(np.fromiter(column, float, len(column))) <= CELL_LIMIT))
+
+
+def _nonempty_tokens(column: tuple) -> bool:
+    """Every cell a non-empty string, tested on the distinct cells."""
+    try:
+        return all(isinstance(token, str) and token for token in set(column))
+    except TypeError:  # an unhashable cell is no token
+        return False
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,7 @@ def _text_columns(data: Dataset) -> list:
     order: a token as it is, a number with no fraction and magnitude below
     1e16 as an integer, and any other number as its repr, the shortest text
     that parses back to the same double."""
-    columns = data.columns()
+    columns = list(data.columns)
     for col, spec in enumerate(SCHEMA):
         if spec.kind is FeatureKind.NUMERIC:
             columns[col] = [
@@ -174,14 +179,10 @@ def _text_columns(data: Dataset) -> list:
 
 
 def _content_keys(data: Dataset) -> list:
-    """`record_key` of every record, in record order, built a column at a time."""
+    """Each row's content key, in row order, used to make shuffles independent
+    of input row order: the row's cells as write_csv writes them, then its
+    label, joined by commas."""
     return list(map(",".join, zip(*_text_columns(data), map(str, data.labels))))
-
-
-def record_key(record: RawRecord) -> str:
-    """Content key used to make shuffles independent of input row order: the
-    record's cells as write_csv writes them, then its label, joined by commas."""
-    return _content_keys(Dataset((record,)))[0]
 
 
 def _raise_row_error(row_index, raw_cells, positions):
@@ -230,8 +231,8 @@ def _floats(tokens: list) -> list:
         return list(map(_to_float, tokens))
 
 
-def _parse_records(body, positions) -> tuple:
-    """Records of the data rows `body`, parsed and checked a column at a time.
+def _parse_records(body, positions) -> Dataset:
+    """The dataset of the data rows `body`, parsed and checked a column at a time.
 
     Each column's cells are stripped, parsed and checked as a whole, with
     the checks `_raise_row_error` makes on one row. When a row fails any of
@@ -260,10 +261,10 @@ def _parse_records(body, positions) -> tuple:
     if LABEL_COLUMN in positions:
         labels = _floats(list(map(str.strip, columns[positions[LABEL_COLUMN]])))
         first_bad = min(first_bad, _first_false(list(map(_LABEL_VALUES.__contains__, labels))))
-    del columns  # the transposed rows are not held while the records are built
+    del columns  # the transposed rows are not held while the dataset is built
     if first_bad < len(body):
         _raise_row_error(first_bad, body[first_bad], positions)
-    return tuple(map(RawRecord._parsed, zip(*features), map(int, labels)))
+    return Dataset(features, map(int, labels))
 
 
 def _read_rows(path):
@@ -311,19 +312,19 @@ def load_csv(path) -> Dataset:
     """
     rows = _read_rows(path)
     positions = _header_positions(rows, FEATURE_NAMES + (LABEL_COLUMN,))
-    return Dataset(_parse_records(rows[1:], positions))
+    return _parse_records(rows[1:], positions)
 
 
 def load_unlabeled_csv(path) -> Dataset:
     """Load feature rows for inference.
 
     The header must contain exactly the eleven feature columns; the label
-    column must be absent. Records carry a placeholder label 0, which no
+    column must be absent. Every row carries a placeholder label 0, which no
     transform or prediction step reads.
     """
     rows = _read_rows(path)
     positions = _header_positions(rows, FEATURE_NAMES)
-    return Dataset(_parse_records(rows[1:], positions))
+    return _parse_records(rows[1:], positions)
 
 
 def write_csv(data: Dataset, path) -> None:
@@ -331,8 +332,7 @@ def write_csv(data: Dataset, path) -> None:
 
     Numeric cells use the split's content-key text (`_text_columns`), which
     parses back to the identical double with one exception: -0.0 is written
-    as `0`. So load_csv(write_csv(d)) gives records equal to d's, with +0.0
-    where d held -0.0.
+    as `0`. So load_csv(write_csv(d)) equals d, with +0.0 where d held -0.0.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -374,7 +374,7 @@ def summarize(data: Dataset) -> SummaryReport:
         raise EmptyDataset("cannot summarize an empty dataset")
     numeric = {}
     categorical = {}
-    for spec, column in zip(SCHEMA, data.columns()):
+    for spec, column in zip(SCHEMA, data.columns):
         if spec.kind is FeatureKind.NUMERIC:
             if spec.missing_sentinel is None:
                 present = column
@@ -439,8 +439,9 @@ def quota_indices(shuffled, fraction: float) -> list:
 
 def complement_split(n: int, chosen) -> tuple:
     """(the indices below n not chosen, the chosen indices), both sorted."""
-    chosen = set(chosen)
-    return tuple(i for i in range(n) if i not in chosen), tuple(sorted(chosen))
+    rest = np.ones(n, dtype=bool)
+    rest[list(chosen)] = False
+    return tuple(np.flatnonzero(rest).tolist()), tuple(np.flatnonzero(~rest).tolist())
 
 
 def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitResult:
@@ -528,7 +529,7 @@ def _draw_token(gen: SplitMix64, tokens, probs) -> str:
 def synth_generate(n: int, positive_fraction: float, seed: int) -> Dataset:
     """Schema-conformant synthetic dataset with separable classes.
 
-    Exactly round(n * positive_fraction) records are positive. A single
+    Exactly round(n * positive_fraction) rows are positive. A single
     SplitMix64 stream drives the label shuffle and all feature draws, so the
     output is a pure function of (n, positive_fraction, seed).
     """
@@ -540,19 +541,16 @@ def synth_generate(n: int, positive_fraction: float, seed: int) -> Dataset:
     n_pos = _round_half_up(n * positive_fraction)
     labels = [1] * n_pos + [0] * (n - n_pos)
     gen.shuffle(labels)
-    records = []
-    for label in labels:
-        values = []
-        for spec in SCHEMA:
-            name = spec.name
+    columns = [[] for _ in SCHEMA]
+    for label in labels:  # row by row, each row's features in schema order
+        for name, column in zip(FEATURE_NAMES, columns):
             if name in _SYNTH_NUMERIC:
                 mean_neg, mean_pos, std = _SYNTH_NUMERIC[name]
-                values.append(gen.normal(mean_pos if label else mean_neg, std))
+                column.append(gen.normal(mean_pos if label else mean_neg, std))
             elif name in _SYNTH_INDICATOR:
                 p_one = _SYNTH_INDICATOR[name][label]
-                values.append(1.0 if gen.uniform() < p_one else 0.0)
+                column.append(1.0 if gen.uniform() < p_one else 0.0)
             else:
                 tokens, probs_neg, probs_pos = _SYNTH_CATEGORICAL[name]
-                values.append(_draw_token(gen, tokens, probs_pos if label else probs_neg))
-        records.append(RawRecord(tuple(values), label))
-    return Dataset(tuple(records))
+                column.append(_draw_token(gen, tokens, probs_pos if label else probs_neg))
+    return Dataset(columns, labels)

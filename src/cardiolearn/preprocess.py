@@ -175,7 +175,7 @@ def _present(values, spec) -> list:
     return list(filter(spec.missing_sentinel.__ne__, values))
 
 
-def _cohorts(columns: list, rows) -> list:
+def _cohorts(columns: tuple, rows) -> list:
     """The (Sex token, age decade) imputation cohort of each of the rows."""
     sexes, ages = columns[_SEX], columns[_AGE]
     return [(sexes[row], int(math.floor(ages[row] / 10.0) * 10)) for row in rows]
@@ -185,7 +185,7 @@ def fit(train: Dataset, unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> Fit
     """Learn vocabularies, imputation medians, and scaling statistics."""
     if len(train) == 0:
         raise EmptyDataset("cannot fit a preprocessor on an empty dataset")
-    columns = train.columns()
+    columns = train.columns
 
     vocab = {}
     modes = {}
@@ -226,7 +226,7 @@ def fit(train: Dataset, unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> Fit
     )
 
 
-def _imputed_columns(columns: list, impute_table: dict, global_medians: dict) -> dict:
+def _imputed_columns(columns: tuple, impute_table: dict, global_medians: dict) -> dict:
     """Numeric columns as float arrays, each sentinel cell replaced by its
     cohort's median (the global median for a cohort not in `impute_table`)."""
     imputed = {}
@@ -242,7 +242,7 @@ def _imputed_columns(columns: list, impute_table: dict, global_medians: dict) ->
 
 def transform(fp: FittedPreprocessor, data: Dataset) -> FeatureMatrix:
     """Encode, impute, and scale a dataset with previously fitted state."""
-    columns = data.columns()
+    columns = data.columns
     matrix = np.empty((len(data), len(SCHEMA)))
     unseen = []  # (row, column, name, token) of each column's first unseen token
     for col, name in _CATEGORICAL_COLUMNS:

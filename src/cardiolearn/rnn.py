@@ -235,11 +235,9 @@ def _row_batch(x: np.ndarray) -> np.ndarray:
     return x[np.newaxis]
 
 
-def forward(params: RNNParams, x: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Run the recurrence on one feature row; returns (hidden states
-    h_1..h_T, probability)."""
-    hs, _, prob = _forward_batch(params, _row_batch(x))
-    return hs[1:, 0], float(prob[0])
+def forward(params: RNNParams, x: np.ndarray) -> float:
+    """Run the recurrence on one feature row; returns its clamped probability."""
+    return float(_forward_batch(params, _row_batch(x))[2][0])
 
 
 def bce(p: float, y: float) -> float:
@@ -366,8 +364,7 @@ def grad_check(params: RNNParams, x: np.ndarray, y: float,
         raise BadHyperparameter(f"step must be > 0, got {step}")
 
     def loss_at(p: RNNParams) -> float:
-        _, prob = forward(p, x)
-        return bce(prob, y)
+        return bce(forward(p, x), y)
 
     analytic = backward(params, x, y).flat
     probe = params.copy()

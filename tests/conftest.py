@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cardiolearn.boosting import PROB_CLAMP
-from cardiolearn.dataset import SCHEMA, Dataset, FeatureKind, RawRecord
+from cardiolearn.dataset import SCHEMA, Dataset, FeatureKind
 from cardiolearn.pipeline import prepare_matrices
 from cardiolearn.preprocess import FeatureMatrix
 from cardiolearn.rng import derive_seed
@@ -26,20 +26,16 @@ BASE_VALUES = {
 }
 
 
-def make_record(label: int = 0, **overrides) -> RawRecord:
-    cells = []
-    for spec in SCHEMA:
-        value = overrides.get(spec.name, BASE_VALUES[spec.name])
-        if spec.kind is FeatureKind.NUMERIC:
-            value = float(value)
-        cells.append(value)
-    return RawRecord(values=tuple(cells), label=label)
-
-
 def make_dataset(rows) -> Dataset:
-    """rows: iterable of (overrides dict, label) pairs."""
-    records = tuple(make_record(label=label, **overrides) for overrides, label in rows)
-    return Dataset(records=records)
+    """rows: iterable of (overrides dict, label) pairs. Each row's cells are
+    BASE_VALUES with its overrides, numeric ones as floats; the rows are
+    turned into columns."""
+    rows = list(rows)
+    columns = []
+    for spec in SCHEMA:
+        cells = [overrides.get(spec.name, BASE_VALUES[spec.name]) for overrides, _ in rows]
+        columns.append(list(map(float, cells)) if spec.kind is FeatureKind.NUMERIC else cells)
+    return Dataset(columns, [label for _, label in rows])
 
 
 def spread_dataset(n_neg: int, n_pos: int) -> Dataset:

@@ -32,7 +32,6 @@ from cardiolearn.dataset import (
     Dataset,
     FEATURE_NAMES,
     NUMERIC_FEATURES,
-    RawRecord,
     load_csv,
     stratified_split,
     synth_generate,
@@ -321,16 +320,18 @@ def _downstream_state(train: Dataset, test: Dataset, seed: int) -> str:
     return json.dumps(state, sort_keys=True)
 
 
-def _perturbed(record: RawRecord) -> RawRecord:
-    values = list(record.values)
-    values[FEATURE_NAMES.index("Age")] = float(values[FEATURE_NAMES.index("Age")]) + 7.0
-    values[FEATURE_NAMES.index("MaxHR")] = (
-        float(values[FEATURE_NAMES.index("MaxHR")]) - 11.0
-    )
-    values[FEATURE_NAMES.index("Oldpeak")] = (
-        float(values[FEATURE_NAMES.index("Oldpeak")]) + 0.75
-    )
-    return RawRecord(values=tuple(values), label=1 - record.label)
+def _perturbed(data: Dataset, rows) -> Dataset:
+    """`data` with Age, MaxHR and Oldpeak shifted and the label flipped in each of `rows`."""
+    columns = [list(column) for column in data.columns]
+    age, max_hr, oldpeak = (columns[FEATURE_NAMES.index(name)]
+                            for name in ("Age", "MaxHR", "Oldpeak"))
+    labels = list(data.labels)
+    for row in rows:
+        age[row] = float(age[row]) + 7.0
+        max_hr[row] = float(max_hr[row]) - 11.0
+        oldpeak[row] = float(oldpeak[row]) + 0.75
+        labels[row] = 1 - labels[row]
+    return Dataset(columns, labels)
 
 
 def test_criterion_7_no_test_leakage(capsys):
@@ -338,10 +339,8 @@ def test_criterion_7_no_test_leakage(capsys):
     split = stratified_split(data, 0.2, seed=11)
     baseline = _downstream_state(split.train, split.test, seed=11)
 
-    every_row = Dataset(tuple(_perturbed(r) for r in split.test.records))
-    one_records = list(split.test.records)
-    one_records[0] = _perturbed(one_records[0])
-    one_row = Dataset(tuple(one_records))
+    every_row = _perturbed(split.test, range(len(split.test)))
+    one_row = _perturbed(split.test, [0])
 
     same_all = _downstream_state(split.train, every_row, seed=11) == baseline
     same_one = _downstream_state(split.train, one_row, seed=11) == baseline

@@ -94,6 +94,16 @@ def split_nodes(node):
     return [node] + split_nodes(node.left) + split_nodes(node.right)
 
 
+def leaf_rows(node, values, rows):
+    """(leaf, its rows) for every leaf of `node`, routing `rows` of `values`."""
+    if node.is_leaf:
+        yield node, rows
+        return
+    mask = values[rows, node.feature] < node.threshold
+    yield from leaf_rows(node.left, values, rows[mask])
+    yield from leaf_rows(node.right, values, rows[~mask])
+
+
 def leaf_weights(node):
     if node.is_leaf:
         return [node.weight]
@@ -234,21 +244,20 @@ class TestTreeFitting:
         params = BoostConfig(max_depth=2, reg_lambda=lam, min_child_weight=0.0)
         node = fit_tree(matrix(values, np.zeros(40, dtype=int)), GradHess(g, h), params)
 
-        def collect(n, rows):
-            if n.is_leaf:
-                yield n, rows
-                return
-            mask = values[rows, n.feature] < n.threshold
-            yield from collect(n.left, rows[mask])
-            yield from collect(n.right, rows[~mask])
-
         def objective(rows, w):
             return float(g[rows].sum()) * w + 0.5 * (float(h[rows].sum()) + lam) * w * w
 
-        for leaf, rows in collect(node, np.arange(40)):
+        for leaf, rows in leaf_rows(node, values, np.arange(40)):
             best = objective(rows, leaf.weight)
             assert objective(rows, leaf.weight + 1e-3) > best
             assert objective(rows, leaf.weight - 1e-3) > best
+
+
+def reference_score(g_sum, h_sum, reg_lambda):
+    """G^2 / (H + lambda), or 0 where H + lambda = 0: such a side has no
+    Newton step and scores 0 in a gain, as the boosting module states."""
+    curvature = h_sum + reg_lambda
+    return 0.0 if curvature == 0.0 else g_sum * g_sum / curvature
 
 
 def reference_best_split(values, g, h, rows, params):
@@ -257,7 +266,7 @@ def reference_best_split(values, g, h, rows, params):
     adds g and h one row at a time."""
     g_sum = float(g[rows].sum())
     h_sum = float(h[rows].sum())
-    parent_score = g_sum * g_sum / (h_sum + params.reg_lambda)
+    parent_score = reference_score(g_sum, h_sum, params.reg_lambda)
     best = None
     best_gain = 0.0
     for feature in range(values.shape[1]):
@@ -280,8 +289,8 @@ def reference_best_split(values, g, h, rows, params):
                 continue
             gr = g_sum - gl
             gain = 0.5 * (
-                gl * gl / (hl + params.reg_lambda)
-                + gr * gr / (hr + params.reg_lambda)
+                reference_score(gl, hl, params.reg_lambda)
+                + reference_score(gr, hr, params.reg_lambda)
                 - parent_score
             ) - params.gamma
             if gain > best_gain:
@@ -291,13 +300,16 @@ def reference_best_split(values, g, h, rows, params):
 
 
 def reference_build_node(values, g, h, rows, params, depth):
+    """A node of the per-row reference; with H + lambda = 0 it is a leaf of
+    weight 0, having no Newton step."""
     g_sum = float(g[rows].sum())
     h_sum = float(h[rows].sum())
+    curvature = h_sum + params.reg_lambda
     split = None
-    if depth < params.max_depth and len(rows) >= 2:
+    if depth < params.max_depth and len(rows) >= 2 and curvature != 0.0:
         split = reference_best_split(values, g, h, rows, params)
     if split is None:
-        return TreeNode(weight=-g_sum / (h_sum + params.reg_lambda))
+        return TreeNode(weight=0.0 if curvature == 0.0 else -g_sum / curvature)
     feature, threshold, gain = split
     mask = values[rows, feature] < threshold
     return TreeNode(
@@ -482,6 +494,22 @@ class TestColumnBlockSearch:
                                      min_child_weight=min_child_weight)
                 splits += len(split_nodes(assert_tree_matches_reference(m, gh, params)))
         assert splits > 0
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    def test_zero_curvature_matches_the_per_row_scan(self, gamma):
+        # without twins some nodes and cut sides sum to h == 0: with reg_lambda
+        # and min_child_weight 0 such a node is a weight-0 leaf and such a
+        # side scores 0
+        zero_leaves = 0
+        for seed in range(6):
+            m, gh = adversarial_case(seed, twin_zero_curvature=False)
+            for depth in range(1, 7):
+                params = BoostConfig(max_depth=depth, reg_lambda=0.0, gamma=gamma,
+                                     min_child_weight=0.0)
+                tree = assert_tree_matches_reference(m, gh, params)
+                zero_leaves += sum(float(gh.h[rows].sum()) == 0.0
+                                   for _, rows in leaf_rows(tree, m.values, np.arange(m.n_rows)))
+        assert zero_leaves > 0
 
     def test_cut_table_holds_only_value_distinct_cuts(self):
         lo = 1.0

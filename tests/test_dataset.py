@@ -3,9 +3,10 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
-from conftest import make_dataset, make_record, spread_dataset
+from conftest import make_dataset, spread_dataset
 from cardiolearn.dataset import (
     CATEGORICAL_FEATURES,
     FEATURE_NAMES,
@@ -13,14 +14,12 @@ from cardiolearn.dataset import (
     NUMERIC_FEATURES,
     SCHEMA,
     Dataset,
-    RawRecord,
     _content_keys,
     class_shuffles,
     kfold,
     load_csv,
     load_unlabeled_csv,
     quota_indices,
-    record_key,
     stratified_split,
     summarize,
     synth_generate,
@@ -117,27 +116,74 @@ class TestSchema:
         assert sentinels["Age"] is None
 
 
-class TestRawRecord:
-    def test_wrong_cell_count(self):
+def with_second_row(overrides=(), label=1) -> Dataset:
+    """Two rows of base values, the second with `overrides` and `label`, so a
+    check has to look past the first row."""
+    return make_dataset([({}, 0), (dict(overrides), label)])
+
+
+class TestDatasetChecks:
+    def test_wrong_column_count(self):
         with pytest.raises(SchemaMismatch):
-            RawRecord(values=("54",) * 3, label=0)
+            Dataset([("54",)] * 3, [0])
+
+    def test_ragged_columns(self):
+        columns = list(with_second_row().columns)
+        cholesterol = FEATURE_NAMES.index("Cholesterol")
+        columns[cholesterol] = columns[cholesterol][:1]
+        with pytest.raises(SchemaMismatch, match="Cholesterol"):
+            Dataset(columns, [0, 1])
 
     def test_nonfinite_numeric(self):
         with pytest.raises(SchemaMismatch):
-            make_record(Age=float("nan"))
+            with_second_row({"Age": float("nan")})
         with pytest.raises(SchemaMismatch):
-            make_record(Oldpeak=float("inf"))
+            with_second_row({"Oldpeak": float("inf")})
         with pytest.raises(SchemaMismatch, match="MaxHR"):
-            make_record(MaxHR=-1.5e100)
-        assert make_record(MaxHR=-1e100).values[FEATURE_NAMES.index("MaxHR")] == -1e100
+            with_second_row({"MaxHR": -1.5e100})
+        assert with_second_row({"MaxHR": -1e100}).columns[FEATURE_NAMES.index("MaxHR")][1] == -1e100
+
+    def test_numeric_cells_are_floats(self):
+        columns = list(with_second_row().columns)
+        columns[0] = (54.0, 61)
+        with pytest.raises(SchemaMismatch, match="Age"):
+            Dataset(columns, [0, 1])
+        columns[0] = (54.0, np.float64(61.0))
+        assert Dataset(columns, [0, 1]).columns[0] == (54.0, 61.0)
 
     def test_empty_categorical_token(self):
         with pytest.raises(SchemaMismatch):
-            make_record(Sex="")
+            with_second_row({"Sex": ""})
 
     def test_bad_label(self):
         with pytest.raises(SchemaMismatch):
-            make_record(label=2)
+            with_second_row(label=2)
+
+    def test_cells_and_labels_held_as_tuples(self):
+        data = with_second_row()
+        assert type(data.columns) is tuple and type(data.labels) is tuple
+        assert all(type(column) is tuple for column in data.columns)
+
+
+class TestSubset:
+    @pytest.mark.parametrize("indices", [(), (3,), (0, 1, 2, 3, 4), (4, 0, 2)],
+                             ids=["no rows", "one row", "all rows", "reordered"])
+    def test_picks_rows_in_order(self, indices):
+        data = spread_dataset(n_neg=3, n_pos=2)
+        part = data.subset(indices)
+        assert len(part) == len(indices)
+        assert part.labels == tuple(data.labels[i] for i in indices)
+        assert part.columns == tuple(tuple(column[i] for i in indices) for column in data.columns)
+        if indices == tuple(range(len(data))):
+            assert part == data
+
+    def test_one_row_test_side(self):
+        # quotas round(3 * 0.2) = 1 and round(2 * 0.2) = 0
+        data = spread_dataset(n_neg=3, n_pos=2)
+        split = stratified_split(data, 0.2, seed=0)
+        assert len(split.test) == 1 and len(split.train) == 4
+        assert split.test == data.subset(split.test_indices)
+        assert split.train == data.subset(split.train_indices)
 
 
 class TestLoadCsv:
@@ -145,11 +191,10 @@ class TestLoadCsv:
         path = write_text(tmp_path / "d.csv", f"{HEADER}\n{ROW_A}\n{ROW_B}\n")
         data = load_csv(path)
         assert len(data) == 2
-        assert data.records[0].values[0] == 54.0
-        assert data.records[0].values[1] == "M"
-        assert data.records[0].label == 0
-        assert data.records[1].values[4] == 0.0
-        assert data.records[1].label == 1
+        assert data.columns[0] == (54.0, 61.0)
+        assert data.columns[1] == ("M", "F")
+        assert data.columns[4][1] == 0.0
+        assert data.labels == (0, 1)
 
     def test_header_order_insensitive(self, tmp_path):
         cols = list(FEATURE_NAMES + (LABEL_COLUMN,))
@@ -158,7 +203,7 @@ class TestLoadCsv:
         row = ",".join([cells[-1]] + cells[:-1])
         path = write_text(tmp_path / "d.csv", ",".join(permuted) + "\n" + row + "\n")
         straight = load_csv(write_text(tmp_path / "s.csv", f"{HEADER}\n{ROW_A}\n"))
-        assert load_csv(path).records == straight.records
+        assert load_csv(path) == straight
 
     def test_missing_column(self, tmp_path):
         cols = [c for c in FEATURE_NAMES if c != "Oldpeak"] + [LABEL_COLUMN]
@@ -218,7 +263,7 @@ class TestLoadCsv:
         plain = load_csv(write_text(tmp_path / "plain.csv", f"{HEADER}\n{ROW_A}\n"))
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + f"{HEADER}\n{ROW_A}\n".encode("utf-8"))
-        assert load_csv(str(path)).records == plain.records
+        assert load_csv(str(path)) == plain
         unlabeled = tmp_path / "bom_unlabeled.csv"
         unlabeled.write_bytes(b"\xef\xbb\xbf" + ",".join(FEATURE_NAMES).encode("utf-8") + b"\n")
         assert len(load_unlabeled_csv(str(unlabeled))) == 0
@@ -232,9 +277,9 @@ class TestLoadCsv:
     def test_whitespace_stripped(self, tmp_path):
         row = ROW_A.replace("M", " M ").replace("54", " 54")
         path = write_text(tmp_path / "d.csv", f"{HEADER}\n{row}\n")
-        record = load_csv(path).records[0]
-        assert record.values[0] == 54.0
-        assert record.values[1] == "M"
+        data = load_csv(path)
+        assert data.columns[0] == (54.0,)
+        assert data.columns[1] == ("M",)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -265,7 +310,7 @@ class TestLoadUnlabeledCsv:
         path = write_text(tmp_path / "u.csv", f"{header}\n{row}\n")
         data = load_unlabeled_csv(path)
         assert len(data) == 1
-        assert data.records[0].label == 0
+        assert data.labels == (0,)
 
     def test_label_column_rejected(self, tmp_path):
         path = write_text(tmp_path / "u.csv", f"{HEADER}\n{ROW_A}\n")
@@ -289,11 +334,11 @@ class TestWriteCsv:
         path = tmp_path / "out.csv"
         write_csv(data, path)
         loaded = load_csv(path)
-        assert loaded.records == data.records
+        assert loaded == data
         # -0.0 is written as "0", so it reads back as +0.0, an equal value
         column = FEATURE_NAMES.index("Oldpeak")
-        assert math.copysign(1, data.records[-1].values[column]) == -1
-        assert math.copysign(1, loaded.records[-1].values[column]) == 1
+        assert math.copysign(1, data.columns[column][-1]) == -1
+        assert math.copysign(1, loaded.columns[column][-1]) == 1
 
     def test_canonical_column_order_and_lf(self, tmp_path):
         data = make_dataset([({}, 0)])
@@ -367,7 +412,7 @@ class TestSummarize:
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            summarize(Dataset(records=()))
+            summarize(make_dataset([]))
 
 
 class TestStratifiedSplit:
@@ -405,11 +450,9 @@ class TestStratifiedSplit:
 
     def test_row_order_does_not_change_membership(self):
         data = spread_dataset(n_neg=12, n_pos=10)
-        reversed_data = Dataset(records=tuple(reversed(data.records)))
-        keys_a = sorted(record_key(r) for r in stratified_split(data, 0.25, seed=9).test.records)
-        keys_b = sorted(
-            record_key(r) for r in stratified_split(reversed_data, 0.25, seed=9).test.records
-        )
+        reversed_data = data.subset(reversed(range(len(data))))
+        keys_a = sorted(_content_keys(stratified_split(data, 0.25, seed=9).test))
+        keys_b = sorted(_content_keys(stratified_split(reversed_data, 0.25, seed=9).test))
         assert keys_a == keys_b
 
     def test_keys_at_formatting_and_ordering_edges(self, tmp_path):
@@ -421,23 +464,23 @@ class TestStratifiedSplit:
         # ',' sorts after ' ', '!' and '+', so these tokens order differently
         # as joined keys than as tuples of cells
         tokens = ("A", "A+", "A B", "A!", "A,B")
-        records = [
-            make_record(label=(i + j) % 2, Age=age, Oldpeak=oldpeak, ChestPainType=token)
+        rows = [
+            ({"Age": age, "Oldpeak": oldpeak, "ChestPainType": token}, (i + j) % 2)
             for i, (age, oldpeak) in enumerate(zip(texts, reversed(list(texts))))
             for j, token in enumerate(tokens)
         ]
-        records += records[:3]  # equal keys keep their row order
-        data = Dataset(tuple(records))
+        rows += rows[:3]  # equal keys keep their row order
+        data = make_dataset(rows)
         for value, text in texts.items():
-            assert record_key(make_record(Age=value)).split(",")[0] == text
-        keys = [record_key(r) for r in records]
+            assert _content_keys(make_dataset([({"Age": value}, 0)]))[0].split(",")[0] == text
+        keys = [_content_keys(make_dataset([row]))[0] for row in rows]
         assert _content_keys(data) == keys
         # write_csv writes the cells the keys join; "A,B" is quoted
         path = tmp_path / "edges.csv"
         write_csv(data, path)
         with open(path, encoding="utf-8", newline="") as fh:
             assert [",".join(row) for row in csv.reader(fh)][1:] == keys
-        assert load_csv(path).records == data.records
+        assert load_csv(path) == data
         for fraction, seed in ((0.25, 4), (0.5, 11)):
             shuffled = class_shuffles(data.labels, seed, key=keys.__getitem__)
             split = stratified_split(data, fraction, seed)
@@ -476,7 +519,7 @@ class TestKFold:
     def test_every_fold_sees_both_classes(self):
         data = spread_dataset(n_neg=9, n_pos=5)
         for train, val in kfold(data, 5, seed=3):
-            labels = {data.records[i].label for i in val}
+            labels = {data.labels[i] for i in val}
             assert labels == {0, 1}
 
     def test_fold_sizes_differ_by_at_most_one(self):
@@ -524,20 +567,19 @@ class TestSynthGenerate:
     def test_seed_changes_content(self):
         a = synth_generate(40, 0.5, seed=1)
         b = synth_generate(40, 0.5, seed=2)
-        assert a.records != b.records
+        assert a != b
 
     def test_schema_conformant_round_trip(self, tmp_path):
         data = synth_generate(30, 0.5, seed=11)
         path = tmp_path / "synth.csv"
         write_csv(data, path)
-        assert load_csv(path).records == data.records
+        assert load_csv(path) == data
 
     def test_classes_are_separated(self):
         data = synth_generate(200, 0.5, seed=13)
         by_label = {0: [], 1: []}
-        oldpeak = FEATURE_NAMES.index("Oldpeak")
-        for record in data.records:
-            by_label[record.label].append(record.values[oldpeak])
+        for value, label in zip(data.columns[FEATURE_NAMES.index("Oldpeak")], data.labels):
+            by_label[label].append(value)
         mean_neg = sum(by_label[0]) / len(by_label[0])
         mean_pos = sum(by_label[1]) / len(by_label[1])
         assert mean_pos - mean_neg > 1.0

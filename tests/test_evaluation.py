@@ -7,7 +7,7 @@ import pytest
 
 from conftest import matrix, spread_dataset
 from cardiolearn import evaluation, preprocess
-from cardiolearn.dataset import kfold, synth_generate
+from cardiolearn.dataset import Dataset, kfold, synth_generate
 from cardiolearn.errors import (
     BadHyperparameter,
     EmptyGrid,
@@ -242,13 +242,9 @@ class TestCrossValidate:
 
         fp_a, model_a = fit_fold0(data)
 
-        records = list(data.records)
-        victim = fold0_val[0]
-        mutated = list(records[victim].values)
-        mutated[0] = 99.0  # absurd age
-        from cardiolearn.dataset import Dataset, RawRecord
-        records[victim] = RawRecord(tuple(mutated), records[victim].label)
-        fp_b, model_b = fit_fold0(Dataset(tuple(records)))
+        columns = [list(column) for column in data.columns]
+        columns[0][fold0_val[0]] = 99.0  # absurd age
+        fp_b, model_b = fit_fold0(Dataset(columns, data.labels))
 
         assert serialize_preprocessor(fp_a) == serialize_preprocessor(fp_b)
         assert serialize_model(Algorithm.GB, model_a) == serialize_model(Algorithm.GB, model_b)

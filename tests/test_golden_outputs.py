@@ -18,7 +18,7 @@ import re
 import pytest
 
 from cardiolearn.cli import main
-from cardiolearn.dataset import FEATURE_NAMES, Dataset, RawRecord, synth_generate, write_csv
+from cardiolearn.dataset import FEATURE_NAMES, Dataset, synth_generate, write_csv
 
 FAMILY_ARGS = {
     "nb": (),
@@ -116,8 +116,8 @@ GRIDSEARCH_DIGESTS = {
 
 def noisy(data: Dataset) -> Dataset:
     """Every fifth label flipped, so fold metrics depend on every fold's fit."""
-    return Dataset(tuple(RawRecord(r.values, 1 - r.label if i % 5 == 0 else r.label)
-                         for i, r in enumerate(data.records)))
+    return Dataset(data.columns,
+                   [1 - label if i % 5 == 0 else label for i, label in enumerate(data.labels)])
 
 
 def test_gridsearch_results_match_recorded_digests(tmp_path):
@@ -156,17 +156,15 @@ def sentinels(data: Dataset, aged: bool = True) -> Dataset:
     sentinel 0; with `aged`, every 23rd Age set to 97-99, a decade no
     un-aged synthetic row reaches."""
     chol, bp, age = (FEATURE_NAMES.index(name) for name in ("Cholesterol", "RestingBP", "Age"))
-    records = []
-    for i, record in enumerate(data.records):
-        values = list(record.values)
+    columns = [list(column) for column in data.columns]
+    for i in range(len(data)):
         if i % 6 == 0:
-            values[chol] = 0.0
+            columns[chol][i] = 0.0
         if i % 9 == 0:
-            values[bp] = 0.0
+            columns[bp][i] = 0.0
         if aged and i % 23 == 0:
-            values[age] = 97.0 + (i // 23) % 3
-        records.append(RawRecord(tuple(values), record.label))
-    return Dataset(tuple(records))
+            columns[age][i] = 97.0 + (i // 23) % 3
+    return Dataset(columns, data.labels)
 
 
 # Recorded from the per-cell imputation code, before the column passes.
@@ -190,10 +188,9 @@ def test_imputed_artifacts_match_recorded_digests(tmp_path):
     write_csv(sentinels(synth_generate(300, 0.45, seed=41)), aged_csv)
     scored = sentinels(synth_generate(120, 0.5, seed=42))
     slope = FEATURE_NAMES.index("ST_Slope")
-    steep = scored.records[4]
-    write_csv(Dataset(scored.records[:4] + (RawRecord(
-        steep.values[:slope] + ("Steep",) + steep.values[slope + 1:], steep.label),)
-        + scored.records[5:]), scored_csv)
+    columns = [list(column) for column in scored.columns]
+    columns[slope][4] = "Steep"
+    write_csv(Dataset(columns, scored.labels), scored_csv)
     lines = scored_csv.read_text(encoding="utf-8").splitlines()
     unlabeled_csv = tmp_path / "unlabeled.csv"
     unlabeled_csv.write_text(

@@ -31,8 +31,8 @@ def digest(value) -> str:
 
 
 def doubled(data: Dataset) -> Dataset:
-    """Every record twice, so equal ordering keys need their tie-break."""
-    return Dataset(data.records + data.records)
+    """Every row twice, so equal ordering keys need their tie-break."""
+    return Dataset([column * 2 for column in data.columns], data.labels * 2)
 
 
 # (label, dataset factory, test_fraction, split seed)

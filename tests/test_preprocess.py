@@ -59,9 +59,8 @@ class TestFitVocabulary:
         assert fit(tied).modes["ChestPainType"] == "ATA"
 
     def test_empty_dataset_rejected(self):
-        from cardiolearn.dataset import Dataset
         with pytest.raises(EmptyDataset):
-            fit(Dataset(records=()))
+            fit(make_dataset([]))
 
 
 class TestImputation:

@@ -23,6 +23,7 @@ from cardiolearn.rnn import (
     TrainHistory,
     _backward_batch,
     _batch_grads,
+    _forward_batch,
     _matvec,
     _mean_loss,
     _row_blocks,
@@ -59,17 +60,24 @@ def fields(params: RNNParams) -> list:
     return [getattr(params, name) for name in RNNParams.shapes(params.hidden_size)]
 
 
+def hidden_states(params: RNNParams, x: np.ndarray) -> np.ndarray:
+    """h_1..h_T of the recurrence on one feature row, (T, H)."""
+    return _forward_batch(params, np.asarray(x, dtype=float)[np.newaxis])[0][1:, 0]
+
+
 class TestForward:
     def test_zero_parameters_give_even_odds(self):
         params = RNNParams.zeros(hidden_size=3)
-        hs, prob = forward(params, np.array([0.4, -1.0, 2.5]))
+        x = np.array([0.4, -1.0, 2.5])
+        prob = forward(params, x)
+        hs = hidden_states(params, x)
         assert prob == 0.5
         assert np.all(hs == 0.0)
 
     def test_output_bias_alone_sets_the_odds(self):
         params = RNNParams.zeros(hidden_size=2)
         params.b_y[...] = math.log(3.0)
-        _, prob = forward(params, np.array([1.0, -2.0]))
+        prob = forward(params, np.array([1.0, -2.0]))
         assert prob == pytest.approx(0.75, abs=1e-12)
 
     def test_hand_unrolled_three_steps(self):
@@ -86,7 +94,8 @@ class TestForward:
             states.append(list(h))
         z = 0.7 * h[0] - 0.6 * h[1] + 0.1
         expected_prob = 1.0 / (1.0 + math.exp(-z))
-        hs, prob = forward(params, np.array(xs))
+        prob = forward(params, np.array(xs))
+        hs = hidden_states(params, np.array(xs))
         assert hs.shape == (3, 2)
         for t in range(3):
             assert hs[t, 0] == pytest.approx(states[t][0], abs=1e-12)
@@ -97,13 +106,13 @@ class TestForward:
         gen = SplitMix64(3)
         params = random_params(gen, hidden=4, scale=2.0)
         seq = np.array([5.0, -5.0, 3.0, 0.0, -2.0])
-        hs, _ = forward(params, seq)
+        hs = hidden_states(params, seq)
         assert np.all(hs > -1.0) and np.all(hs < 1.0)
 
     def test_probability_clamped(self):
         params = RNNParams.zeros(hidden_size=1)
         params.b_y[...] = 100.0
-        _, prob = forward(params, np.array([0.0]))
+        prob = forward(params, np.array([0.0]))
         assert prob == 1.0 - 1e-12
 
     def test_empty_sequence_rejected(self):
@@ -119,8 +128,8 @@ class TestForward:
     def test_column_order_changes_the_output(self):
         gen = SplitMix64(8)
         params = random_params(gen, hidden=3, scale=0.5)
-        a = forward(params, np.array([1.0, -2.0, 0.5]))[1]
-        b = forward(params, np.array([0.5, -2.0, 1.0]))[1]
+        a = forward(params, np.array([1.0, -2.0, 0.5]))
+        b = forward(params, np.array([0.5, -2.0, 1.0]))
         assert a != b
 
 
@@ -409,8 +418,7 @@ class TestTrainRnn:
         params, history = train_rnn(train, val, self.config(), 13)
         total = 0.0
         for row, label in zip(val.values, val.labels):
-            _, prob = forward(params, row)
-            total += bce(prob, float(label))
+            total += bce(forward(params, row), float(label))
         replayed = total / val.n_rows
         assert replayed == history.val_losses[history.best_epoch - 1]
         assert min(history.val_losses) == history.val_losses[history.best_epoch - 1]
@@ -446,7 +454,7 @@ class TestTrainRnn:
         assert got.b_y == params.b_y
 
         losses = [
-            bce(forward(params, row)[1], float(label))
+            bce(forward(params, row), float(label))
             for row, label in zip(train.values, train.labels)
         ]
         total = 0.0
@@ -521,7 +529,7 @@ class TestRNNModel:
         params = small_params()
         model = RNNModel(params=params)
         row = np.array([0.3, -1.2, 2.0])
-        _, expected = forward(params, row)
+        expected = forward(params, row)
         assert model.predict_proba(row[None]).tolist() == [expected]
 
 
@@ -637,9 +645,8 @@ class TestBatchKernels:
                 expected = [reference_forward(params, row) for row in rows]
                 assert_same_bits(model.predict_proba(rows), [prob for _, _, prob in expected])
                 for row, (hs, _, prob) in zip(rows, expected):
-                    got_hs, got_prob = forward(params, row)
-                    assert_same_bits(got_hs, hs[1:])
-                    assert got_prob == prob
+                    assert_same_bits(hidden_states(params, row), hs[1:])
+                    assert forward(params, row) == prob
 
     @pytest.mark.parametrize("hidden", [1, 2, 16])
     def test_batch_grads_equal_the_mean_of_per_row_bptt(self, hidden):
@@ -716,7 +723,7 @@ class TestMeanLoss:
         params = random_params(gen, 3, 2.0)
         data = np.random.default_rng(4)
         m = matrix(data.normal(0.0, 3.0, (41, 5)), data.integers(0, 2, 41))
-        losses = [bce(forward(params, row)[1], float(y))
+        losses = [bce(forward(params, row), float(y))
                   for row, y in zip(m.values, m.labels)]
         total = 0.0
         for loss in losses:
