@@ -1,10 +1,12 @@
 """Command-line surface for the toolkit.
 
 Subcommands: summarize, preprocess, train, evaluate, predict, gridsearch,
-compare, curves. Human-readable output goes to stdout as aligned tables;
-CSV artifacts are written atomically. Failures print exactly one
-machine-parseable line to stderr, `<CODE> <ErrorType>: <message>`, and map
-to stable exit codes:
+compare, curves. Each result is built here once as rows of plain values
+(str, int, float, or None for an undefined metric): `format_table` prints it
+to stdout with a format spec per column, and `rows_csv` writes it as CSV,
+each cell in the default spec; files are written atomically. Failures print
+exactly one machine-parseable line to stderr, `<CODE> <ErrorType>: <message>`,
+and map to stable exit codes:
 
     E_IO       2    E_SCHEMA   3    E_CONFIG   4
     E_VERSION  5    E_DATA     6
@@ -31,20 +33,19 @@ from .errors import BadHyperparameter, CardioLearnError
 from .evaluation import (
     METRIC_NAMES,
     EvalReport,
+    GridSearchResult,
     GridSpec,
     RunConfig,
     SelectionMetric,
     check_threshold,
     evaluate_model,
-    format_params,
-    format_value,
     grid_search,
-    results_csv,
 )
 from .hyperparams import NUMBER, check
 from .persistence import atomic_write_text, load_bundle, read_json, save_bundle
 from .pipeline import predict_probabilities, prepare_matrices, run_compare, run_training
 from .preprocess import UnseenPolicy
+from .rnn import TrainHistory
 from .training import ALGORITHM_LABELS, Algorithm
 
 EXIT_CODES = {"E_IO": 2, "E_SCHEMA": 3, "E_CONFIG": 4, "E_VERSION": 5, "E_DATA": 6}
@@ -53,64 +54,70 @@ EXIT_CODES = {"E_IO": 2, "E_SCHEMA": 3, "E_CONFIG": 4, "E_VERSION": 5, "E_DATA":
 _GRID_FILE_FLAGS = {"k": "k", "seed": "seed", "selection_metric": "metric"}
 
 
-# --- formatting helpers -------------------------------------------------------
+# --- result tables -------------------------------------------------------------
 
-def format_table(headers, rows) -> str:
-    widths = [
-        max(len(headers[i]), max((len(row[i]) for row in rows), default=0))
-        for i in range(len(headers))
-    ]
+def format_value(value, spec: str = "") -> str:
+    """One result cell: `value` in format `spec`, or NA when it is undefined.
+    The default spec writes a float as its shortest round-trip repr and an
+    int or str as it is."""
+    return "NA" if value is None else f"{value:{spec}}"
+
+
+def format_params(params: dict) -> str:
+    return ";".join(f"{name}={params[name]!r}" for name in sorted(params)) or "-"
+
+
+def format_table(headers, rows, specs) -> str:
+    """Aligned stdout table, each cell in its column's format spec."""
+    cells = [[format_value(cell, spec) for cell, spec in zip(row, specs)] for row in rows]
+    widths = [max(map(len, column)) for column in zip(headers, *cells)]
     def line(cells):
-        return "  ".join(cells[i].ljust(widths[i]) for i in range(len(cells))).rstrip()
+        return "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
     out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in rows)
+    out.extend(line(row) for row in cells)
     return "\n".join(out)
 
 
-def _report_row(report: EvalReport):
+def csv_table(header, rows) -> str:
+    """Header line plus one line per row of text cells, joined by commas
+    without quoting; the text ends with a newline."""
+    lines = [",".join(header)]
+    lines.extend(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def rows_csv(header, rows) -> str:
+    """`csv_table` of result rows, each cell in the default spec."""
+    return csv_table(header, (map(format_value, row) for row in rows))
+
+
+_METRIC_SPECS = (".4f",) * len(METRIC_NAMES)
+_REPORT_HEADERS = ("model", "threshold") + METRIC_NAMES + ("tp", "fp", "fn", "tn")
+_REPORT_SPECS = ("", "g") + _METRIC_SPECS + ("",) * 4
+
+
+def _report_rows(report: EvalReport) -> list:
     cm = report.matrix
-    return [
-        report.model_id,
-        f"{report.threshold:g}",
-        format_value(report.accuracy, ".4f"),
-        format_value(report.precision, ".4f"),
-        format_value(report.recall, ".4f"),
-        format_value(report.f1, ".4f"),
-        str(cm.tp), str(cm.fp), str(cm.fn), str(cm.tn),
-    ]
+    return [[report.model_id, report.threshold, *map(report.metric, METRIC_NAMES),
+             cm.tp, cm.fp, cm.fn, cm.tn]]
 
 
-_REPORT_HEADERS = ["model", "threshold", "accuracy", "precision", "recall",
-                   "f1", "tp", "fp", "fn", "tn"]
-
-
-def report_table(report: EvalReport) -> str:
-    return format_table(_REPORT_HEADERS, [_report_row(report)])
-
-
-def report_csv(report: EvalReport) -> str:
-    cm = report.matrix
-    cells = [report.model_id, repr(report.threshold)]
-    cells.extend(format_value(report.metric(name)) for name in METRIC_NAMES)
-    cells.extend(str(v) for v in (cm.tp, cm.fp, cm.fn, cm.tn))
-    return ds.csv_table(_REPORT_HEADERS, [cells])
-
-
-def compare_table(rows) -> str:
-    headers = ["Algorithm", "Accuracy", "Precision", "Recall", "F1"]
-    body = [
-        [label] + [format_value(report.metric(name), ".4f") for name in METRIC_NAMES]
-        for label, report in rows
-    ]
-    return format_table(headers, body)
-
-
-def compare_csv(rows) -> str:
-    return ds.csv_table(
-        ("algorithm",) + METRIC_NAMES,
-        ([label] + [format_value(report.metric(name)) for name in METRIC_NAMES]
-         for label, report in rows),
+def results_csv(result: GridSearchResult) -> str:
+    """Fold-level results table: model_id,params,fold,accuracy,precision,recall,f1."""
+    return rows_csv(
+        ("model_id", "params", "fold") + METRIC_NAMES,
+        ([report.model_id, format_params(candidate.params), fold,
+          *map(report.metric, METRIC_NAMES)]
+         for candidate in result.candidates
+         for fold, report in enumerate(candidate.cv.fold_reports)),
     )
+
+
+def curves_csv(history: TrainHistory) -> str:
+    """Per-epoch losses of an RNN fit: epoch,train_loss,val_loss."""
+    epochs = range(1, history.stopped_epoch + 1)
+    return rows_csv(("epoch", "train_loss", "val_loss"),
+                    zip(epochs, history.train_losses, history.val_losses))
 
 
 # --- argument plumbing ----------------------------------------------------------
@@ -263,28 +270,18 @@ def cmd_summarize(args) -> int:
     data = ds.load_csv(args.data)
     report = ds.summarize(data)
     headers = ["feature", "count", "missing", "min", "max", "mean", "std"]
-    rows = []
-    csv_rows = []
-    for name, stats in report.numeric.items():
-        rows.append([
-            name, str(stats.count), str(stats.missing),
-            format_value(stats.minimum, "g"), format_value(stats.maximum, "g"),
-            format_value(stats.mean, ".4f"), format_value(stats.std, ".4f"),
-        ])
-        csv_rows.append([
-            name, str(stats.count), str(stats.missing),
-            *(format_value(v) for v in (stats.minimum, stats.maximum, stats.mean, stats.std)),
-        ])
+    rows = [[name, stats.count, stats.missing, stats.minimum, stats.maximum, stats.mean, stats.std]
+            for name, stats in report.numeric.items()]
     print(f"records: {report.n_records}  positive: {report.positives}  "
           f"negative: {report.negatives}  positive fraction: {report.positive_fraction:.4f}")
     print()
-    print(format_table(headers, rows))
+    print(format_table(headers, rows, ("", "", "", "g", "g", ".4f", ".4f")))
     print()
     for name, hist in report.categorical.items():
         tokens = "  ".join(f"{token}:{count}" for token, count in hist.items())
         print(f"{name}: {tokens}")
     if args.out:
-        atomic_write_text(args.out, ds.csv_table(headers, csv_rows))
+        atomic_write_text(args.out, rows_csv(headers, rows))
         print(f"\nwrote numeric summary to {args.out}")
     return 0
 
@@ -301,16 +298,11 @@ def cmd_preprocess(args) -> int:
     print(f"class balance after  oversampling (neg, pos): {after}")
     print(f"outlier cells flagged at |z| > {outliers.threshold_z:g}: {outliers.count} (retained)")
     print()
-    headers = ["column", "mean", "std"]
-    rows = [
-        [name,
-         f"{train_m.values[:, i].mean():.6f}",
-         f"{train_m.values[:, i].std():.6f}"]
-        for i, name in enumerate(train_m.column_names)
-    ]
-    print(format_table(headers, rows))
+    rows = [[name, train_m.values[:, i].mean(), train_m.values[:, i].std()]
+            for i, name in enumerate(train_m.column_names)]
+    print(format_table(["column", "mean", "std"], rows, ("", ".6f", ".6f")))
     if args.out:
-        text = ds.csv_table(
+        text = csv_table(
             train_m.column_names + ("label",),
             ([*map(repr, row.tolist()), str(label)]
              for row, label in zip(train_m.values, train_m.labels.tolist())),
@@ -333,16 +325,17 @@ def cmd_train(args) -> int:
     config = _run_config(args, algorithm)
     outcome = run_training(data, config)
     save_bundle(outcome.bundle, args.out)
-    print(report_table(outcome.report))
+    rows = _report_rows(outcome.report)
+    print(format_table(_REPORT_HEADERS, rows, _REPORT_SPECS))
     print(f"\nbundle written to {args.out}")
     if outcome.history is not None:
         curves_path = args.curves or _default_curves_path(args.out)
-        atomic_write_text(curves_path, outcome.history.csv_text())
+        atomic_write_text(curves_path, curves_csv(outcome.history))
         print(f"loss curves written to {curves_path} "
               f"(best epoch {outcome.history.best_epoch}, "
               f"stopped at {outcome.history.stopped_epoch})")
     if args.report_csv:
-        atomic_write_text(args.report_csv, report_csv(outcome.report))
+        atomic_write_text(args.report_csv, rows_csv(_REPORT_HEADERS, rows))
         print(f"report CSV written to {args.report_csv}")
     return 0
 
@@ -355,9 +348,10 @@ def cmd_evaluate(args) -> int:
         bundle.model, matrix, _threshold(args, bundle),
         model_id=ALGORITHM_LABELS[bundle.algorithm],
     )
-    print(report_table(report))
+    rows = _report_rows(report)
+    print(format_table(_REPORT_HEADERS, rows, _REPORT_SPECS))
     if args.out:
-        atomic_write_text(args.out, report_csv(report))
+        atomic_write_text(args.out, rows_csv(_REPORT_HEADERS, rows))
         print(f"\nreport CSV written to {args.out}")
     return 0
 
@@ -367,7 +361,7 @@ def cmd_predict(args) -> int:
     data = ds.load_unlabeled_csv(args.data)
     threshold = _threshold(args, bundle)
     probabilities = predict_probabilities(bundle.preprocessor, bundle.model, data)
-    text = ds.csv_table(
+    text = csv_table(
         ("row_index", "probability", "label"),
         ((str(i), repr(p), "1" if p >= threshold else "0") for i, p in enumerate(probabilities)),
     )
@@ -391,15 +385,9 @@ def cmd_gridsearch(args) -> int:
     result = grid_search(spec, config, data)
     atomic_write_text(args.out, results_csv(result))
     headers = ["params", f"mean {metric.value}", f"std {metric.value}"]
-    rows = [
-        [
-            format_params(candidate.params),
-            format_value(candidate.cv.summary.means[metric.value], ".4f"),
-            format_value(candidate.cv.summary.stds[metric.value], ".4f"),
-        ]
-        for candidate in result.candidates
-    ]
-    print(format_table(headers, rows))
+    rows = [[format_params(candidate.params), candidate.cv.summary.means[metric.value],
+             candidate.cv.summary.stds[metric.value]] for candidate in result.candidates]
+    print(format_table(headers, rows, ("", ".4f", ".4f")))
     best_mean = format_value(result.best_mean, ".4f")
     print(f"\nbest: {format_params(result.best_params)} "
           f"(mean {metric.value} {best_mean} over {spec.k} folds)")
@@ -410,10 +398,12 @@ def cmd_gridsearch(args) -> int:
 def cmd_compare(args) -> int:
     data = ds.load_csv(args.data)
     config = _run_config(args, Algorithm.NB)  # per-algorithm families fixed below
-    rows = run_compare(data, config)
-    print(compare_table(rows))
+    rows = [[label, *map(report.metric, METRIC_NAMES)]
+            for label, report in run_compare(data, config)]
+    print(format_table(["Algorithm", "Accuracy", "Precision", "Recall", "F1"], rows,
+                       ("",) + _METRIC_SPECS))
     if args.out:
-        atomic_write_text(args.out, compare_csv(rows))
+        atomic_write_text(args.out, rows_csv(("algorithm",) + METRIC_NAMES, rows))
         print(f"\ncomparison CSV written to {args.out}")
     return 0
 
@@ -422,8 +412,8 @@ def cmd_curves(args) -> int:
     data = ds.load_csv(args.data)
     config = _run_config(args, Algorithm.RNN)
     outcome = run_training(data, config)
-    atomic_write_text(args.out, outcome.history.csv_text())
     history = outcome.history
+    atomic_write_text(args.out, curves_csv(history))
     print(f"wrote {len(history.train_losses)} epochs to {args.out} "
           f"(best epoch {history.best_epoch}, stopped at {history.stopped_epoch})")
     return 0

@@ -105,13 +105,17 @@ class Dataset:
         return self.labels.count(0), self.labels.count(1)
 
     def subset(self, indices) -> "Dataset":
-        """The rows at `indices`, in that order."""
+        """The rows at `indices`, in that order; built without `__post_init__`,
+        since every cell and label was checked when this dataset was made."""
         indices = tuple(indices)
         # itemgetter of one index gives the cell itself, and of none fails
         pick = itemgetter(*indices) if len(indices) > 1 else lambda cells: tuple(
             cells[i] for i in indices
         )
-        return Dataset(tuple(map(pick, self.columns)), pick(self.labels))
+        subset = object.__new__(Dataset)
+        object.__setattr__(subset, "columns", tuple(map(pick, self.columns)))
+        object.__setattr__(subset, "labels", pick(self.labels))
+        return subset
 
 
 def _floats_in_range(column: tuple) -> bool:
@@ -338,17 +342,6 @@ def write_csv(data: Dataset, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(FEATURE_NAMES) + [LABEL_COLUMN])
         writer.writerows(zip(*_text_columns(data), map(str, data.labels)))
-
-
-def csv_table(header, rows) -> str:
-    """Header line plus one line per row, cells joined by commas as given.
-
-    Cells are already-formatted strings and are written without quoting, so
-    each caller owns its cell formatting; the text ends with a newline.
-    """
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 def sum_in_order(values):

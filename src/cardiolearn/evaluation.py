@@ -30,7 +30,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import preprocess
-from .dataset import Dataset, csv_table, kfold
+from .dataset import Dataset, kfold
 from .errors import (
     EmptyGrid,
     EmptyPredictions,
@@ -303,25 +303,3 @@ def grid_search(spec: GridSpec, config: RunConfig, data: Dataset) -> GridSearchR
         best_mean=best_mean,
         candidates=tuple(evaluated),
     )
-
-
-def format_value(value: Optional[float], spec: str = "") -> str:
-    """Table or CSV cell: `value` in format `spec`, or NA when it is
-    undefined. The default spec writes a float as its full-precision repr."""
-    return "NA" if value is None else f"{value:{spec}}"
-
-
-def format_params(params: dict) -> str:
-    return ";".join(f"{name}={params[name]!r}" for name in sorted(params)) or "-"
-
-
-def results_csv(result: GridSearchResult) -> str:
-    """Fold-level results table: model_id,params,fold,accuracy,precision,recall,f1."""
-    rows = []
-    for candidate in result.candidates:
-        params = format_params(candidate.params)
-        for fold, report in enumerate(candidate.cv.fold_reports):
-            cells = [report.model_id, params, str(fold)]
-            cells.extend(format_value(report.metric(n)) for n in METRIC_NAMES)
-            rows.append(cells)
-    return csv_table(("model_id", "params", "fold") + METRIC_NAMES, rows)

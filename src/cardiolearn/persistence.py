@@ -31,16 +31,19 @@ FORMAT_VERSION = 1
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write whole-file contents via a temp file in the same directory."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write whole-file contents via a temp file in the same directory; an
+    OSError names `path`, not the temp file, with its type and errno kept."""
+    temp_path = None
     try:
+        fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
+    except BaseException as exc:
+        if temp_path is not None and os.path.exists(temp_path):
             os.unlink(temp_path)
+        if isinstance(exc, OSError):
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -56,7 +56,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .boosting import clamped_sigmoid
-from .dataset import csv_table, sum_in_order
+from .dataset import sum_in_order
 from .errors import (
     BadHyperparameter,
     DimensionMismatch,
@@ -155,13 +155,6 @@ class TrainHistory:
             self.best_epoch = len(self.val_losses)
             return True
         return False
-
-    def csv_text(self) -> str:
-        return csv_table(
-            ("epoch", "train_loss", "val_loss"),
-            ((str(i), repr(tr), repr(va))
-             for i, (tr, va) in enumerate(zip(self.train_losses, self.val_losses), start=1)),
-        )
 
 
 def init_params(hidden_size: int, init_scale: float, gen: SplitMix64) -> RNNParams:

@@ -68,6 +68,20 @@ class TestErrorCodes:
         assert err.startswith("E_IO FileNotFoundError:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("out", ["missing_dir/s.csv", "adir"],
+                             ids=["missing directory", "existing directory"])
+    def test_unwritable_out_names_the_requested_path(self, tmp_path, data_csv, capsys,
+                                                     monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        before = set(tmp_path.rglob("*"))
+        assert main(["summarize", "--data", data_csv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("E_IO ")
+        assert repr(out) in err and ".tmp" not in err
+        assert set(tmp_path.rglob("*")) == before
+
     def test_bad_fraction_is_config_error(self, data_csv, capsys):
         code = main(["preprocess", "--data", data_csv, "--test-fraction", "1.5"])
         assert code == 4

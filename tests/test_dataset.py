@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, spread_dataset
+from cardiolearn import dataset
 from cardiolearn.dataset import (
     CATEGORICAL_FEATURES,
     FEATURE_NAMES,
@@ -176,6 +177,26 @@ class TestSubset:
         assert part.columns == tuple(tuple(column[i] for i in indices) for column in data.columns)
         if indices == tuple(range(len(data))):
             assert part == data
+
+    @pytest.mark.parametrize("indices", [(), (7,), (11, 0, 5, 5, 23, 2)],
+                             ids=["no rows", "one row", "many rows"])
+    def test_skips_the_cell_checks_and_equals_the_checked_dataset(self, indices, monkeypatch):
+        data = synth_generate(24, 0.5, seed=8)
+        calls = []
+
+        def counted(check):
+            def wrapper(column):
+                calls.append(check.__name__)
+                return check(column)
+            return wrapper
+
+        for name in ("_floats_in_range", "_nonempty_tokens"):
+            monkeypatch.setattr(dataset, name, counted(getattr(dataset, name)))
+        part = data.subset(indices)
+        assert calls == []
+        columns = [[column[i] for i in indices] for column in data.columns]
+        assert part == Dataset(columns, [data.labels[i] for i in indices])
+        assert calls  # the direct construction still checks every column
 
     def test_one_row_test_side(self):
         # quotas round(3 * 0.2) = 1 and round(2 * 0.2) = 0

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import matrix, spread_dataset
 from cardiolearn import evaluation, preprocess
+from cardiolearn.cli import format_params, results_csv
 from cardiolearn.dataset import Dataset, kfold, synth_generate
 from cardiolearn.errors import (
     BadHyperparameter,
@@ -27,11 +28,9 @@ from cardiolearn.evaluation import (
     encode_folds,
     encode_partitions,
     evaluate_model,
-    format_params,
     grid_candidates,
     grid_search,
     metrics,
-    results_csv,
     summarize_reports,
 )
 from cardiolearn.persistence import serialize_model, serialize_preprocessor

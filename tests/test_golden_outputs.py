@@ -8,12 +8,14 @@ recorded below; the bundle is hashed with its created_at line removed.
 Any change to a probability, a report cell or a bundle byte shows
 up here. The fold-level results CSV of `gridsearch` is pinned the same way,
 so every cross-validation fold's preprocessing, oversampling and fit are
-covered too.
+covered too, and every subcommand's stdout and written files are pinned
+once more on one shared set of inputs.
 """
 
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +216,72 @@ def test_imputed_artifacts_match_recorded_digests(tmp_path):
         "report": _sha256(report.read_bytes()),
         "predictions": _sha256(predictions.read_bytes()),
     } == SENTINEL_DIGESTS
+
+
+# grid file of the all-subcommand digests: two gb candidates
+SUBCOMMAND_GRID = {"n_rounds": [4, 8], "max_depth": [2]}
+
+# Recorded before the CLI built each result as one list of rows.
+SUBCOMMAND_DIGESTS = {
+    "summarize": "fd993a38f5de2a30be5f9c33bfc60e67bc38b18cfc4a9df65292ecda73aae04e",
+    "summary.csv": "fd4a22ab248d538dad66f473beaa5a36e311d08bb405c28c1cc78690f3ff412a",
+    "preprocess": "fc91a8ccec895b48f079d06333644f82aadc3fb3ca07724bd6d6070162443dc4",
+    "matrix.csv": "44409974708d5f08527d95a99c61b6aca2868053438ab2831a59b75c83925a3d",
+    "train": "0194a14992e6b37c3be88b459282b63e99e1a9949a6438afcc184e520b80c866",
+    "model.json": "9da1a64c1f247e0c5f9369f2bb6c8025e3030aa6eae1b46e5851e5139087e13c",
+    "train_report.csv": "9e37623bc86564799e84bbe2315461bb6fa64366a665445933ba3c2f06f64cf7",
+    "evaluate": "c6745f608614c04ff28050451887b6ac05286967aef98f0ab3d4b33a00d896cb",
+    "report.csv": "489d2cffbd98374bf82a8e63d35ecaa0b4bfed0032039eb078bb3d7922e6cf18",
+    "predict": "907b774428873f6fc438ac61eeca37b3d9f1c46bf508894223ce3b19219406c5",
+    "predictions.csv": "240056d7720708bbc850c377225ac90e8ed0b2f8f8138b5b6b99ebae15b6ab4f",
+    "gridsearch": "2b5da1d23710d5061be457ab30d7bea153f2a85edd1dd6817be54a1e9a24b22e",
+    "grid_results.csv": "8c1194a3511680cc5cdabdaecb8853027e407f20d1e6d3bd8bf11293969bc4d0",
+    "compare": "63b2213f5a83b3a50c9325b7ce3989d7b7029e8f611908454b735d39206e6180",
+    "compare.csv": "9fece0aeb3b2df79df9875b11f5af4f967753d077228d8d16fa29a3df8a9dd90",
+    "curves": "036296aa0079065b8dae0f8fb3b0ad50a0beb24cf0aeecde5bc92608de8720ee",
+}
+
+
+def subcommand_digests(capsys) -> dict:
+    """Run every subcommand in the working directory on relative paths; the
+    SHA-256 of each one's stdout and of each file it writes (the bundle with
+    its created_at line removed). `curves` pins its stdout only: its CSV
+    holds loss reprs, which move with the CPU dispatch path."""
+    write_csv(sentinels(synth_generate(120, 0.45, seed=51)), "train.csv")
+    write_csv(synth_generate(60, 0.5, seed=52), "scored.csv")
+    lines = Path("scored.csv").read_text(encoding="utf-8").splitlines()
+    Path("unlabeled.csv").write_text(
+        "\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n", encoding="utf-8"
+    )
+    Path("grid.json").write_text(json.dumps({"grid": SUBCOMMAND_GRID}), encoding="utf-8")
+    runs = {
+        "summarize": (["--data", "train.csv", "--out", "summary.csv"], ["summary.csv"]),
+        "preprocess": (["--data", "train.csv", "--seed", "3", "--out", "matrix.csv"],
+                       ["matrix.csv"]),
+        "train": (["--data", "train.csv", "--algo", "xgb", "--seed", "3", "--param", "n_rounds=8",
+                   "--out", "model.json", "--report-csv", "train_report.csv"],
+                  ["model.json", "train_report.csv"]),
+        "evaluate": (["--bundle", "model.json", "--data", "scored.csv", "--threshold", "0.999",
+                      "--out", "report.csv"],
+                     ["report.csv"]),
+        "predict": (["--bundle", "model.json", "--data", "unlabeled.csv"], ["predictions.csv"]),
+        "gridsearch": (["--data", "train.csv", "--algo", "gb", "--grid", "grid.json", "--k", "3",
+                        "--out", "grid_results.csv"], ["grid_results.csv"]),
+        "compare": (["--data", "scored.csv", "--seed", "3", "--out", "compare.csv"],
+                    ["compare.csv"]),
+        "curves": (["--data", "train.csv", "--param", "max_epochs=3", "--param", "hidden_size=4"],
+                   []),
+    }
+    digests = {}
+    for command, (argv, outputs) in runs.items():
+        capsys.readouterr()
+        assert main([command, *argv]) == 0
+        digests[command] = _sha256(capsys.readouterr().out.encode("utf-8"))
+        for name in outputs:
+            digests[name] = _sha256(_CREATED_AT.sub(b"", Path(name).read_bytes()))
+    return digests
+
+
+def test_every_subcommand_output_matches_recorded_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert subcommand_digests(capsys) == SUBCOMMAND_DIGESTS

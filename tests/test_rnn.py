@@ -9,6 +9,7 @@ import pytest
 
 from conftest import clamp_probability, matrix
 from cardiolearn.boosting import sigmoid
+from cardiolearn.cli import curves_csv
 from cardiolearn.errors import (
     BadHyperparameter,
     DimensionMismatch,
@@ -516,7 +517,7 @@ class TestTrainHistory:
         history = TrainHistory(
             train_losses=[0.5, 0.25], val_losses=[0.6, 0.3], best_epoch=2
         )
-        text = history.csv_text()
+        text = curves_csv(history)
         lines = text.splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert lines[1] == f"1,{0.5!r},{0.6!r}"
