@@ -42,7 +42,7 @@ from .evaluation import (
     grid_search,
 )
 from .hyperparams import NUMBER, check
-from .persistence import atomic_write_text, load_bundle, read_json, save_bundle
+from .persistence import atomic_write_text, check_writable, load_bundle, read_json, save_bundle
 from .pipeline import predict_probabilities, prepare_matrices, run_compare, run_training
 from .preprocess import UnseenPolicy
 from .rnn import TrainHistory
@@ -321,6 +321,13 @@ def cmd_train(args) -> int:
     algorithm = Algorithm(args.algo)
     if args.curves and algorithm is not Algorithm.RNN:
         raise BadHyperparameter("--curves applies only to --algo rnn")
+    curves_path = None
+    if algorithm is Algorithm.RNN:
+        curves_path = args.curves or _default_curves_path(args.out)
+    # fail on an unwritable output before the fit, and before any file is written
+    for path in (args.out, curves_path, args.report_csv):
+        if path:
+            check_writable(path)
     data = ds.load_csv(args.data)
     config = _run_config(args, algorithm)
     outcome = run_training(data, config)
@@ -329,7 +336,6 @@ def cmd_train(args) -> int:
     print(format_table(_REPORT_HEADERS, rows, _REPORT_SPECS))
     print(f"\nbundle written to {args.out}")
     if outcome.history is not None:
-        curves_path = args.curves or _default_curves_path(args.out)
         atomic_write_text(curves_path, curves_csv(outcome.history))
         print(f"loss curves written to {curves_path} "
               f"(best epoch {outcome.history.best_epoch}, "

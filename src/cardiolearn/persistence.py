@@ -8,6 +8,7 @@ same config produce byte-identical documents apart from the created_at
 line. All files are written atomically (temp file, then rename).
 """
 
+import errno
 import json
 import os
 import tempfile
@@ -30,13 +31,27 @@ from .training import FAMILY_CONFIGS, PARAM_DEFAULTS, Algorithm, family_config
 FORMAT_VERSION = 1
 
 
+def _temp_beside(path: str) -> tuple:
+    """(fd, path) of a new temp file in `path`'s directory."""
+    return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+
+
+def _umask() -> int:
+    """The process umask, which can only be read by setting it."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path: str, text: str) -> None:
-    """Write whole-file contents via a temp file in the same directory; an
+    """Write whole-file contents via a temp file in the same directory, with
+    the mode open(path, "w") gives a new file, 0o666 less the umask; an
     OSError names `path`, not the temp file, with its type and errno kept."""
     temp_path = None
     try:
-        fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        fd, temp_path = _temp_beside(path)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            os.chmod(temp_path, 0o666 & ~_umask())
             handle.write(text)
         os.replace(temp_path, path)
     except BaseException as exc:
@@ -45,6 +60,20 @@ def atomic_write_text(path: str, text: str) -> None:
         if isinstance(exc, OSError):
             raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def check_writable(path: str) -> None:
+    """Raise the OSError `atomic_write_text(path, ...)` would raise for a
+    path that is a directory or whose directory is missing or unwritable;
+    leaves no file behind."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        fd, temp_path = _temp_beside(path)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
+    os.close(fd)
+    os.unlink(temp_path)
 
 
 def read_json(path: str, what: str, error: type):

@@ -50,9 +50,11 @@ _NUMERIC_COLUMNS = tuple(
 _CATEGORICAL_COLUMNS = tuple((FEATURE_NAMES.index(name), name) for name in CATEGORICAL_FEATURES)
 _AGE = FEATURE_NAMES.index("Age")
 _SEX = FEATURE_NAMES.index("Sex")
-# rows per distance block in the SMOTE neighbour search, which holds
-# _lane_count(d) distance lanes of (block, m), nine for 8 to 128 columns
-_NEIGHBOUR_BLOCK = 64
+# float64 scratch per block of the SMOTE neighbour search: a block of b rows
+# holds _lane_count(d) distance lanes of (b, m), nine for 8 to 128 columns,
+# and np.partition's (b, m) copy. 2 MiB, about one L2 cache, so b shrinks as
+# m grows; past the point where one row's lanes exceed it, b stays 1
+_NEIGHBOUR_FLOATS = 1 << 18
 # NumPy's pairwise sum adds a run of up to this many values in eight lanes
 # and halves a longer run
 _PAIRWISE_RUN = 128
@@ -356,17 +358,22 @@ def _nearest_neighbours(points: np.ndarray, k: int, n: int) -> np.ndarray:
     Each of those rows is ranked against all m rows. Distance is Euclidean
     over all columns, each squared distance summed in `_squared_distances`'
     fixed order; ties go to the lower row position. A row's neighbours
-    depend only on its own distances, so they do not change with n.
-    Distances are computed _NEIGHBOUR_BLOCK rows at a time in one scratch
-    array of (block, m) lanes, so the search costs O(n * m * d) time and
-    O(block * m) memory.
+    depend only on its own distances, so they change neither with n nor
+    with the block size. Distances are computed a block of rows at a time,
+    as many rows as fit their (block, m) lanes and partition copy in
+    _NEIGHBOUR_FLOATS, so the search costs O(n * m * d) time and a fixed
+    scratch budget. Only once a single row's lanes exceed the budget, above
+    about 26000 rows at 8 to 128 columns, does the one-row block's scratch
+    of (_lane_count(d) + 1) * m floats grow with m.
     """
     m, d = points.shape
     columns = np.ascontiguousarray(points.T)
-    lanes = np.empty((_lane_count(d), min(n, _NEIGHBOUR_BLOCK), m))
+    lane_count = _lane_count(d)
+    block = max(1, min(n, _NEIGHBOUR_FLOATS // ((lane_count + 1) * m)))
+    lanes = np.empty((lane_count, block, m))
     neighbours = np.empty((n, k), dtype=np.int64)
-    for start in range(0, n, _NEIGHBOUR_BLOCK):
-        block_columns = columns[:, start:min(start + _NEIGHBOUR_BLOCK, n)]
+    for start in range(0, n, block):
+        block_columns = columns[:, start:min(start + block, n)]
         b = block_columns.shape[1]
         distances = _squared_distances(block_columns, columns, lanes[:, :b])
         np.sqrt(distances, out=distances)
@@ -393,8 +400,9 @@ def smote(m: FeatureMatrix, k: int, seed: int) -> FeatureMatrix:
     SplitMix64 stream. Neighbours are ranked by Euclidean distance over all
     columns, summed in a fixed order, ties broken by row position. Only the
     q = min(needed, m) minority rows that synthetic rows start from are
-    searched, each against all m minority rows: O(q * m * d) time and
-    O(block * m) memory. Original rows are preserved unchanged, in order,
+    searched, each against all m minority rows: O(q * m * d) time in a
+    fixed scratch budget, O(m) only once one row's distances exceed it (see
+    `_nearest_neighbours`). Original rows are preserved unchanged, in order,
     ahead of the synthetic block.
     """
     labels = m.labels

@@ -24,7 +24,7 @@ from cardiolearn.errors import (
     UnparsableCell,
     VersionMismatch,
 )
-from cardiolearn.persistence import FORMAT_VERSION, load_bundle
+from cardiolearn.persistence import FORMAT_VERSION, atomic_write_text, load_bundle
 from cardiolearn.rng import SplitMix64
 
 
@@ -990,6 +990,28 @@ class TestTrain:
         lines = curves.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == 1 + 3
+
+    @pytest.mark.parametrize("algo, flag", [
+        ("nb", "--report-csv"), ("rnn", "--report-csv"), ("rnn", "--curves"),
+    ])
+    @pytest.mark.parametrize("path", ["nodir/r.csv", "adir"],
+                             ids=["missing directory", "existing directory"])
+    def test_unwritable_output_fails_before_any_file_is_written(
+            self, tmp_path, data_csv, capsys, monkeypatch, algo, flag, path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        before = set(tmp_path.rglob("*"))
+        params = ("--param", "max_epochs=2", "--param", "hidden_size=4") if algo == "rnn" else ()
+        code = main(["train", "--data", data_csv, "--algo", algo, "--out", "m2.json",
+                     flag, path, *params])
+        assert code == 2
+        captured = capsys.readouterr()
+        with pytest.raises(OSError) as raised:
+            atomic_write_text(path, "")
+        assert captured.err == f"E_IO {type(raised.value).__name__}: {raised.value}\n"
+        assert repr(path) in captured.err
+        assert captured.out == ""
+        assert set(tmp_path.rglob("*")) == before
 
     def test_curves_flag_on_non_rnn_rejected(self, tmp_path, data_csv, capsys):
         code = main([

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cardiolearn.persistence import (
     atomic_write_text,
     build_bundle,
     bundle_text,
+    check_writable,
     deserialize_model,
     deserialize_preprocessor,
     deserialize_report,
@@ -61,6 +63,36 @@ class TestAtomicWrite:
         path = tmp_path / "out.txt"
         atomic_write_text(str(path), "x")
         assert os.listdir(tmp_path) == ["out.txt"]
+
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask 022", "umask 077"])
+    def test_mode_is_what_open_gives_under_the_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "report.csv"
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(str(path), "x")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    @pytest.mark.parametrize("name", ["nodir/out.txt", "adir", "afile/out.txt"])
+    def test_check_writable_raises_what_the_write_would(self, tmp_path, name):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("x")
+        before = set(tmp_path.rglob("*"))
+        path = str(tmp_path / name)
+        with pytest.raises(OSError) as checked:
+            check_writable(path)
+        with pytest.raises(OSError) as written:
+            atomic_write_text(path, "x")
+        assert type(checked.value) is type(written.value)
+        assert str(checked.value) == str(written.value)
+        assert set(tmp_path.rglob("*")) == before
+
+    def test_check_writable_leaves_no_file(self, tmp_path):
+        check_writable(str(tmp_path / "out.txt"))
+        assert os.listdir(tmp_path) == []
 
 
 class TestPreprocessorRoundTrip:

@@ -475,6 +475,64 @@ class TestNearestNeighbours:
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+_SYNTH_DATA = synth_generate(400, 0.3, seed=7)
+_SYNTH_MATRIX = transform(fit(_SYNTH_DATA), _SYNTH_DATA)
+
+
+def _block_budget(monkeypatch, rows, m, d):
+    """Set the neighbour search's float budget to hold `rows` rows of m."""
+    monkeypatch.setattr(preprocess, "_NEIGHBOUR_FLOATS", rows * (_lane_count(d) + 1) * m)
+
+
+class TestNeighbourBlocks:
+    @pytest.mark.parametrize(
+        "points, k",
+        [*_TIE_CASES, (_SYNTH_MATRIX.values[_SYNTH_MATRIX.labels == 1], 5)],
+        ids=[*_TIE_CASE_IDS, "synth-minority"],
+    )
+    def test_block_size_never_changes_a_neighbour(self, monkeypatch, points, k):
+        m, d = points.shape
+        whole = _nearest_neighbours(points, k, m)
+        widths = []
+        kernel = preprocess._squared_distances
+
+        def recording(block_columns, columns, lanes):
+            widths.append(block_columns.shape[1])
+            return kernel(block_columns, columns, lanes)
+
+        monkeypatch.setattr(preprocess, "_squared_distances", recording)
+        for rows in (1, 2, 7, m):
+            _block_budget(monkeypatch, rows, m, d)
+            widths.clear()
+            got = _nearest_neighbours(points, k, m)
+            assert widths[0] == rows and sum(widths) == m, rows
+            assert got.astype("<i8").tobytes() == whole.astype("<i8").tobytes(), rows
+
+    def test_block_size_never_changes_a_synthetic_row(self, monkeypatch):
+        m = _SYNTH_MATRIX
+        points = m.values[m.labels == 1]
+        whole = smote(m, k=5, seed=3).values.tobytes()
+        for rows in (1, 2, 7, len(points)):
+            _block_budget(monkeypatch, rows, *points.shape)
+            assert smote(m, k=5, seed=3).values.tobytes() == whole, rows
+
+    @pytest.mark.parametrize("m", [2000, 8000])
+    def test_scratch_stays_in_budget_as_m_grows(self, m):
+        n, k = 100, 5
+        points = np.random.default_rng(m).normal(0.0, 1.0, (m, 11))
+        tracemalloc.start()
+        try:
+            neighbours = _nearest_neighbours(points, k, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the column-major copy of the points is input-sized; NumPy's
+        # iterator buffers and the candidate indices fit the allowance
+        allowance = points.nbytes + 2**19
+        bound = preprocess._NEIGHBOUR_FLOATS * 8 + neighbours.nbytes + allowance
+        assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
 class TestEndToEnd:
     def test_synth_pipeline_contracts(self):
         data = synth_generate(120, 0.4, seed=21)
