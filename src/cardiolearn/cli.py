@@ -4,9 +4,10 @@ Subcommands: summarize, preprocess, train, evaluate, predict, gridsearch,
 compare, curves. Each result is built here once as rows of plain values
 (str, int, float, or None for an undefined metric): `format_table` prints it
 to stdout with a format spec per column, and `rows_csv` writes it as CSV,
-each cell in the default spec; files are written atomically. Failures print
-exactly one machine-parseable line to stderr, `<CODE> <ErrorType>: <message>`,
-and map to stable exit codes:
+each cell in the default spec; every output path is checked writable before
+the command loads anything, and files are written atomically. Failures
+print exactly one machine-parseable line to stderr,
+`<CODE> <ErrorType>: <message>`, and map to stable exit codes:
 
     E_IO       2    E_SCHEMA   3    E_CONFIG   4
     E_VERSION  5    E_DATA     6
@@ -312,22 +313,27 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _default_curves_path(out_path: str) -> str:
-    stem, _ = os.path.splitext(out_path)
-    return stem + "_curves.csv"
+def _curves_path(args):
+    """train's loss-curve path: --curves, else the bundle path's stem plus
+    `_curves.csv`, for an rnn; None for any other algorithm."""
+    if Algorithm(args.algo) is not Algorithm.RNN:
+        if args.curves:
+            raise BadHyperparameter("--curves applies only to --algo rnn")
+        return None
+    stem, _ = os.path.splitext(args.out)
+    return args.curves or stem + "_curves.csv"
+
+
+def _output_paths(args) -> tuple:
+    """Each path the command may write, None where it writes none."""
+    if args.command == "train":
+        return (args.out, _curves_path(args), args.report_csv)
+    return (args.out,)
 
 
 def cmd_train(args) -> int:
     algorithm = Algorithm(args.algo)
-    if args.curves and algorithm is not Algorithm.RNN:
-        raise BadHyperparameter("--curves applies only to --algo rnn")
-    curves_path = None
-    if algorithm is Algorithm.RNN:
-        curves_path = args.curves or _default_curves_path(args.out)
-    # fail on an unwritable output before the fit, and before any file is written
-    for path in (args.out, curves_path, args.report_csv):
-        if path:
-            check_writable(path)
+    curves_path = _curves_path(args)
     data = ds.load_csv(args.data)
     config = _run_config(args, algorithm)
     outcome = run_training(data, config)
@@ -446,6 +452,10 @@ def main(argv=None) -> int:
         if args.config:
             doc = read_json(args.config, "config file", BadHyperparameter)
             _apply_keys(args, "config", check(doc, dict, "config file"), args.flags)
+        # fail on an unwritable output before any load or fit, and before
+        # any file is written
+        for path in filter(None, _output_paths(args)):
+            check_writable(path)
         return _HANDLERS[args.command](args)
     except CardioLearnError as exc:
         message = " ".join(str(exc).split())

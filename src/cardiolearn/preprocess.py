@@ -51,13 +51,11 @@ _CATEGORICAL_COLUMNS = tuple((FEATURE_NAMES.index(name), name) for name in CATEG
 _AGE = FEATURE_NAMES.index("Age")
 _SEX = FEATURE_NAMES.index("Sex")
 # float64 scratch per block of the SMOTE neighbour search: a block of b rows
-# holds _lane_count(d) distance lanes of (b, m), nine for 8 to 128 columns,
-# and np.partition's (b, m) copy. 2 MiB, about one L2 cache, so b shrinks as
-# m grows; past the point where one row's lanes exceed it, b stays 1
+# holds two distance lanes of (b, m), the running total and the column being
+# added, and np.partition's (b, m) copy. 2 MiB, about one L2 cache, so b
+# shrinks as m grows; past about 87000 rows (2**18 / 3), where one row's
+# three lanes exceed it, b stays 1
 _NEIGHBOUR_FLOATS = 1 << 18
-# NumPy's pairwise sum adds a run of up to this many values in eight lanes
-# and halves a longer run
-_PAIRWISE_RUN = 128
 
 
 class UnseenPolicy(enum.Enum):
@@ -295,37 +293,14 @@ def flag_outliers(m: FeatureMatrix, threshold_z: float = 3.0) -> OutlierReport:
     return OutlierReport(flags=flags, threshold_z=threshold_z)
 
 
-def _lane_count(d: int) -> int:
-    """(block, m) lanes `_squared_distances` needs for d columns: eight
-    running sums and the column being added, or a total and a column below
-    8 columns, plus one per half held while the other half is summed."""
-    if d > _PAIRWISE_RUN:
-        half = d // 2 - (d // 2) % 8
-        return max(_lane_count(half), 1 + _lane_count(d - half))
-    return 9 if d >= 8 else 2
-
-
 def _squared_distances(block_columns: np.ndarray, columns: np.ndarray, lanes: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances from each block row to each row, (b, m).
 
     `block_columns` (d, b) and `columns` (d, m) hold the rows column by
-    column, and `lanes` is (_lane_count(d), b, m) scratch; the result is
-    lanes[0]. Each column's squared differences fill one lane, and the lanes
-    are added in the order NumPy's pairwise sum adds a contiguous axis:
-    left to right below 8 columns; up to _PAIRWISE_RUN columns, eight
-    running lanes, then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail
-    in order; past that, the two halves split at a multiple of 8 and added.
-    So the result equals np.sum(diffs * diffs, axis=-1) with diffs =
-    block[:, None, :] - points[None, :, :] bit for bit, from elementwise
-    IEEE operations alone.
+    column, and `lanes` is (2, b, m) scratch; the result is lanes[0]. The
+    columns' squared differences are added left to right, in schema order,
+    so a pair's distance depends only on its two rows.
     """
-    d = len(columns)
-    if d > _PAIRWISE_RUN:
-        half = d // 2 - (d // 2) % 8
-        total = _squared_distances(block_columns[:half], columns[:half], lanes)
-        total += _squared_distances(block_columns[half:], columns[half:], lanes[1:])
-        return total
-
     def square(j, lane):
         # row minus block row: x - y is exactly -(y - x) in IEEE
         # arithmetic, so the square is the same, and NumPy broadcasts this
@@ -334,21 +309,10 @@ def _squared_distances(block_columns: np.ndarray, columns: np.ndarray, lanes: np
         lane -= block_columns[j][:, None]
         return np.multiply(lane, lane, out=lane)
 
-    if d < 8:
-        total = square(0, lanes[0])
-        for j in range(1, d):
-            total += square(j, lanes[1])
-        return total
-    for j in range(8):
-        square(j, lanes[j])
-    tail = d - d % 8
-    for j in range(8, tail):
-        lanes[j % 8] += square(j, lanes[8])
-    for into, add in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-        lanes[into] += lanes[add]
-    for j in range(tail, d):
-        lanes[0] += square(j, lanes[8])
-    return lanes[0]
+    total = square(0, lanes[0])
+    for j in range(1, len(columns)):
+        total += square(j, lanes[1])
+    return total
 
 
 def _nearest_neighbours(points: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -356,21 +320,20 @@ def _nearest_neighbours(points: np.ndarray, k: int, n: int) -> np.ndarray:
     rows, shape (n, k).
 
     Each of those rows is ranked against all m rows. Distance is Euclidean
-    over all columns, each squared distance summed in `_squared_distances`'
-    fixed order; ties go to the lower row position. A row's neighbours
-    depend only on its own distances, so they change neither with n nor
-    with the block size. Distances are computed a block of rows at a time,
-    as many rows as fit their (block, m) lanes and partition copy in
-    _NEIGHBOUR_FLOATS, so the search costs O(n * m * d) time and a fixed
-    scratch budget. Only once a single row's lanes exceed the budget, above
-    about 26000 rows at 8 to 128 columns, does the one-row block's scratch
-    of (_lane_count(d) + 1) * m floats grow with m.
+    over all columns, each squared distance summed left to right in schema
+    order (`_squared_distances`); ties go to the lower row position. A row's
+    neighbours depend only on its own distances, so they change neither
+    with n nor with the block size. Distances are computed a block of rows
+    at a time, as many rows as fit their two (block, m) lanes and partition
+    copy in _NEIGHBOUR_FLOATS, so the search costs O(n * m * d) time and a
+    fixed scratch budget. Only once a single row's three lanes exceed the
+    budget, above about 87000 rows, does the one-row block's scratch of
+    3 * m floats grow with m.
     """
-    m, d = points.shape
+    m = len(points)
     columns = np.ascontiguousarray(points.T)
-    lane_count = _lane_count(d)
-    block = max(1, min(n, _NEIGHBOUR_FLOATS // ((lane_count + 1) * m)))
-    lanes = np.empty((lane_count, block, m))
+    block = max(1, min(n, _NEIGHBOUR_FLOATS // (3 * m)))
+    lanes = np.empty((2, block, m))
     neighbours = np.empty((n, k), dtype=np.int64)
     for start in range(0, n, block):
         block_columns = columns[:, start:min(start + block, n)]
@@ -378,8 +341,9 @@ def _nearest_neighbours(points: np.ndarray, k: int, n: int) -> np.ndarray:
         distances = _squared_distances(block_columns, columns, lanes[:, :b])
         np.sqrt(distances, out=distances)
         # self sits at distance 0, so the k nearest others all lie at or
-        # below each row's (k+1)-th smallest distance
-        cutoff = np.partition(distances, k, axis=1)[:, k]
+        # below each row's (k+1)-th smallest distance; copied out, so that
+        # the partitioned (b, m) copy is freed before the next block
+        cutoff = np.partition(distances, k, axis=1)[:, k].copy()
         rows, cols = np.nonzero(distances <= cutoff[:, None])
         others = cols != rows + start
         rows, cols = rows[others], cols[others]
@@ -398,12 +362,13 @@ def smote(m: FeatureMatrix, k: int, seed: int) -> FeatureMatrix:
     row order), nn one of its k nearest minority neighbours, and u uniform
     in [0, 1); each row draws its neighbour slot, then its u, from one
     SplitMix64 stream. Neighbours are ranked by Euclidean distance over all
-    columns, summed in a fixed order, ties broken by row position. Only the
-    q = min(needed, m) minority rows that synthetic rows start from are
-    searched, each against all m minority rows: O(q * m * d) time in a
-    fixed scratch budget, O(m) only once one row's distances exceed it (see
-    `_nearest_neighbours`). Original rows are preserved unchanged, in order,
-    ahead of the synthetic block.
+    columns, summed left to right in schema order, ties broken by row
+    position. Only the q = min(needed, m) minority rows that synthetic rows
+    start from are searched, each against all m minority rows: O(q * m * d)
+    time in a fixed scratch budget, O(m) only past about 87000 minority
+    rows, where one row's distances exceed it (see `_nearest_neighbours`).
+    Original rows are preserved unchanged, in order, ahead of the synthetic
+    block.
     """
     labels = m.labels
     counts = {0: int(np.sum(labels == 0)), 1: int(np.sum(labels == 1))}

@@ -14,7 +14,7 @@ import pytest
 import cardiolearn
 
 from conftest import make_dataset
-from cardiolearn import evaluation
+from cardiolearn import cli, dataset, evaluation
 from cardiolearn.cli import main
 from cardiolearn.dataset import synth_generate, write_csv
 from cardiolearn.errors import (
@@ -53,6 +53,20 @@ def train_bundle(tmp_path, data_csv, algo="nb", extra=()):
     return str(out)
 
 
+_RNN_PARAMS = ("--param", "max_epochs=2", "--param", "hidden_size=4")
+
+
+def _refuse_work(monkeypatch):
+    """Make every load, fit and search the CLI can start fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the output paths were checked")
+
+    for module, name in [(dataset, "load_csv"), (dataset, "load_unlabeled_csv"),
+                         (cli, "load_bundle"), (cli, "prepare_matrices"),
+                         (cli, "run_training"), (cli, "grid_search"), (cli, "run_compare")]:
+        monkeypatch.setattr(module, name, refuse)
+
+
 class TestErrorCodes:
     def test_exit_code_map(self):
         assert FractionOutOfRange("x").code == "E_CONFIG"
@@ -80,6 +94,58 @@ class TestErrorCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("E_IO ")
         assert repr(out) in err and ".tmp" not in err
+        assert set(tmp_path.rglob("*")) == before
+
+    # each command's arguments but --data, PATH standing for the unwritable
+    # output path; cfg.json sets compare's --out to it
+    @pytest.mark.parametrize("argv", [
+        ["train", "--algo", "nb", "--out", "m2.json", "--report-csv", "PATH"],
+        ["train", "--algo", "rnn", "--out", "m2.json", "--report-csv", "PATH", *_RNN_PARAMS],
+        ["train", "--algo", "rnn", "--out", "m2.json", "--curves", "PATH", *_RNN_PARAMS],
+        ["train", "--algo", "xgb", "--out", "PATH"],
+        ["summarize", "--out", "PATH"],
+        ["preprocess", "--out", "PATH"],
+        ["evaluate", "--bundle", "m.json", "--out", "PATH"],
+        ["predict", "--bundle", "m.json", "--out", "PATH"],
+        ["gridsearch", "--algo", "xgb", "--grid", "grid.json", "--out", "PATH"],
+        ["compare", "--out", "PATH"],
+        ["compare", "--config", "cfg.json"],
+        ["curves", "--out", "PATH"],
+    ], ids=[
+        "train nb --report-csv", "train rnn --report-csv", "train rnn --curves", "train --out",
+        "summarize", "preprocess", "evaluate", "predict", "gridsearch", "compare",
+        "compare config out", "curves",
+    ])
+    @pytest.mark.parametrize("path", ["nodir/r.csv", "adir"],
+                             ids=["missing directory", "existing directory"])
+    def test_unwritable_output_fails_before_any_file_is_written(
+            self, tmp_path, data_csv, capsys, monkeypatch, argv, path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": path}), encoding="utf-8")
+        _refuse_work(monkeypatch)
+        before = set(tmp_path.rglob("*"))
+        code = main([argv[0], "--data", data_csv,
+                     *(path if arg == "PATH" else arg for arg in argv[1:])])
+        assert code == 2
+        captured = capsys.readouterr()
+        with pytest.raises(OSError) as raised:
+            atomic_write_text(path, "")
+        assert captured.err == f"E_IO {type(raised.value).__name__}: {raised.value}\n"
+        assert repr(path) in captured.err
+        assert captured.out == ""
+        assert set(tmp_path.rglob("*")) == before
+
+    def test_unwritable_derived_curves_path_fails_before_the_fit(
+            self, tmp_path, data_csv, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m_curves.csv").mkdir()
+        _refuse_work(monkeypatch)
+        before = set(tmp_path.rglob("*"))
+        assert main(["train", "--data", data_csv, "--algo", "rnn", "--out", "m.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_IO IsADirectoryError:") and "'m_curves.csv'" in err
+        assert len(err.splitlines()) == 1
         assert set(tmp_path.rglob("*")) == before
 
     def test_bad_fraction_is_config_error(self, data_csv, capsys):
@@ -990,28 +1056,6 @@ class TestTrain:
         lines = curves.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == 1 + 3
-
-    @pytest.mark.parametrize("algo, flag", [
-        ("nb", "--report-csv"), ("rnn", "--report-csv"), ("rnn", "--curves"),
-    ])
-    @pytest.mark.parametrize("path", ["nodir/r.csv", "adir"],
-                             ids=["missing directory", "existing directory"])
-    def test_unwritable_output_fails_before_any_file_is_written(
-            self, tmp_path, data_csv, capsys, monkeypatch, algo, flag, path):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "adir").mkdir()
-        before = set(tmp_path.rglob("*"))
-        params = ("--param", "max_epochs=2", "--param", "hidden_size=4") if algo == "rnn" else ()
-        code = main(["train", "--data", data_csv, "--algo", algo, "--out", "m2.json",
-                     flag, path, *params])
-        assert code == 2
-        captured = capsys.readouterr()
-        with pytest.raises(OSError) as raised:
-            atomic_write_text(path, "")
-        assert captured.err == f"E_IO {type(raised.value).__name__}: {raised.value}\n"
-        assert repr(path) in captured.err
-        assert captured.out == ""
-        assert set(tmp_path.rglob("*")) == before
 
     def test_curves_flag_on_non_rnn_rejected(self, tmp_path, data_csv, capsys):
         code = main([

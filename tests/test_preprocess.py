@@ -19,7 +19,6 @@ from cardiolearn import preprocess
 from cardiolearn.preprocess import (
     FeatureMatrix,
     UnseenPolicy,
-    _lane_count,
     _nearest_neighbours,
     _squared_distances,
     fit,
@@ -402,20 +401,32 @@ class TestNearestNeighbours:
     # reproduce them exactly
     GOLDEN_NEIGHBOURS_SHA256 = "243cf63ff3afc5d16976262b170d5883c5c25558b7f57b22b11effc9d84bfa65"
     GOLDEN_SYNTHETIC_SHA256 = "5e45161415a28adf8e20708f14dba678a9e03c906d9332fe9ef973022685d813"
+    # 6000 rows: the smallest relative gap between consecutive nearest
+    # distances of a minority row is 1.1e-6 here, ten times below 400 rows'
+    GOLDEN_6000_NEIGHBOURS_SHA256 = "ae5b26aec45087b4a7ad23e3001befb1c8bd1022070a52fbc85affecb2592d8a"
+    GOLDEN_6000_SYNTHETIC_SHA256 = "54c4a85bb07675c4d7fb49ee270962fe0cc78373f027e2f492c979fd6d37d2f8"
 
-    def test_golden_neighbours_and_synthetic_rows(self):
-        data = synth_generate(400, 0.3, seed=7)
+    @pytest.mark.parametrize("generate, shape, leading, n_rows, digests", [
+        ((400, 0.3, 7), (120, 11),
+         [[34, 18, 89, 35, 16], [28, 57, 68, 56, 64], [19, 115, 94, 49, 42]], 560,
+         (GOLDEN_NEIGHBOURS_SHA256, GOLDEN_SYNTHETIC_SHA256)),
+        ((6000, 0.45, 3), (2700, 11),
+         [[1316, 2009, 587, 135, 1466], [495, 1375, 2447, 1254, 209],
+          [387, 1235, 1843, 1683, 1873]], 6600,
+         (GOLDEN_6000_NEIGHBOURS_SHA256, GOLDEN_6000_SYNTHETIC_SHA256)),
+    ], ids=["400-rows", "6000-rows"])
+    def test_golden_neighbours_and_synthetic_rows(self, generate, shape, leading, n_rows, digests):
+        n, positive_fraction, seed = generate
+        data = synth_generate(n, positive_fraction, seed=seed)
         m = transform(fit(data), data)
         points = m.values[m.labels == 1]
-        assert points.shape == (120, 11)
+        assert points.shape == shape
         neighbours = _nearest_neighbours(points, 5, len(points))
-        assert neighbours[:3].tolist() == [
-            [34, 18, 89, 35, 16], [28, 57, 68, 56, 64], [19, 115, 94, 49, 42],
-        ]
-        assert _sha256(neighbours, "<i8") == self.GOLDEN_NEIGHBOURS_SHA256
+        assert neighbours[:3].tolist() == leading
+        assert _sha256(neighbours, "<i8") == digests[0]
         out = smote(m, k=5, seed=3)
-        assert out.n_rows == 560
-        assert _sha256(out.values[m.n_rows:], "<f8") == self.GOLDEN_SYNTHETIC_SHA256
+        assert out.n_rows == n_rows
+        assert _sha256(out.values[m.n_rows:], "<f8") == digests[1]
 
     @pytest.mark.parametrize("points, k", _TIE_CASES, ids=_TIE_CASE_IDS)
     def test_matches_brute_force_on_ties(self, points, k):
@@ -460,16 +471,18 @@ class TestNearestNeighbours:
 
     @pytest.mark.parametrize("d", [*range(1, 21), 64, 127, 128, 129, 200, 300])
     @pytest.mark.parametrize("kind", ["gaussian", "grid"])
-    def test_distance_kernel_matches_numpy_sum_bit_for_bit(self, kind, d):
+    def test_distance_kernel_sums_left_to_right_bit_for_bit(self, kind, d):
         if kind == "gaussian":
             points = np.random.default_rng(d).normal(0.0, 1.0, (70, d))
         else:
             points = _integer_grid(d, 70, d, levels=4)
         block = points[5:18]
-        diffs = block[:, None, :] - points[None, :, :]
-        expected = np.sum(diffs * diffs, axis=-1)
+        diffs = points[None, :, :] - block[:, None, :]
+        expected = diffs[..., 0] ** 2
+        for j in range(1, d):
+            expected = expected + diffs[..., j] ** 2
         columns = np.ascontiguousarray(points.T)
-        lanes = np.empty((_lane_count(d), len(block), len(points)))
+        lanes = np.empty((2, len(block), len(points)))
         got = _squared_distances(columns[:, 5:18], columns, lanes)
         assert got.shape == expected.shape
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
@@ -480,8 +493,10 @@ _SYNTH_MATRIX = transform(fit(_SYNTH_DATA), _SYNTH_DATA)
 
 
 def _block_budget(monkeypatch, rows, m, d):
-    """Set the neighbour search's float budget to hold `rows` rows of m."""
-    monkeypatch.setattr(preprocess, "_NEIGHBOUR_FLOATS", rows * (_lane_count(d) + 1) * m)
+    """Set the neighbour search's float budget to hold `rows` rows of m
+    points of d columns: two distance lanes and the partition copy per row,
+    whatever d."""
+    monkeypatch.setattr(preprocess, "_NEIGHBOUR_FLOATS", rows * 3 * m)
 
 
 class TestNeighbourBlocks:
