@@ -95,7 +95,10 @@ class TreeNode:
 class BoostConfig(Hyperparameters):
     n_rounds: int = hyperparameter(200, "[1, inf)")
     learning_rate: float = hyperparameter(0.1, "(0, 1]")
-    max_depth: int = hyperparameter(3, "[1, inf)")
+    # fit (_build_node), save (_serialize_tree, json's indented encoder) and load
+    # (json.loads, _deserialize_tree) each recurse one frame per level under the
+    # default limit of 1000: 256 levels leave over 700 frames to their callers
+    max_depth: int = hyperparameter(3, "[1, 256]")
     reg_lambda: float = hyperparameter(1.0, "[0, inf)")
     gamma: float = hyperparameter(0.0, "[0, inf)")
     min_child_weight: float = hyperparameter(1.0, "[0, inf)")

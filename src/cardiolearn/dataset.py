@@ -7,6 +7,10 @@ a 0/1 indicator, so 0 is a legitimate value there.
 
 A `Dataset` holds the table a column at a time, from the CSV parser to the
 feature matrix; build one from rows with ``Dataset(tuple(zip(*rows)), labels)``.
+One rule per cell kind, `_first_bad`, decides which cells are valid: the CSV
+parser applies it to each parsed column and words its error from where it
+fails, and `Dataset` applies it to every other table it is given, so each
+cell is checked once.
 """
 
 import csv
@@ -66,7 +70,6 @@ SCHEMA = (
 FEATURE_NAMES = tuple(spec.name for spec in SCHEMA)
 NUMERIC_FEATURES = tuple(s.name for s in SCHEMA if s.kind is FeatureKind.NUMERIC)
 CATEGORICAL_FEATURES = tuple(s.name for s in SCHEMA if s.kind is FeatureKind.CATEGORICAL)
-_LABEL_VALUES = frozenset((0.0, 1.0))
 
 # Largest numeric cell magnitude accepted: fitting sums n squared deviations of
 # at most 2e100 each, which stays far below the float limit of 1.8e308.
@@ -91,12 +94,21 @@ class Dataset:
         for spec, column in zip(SCHEMA, self.columns):
             if len(column) != len(self.labels):
                 raise SchemaMismatch(f"{spec.name}: {len(column)} cells, {len(self.labels)} labels")
-            numeric = spec.kind is FeatureKind.NUMERIC
-            if not (_floats_in_range(column) if numeric else _nonempty_tokens(column)):
+            if _first_bad(spec.kind, column) < len(column):
+                numeric = spec.kind is FeatureKind.NUMERIC
                 want = f"a float in ±{CELL_LIMIT:g}" if numeric else "a non-empty token"
                 raise SchemaMismatch(f"{spec.name}: every cell must be {want}")
-        if self.labels.count(0) + self.labels.count(1) != len(self.labels):
+        if _first_bad(LABEL_COLUMN, self.labels) < len(self.labels):
             raise SchemaMismatch("every label must be 0 or 1")
+
+    @classmethod
+    def _unchecked(cls, columns: tuple, labels: tuple) -> "Dataset":
+        """The dataset of `columns` (a tuple of tuples) and `labels` (a tuple),
+        built without `__post_init__`, for cells that already passed `_first_bad`."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "columns", columns)
+        object.__setattr__(data, "labels", labels)
+        return data
 
     def __len__(self):
         return len(self.labels)
@@ -112,24 +124,26 @@ class Dataset:
         pick = itemgetter(*indices) if len(indices) > 1 else lambda cells: tuple(
             cells[i] for i in indices
         )
-        subset = object.__new__(Dataset)
-        object.__setattr__(subset, "columns", tuple(map(pick, self.columns)))
-        object.__setattr__(subset, "labels", pick(self.labels))
-        return subset
+        return Dataset._unchecked(tuple(map(pick, self.columns)), pick(self.labels))
 
 
-def _floats_in_range(column: tuple) -> bool:
-    """Every cell a float (np.float64 too) within ±CELL_LIMIT; nan fails."""
-    return all(issubclass(t, float) for t in set(map(type, column))) and bool(
-        np.all(np.abs(np.fromiter(column, float, len(column))) <= CELL_LIMIT))
-
-
-def _nonempty_tokens(column: tuple) -> bool:
-    """Every cell a non-empty string, tested on the distinct cells."""
-    try:
-        return all(isinstance(token, str) and token for token in set(column))
-    except TypeError:  # an unhashable cell is no token
-        return False
+def _first_bad(kind, cells) -> int:
+    """Position of the first of `cells` that the rule of `kind` rejects, or
+    len(cells) when it rejects none; `kind` is a FeatureKind, or LABEL_COLUMN
+    for labels. A numeric cell must be a float (np.float64 too) within
+    ±CELL_LIMIT, nan failing; a categorical cell a non-empty str; a label
+    equal to 0 or 1."""
+    if kind is FeatureKind.NUMERIC:
+        if not all(issubclass(t, float) for t in set(map(type, cells))):
+            cells = [cell if isinstance(cell, float) else math.nan for cell in cells]
+        ok = np.abs(np.fromiter(cells, float, len(cells))) <= CELL_LIMIT  # false for nan
+        return len(cells) if ok.all() else int(ok.argmin())
+    if kind is FeatureKind.CATEGORICAL:
+        if not all(issubclass(t, str) for t in set(map(type, cells))):
+            cells = [cell if isinstance(cell, str) else "" for cell in cells]
+        return len(cells) if all(cells) else cells.index("")
+    ok = list(map((0, 1).__contains__, cells))  # by ==, so 1.0 and -0.0 pass
+    return ok.index(False) if False in ok else len(ok)
 
 
 @dataclass(frozen=True)
@@ -189,43 +203,11 @@ def _content_keys(data: Dataset) -> list:
     return list(map(",".join, zip(*_text_columns(data), map(str, data.labels))))
 
 
-def _raise_row_error(row_index, raw_cells, positions):
-    """Raise the error of a data row that fails a check, for the first check
-    it fails in this order: more cells than the header, then each feature in
-    schema order, then the label when `positions` has one."""
-    if len(raw_cells) > len(positions):  # the header has exactly one column per position
-        raise SchemaMismatch(
-            f"row {row_index} has {len(raw_cells)} cells but the header has {len(positions)}"
-        )
-    for name, pos in positions.items():
-        if pos >= len(raw_cells):
-            raise UnparsableCell(row_index, name, "<missing cell>")
-        token = raw_cells[pos].strip()
-        if name in CATEGORICAL_FEATURES:
-            if not token:
-                raise UnparsableCell(row_index, name, token)
-            continue
-        try:
-            value = float(token)
-        except ValueError:
-            raise UnparsableCell(row_index, name, token) from None
-        if name == LABEL_COLUMN:
-            if value not in _LABEL_VALUES:
-                raise UnparsableCell(row_index, name, token)
-        elif not abs(value) <= CELL_LIMIT:  # also rejects nan and inf
-            raise UnparsableCell(row_index, name, token)
-
-
-def _first_false(flags: list) -> int:
-    """Position of the first false flag, or len(flags) when there is none."""
-    return flags.index(False) if False in flags else len(flags)
-
-
 def _to_float(token: str) -> float:
     try:
         return float(token)
     except ValueError:
-        return math.nan  # fails every range and label check
+        return math.nan  # which _first_bad rejects as a number and as a label
 
 
 def _floats(tokens: list) -> list:
@@ -235,40 +217,48 @@ def _floats(tokens: list) -> list:
         return list(map(_to_float, tokens))
 
 
+# each header name's cell kind, in the order a row's cells are checked
+_COLUMN_KINDS = {**{spec.name: spec.kind for spec in SCHEMA}, LABEL_COLUMN: LABEL_COLUMN}
+
+
 def _parse_records(body, positions) -> Dataset:
     """The dataset of the data rows `body`, parsed and checked a column at a time.
 
-    Each column's cells are stripped, parsed and checked as a whole, with
-    the checks `_raise_row_error` makes on one row. When a row fails any of
-    them, the first such row in file order, a row of another length than
-    the header included, goes through `_raise_row_error`, which words the
-    error. `positions` maps each header name to its column; a label column
-    is parsed when it has one, and the label is 0 otherwise.
+    Each column's cells are stripped, parsed (an unparsable number becomes
+    nan) and checked once by `_first_bad`. The error is the earliest row
+    where any column fails, or the first row of another length than the
+    header if that comes first: a longer row is a SchemaMismatch, and a
+    shorter one is padded with empty cells, which fail, so a missing cell is
+    an UnparsableCell reading `<missing cell>`. Within the failing row the
+    error names the first failing column in `positions` order. `positions`
+    maps each header name to its column, schema order first, then the label
+    when the file has one; the label is 0 otherwise.
     """
     width = len(positions)
     # no row after the first ragged one can be the first bad row
-    end = _first_false(list(map(width.__eq__, map(len, body))))
-    columns = list(zip(*body[:end])) or [()] * width
-    first_bad = end
-    features = []
-    for spec in SCHEMA:
-        tokens = list(map(str.strip, columns[positions[spec.name]]))
-        if spec.kind is FeatureKind.NUMERIC:
-            cells = _floats(tokens)
-            ok = map(CELL_LIMIT.__ge__, map(abs, cells))  # false for nan
-        else:
-            cells = tokens
-            ok = map(bool, tokens)
-        first_bad = min(first_bad, _first_false(list(ok)))
-        features.append(cells)
-    labels = [0] * end
-    if LABEL_COLUMN in positions:
-        labels = _floats(list(map(str.strip, columns[positions[LABEL_COLUMN]])))
-        first_bad = min(first_bad, _first_false(list(map(_LABEL_VALUES.__contains__, labels))))
+    fits = list(map(width.__eq__, map(len, body)))
+    end = fits.index(False) if False in fits else len(fits)
+    rows = body[:end]
+    if end < len(body) and len(body[end]) < width:
+        rows.append(body[end] + [""] * (width - len(body[end])))
+    columns = list(zip(*rows)) or [()] * width
+    parsed, first_bad = {}, {}
+    for name, pos in positions.items():
+        kind = _COLUMN_KINDS[name]
+        tokens = list(map(str.strip, columns[pos]))
+        parsed[name] = tokens if kind is FeatureKind.CATEGORICAL else _floats(tokens)
+        first_bad[name] = _first_bad(kind, parsed[name])
     del columns  # the transposed rows are not held while the dataset is built
-    if first_bad < len(body):
-        _raise_row_error(first_bad, body[first_bad], positions)
-    return Dataset(features, map(int, labels))
+    row = min(first_bad.values())
+    if row < len(rows):
+        name = next(name for name, bad in first_bad.items() if bad == row)
+        cells = body[row]
+        pos = positions[name]
+        raise UnparsableCell(row, name, cells[pos].strip() if pos < len(cells) else "<missing cell>")
+    if end < len(body):
+        raise SchemaMismatch(f"row {end} has {len(body[end])} cells but the header has {width}")
+    labels = map(int, parsed.pop(LABEL_COLUMN, [0] * end))
+    return Dataset._unchecked(tuple(map(tuple, parsed.values())), tuple(labels))
 
 
 def _read_rows(path):
@@ -357,6 +347,13 @@ def sum_in_order(values):
     return total
 
 
+def present_values(values, spec: FeatureSpec) -> list:
+    """The values that are not the spec's missing sentinel, in order."""
+    if spec.missing_sentinel is None:
+        return list(values)
+    return list(filter(spec.missing_sentinel.__ne__, values))
+
+
 def summarize(data: Dataset) -> SummaryReport:
     """Per-column statistics and label balance.
 
@@ -369,12 +366,8 @@ def summarize(data: Dataset) -> SummaryReport:
     categorical = {}
     for spec, column in zip(SCHEMA, data.columns):
         if spec.kind is FeatureKind.NUMERIC:
-            if spec.missing_sentinel is None:
-                present = column
-                missing = 0
-            else:
-                present = [v for v in column if v != spec.missing_sentinel]
-                missing = len(column) - len(present)
+            present = present_values(column, spec)
+            missing = len(column) - len(present)
             if present:
                 mean = sum_in_order(present) / len(present)
                 var = sum_in_order((v - mean) ** 2 for v in present) / len(present)

@@ -33,6 +33,7 @@ from .dataset import (
     Dataset,
     FeatureKind,
     SCHEMA,
+    present_values,
 )
 from .errors import (
     DimensionMismatch,
@@ -168,13 +169,6 @@ def _median(values: list) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def _present(values, spec) -> list:
-    """The values that are not the spec's missing sentinel, in order."""
-    if spec.missing_sentinel is None:
-        return list(values)
-    return list(filter(spec.missing_sentinel.__ne__, values))
-
-
 def _cohorts(columns: tuple, rows) -> list:
     """The (Sex token, age decade) imputation cohort of each of the rows."""
     sexes, ages = columns[_SEX], columns[_AGE]
@@ -202,13 +196,13 @@ def fit(train: Dataset, unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> Fit
     # sentinel cells become missing before any median is taken
     global_medians = {}
     for col, spec in _NUMERIC_COLUMNS:
-        values = _present(columns[col], spec)
+        values = present_values(columns[col], spec)
         global_medians[spec.name] = _median(values) if values else 0.0
     impute_table = {}
     for cohort, rows in cohort_rows.items():
         impute_table[cohort] = medians = {}
         for col, spec in _NUMERIC_COLUMNS:
-            values = _present(map(columns[col].__getitem__, rows), spec)
+            values = present_values(map(columns[col].__getitem__, rows), spec)
             medians[spec.name] = _median(values) if values else global_medians[spec.name]
 
     scale_stats = {}

@@ -1089,6 +1089,16 @@ class TestTrain:
             "E_CONFIG BadHyperparameter: hidden_size must be in [1, 1024], got 100000\n")
         assert not out_path.exists()
 
+    def test_max_depth_above_its_bound_rejected(self, tmp_path, data_csv, capsys):
+        # checked by its error only: a deep enough fit overflows the stack
+        out_path = tmp_path / "model.json"
+        code = main(["train", "--data", data_csv, "--algo", "xgb",
+                     "--param", "max_depth=257", "--out", str(out_path)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "E_CONFIG BadHyperparameter: max_depth must be in [1, 256], got 257\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_param_rejected(self, data_csv, capsys, value):
         code = main(["train", "--data", data_csv, "--algo", "gb",

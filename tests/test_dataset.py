@@ -10,6 +10,7 @@ from conftest import make_dataset, spread_dataset
 from cardiolearn import dataset
 from cardiolearn.dataset import (
     CATEGORICAL_FEATURES,
+    CELL_LIMIT,
     FEATURE_NAMES,
     LABEL_COLUMN,
     NUMERIC_FEATURES,
@@ -39,6 +40,7 @@ from cardiolearn.errors import (
     SingleClassDataset,
     UnparsableCell,
 )
+from cardiolearn.rng import SplitMix64
 
 HEADER = ",".join(FEATURE_NAMES + (LABEL_COLUMN,))
 ROW_A = "54,M,ASY,130,240,0,Normal,150,N,1.0,Flat,0"
@@ -89,6 +91,56 @@ _FIRST_BAD_ROW_CASES = {
     "unlabeled row with a label cell": (
         False, [UNLABELED_A, ROW_A], "row 1 has 12 cells but the header has 11"),
 }
+
+
+_LABEL_VALUES = frozenset((0.0, 1.0))
+
+
+def reference_load(path, labeled: bool) -> Dataset:
+    """Row-by-row reference of `load_csv` (labeled) and `load_unlabeled_csv`:
+    every check of a row runs before any check of a later row, and within a
+    row the cell count, then each feature in schema order, then the label."""
+    rows = dataset._read_rows(path)
+    positions = dataset._header_positions(
+        rows, FEATURE_NAMES + ((LABEL_COLUMN,) if labeled else ()))
+    cells = {name: [] for name in positions}
+    for row_index, raw_cells in enumerate(rows[1:]):
+        if len(raw_cells) > len(positions):  # the header has exactly one column per position
+            raise SchemaMismatch(
+                f"row {row_index} has {len(raw_cells)} cells but the header has {len(positions)}"
+            )
+        for name, pos in positions.items():
+            if pos >= len(raw_cells):
+                raise UnparsableCell(row_index, name, "<missing cell>")
+            token = raw_cells[pos].strip()
+            if name in CATEGORICAL_FEATURES:
+                if not token:
+                    raise UnparsableCell(row_index, name, token)
+                cells[name].append(token)
+                continue
+            try:
+                value = float(token)
+            except ValueError:
+                raise UnparsableCell(row_index, name, token) from None
+            if name == LABEL_COLUMN:
+                if value not in _LABEL_VALUES:
+                    raise UnparsableCell(row_index, name, token)
+                value = int(value)
+            elif not abs(value) <= CELL_LIMIT:  # also rejects nan and inf
+                raise UnparsableCell(row_index, name, token)
+            cells[name].append(value)
+    labels = cells.pop(LABEL_COLUMN, [0] * (len(rows) - 1))
+    return Dataset(list(cells.values()), labels)
+
+
+def load_outcome(load, *args):
+    """("ok", the dataset) of `load(*args)`, or its error's type, row,
+    column, content and message."""
+    try:
+        return "ok", load(*args)
+    except (SchemaMismatch, UnparsableCell) as exc:
+        return (type(exc), getattr(exc, "row", None), getattr(exc, "column", None),
+                getattr(exc, "content", None), str(exc))
 
 
 class TestSchema:
@@ -185,13 +237,12 @@ class TestSubset:
         calls = []
 
         def counted(check):
-            def wrapper(column):
-                calls.append(check.__name__)
-                return check(column)
+            def wrapper(kind, cells):
+                calls.append(kind)
+                return check(kind, cells)
             return wrapper
 
-        for name in ("_floats_in_range", "_nonempty_tokens"):
-            monkeypatch.setattr(dataset, name, counted(getattr(dataset, name)))
+        monkeypatch.setattr(dataset, "_first_bad", counted(dataset._first_bad))
         part = data.subset(indices)
         assert calls == []
         columns = [[column[i] for i in indices] for column in data.columns]
@@ -322,6 +373,104 @@ class TestLoadCsv:
             with pytest.raises(UnparsableCell) as exc:
                 loader(path)
             assert (exc.value.row, exc.value.column, exc.value.content) == error
+
+
+    @pytest.mark.parametrize("labeled, rows, error", _FIRST_BAD_ROW_CASES.values(),
+                             ids=_FIRST_BAD_ROW_CASES.keys())
+    def test_reference_loader_gives_the_same_error(self, tmp_path, labeled, rows, error):
+        header = HEADER if labeled else ",".join(FEATURE_NAMES)
+        path = write_text(tmp_path / "d.csv", "\n".join([header, *rows]) + "\n")
+        loader = load_csv if labeled else load_unlabeled_csv
+        outcome = load_outcome(loader, path)
+        assert outcome == load_outcome(reference_load, path, labeled)
+        assert outcome[4] == error if isinstance(error, str) else outcome[1:4] == error
+
+    _VALUE_FUZZ_CASES = 400
+    _VALUE_MUTATIONS = ("category", "number", "drop cell", "add cell", "label")  # label last
+    _NUMBER_TEXTS = (
+        repr(CELL_LIMIT), repr(-CELL_LIMIT), repr(math.nextafter(CELL_LIMIT, math.inf)),
+        repr(math.nextafter(-CELL_LIMIT, -math.inf)), "nan", "inf", "-0.0", "5e-324", "0",
+    )
+    _LABEL_TEXTS = ("0", "1", "2", "1.0", "-0")
+
+    def test_value_mutations_load_as_the_reference_loads_them(self, tmp_path):
+        """A fixed SplitMix64 sample of one to three value-level mutations of
+        labeled and unlabeled files, one of them with its columns in reverse
+        order: where the loader fails, the reference fails with the same type,
+        row, column, content and message; where it succeeds, both give the
+        same dataset."""
+        data = synth_generate(10, 0.5, seed=4)
+        path = tmp_path / "source.csv"
+        write_csv(data, path)
+        lines = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+        sources = {  # name -> (labeled, rows with the header first)
+            "labeled": (True, lines),
+            "unlabeled": (False, [cells[:-1] for cells in lines]),
+            "labeled, reversed columns": (True, [cells[::-1] for cells in lines]),
+        }
+        names = sorted(sources)
+        tokens = {name: sorted(set(column)) + ["", "  "]
+                  for name, column in zip(FEATURE_NAMES, data.columns)
+                  if name in CATEGORICAL_FEATURES}
+        rng = SplitMix64(31)
+        seen_kinds, seen_outcomes = set(), set()
+        for _ in range(self._VALUE_FUZZ_CASES):
+            name = names[rng.randint(len(names))]
+            labeled, source = sources[name]
+            header, rows = source[0], [list(cells) for cells in source[1:]]
+            kinds = []
+            for _ in range(1 + rng.randint(3)):
+                kind = self._VALUE_MUTATIONS[rng.randint(len(self._VALUE_MUTATIONS) - (not labeled))]
+                cells = rows[rng.randint(len(rows))]
+                if kind == "drop cell":
+                    del cells[rng.randint(len(cells))]
+                elif kind == "add cell":
+                    cells.insert(rng.randint(len(cells) + 1), ("1", "x", "")[rng.randint(3)])
+                else:
+                    if kind == "category":
+                        column = CATEGORICAL_FEATURES[rng.randint(len(CATEGORICAL_FEATURES))]
+                        texts = tokens[column]
+                    elif kind == "number":
+                        column = NUMERIC_FEATURES[rng.randint(len(NUMERIC_FEATURES))]
+                        texts = self._NUMBER_TEXTS
+                    else:
+                        column, texts = LABEL_COLUMN, self._LABEL_TEXTS
+                    at = header.index(column)
+                    if at < len(cells):  # an earlier mutation may have dropped a cell
+                        cells[at] = texts[rng.randint(len(texts))]
+                kinds.append(kind)
+            text = "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+            path = write_text(tmp_path / "d.csv", text)
+            loader = load_csv if labeled else load_unlabeled_csv
+            outcome = load_outcome(loader, path)
+            assert outcome == load_outcome(reference_load, path, labeled), (name, kinds, text)
+            seen_kinds.update(kinds)
+            seen_outcomes.add(outcome[0] if outcome[0] == "ok" else outcome[0].__name__)
+        assert seen_kinds == set(self._VALUE_MUTATIONS)
+        assert seen_outcomes == {"ok", "SchemaMismatch", "UnparsableCell"}
+
+    def test_each_column_is_checked_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        write_csv(synth_generate(24, 0.5, seed=8), path)
+        unlabeled = tmp_path / "u.csv"
+        unlabeled.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in
+                                     path.read_text(encoding="utf-8").splitlines()),
+                             encoding="utf-8")
+        calls = []
+
+        def counted(check):
+            def wrapper(kind, cells):
+                calls.append(kind)
+                return check(kind, cells)
+            return wrapper
+
+        monkeypatch.setattr(dataset, "_first_bad", counted(dataset._first_bad))
+        data = load_csv(path)
+        assert calls == [spec.kind for spec in SCHEMA] + [LABEL_COLUMN]
+        calls.clear()
+        assert len(load_unlabeled_csv(unlabeled)) == len(data)
+        assert calls == [spec.kind for spec in SCHEMA]
+        assert data == Dataset(data.columns, data.labels)  # the checked constructor agrees
 
 
 class TestLoadUnlabeledCsv:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import fit_in_memory, matrix
+from cardiolearn.boosting import BoostConfig, BoostedEnsemble, TreeNode
 from cardiolearn.dataset import stratified_split, synth_generate
 from cardiolearn.errors import CorruptBundle, SchemaMismatch, VersionMismatch
 from cardiolearn.evaluation import ConfusionMatrix, EvalReport, evaluate_model
@@ -185,6 +186,26 @@ class TestBundles:
         assert a.endswith("\n")
         doc = json.loads(a)
         assert doc["created_at"] == stamp
+
+    def test_chain_tree_at_the_max_depth_bound_round_trips(self, tmp_path):
+        # built by hand, not fitted: 256 splits, each with a leaf on its left
+        depth = 256
+        tree = TreeNode(weight=0.5)
+        for level in reversed(range(depth)):
+            tree = TreeNode(feature=0, threshold=float(level), left=TreeNode(weight=-0.25),
+                            right=tree)
+        fp = fit(synth_generate(20, 0.5, seed=2))
+        width = len(fp.scale_stats) + len(fp.vocab)
+        model = BoostedEnsemble(BoostConfig(max_depth=depth), base_score=0.0, trees=[tree],
+                                n_features=width)
+        text = bundle_text(build_bundle(Algorithm.XGB, fp, model, {}, created_at="pinned"))
+        path = tmp_path / "chain.json"
+        path.write_text(text, encoding="utf-8")
+        loaded = load_bundle(str(path))
+        assert bundle_text(build_bundle(Algorithm.XGB, fp, loaded.model, {},
+                                        created_at="pinned")) == text
+        rows = np.array([[level - 0.5] + [0.0] * (width - 1) for level in (0, 100, depth)])
+        assert loaded.model.predict_margin(rows).tolist() == [-0.25, -0.25, 0.5]
 
     def test_bundle_differs_only_in_created_at_across_runs(self):
         _, outcome_a = trained_outcome(Algorithm.GB)

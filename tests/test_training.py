@@ -60,7 +60,7 @@ def test_resolved_values_take_their_field_types():
 
 
 @pytest.mark.parametrize("algorithm, name", [
-    (Algorithm.XGB, "n_rounds"), (Algorithm.GB, "max_depth"), (Algorithm.RNN, "max_epochs"),
+    (Algorithm.XGB, "n_rounds"), (Algorithm.GB, "n_rounds"), (Algorithm.RNN, "max_epochs"),
 ])
 def test_large_integers_stay_exact(algorithm, name):
     config = family_config(algorithm, {name: 2 ** 53 + 1})
