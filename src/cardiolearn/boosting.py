@@ -93,7 +93,10 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class BoostConfig(Hyperparameters):
-    n_rounds: int = hyperparameter(200, "[1, inf)")
+    # each round fits one tree to every row and keeps it for the bundle: on 734
+    # rows at max_depth 3 (2-core Xeon) about 0.7 ms and 0.7 kB of bundle JSON a
+    # round, so 10000 rounds are about 7 s and a 7 MB bundle that loading parses whole
+    n_rounds: int = hyperparameter(200, "[1, 10000]")
     learning_rate: float = hyperparameter(0.1, "(0, 1]")
     # fit (_build_node), save (_serialize_tree, json's indented encoder) and load
     # (json.loads, _deserialize_tree) each recurse one frame per level under the

@@ -4,8 +4,9 @@ Subcommands: summarize, preprocess, train, evaluate, predict, gridsearch,
 compare, curves. Each result is built here once as rows of plain values
 (str, int, float, or None for an undefined metric): `format_table` prints it
 to stdout with a format spec per column, and `rows_csv` writes it as CSV,
-each cell in the default spec; every output path is checked writable before
-the command loads anything, and files are written atomically. Failures
+each cell in the default spec; every output path is checked writable, and
+distinct from the command's other outputs, before the command loads
+anything, and files are written atomically. Failures
 print exactly one machine-parseable line to stderr,
 `<CODE> <ErrorType>: <message>`, and map to stable exit codes:
 
@@ -207,6 +208,14 @@ def _add_common(p, with_split=True, with_threshold=True, with_params=False):
                        help="algorithm hyperparameter override; repeatable")
 
 
+def _add_bundle_flags(p):
+    """The flags of a command that runs a saved bundle on a CSV."""
+    p.add_argument("--bundle", required=True)
+    _add_common(p, with_split=False, with_threshold=False)
+    p.add_argument("--threshold", type=float, default=None,
+                   help="decision threshold; defaults to the bundle's stored value")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cardiolearn",
@@ -230,19 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-csv", dest="report_csv", help="optional CSV path for the report")
 
     p = sub.add_parser("evaluate", help="score a saved bundle on labeled data")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--config", help="JSON config file; its values override flags")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="decision threshold; defaults to the bundle's stored value")
+    _add_bundle_flags(p)
     p.add_argument("--out", help="optional CSV path for the report")
 
     p = sub.add_parser("predict", help="per-row probabilities for unlabeled data")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--config", help="JSON config file; its values override flags")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="decision threshold; defaults to the bundle's stored value")
+    _add_bundle_flags(p)
     p.add_argument("--out", default="predictions.csv")
 
     p = sub.add_parser("gridsearch", help="exhaustive hyperparameter search by cross-validation")
@@ -324,11 +325,12 @@ def _curves_path(args):
     return args.curves or stem + "_curves.csv"
 
 
-def _output_paths(args) -> tuple:
-    """Each path the command may write, None where it writes none."""
+def _output_paths(args) -> dict:
+    """Each output flag of the command and the path it names, None where the
+    command writes none; train's derived loss-curve path counts as --curves."""
     if args.command == "train":
-        return (args.out, _curves_path(args), args.report_csv)
-    return (args.out,)
+        return {"--out": args.out, "--curves": _curves_path(args), "--report-csv": args.report_csv}
+    return {"--out": args.out}
 
 
 def cmd_train(args) -> int:
@@ -452,19 +454,21 @@ def main(argv=None) -> int:
         if args.config:
             doc = read_json(args.config, "config file", BadHyperparameter)
             _apply_keys(args, "config", check(doc, dict, "config file"), args.flags)
-        # fail on an unwritable output before any load or fit, and before
-        # any file is written
-        for path in filter(None, _output_paths(args)):
-            check_writable(path)
+        # fail on an unwritable output, or on two outputs naming one file,
+        # before any load or fit, and before any file is written
+        flags_by_file = {}
+        for flag, path in _output_paths(args).items():
+            if path:
+                check_writable(path)
+                first = flags_by_file.setdefault(os.path.realpath(path), flag)
+                if first != flag:
+                    raise BadHyperparameter(f"{first} and {flag} name one file: {path}")
         return _HANDLERS[args.command](args)
-    except CardioLearnError as exc:
+    except (CardioLearnError, OSError) as exc:
+        code = exc.code if isinstance(exc, CardioLearnError) else "E_IO"
         message = " ".join(str(exc).split())
-        print(f"{exc.code} {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_CODES.get(exc.code, EXIT_CODES["E_DATA"])
-    except OSError as exc:
-        message = " ".join(str(exc).split())
-        print(f"E_IO {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_CODES["E_IO"]
+        print(f"{code} {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_CODES.get(code, EXIT_CODES["E_DATA"])
 
 
 def entrypoint() -> None:

@@ -16,6 +16,7 @@ cell is checked once.
 import csv
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
@@ -382,10 +383,7 @@ def summarize(data: Dataset) -> SummaryReport:
             else:
                 numeric[spec.name] = NumericSummary(len(present), missing, None, None, None, None)
         else:
-            hist = {}
-            for token in column:
-                hist[token] = hist.get(token, 0) + 1
-            categorical[spec.name] = dict(sorted(hist.items()))
+            categorical[spec.name] = dict(sorted(Counter(column).items()))
     positives = sum(data.labels)
     return SummaryReport(
         n_records=len(data),

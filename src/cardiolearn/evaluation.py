@@ -288,18 +288,10 @@ def grid_search(spec: GridSpec, config: RunConfig, data: Dataset) -> GridSearchR
     """
     candidates = [replace(config, params=params) for params in grid_candidates(spec.grid)]
     folds = encode_folds(config, data, spec.k)
-    evaluated = []
-    best_index = 0
-    best_mean = None
-    for index, candidate in enumerate(candidates):
-        cv = cross_validate(candidate, folds)
-        evaluated.append(GridCandidate(params=candidate.params, cv=cv))
-        mean = cv.summary.means[spec.selection_metric.value]
-        if mean is not None and (best_mean is None or mean > best_mean):
-            best_mean = mean
-            best_index = index
-    return GridSearchResult(
-        best_params=evaluated[best_index].params,
-        best_mean=best_mean,
-        candidates=tuple(evaluated),
-    )
+    evaluated = [GridCandidate(params=c.params, cv=cross_validate(c, folds)) for c in candidates]
+    means = [c.cv.summary.means[spec.selection_metric.value] for c in evaluated]
+    # max keeps the first of equal means; with no mean defined, candidate 0
+    best = max((i for i, mean in enumerate(means) if mean is not None),
+               key=means.__getitem__, default=0)
+    return GridSearchResult(best_params=evaluated[best].params, best_mean=means[best],
+                            candidates=tuple(evaluated))

@@ -23,6 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from statistics import median
 
 import numpy as np
 
@@ -99,16 +100,11 @@ class FeatureMatrix:
         return self.values.shape[1]
 
     @cached_property
-    def column_order(self) -> np.ndarray:
-        """(d, n) row positions of each column in ascending (value, row)
-        order: sorted once, then shared by every tree fitted to this matrix."""
-        return np.ascontiguousarray(np.argsort(self.values, axis=0, kind="stable").T)
-
-    @cached_property
     def column_block(self) -> "ColumnBlock":
-        """The root's ColumnBlock, read-only: built once, then shared by every
-        tree fitted to this matrix."""
-        order = self.column_order
+        """The root's ColumnBlock, read-only: each column stably sorted once,
+        its `order` the (d, n) row positions in ascending (value, row) order,
+        then shared by every tree fitted to this matrix."""
+        order = np.ascontiguousarray(np.argsort(self.values, axis=0, kind="stable").T)
         block = ColumnBlock.of(order, np.take_along_axis(self.values.T, order, axis=1))
         for array in (order, block.sorted_values, block.cuts, block.thresholds):
             array.flags.writeable = False
@@ -160,15 +156,6 @@ class FittedPreprocessor:
     unseen_policy: UnseenPolicy
 
 
-def _median(values: list) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2 == 1:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def _cohorts(columns: tuple, rows) -> list:
     """The (Sex token, age decade) imputation cohort of each of the rows."""
     sexes, ages = columns[_SEX], columns[_AGE]
@@ -197,13 +184,13 @@ def fit(train: Dataset, unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> Fit
     global_medians = {}
     for col, spec in _NUMERIC_COLUMNS:
         values = present_values(columns[col], spec)
-        global_medians[spec.name] = _median(values) if values else 0.0
+        global_medians[spec.name] = median(values) if values else 0.0
     impute_table = {}
     for cohort, rows in cohort_rows.items():
         impute_table[cohort] = medians = {}
         for col, spec in _NUMERIC_COLUMNS:
             values = present_values(map(columns[col].__getitem__, rows), spec)
-            medians[spec.name] = _median(values) if values else global_medians[spec.name]
+            medians[spec.name] = median(values) if values else global_medians[spec.name]
 
     scale_stats = {}
     for name, column in _imputed_columns(columns, impute_table, global_medians).items():

@@ -118,7 +118,10 @@ class RNNTrainConfig(Hyperparameters):
     learning_rate: float = hyperparameter(0.001, "(0, inf)")
     rms_decay: float = hyperparameter(0.9, "(0, 1)")
     epsilon: float = hyperparameter(1e-8, "(0, inf)")
-    max_epochs: int = hyperparameter(200, "[1, inf)")
+    # each epoch is a forward and a backward pass over every training row, and
+    # adds two losses to the history and one line to the curves file: on 734 rows
+    # at hidden_size 16 (2-core Xeon) about 28 ms, so 10000 epochs are about 5 minutes
+    max_epochs: int = hyperparameter(200, "[1, 10000]")
     patience: int = hyperparameter(10, "[1, inf)")
     batch_size: int = hyperparameter(32, "[1, inf)")
     # init draws H^2 + 3H + 1 values one at a time: H = 1024 is about 1 M draws and an 8 MB W_hh

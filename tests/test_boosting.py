@@ -438,8 +438,8 @@ class TestPresortedSplitSearch:
 
     def test_column_order_is_each_columns_stable_sort(self):
         m = matrix([[2.0, 0.0], [1.0, -0.0], [2.0, 0.0], [0.5, -1.0]], [0, 1, 0, 1])
-        assert m.column_order.tolist() == [[3, 1, 0, 2], [3, 0, 1, 2]]
-        assert m.column_order is m.column_order  # sorted once per matrix
+        assert m.column_block.order.tolist() == [[3, 1, 0, 2], [3, 0, 1, 2]]
+        assert m.column_block.order is m.column_block.order  # sorted once per matrix
 
 
 def adversarial_case(seed, twin_zero_curvature):

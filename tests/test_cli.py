@@ -148,6 +148,26 @@ class TestErrorCodes:
         assert len(err.splitlines()) == 1
         assert set(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("argv, flags, path", [
+        (["rnn", "--out", "clash.json", "--curves", "clash.json", *_RNN_PARAMS],
+         "--out and --curves", "clash.json"),
+        (["nb", "--out", "m.json", "--report-csv", "m.json"], "--out and --report-csv", "m.json"),
+        (["rnn", "--out", "m.json", "--report-csv", "m_curves.csv", *_RNN_PARAMS],
+         "--curves and --report-csv", "m_curves.csv"),
+        (["nb", "--out", "./m.json", "--report-csv", "m.json"], "--out and --report-csv",
+         "m.json"),
+    ], ids=["out is curves", "out is report", "derived curves is report", "./m.json is m.json"])
+    def test_two_outputs_naming_one_file_fail_before_any_work(
+            self, tmp_path, data_csv, capsys, monkeypatch, argv, flags, path):
+        monkeypatch.chdir(tmp_path)
+        _refuse_work(monkeypatch)
+        before = set(tmp_path.rglob("*"))
+        assert main(["train", "--data", data_csv, "--algo", *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"E_CONFIG BadHyperparameter: {flags} name one file: {path}\n"
+        assert captured.out == ""
+        assert set(tmp_path.rglob("*")) == before
+
     def test_bad_fraction_is_config_error(self, data_csv, capsys):
         code = main(["preprocess", "--data", data_csv, "--test-fraction", "1.5"])
         assert code == 4
@@ -539,6 +559,13 @@ class TestErrorCodes:
                                                           command=command)
         self._assert_one_corrupt_bundle_line(code, out_path, capsys, "max_depth")
 
+    @pytest.mark.parametrize("algo", ["gb", "xgb"])
+    def test_n_rounds_above_its_bound_is_corrupt_bundle(self, tmp_path, data_csv, capsys, algo):
+        def edit(model):
+            model["n_rounds"] = 10001
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo=algo)
+        self._assert_one_corrupt_bundle_line(code, out_path, capsys, "n_rounds", "[1, 10000]")
+
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_nb_means_far_from_every_row_are_one_data_error(self, tmp_path, data_csv, capsys,
                                                             command):
@@ -753,7 +780,7 @@ class TestErrorCodes:
         without `nan` in its output or fails with one `E_` line and exit code
         2-6; never a traceback or a warning. Bundle sections and the config also
         take extreme magnitudes, one number or a whole array at a time; the grid
-        file does not, since a huge `n_rounds` candidate would be fitted."""
+        file takes them in its own test, so that this sample stays as drawn."""
         monkeypatch.chdir(tmp_path)
         write_csv(synth_generate(30, 0.5, seed=8), tmp_path / "data.csv")
         unlabeled = unlabeled_from("data.csv", tmp_path / "unlabeled.csv", n_rows=4)
@@ -815,6 +842,59 @@ class TestErrorCodes:
             else:
                 assert captured.err.startswith("E_"), where
                 assert len(captured.err.splitlines()) == 1, where
+
+    _GRID_FUZZ_CASES = 96
+
+    def test_grid_files_with_extreme_magnitudes_fail_with_one_line(
+            self, tmp_path, capsys, monkeypatch):
+        """A fixed SplitMix64 sample of gb, xgb and rnn grid files, each with one
+        number set to one of `_EXTREMES`, either succeeds without `nan` in its
+        output or fails with one `E_` line and exit code 2-6; never a traceback
+        or a warning; unseen categories map to the mode, so that the valid
+        cases fit. No extreme is a valid n_rounds, max_epochs or hidden_size,
+        so no case starts a long fit."""
+        monkeypatch.chdir(tmp_path)
+        write_csv(synth_generate(30, 0.5, seed=8), tmp_path / "data.csv")
+        grids = {
+            "gb": {"n_rounds": [2], "learning_rate": [0.5], "max_depth": [2],
+                   "min_child_weight": [1.0]},
+            "xgb": {"n_rounds": [2], "max_depth": [2], "reg_lambda": [1.0], "gamma": [0.0]},
+            "rnn": {"max_epochs": [2], "patience": [2], "batch_size": [16], "hidden_size": [3],
+                    "learning_rate": [0.01], "rms_decay": [0.9], "epsilon": [1e-8],
+                    "init_scale": [0.1]},
+        }
+        cases = [(algo, {"grid": grid, "k": 2, "seed": 1}, path, replacement)
+                 for algo, grid in grids.items()
+                 for path, replacement in self._magnitudes({"grid": grid, "k": 2, "seed": 1})]
+        rng = SplitMix64(31)
+        sample = [cases[rng.randint(len(cases))] for _ in range(self._GRID_FUZZ_CASES)]
+        capsys.readouterr()
+        codes = set()
+        for algo, grid_doc, path, replacement in sample:
+            doc = json.loads(json.dumps(grid_doc))
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = replacement
+            (tmp_path / "grid.json").write_text(json.dumps(doc), encoding="utf-8")
+            if (tmp_path / "out.csv").exists():
+                os.remove(tmp_path / "out.csv")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # a warning is a stderr line too
+                code = main(["gridsearch", "--data", "data.csv", "--algo", algo,
+                             "--grid", "grid.json", "--out", "out.csv",
+                             "--unseen-policy", "map_to_mode"])
+            captured = capsys.readouterr()
+            codes.add(code)
+            where = (algo, path, replacement)
+            assert code in (0, 2, 3, 4, 5, 6), where
+            if code == 0:
+                out = (tmp_path / "out.csv").read_text(encoding="utf-8")
+                assert captured.err == "" and "nan" not in captured.out + out, where
+            else:
+                assert captured.err.startswith("E_"), where
+                assert len(captured.err.splitlines()) == 1, where
+        assert codes == {0, 4}  # the sample fits some grids and rejects others
 
     _CSV_FUZZ_CASES = 320
     _CSV_MUTATIONS = ("truncate", "nul", "quote", "long field", "line ends", "non-utf8")
@@ -1097,6 +1177,35 @@ class TestTrain:
         assert code == 4
         assert capsys.readouterr().err == (
             "E_CONFIG BadHyperparameter: max_depth must be in [1, 256], got 257\n")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("algo, name", [
+        ("gb", "n_rounds"), ("xgb", "n_rounds"), ("rnn", "max_epochs"),
+    ])
+    @pytest.mark.parametrize("value", ["10001", "1e200"])
+    def test_rounds_and_epochs_above_their_bound_rejected(
+            self, tmp_path, data_csv, capsys, monkeypatch, algo, name, value):
+        # checked by its error only: a fit this long would run for hours
+        monkeypatch.setattr(cli, "run_training", lambda *args: pytest.fail("a fit began"))
+        out_path = tmp_path / "model.json"
+        code = main(["train", "--data", data_csv, "--algo", algo,
+                     "--param", f"{name}={value}", "--out", str(out_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"E_CONFIG BadHyperparameter: {name} must be in [1, 10000], got ")
+        assert len(err.splitlines()) == 1
+        assert not out_path.exists()
+
+    def test_huge_smote_k_is_one_config_error(self, tmp_path, data_csv, capsys):
+        # smote_k stays unbounded: smote compares k with the minority count
+        # before it allocates anything
+        out_path = tmp_path / "model.json"
+        code = main(["train", "--data", data_csv, "--algo", "nb",
+                     "--smote-k", "1" + "0" * 30, "--out", str(out_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG KTooLarge: k=1000000000000000000000000000000 exceeds")
+        assert len(err.splitlines()) == 1
         assert not out_path.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -60,7 +60,7 @@ def test_resolved_values_take_their_field_types():
 
 
 @pytest.mark.parametrize("algorithm, name", [
-    (Algorithm.XGB, "n_rounds"), (Algorithm.GB, "n_rounds"), (Algorithm.RNN, "max_epochs"),
+    (Algorithm.RNN, "patience"), (Algorithm.RNN, "batch_size"),
 ])
 def test_large_integers_stay_exact(algorithm, name):
     config = family_config(algorithm, {name: 2 ** 53 + 1})
@@ -68,7 +68,7 @@ def test_large_integers_stay_exact(algorithm, name):
 
 
 @pytest.mark.parametrize("algorithm, overrides, fragment", [
-    (Algorithm.GB, {"n_rounds": 0}, "n_rounds must be in [1, inf)"),
+    (Algorithm.GB, {"n_rounds": 0}, "n_rounds must be in [1, 10000]"),
     (Algorithm.XGB, {"learning_rate": 1.5}, "learning_rate must be in (0, 1]"),
     (Algorithm.XGB, {"reg_lambda": -5}, "reg_lambda must be in [0, inf)"),
     (Algorithm.RNN, {"hidden_size": 0}, "hidden_size must be in [1, 1024]"),
