@@ -70,7 +70,6 @@ from .pipeline import (
 from .preprocess import (
     FeatureMatrix,
     FittedPreprocessor,
-    OutlierReport,
     UnseenPolicy,
     flag_outliers,
     smote,

@@ -72,8 +72,8 @@ def fit_gaussian_nb(m: FeatureMatrix) -> GaussianNBModel:
         rows = m.values[labels == c]
         priors[c] = rows.shape[0] / n
         means[c] = rows.mean(axis=0)
-        variances[c] = ((rows - means[c]) ** 2).mean(axis=0)
-    overall_var = ((m.values - m.values.mean(axis=0)) ** 2).mean(axis=0)
+        variances[c] = rows.var(axis=0)
+    overall_var = m.values.var(axis=0)
     max_var = float(overall_var.max()) if d else 0.0
     var_floor = 1e-9 * max_var if max_var > 0.0 else 1e-9
     variances = np.maximum(variances, var_floor)

@@ -130,12 +130,14 @@ def _parse_param_flags(pairs) -> dict:
         name, sep, raw = pair.partition("=")
         if not sep or not name:
             raise BadHyperparameter(f"--param expects name=value, got {pair!r}")
-        try:
-            params[name] = float(raw)
-        except ValueError:
-            raise BadHyperparameter(
-                f"--param {name}: expected a number, got {raw!r}"
-            ) from None
+        for number in (int, float):  # int first: an integer keeps every digit
+            try:
+                params[name] = number(raw)
+                break
+            except ValueError:
+                pass
+        else:
+            raise BadHyperparameter(f"--param {name}: expected a number, got {raw!r}")
     return params
 
 
@@ -298,7 +300,7 @@ def cmd_preprocess(args) -> int:
     print(f"train rows: {len(split.train)}  test rows: {len(split.test)}")
     print(f"class balance before oversampling (neg, pos): {before}")
     print(f"class balance after  oversampling (neg, pos): {after}")
-    print(f"outlier cells flagged at |z| > {outliers.threshold_z:g}: {outliers.count} (retained)")
+    print(f"outlier cells flagged at |z| > {preprocess.OUTLIER_Z:g}: {outliers} (retained)")
     print()
     rows = [[name, train_m.values[:, i].mean(), train_m.values[:, i].std()]
             for i, name in enumerate(train_m.column_names)]
@@ -399,8 +401,8 @@ def cmd_gridsearch(args) -> int:
     result = grid_search(spec, config, data)
     atomic_write_text(args.out, results_csv(result))
     headers = ["params", f"mean {metric.value}", f"std {metric.value}"]
-    rows = [[format_params(candidate.params), candidate.cv.summary.means[metric.value],
-             candidate.cv.summary.stds[metric.value]] for candidate in result.candidates]
+    rows = [[format_params(candidate.params), candidate.cv.means[metric.value],
+             candidate.cv.stds[metric.value]] for candidate in result.candidates]
     print(format_table(headers, rows, ("", ".4f", ".4f")))
     best_mean = format_value(result.best_mean, ".4f")
     print(f"\nbest: {format_params(result.best_params)} "

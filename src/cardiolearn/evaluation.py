@@ -179,23 +179,20 @@ def evaluate_model(model, m: FeatureMatrix, threshold: float = RunConfig.thresho
 
 
 @dataclass(frozen=True)
-class CVSummary:
-    """Per-metric mean and population std across folds.
+class CVResult:
+    """Each fold's report, and per metric the mean and population std
+    across folds.
 
-    A metric's summary entries are None when any fold left it undefined;
+    A metric's mean and std are None when any fold left it undefined;
     averaging over only the defined folds would overstate the model.
     """
+    fold_reports: Tuple[EvalReport, ...]
     means: dict
     stds: dict
 
 
-@dataclass(frozen=True)
-class CVResult:
-    fold_reports: Tuple[EvalReport, ...]
-    summary: CVSummary
-
-
-def summarize_reports(reports: Sequence[EvalReport]) -> CVSummary:
+def summarize_reports(reports: Sequence[EvalReport]) -> CVResult:
+    """The `CVResult` of the fold reports, in fold order."""
     means = {}
     stds = {}
     for name in METRIC_NAMES:
@@ -206,8 +203,8 @@ def summarize_reports(reports: Sequence[EvalReport]) -> CVSummary:
         else:
             arr = np.array(values, dtype=float)
             means[name] = float(arr.mean())
-            stds[name] = float(np.sqrt(np.mean((arr - arr.mean()) ** 2)))
-    return CVSummary(means=means, stds=stds)
+            stds[name] = float(arr.std())
+    return CVResult(fold_reports=tuple(reports), means=means, stds=stds)
 
 
 def encode_folds(
@@ -236,10 +233,7 @@ def cross_validate(
         )
         for i, (train_m, val_m) in enumerate(folds)
     ]
-    return CVResult(
-        fold_reports=tuple(reports),
-        summary=summarize_reports(reports),
-    )
+    return summarize_reports(reports)
 
 
 @dataclass(frozen=True)
@@ -289,7 +283,7 @@ def grid_search(spec: GridSpec, config: RunConfig, data: Dataset) -> GridSearchR
     candidates = [replace(config, params=params) for params in grid_candidates(spec.grid)]
     folds = encode_folds(config, data, spec.k)
     evaluated = [GridCandidate(params=c.params, cv=cross_validate(c, folds)) for c in candidates]
-    means = [c.cv.summary.means[spec.selection_metric.value] for c in evaluated]
+    means = [c.cv.means[spec.selection_metric.value] for c in evaluated]
     # max keeps the first of equal means; with no mean defined, candidate 0
     best = max((i for i, mean in enumerate(means) if mean is not None),
                key=means.__getitem__, default=0)

@@ -21,7 +21,6 @@ A bool is neither a number nor an int. A message names the value at key k as
 `<what> k`, an object element of a list as `<what>`, any other as `<what> token`.
 """
 
-import functools
 import numbers
 import reprlib
 import sys
@@ -41,9 +40,8 @@ def hyperparameter(default, interval: str, error: type = BadHyperparameter):
     return field(default=default, metadata={"interval": interval, "error": error})
 
 
-@functools.lru_cache(maxsize=128)  # a bundle adds its own variance interval
 def _within(interval: str):
-    """The test of whether a number lies in `interval`, parsed once."""
+    """The test of whether a number lies in `interval`."""
     low, high = (float(end) for end in interval[1:-1].split(","))
     above = low.__lt__ if interval[0] == "(" else low.__le__
     below = high.__gt__ if interval[-1] == ")" else high.__ge__

@@ -182,7 +182,7 @@ def _serialize_array(arr: np.ndarray):
     """A 0-d array is a plain JSON number; any other is {"shape", "data"}."""
     if np.ndim(arr) == 0:
         return float(arr)
-    return {"shape": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
+    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
 
 
 def _deserialize_array(doc, shape: tuple, what: str, interval: str = NUMBER) -> np.ndarray:
@@ -203,9 +203,9 @@ def serialize_model(algorithm: Algorithm, model) -> dict:
     if algorithm is Algorithm.NB:
         return {
             "family": "nb",
-            "priors": [float(v) for v in model.priors],
-            "means": [[float(v) for v in row] for row in model.means],
-            "variances": [[float(v) for v in row] for row in model.variances],
+            "priors": model.priors.tolist(),
+            "means": model.means.tolist(),
+            "variances": model.variances.tolist(),
             "var_floor": float(model.var_floor),
         }
     if algorithm in _BOOST_MODE:
@@ -245,6 +245,12 @@ _MODEL = {
 def deserialize_model(algorithm: Algorithm, doc: dict):
     what = f"{algorithm.value} model"
     check(doc, {"family": (algorithm.value,), **_MODEL[algorithm]}, what, CorruptBundle)
+    # the stored hyperparameters are checked as training checks them
+    stored = ("hidden_size",) if algorithm is Algorithm.RNN else PARAM_DEFAULTS[algorithm]
+    try:
+        config = family_config(algorithm, {n: doc[n] for n in stored})
+    except BadHyperparameter as exc:
+        raise CorruptBundle(f"{what}: {exc}") from None
     if algorithm is Algorithm.NB:
         priors = _deserialize_array(doc["priors"], (2,), "nb priors", "(0, 1]")
         means = _deserialize_array(doc["means"], (2, None), "nb means")
@@ -254,10 +260,6 @@ def deserialize_model(algorithm: Algorithm, doc: dict):
                                        f"[{var_floor!r}, {MAX_VARIANCE!r}]")
         return GaussianNBModel(priors=priors, means=means, variances=variances, var_floor=var_floor)
     if algorithm in _BOOST_MODE:
-        try:
-            config = family_config(algorithm, {n: doc[n] for n in PARAM_DEFAULTS[algorithm]})
-        except BadHyperparameter as exc:
-            raise CorruptBundle(f"{what}: {exc}") from None
         return BoostedEnsemble(
             config=config,
             base_score=doc["base_score"],
@@ -267,8 +269,8 @@ def deserialize_model(algorithm: Algorithm, doc: dict):
     # each field is checked against its shape first, so a hidden_size that
     # its arrays do not match is rejected before the flat vector is allocated
     fields = {name: _deserialize_array(doc[name], shape, f"rnn {name}")
-              for name, shape in RNNParams.shapes(doc["hidden_size"]).items()}
-    params = RNNParams.zeros(doc["hidden_size"])
+              for name, shape in RNNParams.shapes(config.hidden_size).items()}
+    params = RNNParams.zeros(config.hidden_size)
     for name, value in fields.items():
         getattr(params, name)[...] = value
     return RNNModel(params)

@@ -58,6 +58,8 @@ _SEX = FEATURE_NAMES.index("Sex")
 # shrinks as m grows; past about 87000 rows (2**18 / 3), where one row's
 # three lanes exceed it, b stays 1
 _NEIGHBOUR_FLOATS = 1 << 18
+# a standardized numeric cell is an outlier when its |z| exceeds this
+OUTLIER_Z = 3.0
 
 
 class UnseenPolicy(enum.Enum):
@@ -137,16 +139,6 @@ class ColumnBlock:
 
 
 @dataclass(frozen=True)
-class OutlierReport:
-    flags: np.ndarray
-    threshold_z: float
-
-    @property
-    def count(self) -> int:
-        return int(self.flags.sum())
-
-
-@dataclass(frozen=True)
 class FittedPreprocessor:
     vocab: dict          # categorical feature -> sorted token tuple
     modes: dict          # categorical feature -> most frequent training token
@@ -194,9 +186,7 @@ def fit(train: Dataset, unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> Fit
 
     scale_stats = {}
     for name, column in _imputed_columns(columns, impute_table, global_medians).items():
-        mean = float(np.mean(column))
-        std = float(np.sqrt(np.mean((column - mean) ** 2)))
-        scale_stats[name] = (mean, std)
+        scale_stats[name] = (float(column.mean()), float(column.std()))
     return FittedPreprocessor(
         vocab=vocab,
         modes=modes,
@@ -258,20 +248,14 @@ def transform(fp: FittedPreprocessor, data: Dataset) -> FeatureMatrix:
     )
 
 
-def flag_outliers(m: FeatureMatrix, threshold_z: float = 3.0) -> OutlierReport:
-    """Flag standardized numeric cells with |value| > threshold_z.
+def flag_outliers(m: FeatureMatrix) -> int:
+    """The number of standardized numeric cells with |value| > OUTLIER_Z.
 
-    Flags are informational only; no row is ever dropped or altered.
-    Encoded categorical columns are never flagged.
+    Counting is informational only; no row is ever dropped or altered.
+    Encoded categorical columns are never counted.
     """
-    if threshold_z <= 0:
-        raise ValueError("threshold_z must be positive")
-    flags = np.zeros(m.values.shape, dtype=bool)
-    numeric = set(NUMERIC_FEATURES)
-    for col, name in enumerate(m.column_names):
-        if name in numeric:
-            flags[:, col] = np.abs(m.values[:, col]) > threshold_z
-    return OutlierReport(flags=flags, threshold_z=threshold_z)
+    numeric = [col for col, name in enumerate(m.column_names) if name in NUMERIC_FEATURES]
+    return int(np.count_nonzero(np.abs(m.values[:, numeric]) > OUTLIER_Z))
 
 
 def _squared_distances(block_columns: np.ndarray, columns: np.ndarray, lanes: np.ndarray) -> np.ndarray:

@@ -18,9 +18,10 @@ Column order matters: permuting features permutes the sequence and changes
 the model. grad_check verifies the analytic gradients against central
 finite differences for every parameter entry.
 
-One batched forward kernel and one batched BPTT kernel run a (B, T) block
-of rows at once; `forward` and `backward` are their B = 1 views, and
-prediction, the epoch losses and the minibatch gradients all call them.
+One batched forward kernel (`_forward_batch`) and one batched BPTT kernel
+(`_backward_batch`) run a (B, T) block of rows at once; prediction, the
+epoch losses and the minibatch gradients call them. `forward` and
+`backward` are their B = 1 views, which only `grad_check` and the tests use.
 Every row's forward pass gets the same bits the per-row recurrence gives,
 and an epoch's loss the bits of a left-to-right loop, because:
 - the input term of every row and step is one elementwise product over the

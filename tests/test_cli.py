@@ -392,6 +392,17 @@ class TestErrorCodes:
         code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="rnn")
         self._assert_one_corrupt_bundle_line(code, out_path, capsys, "W_xh", "[16, 1]")
 
+    def test_rnn_hidden_size_out_of_range_is_corrupt_bundle(self, tmp_path, data_csv, capsys):
+        # arrays that match hidden_size 0 still leave it outside training's range
+        def edit(model):
+            model["hidden_size"] = 0
+            for name, shape in (("W_xh", [0, 1]), ("W_hh", [0, 0]), ("W_hy", [1, 0]),
+                                ("b_h", [0])):
+                model[name] = {"shape": shape, "data": []}
+        code, out_path = self._predict_with_edited_bundle(tmp_path, data_csv, edit, algo="rnn")
+        self._assert_one_corrupt_bundle_line(
+            code, out_path, capsys, "rnn model: hidden_size must be in [1, 1024], got 0")
+
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_rnn_input_size_other_than_one_is_corrupt_bundle(
             self, tmp_path, data_csv, capsys, command):
@@ -800,7 +811,7 @@ class TestErrorCodes:
                 "selection_metric": "f1"}
         sources["grid"] = ({"doc": grid}, "doc", [
             "gridsearch", "--data", "data.csv", "--algo", "gb", "--grid", "edited.json",
-            "--out", "out.csv"])
+            "--out", "out.csv", "--unseen-policy", "map_to_mode"])
         cases = [(name, path, replacement)
                  for name, (doc, part, _) in sources.items()
                  for path, replacement in self._mutations(doc[part])]
@@ -1168,6 +1179,13 @@ class TestTrain:
         assert capsys.readouterr().err == (
             "E_CONFIG BadHyperparameter: hidden_size must be in [1, 1024], got 100000\n")
         assert not out_path.exists()
+
+    def test_integer_param_keeps_every_digit(self, tmp_path, data_csv):
+        out_path = tmp_path / "model.json"
+        code = main(["train", "--data", data_csv, "--algo", "rnn", *_RNN_PARAMS,
+                     "--param", "patience=9007199254740993", "--out", str(out_path)])
+        assert code == 0
+        assert load_bundle(str(out_path)).train_config["params"]["patience"] == 9007199254740993
 
     def test_max_depth_above_its_bound_rejected(self, tmp_path, data_csv, capsys):
         # checked by its error only: a deep enough fit overflows the stack

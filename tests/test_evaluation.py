@@ -207,7 +207,7 @@ class TestCrossValidate:
         result = cross_validate(config, encode_folds(config, data, k=3))
         assert len(result.fold_reports) == 3
         accs = [r.accuracy for r in result.fold_reports]
-        assert result.summary.means["accuracy"] == pytest.approx(np.mean(accs))
+        assert result.means["accuracy"] == pytest.approx(np.mean(accs))
         for report in result.fold_reports:
             assert report.model_id == "NaiveBayes"
 
@@ -217,7 +217,7 @@ class TestCrossValidate:
         a = cross_validate(config, encode_folds(config, data, k=3))
         b = cross_validate(config, encode_folds(config, data, k=3))
         assert [r.accuracy for r in a.fold_reports] == [r.accuracy for r in b.fold_reports]
-        assert a.summary.means == b.summary.means
+        assert a.means == b.means
 
     def test_val_rows_never_reach_fold_fitting(self):
         # mutate one validation-fold record; the fold's fitted preprocessor
@@ -317,14 +317,14 @@ class TestGridSearch:
         result = grid_search(spec, self.config(Algorithm.GB), data)
         config = self.config(Algorithm.GB, params=result.best_params)
         replay = cross_validate(config, encode_folds(config, data, spec.k))
-        assert replay.summary.means["accuracy"] == result.best_mean
+        assert replay.means["accuracy"] == result.best_mean
 
     def test_equal_means_keep_earliest_candidate(self):
         data = synth_generate(40, 0.5, seed=4)
         # same effective model twice: identical means, first candidate wins
         spec = self.grid_spec({"n_rounds": [5, 5]})
         result = grid_search(spec, self.config(Algorithm.XGB), data)
-        means = [c.cv.summary.means["accuracy"] for c in result.candidates]
+        means = [c.cv.means["accuracy"] for c in result.candidates]
         assert means[0] == means[1]
         assert result.best_params is result.candidates[0].params
 
@@ -335,7 +335,7 @@ class TestGridSearch:
         data = synth_generate(120, 0.25, seed=8)
         spec = self.grid_spec({"learning_rate": [1e-9, 0.3]}, metric=SelectionMetric.F1)
         result = grid_search(spec, self.config(Algorithm.XGB, smote_enabled=False), data)
-        means = [c.cv.summary.means["f1"] for c in result.candidates]
+        means = [c.cv.means["f1"] for c in result.candidates]
         assert means[0] is None
         assert means[1] is not None
         assert result.best_params == {"learning_rate": 0.3}
