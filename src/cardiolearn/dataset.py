@@ -183,17 +183,26 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
+def _number_texts(values) -> list:
+    """The text write_csv writes for each number of `values`: with no
+    fraction and magnitude below 1e16 an integer, and otherwise its repr,
+    the shortest text that parses back to the same double. No two doubles
+    share a text but -0.0 and 0.0, which both print as `0`."""
+    return [str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v) for v in values]
+
+
 def _text_columns(data: Dataset) -> list:
     """Each feature column of `data` as the text write_csv writes, in schema
-    order: a token as it is, a number with no fraction and magnitude below
-    1e16 as an integer, and any other number as its repr, the shortest text
-    that parses back to the same double."""
+    order: a token as it is and a number as `_number_texts`. Each distinct
+    number of a column is formatted once and its text gathered back by row
+    (np.unique merges -0.0 with 0.0, which print alike)."""
     columns = list(data.columns)
     for col, spec in enumerate(SCHEMA):
         if spec.kind is FeatureKind.NUMERIC:
-            columns[col] = [
-                str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v) for v in columns[col]
-            ]
+            cells = columns[col]
+            values, inverse = np.unique(np.fromiter(cells, float, len(cells)), return_inverse=True)
+            texts = np.array(_number_texts(values.tolist()), dtype=object)
+            columns[col] = texts[inverse].tolist()
     return columns
 
 
@@ -202,6 +211,35 @@ def _content_keys(data: Dataset) -> list:
     of input row order: the row's cells as write_csv writes them, then its
     label, joined by commas."""
     return list(map(",".join, zip(*_text_columns(data), map(str, data.labels))))
+
+
+def _content_ranks(data: Dataset) -> list:
+    """Each row's position, in row order, when the rows are sorted by
+    (content key, row index), as `_content_keys` would sort them.
+
+    A key is `A + "," + R`, with A the text of the first column, numeric,
+    and R the rest. A numeric text holds no comma; inside it `+` and `-`
+    come only first or right after `e`, and no text ends in `e`. So when
+    one A is a proper prefix of another, the longer one goes on with a
+    digit, `.` or `e`, all above `,`, and keys compare exactly as (A, R)
+    pairs do, whatever the tokens in R hold. So rows are ranked by their A
+    text first, each distinct value formatted once, and only rows whose
+    first cell is shared build their full keys, to rank among themselves.
+    """
+    values, inverse, counts = np.unique(
+        np.fromiter(data.columns[0], float, len(data)), return_inverse=True, return_counts=True
+    )
+    texts = _number_texts(values.tolist())
+    lead = np.empty(len(texts), np.int64)
+    lead[sorted(range(len(texts)), key=texts.__getitem__)] = np.arange(len(texts))
+    tied = np.flatnonzero(counts[inverse] > 1)
+    keys = _content_keys(data.subset(tied.tolist()))
+    rest = np.zeros(len(data), np.int64)
+    # a stable sort over ascending rows: equal keys keep row order
+    rest[tied[sorted(range(len(keys)), key=keys.__getitem__)]] = np.arange(len(keys))
+    ranks = np.empty(len(data), np.int64)
+    ranks[np.lexsort((rest, lead[inverse]))] = np.arange(len(data))
+    return ranks.tolist()
 
 
 def _to_float(token: str) -> float:
@@ -432,12 +470,16 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitRes
     """Class-proportional train/test split, reproducible from the seed.
 
     Each class contributes round(class_count * test_fraction) test rows,
-    chosen by shuffling a content-canonical ordering of that class.
+    chosen by shuffling that class in (content key, row index) order, so
+    row order in the input never changes the partition. The order comes
+    from `_content_ranks`, which sorts by the first cell's text, Age, and
+    builds full keys only for rows whose Age is shared; it equals the
+    order of the joined `_content_keys`.
     """
     if not 0.0 < test_fraction < 1.0:
         raise FractionOutOfRange(f"test_fraction must be in (0, 1), got {test_fraction}")
-    keys = _content_keys(data)
-    shuffled = class_shuffles(data.labels, seed, key=keys.__getitem__)
+    ranks = _content_ranks(data)
+    shuffled = class_shuffles(data.labels, seed, key=ranks.__getitem__)
     if not shuffled[0] or not shuffled[1]:
         raise SingleClassDataset("both label classes required before splitting")
     train_indices, test_indices = complement_split(

@@ -102,6 +102,10 @@ class NonFiniteFeature(CardioLearnError):
     code = "E_DATA"
 
 
+class UnscalableFeature(CardioLearnError):
+    code = "E_DATA"
+
+
 # --- models -----------------------------------------------------------------
 
 class DimensionMismatch(CardioLearnError):

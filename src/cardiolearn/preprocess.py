@@ -23,7 +23,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from statistics import median
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .dataset import (
     Dataset,
     FeatureKind,
     SCHEMA,
-    present_values,
 )
 from .errors import (
     DimensionMismatch,
@@ -42,6 +40,7 @@ from .errors import (
     KTooLarge,
     MinorityTooSmall,
     NonFiniteFeature,
+    UnscalableFeature,
     UnseenCategory,
 )
 from .rng import SplitMix64
@@ -154,11 +153,63 @@ def _cohorts(columns: tuple, rows) -> list:
     return [(sexes[row], int(math.floor(ages[row] / 10.0) * 10)) for row in rows]
 
 
+def _cohort_groups(columns: tuple, n: int) -> tuple:
+    """(cohorts, group): the distinct cohorts of the n rows in order of first
+    appearance, and each row's position in that list. Rows share a cohort
+    when they share the Sex token and floor(age / 10); `_cohorts` names
+    each cohort from its first row."""
+    sexes = columns[_SEX]
+    codes = {token: code for code, token in enumerate(dict.fromkeys(sexes))}
+    floors, floor_group = np.unique(
+        np.floor(np.fromiter(columns[_AGE], float, n) / 10.0), return_inverse=True
+    )
+    sex_group = np.fromiter(map(codes.__getitem__, sexes), np.int64, n)
+    _, first, group = np.unique(
+        sex_group * len(floors) + floor_group, return_index=True, return_inverse=True
+    )
+    appearance = np.argsort(first)
+    return _cohorts(columns, first[appearance].tolist()), np.argsort(appearance)[group]
+
+
+def _run_medians(ordered: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """statistics.median of each run of `ordered`, runs of `counts` values
+    each in ascending order, nan for an empty run: the mean of the middle
+    pair, (a + b) / 2. For an odd count both are the middle value, which
+    doubling and halving leave as it is, since |value| <= CELL_LIMIT."""
+    starts = np.cumsum(counts) - counts
+    medians = np.full(len(counts), np.nan)
+    some = counts > 0
+    lo, hi = (starts + (counts - 1) // 2)[some], (starts + counts // 2)[some]
+    medians[some] = (ordered[lo] + ordered[hi]) / 2
+    return medians
+
+
+def _medians(values: np.ndarray, groups: np.ndarray, n_groups: int) -> tuple:
+    """(the median of all values, each group's median), as statistics.median
+    takes them in row order, bit for bit; nan where there are no values.
+
+    The sorts are stable, so equal values (0.0 and -0.0) keep row order and
+    the middle zero has the sign statistics.median's sorted() gives it.
+    """
+    order = np.argsort(values, kind="stable")
+    overall = _run_medians(values[order], np.array([len(values)]))[0]
+    order = order[np.argsort(groups[order], kind="stable")]  # by group, then value
+    return overall, _run_medians(values[order], np.bincount(groups, minlength=n_groups))
+
+
 def fit(train: Dataset, unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> FittedPreprocessor:
-    """Learn vocabularies, imputation medians, and scaling statistics."""
+    """Learn vocabularies, imputation medians, and scaling statistics.
+
+    Medians equal statistics.median's, bit for bit (`_medians`), over the
+    present (non-sentinel) values of each (Sex, age decade) cohort and of
+    the whole column; a cohort with none takes the column's, and a column
+    with none 0.0. A column whose imputed cells differ but whose std
+    underflows to 0 is an error, since scaling would erase it.
+    """
     if len(train) == 0:
         raise EmptyDataset("cannot fit a preprocessor on an empty dataset")
     columns = train.columns
+    n = len(train)
 
     vocab = {}
     modes = {}
@@ -167,26 +218,32 @@ def fit(train: Dataset, unseen_policy: UnseenPolicy = UnseenPolicy.ERROR) -> Fit
         vocab[name] = tuple(sorted(counts))
         modes[name] = min(counts, key=lambda t: (-counts[t], t))
 
-    # each cohort's rows in row order, cohorts in order of first appearance
-    cohort_rows = {}
-    for row, cohort in enumerate(_cohorts(columns, range(len(train)))):
-        cohort_rows.setdefault(cohort, []).append(row)
-
-    # sentinel cells become missing before any median is taken
+    cohorts, group = _cohort_groups(columns, n)
     global_medians = {}
+    cohort_medians = {}
     for col, spec in _NUMERIC_COLUMNS:
-        values = present_values(columns[col], spec)
-        global_medians[spec.name] = median(values) if values else 0.0
-    impute_table = {}
-    for cohort, rows in cohort_rows.items():
-        impute_table[cohort] = medians = {}
-        for col, spec in _NUMERIC_COLUMNS:
-            values = present_values(map(columns[col].__getitem__, rows), spec)
-            medians[spec.name] = median(values) if values else global_medians[spec.name]
+        values = np.fromiter(columns[col], float, n)
+        # sentinel cells become missing before any median is taken
+        sentinel = spec.missing_sentinel
+        present = slice(None) if sentinel is None else values != sentinel
+        overall, medians = _medians(values[present], group[present], len(cohorts))
+        global_medians[spec.name] = 0.0 if np.isnan(overall) else float(overall)
+        cohort_medians[spec.name] = np.where(
+            np.isnan(medians), global_medians[spec.name], medians
+        ).tolist()
+    impute_table = {
+        cohort: {name: medians[i] for name, medians in cohort_medians.items()}
+        for i, cohort in enumerate(cohorts)
+    }
 
     scale_stats = {}
     for name, column in _imputed_columns(columns, impute_table, global_medians).items():
-        scale_stats[name] = (float(column.mean()), float(column.std()))
+        mean, std = float(column.mean()), float(column.std())
+        if std == 0.0 and column.min() != column.max():
+            raise UnscalableFeature(
+                f"feature {name!r}: its cells differ, but their std underflows to 0"
+            )
+        scale_stats[name] = (mean, std)
     return FittedPreprocessor(
         vocab=vocab,
         modes=modes,

@@ -186,6 +186,17 @@ class TestErrorCodes:
         assert code == 6
         assert capsys.readouterr().err.startswith("E_DATA UnparsableCell:")
 
+    def test_cells_that_scale_to_a_std_of_zero_are_data_error(self, tmp_path, capsys):
+        data = tmp_path / "tiny.csv"
+        write_csv(make_dataset([({"Oldpeak": (0.0, 5e-324, 1e-323)[i % 3]}, i % 2)
+                                for i in range(40)]), data)
+        out_path = tmp_path / "matrix.csv"
+        assert main(["preprocess", "--data", str(data), "--out", str(out_path)]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("E_DATA UnscalableFeature: feature 'Oldpeak'")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+
     @staticmethod
     def _csv_with_cells(source, path, cells):
         """A copy of the CSV at `source`, with {(data row, column name): text} replaced."""

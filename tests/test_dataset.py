@@ -16,6 +16,7 @@ from cardiolearn.dataset import (
     NUMERIC_FEATURES,
     SCHEMA,
     Dataset,
+    FeatureKind,
     _content_keys,
     class_shuffles,
     kfold,
@@ -526,6 +527,17 @@ class TestWriteCsv:
         assert first_cell == "54"
 
 
+    def test_numpy_float_cells_written_as_numbers(self, tmp_path):
+        # a Dataset takes np.float64 cells, whose repr is not a number's text
+        data = make_dataset([({"Oldpeak": 0.25}, 0), ({"Oldpeak": 3.0}, 1)])
+        columns = [[np.float64(cell) for cell in column] if spec.kind is FeatureKind.NUMERIC
+                   else column for spec, column in zip(SCHEMA, data.columns)]
+        path = tmp_path / "out.csv"
+        write_csv(Dataset(columns, data.labels), path)
+        assert load_csv(path) == data
+        assert _content_keys(Dataset(columns, data.labels)) == _content_keys(data)
+
+
 class TestSummarize:
     def test_population_std(self):
         data = make_dataset([({"Age": 40}, 0), ({"Age": 50}, 1), ({"Age": 60}, 1)])
@@ -655,6 +667,41 @@ class TestStratifiedSplit:
             shuffled = class_shuffles(data.labels, seed, key=keys.__getitem__)
             split = stratified_split(data, fraction, seed)
             assert split.test_indices == tuple(sorted(quota_indices(shuffled, fraction)))
+
+    _FUZZ_AGES = (
+        0.0, -0.0, 1.0, 10.0, 1.5, 15.0, 100.0, 1e16, 1e15 + 0.5, 5e-324, -1.0, -10.0, -1.5,
+    )
+    _FUZZ_TOKENS = ("A", "A B", "A!", "A+", "A,", "A,B", "AB", "B")
+
+    def test_split_order_is_the_joined_key_order(self):
+        """A fixed SplitMix64 sample of tables whose Ages tie, differ only in
+        sign of zero, or prefix one another (1, 10, 1.5, 15, 1e+16), and whose
+        tokens hold characters that sort below or at `,`: the split equals
+        the one the joined content keys order."""
+        rng = SplitMix64(36)
+        for _ in range(200):
+            n = 2 + rng.randint(40)
+            ages = self._FUZZ_AGES[: 1 + rng.randint(len(self._FUZZ_AGES))]
+            tokens = self._FUZZ_TOKENS[: 1 + rng.randint(len(self._FUZZ_TOKENS))]
+            columns = [
+                [ages[rng.randint(len(ages))] for _ in range(n)] if spec.name == "Age"
+                else [(0.0, -0.0, 0.5, 2.0)[rng.randint(4)] for _ in range(n)]
+                if spec.kind is FeatureKind.NUMERIC
+                else [tokens[rng.randint(len(tokens))] for _ in range(n)]
+                for spec in SCHEMA
+            ]
+            labels = [0, 1] + [rng.randint(2) for _ in range(n - 2)]
+            data = Dataset(columns, labels)
+            keys = _content_keys(data)
+            for fraction, seed in ((0.25, 4), (0.5, 11)):
+                shuffled = class_shuffles(data.labels, seed, key=keys.__getitem__)
+                split = stratified_split(data, fraction, seed)
+                assert split.test_indices == tuple(sorted(quota_indices(shuffled, fraction)))
+
+    def test_content_keys_lead_with_a_numeric_column(self):
+        # the split ranks rows by their first cell's text alone, which orders
+        # keys exactly only when that text is a number's (see _content_ranks)
+        assert SCHEMA[0].kind is FeatureKind.NUMERIC
 
     def test_fraction_bounds(self):
         data = spread_dataset(n_neg=4, n_pos=4)

@@ -2,22 +2,34 @@
 
 import hashlib
 import math
+import statistics
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import make_dataset, matrix, spread_dataset
-from cardiolearn.dataset import FEATURE_NAMES, stratified_split, synth_generate
+from cardiolearn.dataset import (
+    FEATURE_NAMES,
+    SCHEMA,
+    Dataset,
+    FeatureKind,
+    present_values,
+    stratified_split,
+    synth_generate,
+)
 from cardiolearn.errors import (
     EmptyDataset,
     KTooLarge,
     MinorityTooSmall,
+    UnscalableFeature,
     UnseenCategory,
 )
 from cardiolearn import preprocess
 from cardiolearn.preprocess import (
     FeatureMatrix,
+    FittedPreprocessor,
     UnseenPolicy,
     _nearest_neighbours,
     _squared_distances,
@@ -26,7 +38,8 @@ from cardiolearn.preprocess import (
     smote,
     transform,
 )
-from cardiolearn.persistence import serialize_preprocessor
+from cardiolearn.persistence import bundle_text, serialize_preprocessor
+from cardiolearn.rng import SplitMix64
 
 AGE = FEATURE_NAMES.index("Age")
 SEX = FEATURE_NAMES.index("Sex")
@@ -130,6 +143,103 @@ class TestImputation:
         assert std == pytest.approx(math.sqrt(((200 - 225) ** 2 + 0 + (250 - 225) ** 2) / 3.0))
 
 
+def _reference_fit(train, unseen_policy=UnseenPolicy.ERROR) -> FittedPreprocessor:
+    """`fit` as it was before its medians moved to NumPy: cohorts gathered
+    row by row, each median statistics.median of a Python list."""
+    columns = train.columns
+    vocab, modes = {}, {}
+    for col, name in preprocess._CATEGORICAL_COLUMNS:
+        counts = Counter(columns[col])
+        vocab[name] = tuple(sorted(counts))
+        modes[name] = min(counts, key=lambda t: (-counts[t], t))
+    cohort_rows = {}
+    for row, cohort in enumerate(preprocess._cohorts(columns, range(len(train)))):
+        cohort_rows.setdefault(cohort, []).append(row)
+    global_medians = {}
+    for col, spec in preprocess._NUMERIC_COLUMNS:
+        values = present_values(columns[col], spec)
+        global_medians[spec.name] = statistics.median(values) if values else 0.0
+    impute_table = {}
+    for cohort, rows in cohort_rows.items():
+        impute_table[cohort] = medians = {}
+        for col, spec in preprocess._NUMERIC_COLUMNS:
+            values = present_values(map(columns[col].__getitem__, rows), spec)
+            medians[spec.name] = (
+                statistics.median(values) if values else global_medians[spec.name]
+            )
+    scale_stats = {
+        name: (float(column.mean()), float(column.std()))
+        for name, column in preprocess._imputed_columns(
+            columns, impute_table, global_medians
+        ).items()
+    }
+    return FittedPreprocessor(vocab, modes, scale_stats, impute_table, global_medians,
+                              unseen_policy)
+
+
+class TestFitMatchesReference:
+    """`fit` against `_reference_fit`: equal fields, the same repr (which
+    tells -0.0 from 0.0 and shows the cohorts' order) and the same bundle
+    bytes."""
+
+    @staticmethod
+    def _assert_same_fit(data):
+        fp, want = fit(data), _reference_fit(data)
+        assert fp == want
+        assert repr(fp) == repr(want)
+        assert bundle_text(serialize_preprocessor(fp)) == bundle_text(serialize_preprocessor(want))
+
+    _AGES = (38.0, 45.5, 49.0, 50.0, 59.9, 60.0, 71.0, -0.0, 0.0, -5.0, 1e100, -1e100, 5e-324)
+
+    def test_random_tables(self):
+        """A fixed SplitMix64 sample of tables with few Sex tokens and Age
+        decades, so cohorts repeat; sentinel cells are common, so some
+        cohorts and sometimes a whole column hold only sentinels."""
+        rng = SplitMix64(36)
+        for _ in range(150):
+            n = 1 + rng.randint(30)
+            ages = self._AGES[rng.randint(len(self._AGES)):]
+            columns = []
+            for spec in SCHEMA:
+                if spec.name == "Age":
+                    column = [ages[rng.randint(len(ages))] for _ in range(n)]
+                elif spec.kind is FeatureKind.CATEGORICAL:
+                    column = [("F", "M", "X")[rng.randint(2 + (spec.name != "Sex"))]
+                              for _ in range(n)]
+                else:
+                    cells = (0.0, 0.0, -0.0, 1.0, 2.5, 3.0, 120.0, -7.25)
+                    column = [cells[rng.randint(len(cells))] for _ in range(n)]
+                columns.append(column)
+            self._assert_same_fit(Dataset(columns, [rng.randint(2) for _ in range(n)]))
+
+    def test_sentinel_only_cohorts_and_column(self):
+        self._assert_same_fit(make_dataset([
+            ({"Age": 45, "Cholesterol": 0, "RestingBP": 0}, 0),
+            ({"Age": 47, "Cholesterol": 0, "RestingBP": 0}, 1),
+            ({"Age": 63, "Cholesterol": 0, "RestingBP": 0}, 1),
+            ({"Age": 64, "Sex": "F", "Cholesterol": 230, "RestingBP": 0}, 0),
+        ]))
+
+    def test_signed_zero_middles_in_both_row_orders(self):
+        signs = set()
+        for cells in [(0.0, -0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0), (-0.0, 0.0),
+                      (-0.0, -0.0), (-0.0, 0.0, -0.0, 0.0, 1.0), (0.0, -0.0, -0.0, 1.0)]:
+            data = make_dataset([({"Age": 50, "FastingBS": cell}, i % 2)
+                                 for i, cell in enumerate(cells)])
+            self._assert_same_fit(data)
+            signs.add(math.copysign(1.0, fit(data).impute_table[("M", 50)]["FastingBS"]))
+        assert signs == {-1.0, 1.0}
+
+    def test_decade_of_a_huge_age_is_exact(self):
+        # the decade is the int floor(age / 10) times 10; multiplying the
+        # float floor by 10.0 instead would round 1e99 * 10 to 1e100
+        decade = int(math.floor(1e100 / 10.0)) * 10
+        assert decade != int(math.floor(1e100 / 10.0) * 10.0)
+        data = make_dataset([({"Age": 1e100}, 0), ({"Age": -1e100}, 1), ({"Age": 99.9}, 1)])
+        assert list(fit(data).impute_table) == [("M", decade), ("M", -decade), ("M", 90)]
+        self._assert_same_fit(data)
+
+
 class TestScaling:
     def test_population_std_and_scaled_values(self):
         data = make_dataset([({"Oldpeak": 1}, 0), ({"Oldpeak": 2}, 1), ({"Oldpeak": 3}, 1)])
@@ -158,6 +268,15 @@ class TestScaling:
         m = transform(fp, probe)
         assert m.values[0, OLDPEAK] == 0.0
         assert m.values[1, OLDPEAK] == 0.0
+
+    def test_cells_that_differ_with_a_std_of_zero_are_an_error(self):
+        # the squared deviations of 0, 5e-324 and 1e-323 from their mean
+        # underflow to 0, so scaling would write 0 for every cell
+        data = make_dataset([({"Oldpeak": (0.0, 5e-324, 1e-323)[i % 3]}, i % 2)
+                             for i in range(40)])
+        with pytest.raises(UnscalableFeature, match="'Oldpeak'") as info:
+            fit(data)
+        assert info.value.code == "E_DATA"
 
     def test_categorical_codes_not_scaled(self):
         data = make_dataset([({"Sex": "M"}, 0), ({"Sex": "F"}, 1), ({"Sex": "M"}, 1)])
