@@ -373,31 +373,14 @@ def write_csv(data: Dataset, path) -> None:
         writer.writerows(zip(*_text_columns(data), map(str, data.labels)))
 
 
-def sum_in_order(values):
-    """Left-to-right sum from 0, one rounding per addition.
-
-    The builtin `sum` adds floats with compensated summation from Python
-    3.12 on, so a statistic summed with it would differ between interpreter
-    versions; this loop gives the 3.10/3.11 result everywhere.
-    """
-    total = 0
-    for value in values:
-        total += value
-    return total
-
-
-def present_values(values, spec: FeatureSpec) -> list:
-    """The values that are not the spec's missing sentinel, in order."""
-    if spec.missing_sentinel is None:
-        return list(values)
-    return list(filter(spec.missing_sentinel.__ne__, values))
-
-
 def summarize(data: Dataset) -> SummaryReport:
     """Per-column statistics and label balance.
 
     Numeric stats (count/min/max/mean/population std) cover non-sentinel
     values only; the sentinel occurrences are reported as ``missing``.
+    The mean and std are NumPy's (pairwise sums), as `preprocess.fit` takes
+    them; min and max are the builtins, which keep the first of equal
+    values, so a column's signs of zero come through unchanged.
     """
     if len(data) == 0:
         raise EmptyDataset("cannot summarize an empty dataset")
@@ -405,18 +388,19 @@ def summarize(data: Dataset) -> SummaryReport:
     categorical = {}
     for spec, column in zip(SCHEMA, data.columns):
         if spec.kind is FeatureKind.NUMERIC:
-            present = present_values(column, spec)
+            present = np.fromiter(column, float, len(column))
+            if spec.missing_sentinel is not None:
+                present = present[present != spec.missing_sentinel]
             missing = len(column) - len(present)
-            if present:
-                mean = sum_in_order(present) / len(present)
-                var = sum_in_order((v - mean) ** 2 for v in present) / len(present)
+            if len(present):
+                cells = present.tolist()
                 numeric[spec.name] = NumericSummary(
-                    count=len(present),
+                    count=len(cells),
                     missing=missing,
-                    minimum=min(present),
-                    maximum=max(present),
-                    mean=mean,
-                    std=math.sqrt(var),
+                    minimum=min(cells),
+                    maximum=max(cells),
+                    mean=float(present.mean()),
+                    std=float(present.std()),
                 )
             else:
                 numeric[spec.name] = NumericSummary(len(present), missing, None, None, None, None)

@@ -36,8 +36,9 @@ and an epoch's loss the bits of a left-to-right loop, because:
   (`boosting.clamped_sigmoid`), since np.exp may differ from math.exp in
   the last bit; the clamp is one np.clip over the rows, and a row is
   clamped exactly where the raw and the clamped arrays differ;
-- the per-row losses of an epoch are added left to right from a +0.0
-  start, without the builtin `sum`, which compensates from Python 3.12 on.
+- the per-row losses of an epoch are added left to right by
+  `np.add.accumulate`, not by NumPy's pairwise `sum` nor by the builtin
+  `sum`, which compensates from Python 3.12 on.
 
 BPTT sums a block over the batch inside each step (einsum, no BLAS call)
 into one flat accumulator, and a minibatch adds its blocks in block order:
@@ -57,7 +58,6 @@ from typing import List, Tuple
 import numpy as np
 
 from .boosting import clamped_sigmoid
-from .dataset import sum_in_order
 from .errors import (
     BadHyperparameter,
     DimensionMismatch,
@@ -207,13 +207,13 @@ def _backward_batch(params: RNNParams, X: np.ndarray, labels: np.ndarray) -> np.
 
     Each step adds its batch sum onto the +0.0-started accumulator, with no
     BLAS call: einsum runs NumPy's own loop, in row order for a field at
-    least two wide, and b_y's sum is a Python loop in row order."""
+    least two wide, and b_y's sum is np.add.accumulate's, in row order."""
     hs, raw, prob = _forward_batch(params, X)
     steps = X.shape[1]
     dz = np.where(raw == prob, prob - labels, 0.0)
     grads = RNNParams.zeros(params.hidden_size)
     grads.W_hy[0] += np.einsum("b,bi->i", dz, hs[steps])
-    grads.b_y[...] += sum_in_order(dz.tolist())
+    grads.b_y[...] += np.add.accumulate(dz)[-1]
     dh = dz[:, np.newaxis] * params.W_hy[0]
     for t in range(steps, 0, -1):
         dz_h = (1.0 - hs[t] * hs[t]) * dh
@@ -289,8 +289,8 @@ def _probabilities(params: RNNParams, X: np.ndarray) -> np.ndarray:
 def _mean_loss(params: RNNParams, m: FeatureMatrix) -> float:
     # bce's scalar arithmetic runs faster on Python floats than on NumPy scalars
     probs = _probabilities(params, m.values).tolist()
-    losses = (bce(p, float(y)) for p, y in zip(probs, m.labels))
-    return sum_in_order(losses) / m.n_rows
+    losses = [bce(p, float(y)) for p, y in zip(probs, m.labels)]
+    return float(np.add.accumulate(losses)[-1]) / m.n_rows
 
 
 def _batch_grads(params: RNNParams, m: FeatureMatrix, rows) -> RNNParams:

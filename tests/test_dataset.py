@@ -41,6 +41,7 @@ from cardiolearn.errors import (
     SingleClassDataset,
     UnparsableCell,
 )
+from cardiolearn.preprocess import fit
 from cardiolearn.rng import SplitMix64
 
 HEADER = ",".join(FEATURE_NAMES + (LABEL_COLUMN,))
@@ -549,11 +550,32 @@ class TestSummarize:
         assert stats.minimum == 40.0 and stats.maximum == 60.0
 
     def test_mean_adds_left_to_right(self):
-        # correctly rounded, as Python 3.12's builtin sum gives, the total is 2.0
+        # NumPy's pairwise sum adds fewer than 8 values in order, so these four
+        # go left to right; correctly rounded, as math.fsum gives, it is 2.0
         ages = [1e16, 1.0, -1e16, 1.0]
         data = make_dataset([({"Age": age}, i % 2) for i, age in enumerate(ages)])
         assert math.fsum(ages) == 2.0
         assert summarize(data).numeric["Age"].mean == 0.25
+
+    def test_mean_and_std_are_the_preprocessor_fits(self):
+        data = synth_generate(918, 0.55, 1)
+        oldpeak = FEATURE_NAMES.index("Oldpeak")
+        negative_zeros = Dataset(
+            data.columns[:oldpeak] + ((-0.0,) * len(data),) + data.columns[oldpeak + 1:],
+            data.labels,
+        )
+        for table, names in (
+            (data, ("Age", "FastingBS", "MaxHR", "Oldpeak")),
+            (negative_zeros, ("Oldpeak",)),
+        ):
+            report, scale_stats = summarize(table), fit(table).scale_stats
+            for name in names:
+                stats = report.numeric[name]
+                assert (stats.mean.hex(), stats.std.hex()) == tuple(
+                    v.hex() for v in scale_stats[name]
+                ), name
+        stats = report.numeric["Oldpeak"]
+        assert (stats.minimum.hex(), stats.maximum.hex()) == ("-0x0.0p+0",) * 2
 
     def test_positive_fraction(self):
         data = make_dataset([({}, 1), ({}, 1), ({}, 0), ({}, 1)])

@@ -224,7 +224,7 @@ SUBCOMMAND_GRID = {"n_rounds": [4, 8], "max_depth": [2]}
 # Recorded before the CLI built each result as one list of rows.
 SUBCOMMAND_DIGESTS = {
     "summarize": "fd993a38f5de2a30be5f9c33bfc60e67bc38b18cfc4a9df65292ecda73aae04e",
-    "summary.csv": "fd4a22ab248d538dad66f473beaa5a36e311d08bb405c28c1cc78690f3ff412a",
+    "summary.csv": "dc6170c774c67cfe9f782908d837a87a46dc9bb3a579e61a31e74934f068b524",
     "preprocess": "fc91a8ccec895b48f079d06333644f82aadc3fb3ca07724bd6d6070162443dc4",
     "matrix.csv": "44409974708d5f08527d95a99c61b6aca2868053438ab2831a59b75c83925a3d",
     "train": "0194a14992e6b37c3be88b459282b63e99e1a9949a6438afcc184e520b80c866",

@@ -15,7 +15,6 @@ from cardiolearn.dataset import (
     SCHEMA,
     Dataset,
     FeatureKind,
-    present_values,
     stratified_split,
     synth_generate,
 )
@@ -141,6 +140,13 @@ class TestImputation:
         mean, std = fit(data).scale_stats["Cholesterol"]
         assert mean == pytest.approx((200 + 225 + 250) / 3.0)
         assert std == pytest.approx(math.sqrt(((200 - 225) ** 2 + 0 + (250 - 225) ** 2) / 3.0))
+
+
+def present_values(values, spec) -> list:
+    """The values that are not the spec's missing sentinel, in order."""
+    if spec.missing_sentinel is None:
+        return list(values)
+    return list(filter(spec.missing_sentinel.__ne__, values))
 
 
 def _reference_fit(train, unseen_policy=UnseenPolicy.ERROR) -> FittedPreprocessor:

@@ -697,6 +697,20 @@ class TestBatchKernels:
                 got = _backward_batch(params, values[:rows], labels[:rows])
                 assert_same_bits(got, batch_sum_reference(params, values[:rows], labels[:rows]).flat)
 
+    def test_output_bias_gradient_adds_rows_left_to_right(self):
+        # rows whose in-order sum of dz differs from NumPy's pairwise np.sum
+        gen = SplitMix64(4)
+        params = random_params(gen, 3, 2.0)
+        data = np.random.default_rng(4)
+        values, labels = data.normal(0.0, 3.0, (41, 5)), data.integers(0, 2, 41).astype(float)
+        _, raw, prob = _forward_batch(params, values)
+        dz = np.where(raw == prob, prob - labels, 0.0)
+        total = 0.0
+        for term in dz.tolist():
+            total += term
+        assert total != np.sum(dz)
+        assert RNNParams(3, _backward_batch(params, values, labels)).b_y == total
+
     def test_row_blocks_do_not_shrink_with_the_square_of_hidden_size(self):
         # a block holds H * (2T + 1) floats per row and one (P,) gradient sum:
         # at H = 1024 and T = 11 that is 2**20 // 23552 = 44 rows
@@ -719,7 +733,8 @@ class TestBatchKernels:
 class TestMeanLoss:
     def test_losses_are_added_left_to_right(self):
         # rows whose in-order sum of losses differs from the correctly rounded
-        # one: the builtin sum from Python 3.12 on would give another value
+        # one and from NumPy's pairwise one: the builtin sum from Python 3.12
+        # on, or np.sum, would give another value
         gen = SplitMix64(4)
         params = random_params(gen, 3, 2.0)
         data = np.random.default_rng(4)
@@ -730,4 +745,5 @@ class TestMeanLoss:
         for loss in losses:
             total += loss
         assert total != math.fsum(losses)
+        assert total != np.sum(losses)
         assert _mean_loss(params, m) == total / m.n_rows
